@@ -22,15 +22,22 @@ use crate::report::{AnalysisReport, FlowExplanation};
 /// Object-safe ([C-OBJECT]) so experiment harnesses can iterate over
 /// `&dyn Analysis` collections.
 ///
-/// The primitive operations are [`Analysis::analyze_with`] and
+/// An implementation only names its [`AnalysisKind`]; every other method
+/// is provided and reads that kind's entry in the analysis table. The
+/// primitive operations are [`Analysis::analyze_with`] and
 /// [`Analysis::explain_with`], which borrow a shared [`AnalysisContext`];
 /// the [`Analysis::analyze`]/[`Analysis::explain`] conveniences build a
 /// fresh context per call. Harnesses that run several analyses (or several
 /// buffer depths) over one flow set should build the context once and use
 /// the `_with` forms — see [`crate::context`] for the full pattern.
 pub trait Analysis {
+    /// Which of the five analyses this is.
+    fn kind(&self) -> AnalysisKind;
+
     /// Short, stable display name (`"SB"`, `"XLWX"`, `"IBN"`, …).
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.kind().name()
+    }
 
     /// Runs the analysis over every flow of the context's system, reusing
     /// the context's precomputed interference structure.
@@ -41,7 +48,9 @@ pub trait Analysis {
     /// [`AnalysisError::ConvergenceCap`], on pathological inputs whose
     /// fixed-point iteration exhausts the solver's safety cap (the fallible
     /// structure derivation already happened in [`AnalysisContext::new`]).
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError>;
+    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
+        self.kind().analyze_with_budget(ctx, &Budget::unlimited())
+    }
 
     /// [`Analysis::explain`] against a shared context: per-flow interference
     /// breakdowns at the fixed point.
@@ -52,7 +61,9 @@ pub trait Analysis {
     fn explain_with(
         &self,
         ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError>;
+    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
+        Solver::new(ctx, self.kind(), &Budget::unlimited()).solve_explained()
+    }
 
     /// Runs the analysis over every flow of `system`, deriving the
     /// interference structure from scratch.
@@ -85,21 +96,8 @@ pub trait Analysis {
 pub struct NoIndirect;
 
 impl Analysis for NoIndirect {
-    fn name(&self) -> &'static str {
-        "NoIndirect"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Ignore, JitterModel::None).solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Ignore, JitterModel::None)
-            .solve_explained(self.name())
-            .map(|(_, explanations)| explanations)
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::NoIndirect
     }
 }
 
@@ -127,30 +125,8 @@ impl Analysis for NoIndirect {
 pub struct ShiBurns;
 
 impl Analysis for ShiBurns {
-    fn name(&self) -> &'static str {
-        "SB"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Ignore,
-            JitterModel::InterferenceJitter,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Ignore,
-            JitterModel::InterferenceJitter,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::ShiBurns
     }
 }
 
@@ -162,30 +138,8 @@ impl Analysis for ShiBurns {
 pub struct XiongOriginal;
 
 impl Analysis for XiongOriginal {
-    fn name(&self) -> &'static str {
-        "Xiong16"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Xlwx,
-            JitterModel::UpstreamInterference,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::Xlwx,
-            JitterModel::UpstreamInterference,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::XiongOriginal
     }
 }
 
@@ -197,21 +151,8 @@ impl Analysis for XiongOriginal {
 pub struct Xlwx;
 
 impl Analysis for Xlwx {
-    fn name(&self) -> &'static str {
-        "XLWX"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Xlwx, JitterModel::InterferenceJitter).solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, DownstreamModel::Xlwx, JitterModel::InterferenceJitter)
-            .solve_explained(self.name())
-            .map(|(_, explanations)| explanations)
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::Xlwx
     }
 }
 
@@ -249,30 +190,8 @@ impl Analysis for Xlwx {
 pub struct BufferAware;
 
 impl Analysis for BufferAware {
-    fn name(&self) -> &'static str {
-        "IBN"
-    }
-
-    fn analyze_with(&self, ctx: &AnalysisContext<'_>) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::BufferAware,
-            JitterModel::InterferenceJitter,
-        )
-        .solve(self.name())
-    }
-
-    fn explain_with(
-        &self,
-        ctx: &AnalysisContext<'_>,
-    ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(
-            ctx,
-            DownstreamModel::BufferAware,
-            JitterModel::InterferenceJitter,
-        )
-        .solve_explained(self.name())
-        .map(|(_, explanations)| explanations)
+    fn kind(&self) -> AnalysisKind {
+        AnalysisKind::BufferAware
     }
 }
 
@@ -281,8 +200,8 @@ impl Analysis for BufferAware {
 /// of [`IncrementalContext`](crate::incremental::IncrementalContext) or
 /// shipping a choice of analysis across threads in a query batch.
 ///
-/// `kind.name()` matches the corresponding [`Analysis::name`] exactly, and
-/// analysing through a kind yields bit-identical reports to the trait path.
+/// The kind holds the analysis table: each unit struct's [`Analysis`]
+/// impl only names its kind, so the two paths are one code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalysisKind {
     /// [`NoIndirect`]: direct interference only, no jitter.
@@ -308,16 +227,10 @@ impl AnalysisKind {
         AnalysisKind::BufferAware,
     ];
 
-    /// The display name, identical to the [`Analysis::name`] of the
-    /// corresponding unit struct.
+    /// The display name (`"SB"`, `"XLWX"`, `"IBN"`, …), shared with
+    /// [`Analysis::name`].
     pub fn name(self) -> &'static str {
-        match self {
-            AnalysisKind::NoIndirect => NoIndirect.name(),
-            AnalysisKind::ShiBurns => ShiBurns.name(),
-            AnalysisKind::XiongOriginal => XiongOriginal.name(),
-            AnalysisKind::Xlwx => Xlwx.name(),
-            AnalysisKind::BufferAware => BufferAware.name(),
-        }
+        self.spec().0
     }
 
     /// The corresponding analysis as a trait object, for callers that hold
@@ -338,7 +251,7 @@ impl AnalysisKind {
     /// [`AnalysisError::DeadlineExceeded`] once it is exceeded.
     ///
     /// With an [`unlimited`](Budget::unlimited) budget this is bit-identical
-    /// to [`Analysis::analyze_with`] — the polls read a flag nobody sets.
+    /// to [`Analysis::analyze_with`] — which is exactly that call.
     /// Serving layers pair this with the conservative fallback of
     /// [`crate::conservative`] to keep answering under deadline pressure.
     ///
@@ -351,25 +264,21 @@ impl AnalysisKind {
         ctx: &AnalysisContext<'_>,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = self.models();
-        Solver::new(ctx, downstream, jitter)
-            .with_budget(budget)
-            .solve(self.name())
+        Solver::new(ctx, self, budget).solve()
     }
 
-    /// The solver configuration of this analysis.
-    pub(crate) fn models(self) -> (DownstreamModel, JitterModel) {
+    /// The analysis table: display name and solver configuration. The
+    /// five analyses differ only in how downstream indirect interference
+    /// is charged and in what widens a direct interferer's window.
+    pub(crate) fn spec(self) -> (&'static str, DownstreamModel, JitterModel) {
+        use DownstreamModel as D;
+        use JitterModel as J;
         match self {
-            AnalysisKind::NoIndirect => (DownstreamModel::Ignore, JitterModel::None),
-            AnalysisKind::ShiBurns => (DownstreamModel::Ignore, JitterModel::InterferenceJitter),
-            AnalysisKind::XiongOriginal => {
-                (DownstreamModel::Xlwx, JitterModel::UpstreamInterference)
-            }
-            AnalysisKind::Xlwx => (DownstreamModel::Xlwx, JitterModel::InterferenceJitter),
-            AnalysisKind::BufferAware => (
-                DownstreamModel::BufferAware,
-                JitterModel::InterferenceJitter,
-            ),
+            AnalysisKind::NoIndirect => ("NoIndirect", D::Ignore, J::None),
+            AnalysisKind::ShiBurns => ("SB", D::Ignore, J::InterferenceJitter),
+            AnalysisKind::XiongOriginal => ("Xiong16", D::Xlwx, J::UpstreamInterference),
+            AnalysisKind::Xlwx => ("XLWX", D::Xlwx, J::InterferenceJitter),
+            AnalysisKind::BufferAware => ("IBN", D::BufferAware, J::InterferenceJitter),
         }
     }
 

@@ -12,9 +12,9 @@
 //!
 //! A `Budget` is plain shared state (`Sync`, interior mutability): hand the
 //! solving thread a `&Budget` and any other thread holding the same
-//! reference can [`Budget::cancel`] it mid-solve. When no budget is
-//! installed the solver's per-iteration overhead is a single branch on a
-//! cached `Option` discriminant — nothing is loaded, timed or allocated.
+//! reference can [`Budget::cancel`] it mid-solve. Unbudgeted solves run
+//! under [`Budget::unlimited`], whose polls are one relaxed atomic load
+//! each — no clock is read and nothing is allocated.
 //!
 //! ```
 //! use noc_analysis::budget::Budget;

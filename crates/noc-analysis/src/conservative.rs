@@ -73,49 +73,53 @@ pub const CONSERVATIVE_NAME: &str = "Conservative";
 /// Single-pass and total: no fixed-point iteration, no failure mode. See
 /// the [module docs](self) for the bound and its soundness argument.
 pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
-    conservative_from_parts(
-        ctx.system(),
-        ctx.graph(),
-        ctx.priority_order(),
-        ctx.zero_load_raw(),
-    )
-}
-
-/// [`conservative_with`] from raw derived structure — the entry point for
-/// owners that are not an [`AnalysisContext`], such as the incremental
-/// context.
-pub(crate) fn conservative_from_parts(
-    system: &System,
-    graph: &InterferenceGraph,
-    order: &[FlowId],
-    zero_load: &[u128],
-) -> AnalysisReport {
     metrics::CONSERVATIVE_SOLVES.incr();
     let mut bounder = Bounder {
-        system,
-        graph,
-        c: zero_load,
+        ctx,
+        system: ctx.system(),
+        graph: ctx.graph(),
         idown_memo: HashMap::new(),
     };
-    let mut verdicts = vec![FlowVerdict::NotConverged; order.len()];
-    for &i in order {
+    // No bound reads another flow's result, so flows go in id order.
+    let verdicts = ctx
+        .system()
+        .flows()
+        .ids()
+        .map(|i| bounder.verdict(i))
+        .collect();
+    AnalysisReport::new(CONSERVATIVE_NAME, verdicts)
+}
+
+/// Shared state of one conservative pass: the `Idown*` memo mirrors the
+/// solver's, keyed by the (j, i) pair.
+struct Bounder<'a> {
+    ctx: &'a AnalysisContext<'a>,
+    system: &'a System,
+    graph: &'a InterferenceGraph,
+    idown_memo: HashMap<(FlowId, FlowId), u128>,
+}
+
+impl Bounder<'_> {
+    /// `Bᵢ` against the deadline Dᵢ.
+    fn verdict(&mut self, i: FlowId) -> FlowVerdict {
+        let system = self.system;
         let d_i = u128::from(system.flow(i).deadline().as_u64());
         // The same σᵢ·Cᵢ self-backlog base as the solver's recurrence.
-        let mut bound = bounder.c[i.index()].saturating_mul(u128::from(system.flow(i).burst()) + 1);
-        for &j in graph.direct_set(i) {
+        let mut bound = self
+            .c(i)
+            .saturating_mul(u128::from(system.flow(i).burst()) + 1);
+        for &j in self.graph.direct_set(i) {
             let f_j = system.flow(j);
             let d_j = u128::from(f_j.deadline().as_u64());
-            let c_j = bounder.c[j.index()];
-            let jitter = d_j
-                .saturating_sub(c_j)
-                .saturating_add(bounder.iup_bound(i, j));
+            let c_j = self.c(j);
+            let jitter = d_j.saturating_sub(c_j).saturating_add(self.iup_bound(i, j));
             // ηⱼ adds Jⱼ and σⱼ itself, mirroring the solver's hit count.
             let window = d_i.saturating_add(jitter);
             let hits = f_j.arrival_curve().max_arrivals_raw(window);
-            let charge = c_j.saturating_add(bounder.idown_bound(j, i));
+            let charge = c_j.saturating_add(self.idown_bound(j, i));
             bound = bound.saturating_add(hits.saturating_mul(charge));
         }
-        verdicts[i.index()] = if bound <= d_i {
+        if bound <= d_i {
             FlowVerdict::Schedulable {
                 response_time: clamp_cycles(bound),
             }
@@ -123,21 +127,14 @@ pub(crate) fn conservative_from_parts(
             FlowVerdict::DeadlineMiss {
                 exceeded_at: clamp_cycles(bound),
             }
-        };
+        }
     }
-    AnalysisReport::new(CONSERVATIVE_NAME, verdicts)
-}
 
-/// Shared state of one conservative pass: the `Idown*` memo mirrors the
-/// solver's, keyed by the (j, i) pair.
-struct Bounder<'a> {
-    system: &'a System,
-    graph: &'a InterferenceGraph,
-    c: &'a [u128],
-    idown_memo: HashMap<(FlowId, FlowId), u128>,
-}
+    /// Zero-load latency Cₖ as a wide integer.
+    fn c(&self, k: FlowId) -> u128 {
+        u128::from(self.ctx.zero_load(k).as_u64())
+    }
 
-impl Bounder<'_> {
     /// `ηₖ(Dⱼ) = ⌈(Dⱼ + Jₖ)/Tₖ⌉ + σₖ` — the hit count of Eq. 7/8 with the
     /// window widened from Rⱼ to Dⱼ, from τₖ's arrival curve.
     fn hits_in_deadline(&self, j: FlowId, k: FlowId) -> u128 {
@@ -150,10 +147,7 @@ impl Bounder<'_> {
         let part = self.graph.partition_indirect(i, j);
         let mut total: u128 = 0;
         for &k in &part.upstream {
-            total = total.saturating_add(
-                self.hits_in_deadline(j, k)
-                    .saturating_mul(self.c[k.index()]),
-            );
+            total = total.saturating_add(self.hits_in_deadline(j, k).saturating_mul(self.c(k)));
         }
         total
     }
@@ -167,7 +161,7 @@ impl Bounder<'_> {
         let part = self.graph.partition_indirect(i, j);
         let mut total: u128 = 0;
         for &k in &part.downstream {
-            let inner = self.c[k.index()].saturating_add(self.idown_bound(k, j));
+            let inner = self.c(k).saturating_add(self.idown_bound(k, j));
             total = total.saturating_add(self.hits_in_deadline(j, k).saturating_mul(inner));
         }
         self.idown_memo.insert((j, i), total);

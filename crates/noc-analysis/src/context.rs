@@ -1,4 +1,4 @@
-//! The shared, precomputed analysis context.
+//! The analysis context: one system plus its precomputed derived structure.
 //!
 //! Every analysis of this crate consumes the same derived structure of a
 //! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets,
@@ -10,12 +10,17 @@
 //! (and several buffer depths) over the *same* flow set.
 //!
 //! [`AnalysisContext`] computes everything once and lets every analysis
-//! borrow it via [`Analysis::analyze_with`]. Derived systems that keep the
-//! interference structure intact — different buffer depths
-//! ([`System::with_buffer_depth`]), scaled periods
-//! ([`System::with_scaled_periods`]) — can share the graph through
-//! [`AnalysisContext::rebase`], which revalidates cheaply and clones only an
-//! [`Arc`] handle.
+//! borrow it via [`Analysis::analyze_with`]. It is the only holder of that
+//! structure in the crate: it keeps its system either borrowed (the
+//! [`AnalysisContext::new`] form) or owned, and its graph behind an [`Arc`].
+//! Derived systems that keep the interference structure intact — different
+//! buffer depths ([`System::with_buffer_depth`]), scaled periods
+//! ([`System::with_scaled_periods`]) — share the graph through
+//! [`AnalysisContext::rebase`], which revalidates cheaply and clones only
+//! the [`Arc`] handle. The incremental layer
+//! ([`IncrementalContext`](crate::incremental::IncrementalContext)) owns one
+//! context and forks it copy-on-write: a fork shares the graph until its
+//! first flow-set delta copies it.
 //!
 //! ```
 //! use noc_model::prelude::*;
@@ -39,10 +44,13 @@
 //!
 //! [`Analysis::analyze_with`]: crate::analysis::Analysis::analyze_with
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use noc_model::contention::InterferenceGraph;
-use noc_model::ids::FlowId;
+use noc_model::flow::Flow;
+use noc_model::ids::{FlowId, RouterId};
+use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
@@ -59,10 +67,13 @@ use crate::error::AnalysisError;
 /// `context_equivalence` integration test).
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'sys> {
-    system: &'sys System,
+    /// Borrowed for contexts built by [`AnalysisContext::new`] or
+    /// [`AnalysisContext::rebase`]; owned by the incremental layer.
+    system: Cow<'sys, System>,
+    /// Shared by rebased contexts and forks; copied on the first delta.
     graph: Arc<InterferenceGraph>,
     priority_order: Vec<FlowId>,
-    zero_load: Vec<u128>,
+    zero_load: Vec<Cycles>,
 }
 
 impl<'sys> AnalysisContext<'sys> {
@@ -74,16 +85,21 @@ impl<'sys> AnalysisContext<'sys> {
     /// Returns [`AnalysisError::Model`] if the system violates the
     /// contiguous contention-domain assumption (§II of the paper).
     pub fn new(system: &'sys System) -> Result<AnalysisContext<'sys>, AnalysisError> {
-        let graph = Arc::new(InterferenceGraph::new(system)?);
+        Self::build(Cow::Borrowed(system))
+    }
+
+    /// [`AnalysisContext::new`] over a borrowed or owned system.
+    pub(crate) fn build(system: Cow<'sys, System>) -> Result<AnalysisContext<'sys>, AnalysisError> {
+        let graph = Arc::new(InterferenceGraph::new(&system)?);
         Ok(Self::assemble(system, graph))
     }
 
-    fn assemble(system: &'sys System, graph: Arc<InterferenceGraph>) -> AnalysisContext<'sys> {
+    fn assemble(system: Cow<'sys, System>, graph: Arc<InterferenceGraph>) -> AnalysisContext<'sys> {
         let priority_order = system.flows().ids_by_priority();
         let zero_load = system
             .flows()
             .ids()
-            .map(|id| u128::from(system.zero_load_latency(id).as_u64()))
+            .map(|id| system.zero_load_latency(id))
             .collect();
         AnalysisContext {
             system,
@@ -111,7 +127,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// the original system in flow count, any priority, or any route —
     /// reusing the graph would then be unsound.
     pub fn rebase<'b>(&self, target: &'b System) -> Result<AnalysisContext<'b>, AnalysisError> {
-        let source = self.system;
+        let source = self.system();
         if target.flows().len() != source.flows().len() {
             return Err(AnalysisError::ContextMismatch {
                 detail: format!(
@@ -133,7 +149,10 @@ impl<'sys> AnalysisContext<'sys> {
                 });
             }
         }
-        Ok(AnalysisContext::assemble(target, Arc::clone(&self.graph)))
+        Ok(AnalysisContext::assemble(
+            Cow::Borrowed(target),
+            Arc::clone(&self.graph),
+        ))
     }
 
     /// [`AnalysisContext::rebase`] for targets known to preserve the
@@ -158,9 +177,55 @@ impl<'sys> AnalysisContext<'sys> {
         }
     }
 
+    /// An owned copy of this context that shares its interference graph:
+    /// the system is cloned, the graph is one [`Arc`] clone until a delta
+    /// on either side copies it.
+    pub(crate) fn fork(&self) -> AnalysisContext<'static> {
+        AnalysisContext {
+            system: Cow::Owned(self.system().clone()),
+            graph: Arc::clone(&self.graph),
+            priority_order: self.priority_order.clone(),
+            zero_load: self.zero_load.clone(),
+        }
+    }
+
+    /// Admits `flow`, routed by `routing`, and returns its new dense id
+    /// plus the flows whose interference sets changed. The context is
+    /// unchanged on error.
+    pub(crate) fn add_flow(
+        &mut self,
+        flow: Flow,
+        routing: &dyn RoutingAlgorithm,
+    ) -> Result<(FlowId, Vec<FlowId>), AnalysisError> {
+        let (system, id) = self.system.with_added_flow(flow, routing)?;
+        let affected = Arc::make_mut(&mut self.graph).add_flow(&system, id)?;
+        self.zero_load.push(system.zero_load_latency(id));
+        self.priority_order = system.flows().ids_by_priority();
+        self.system = Cow::Owned(system);
+        Ok((id, affected))
+    }
+
+    /// Retires the flow `id`, renumbering every larger id one down, and
+    /// returns the flows whose interference sets changed. The context is
+    /// unchanged on error.
+    pub(crate) fn remove_flow(&mut self, id: FlowId) -> Result<Vec<FlowId>, AnalysisError> {
+        let system = self.system.without_flow(id)?;
+        let affected = Arc::make_mut(&mut self.graph).remove_flow(&system, id);
+        self.zero_load.remove(id.index());
+        self.priority_order = system.flows().ids_by_priority();
+        self.system = Cow::Owned(system);
+        Ok(affected)
+    }
+
+    /// Resizes the per-VC buffers of `router`; nothing derived depends on
+    /// buffer depths, so only the system changes.
+    pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
+        self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
+    }
+
     /// The system this context was built for (or last rebased onto).
-    pub fn system(&self) -> &'sys System {
-        self.system
+    pub fn system(&self) -> &System {
+        &self.system
     }
 
     /// The precomputed interference graph (§III): direct/indirect sets,
@@ -181,13 +246,7 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// Panics if `id` is out of bounds.
     pub fn zero_load(&self, id: FlowId) -> Cycles {
-        Cycles::new(u64::try_from(self.zero_load[id.index()]).unwrap_or(u64::MAX))
-    }
-
-    /// All zero-load latencies as the engine's wide integers, indexed by
-    /// [`FlowId`].
-    pub(crate) fn zero_load_raw(&self) -> &[u128] {
-        &self.zero_load
+        self.zero_load[id.index()]
     }
 
     /// Number of flows covered.

@@ -25,6 +25,8 @@
 //! interference graph, priority order and zero-load latencies all come from
 //! a borrowed [`AnalysisContext`], so running all five analyses (or one
 //! analysis at several buffer depths) pays for that structure exactly once.
+//! [`Solver::new`] is its only constructor; the incremental layer passes the
+//! context it owns, and unbudgeted callers pass [`Budget::unlimited`].
 
 use std::collections::HashMap;
 
@@ -34,6 +36,7 @@ use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
+use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
 use crate::error::AnalysisError;
@@ -74,75 +77,49 @@ pub(crate) enum JitterModel {
 /// Iteration safety cap; monotone integer iterations converge or blow past
 /// the deadline long before this on sane inputs. Exhausting it aborts the
 /// solve with [`AnalysisError::ConvergenceCap`] naming the flow (and bumps
-/// [`metrics::SOLVER_CAP_HITS`]) instead of silently reporting an opaque
-/// non-verdict.
+/// [`metrics::SOLVER_CAP_HITS`]).
 const MAX_ITERATIONS: usize = 100_000;
 
 pub(crate) struct Solver<'a> {
+    ctx: &'a AnalysisContext<'a>,
     system: &'a System,
     graph: &'a InterferenceGraph,
-    /// Highest-priority-first solve order, borrowed from the context.
-    order: &'a [FlowId],
+    name: &'static str,
     downstream: DownstreamModel,
     jitter: JitterModel,
-    /// Zero-load latencies Cᵢ, borrowed from the context.
-    c: &'a [u128],
+    /// Cooperative deadline/cancellation token, polled once per flow and
+    /// every [`Budget::POLL_ITERATIONS`] fixed-point iterations.
+    budget: &'a Budget,
     /// Final response times, filled highest-priority-first.
     r: Vec<Option<u128>>,
     /// Memoised `Idown(j,i)` values keyed by the (j, i) pair.
     idown_memo: HashMap<(FlowId, FlowId), u128>,
-    /// Optional cooperative deadline/cancellation token, polled once per
-    /// flow and every [`Budget::POLL_ITERATIONS`] fixed-point iterations.
-    /// With no budget installed the per-iteration overhead is the one
-    /// `Option` discriminant branch.
-    budget: Option<&'a Budget>,
+    /// The direct-interference terms of the flow solved last, reused
+    /// across flows; read back only by the explain path.
+    terms: Vec<Term>,
 }
 
 impl<'a> Solver<'a> {
+    /// A solver for analysis `kind` over `ctx`, aborting with
+    /// [`AnalysisError::DeadlineExceeded`] once `budget` expires.
     pub(crate) fn new(
         ctx: &'a AnalysisContext<'a>,
-        downstream: DownstreamModel,
-        jitter: JitterModel,
+        kind: AnalysisKind,
+        budget: &'a Budget,
     ) -> Self {
-        Self::from_parts(
-            ctx.system(),
-            ctx.graph(),
-            ctx.priority_order(),
-            ctx.zero_load_raw(),
-            downstream,
-            jitter,
-        )
-    }
-
-    /// Builds a solver from raw parts — the entry point for owners of the
-    /// derived structure that are not an [`AnalysisContext`], such as the
-    /// incremental context (which owns its graph by value).
-    pub(crate) fn from_parts(
-        system: &'a System,
-        graph: &'a InterferenceGraph,
-        order: &'a [FlowId],
-        zero_load: &'a [u128],
-        downstream: DownstreamModel,
-        jitter: JitterModel,
-    ) -> Self {
+        let (name, downstream, jitter) = kind.spec();
         Solver {
-            system,
-            graph,
-            order,
+            ctx,
+            system: ctx.system(),
+            graph: ctx.graph(),
+            name,
             downstream,
             jitter,
-            c: zero_load,
-            r: vec![None; order.len()],
+            budget,
+            r: vec![None; ctx.len()],
             idown_memo: HashMap::new(),
-            budget: None,
+            terms: Vec::new(),
         }
-    }
-
-    /// Installs a cooperative solve budget: the fixed-point loops will
-    /// abort with [`AnalysisError::DeadlineExceeded`] once it expires.
-    pub(crate) fn with_budget(mut self, budget: &'a Budget) -> Self {
-        self.budget = Some(budget);
-        self
     }
 
     /// Runs the analysis over the whole flow set.
@@ -150,44 +127,38 @@ impl<'a> Solver<'a> {
     /// # Errors
     ///
     /// Returns [`AnalysisError::ConvergenceCap`] if any flow's fixed-point
-    /// iteration exhausts the safety cap.
-    pub(crate) fn solve(self, name: &'static str) -> Result<AnalysisReport, AnalysisError> {
-        Ok(self.solve_explained(name)?.0)
+    /// iteration exhausts the safety cap, or
+    /// [`AnalysisError::DeadlineExceeded`] once the budget expires.
+    pub(crate) fn solve(mut self) -> Result<AnalysisReport, AnalysisError> {
+        let _span = metrics::SOLVE_NS.span();
+        // Placeholders only: the priority order covers every flow.
+        let mut verdicts = vec![FlowVerdict::Tainted; self.r.len()];
+        for &i in self.ctx.priority_order() {
+            verdicts[i.index()] = self.solve_flow(i)?.0;
+        }
+        Ok(AnalysisReport::new(self.name, verdicts))
     }
 
-    /// Runs the analysis and additionally returns the per-flow
-    /// interference breakdowns at the fixed points.
+    /// Runs the analysis and returns the per-flow interference breakdowns
+    /// at the fixed points, indexed by flow.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Solver::solve`].
-    pub(crate) fn solve_explained(
-        mut self,
-        name: &'static str,
-    ) -> Result<(AnalysisReport, Vec<FlowExplanation>), AnalysisError> {
+    pub(crate) fn solve_explained(mut self) -> Result<Vec<FlowExplanation>, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
-        let order = self.order;
-        let n = order.len();
-        let mut verdicts = vec![FlowVerdict::NotConverged; n];
-        let mut explanations: Vec<Option<FlowExplanation>> = (0..n).map(|_| None).collect();
-        for &i in order {
-            let (verdict, terms) = self.solve_flow(i)?;
-            if let FlowVerdict::Schedulable { response_time } = verdict {
-                self.r[i.index()] = Some(u128::from(response_time.as_u64()));
-            }
-            verdicts[i.index()] = verdict;
-            explanations[i.index()] = Some(FlowExplanation {
+        let mut explanations = Vec::with_capacity(self.r.len());
+        for &i in self.ctx.priority_order() {
+            let (verdict, window) = self.solve_flow(i)?;
+            explanations.push(FlowExplanation {
                 flow: i,
-                zero_load: clamp_cycles(self.c[i.index()]),
+                zero_load: self.ctx.zero_load(i),
                 verdict,
-                terms,
+                terms: self.terms.iter().map(|t| t.explain(window)).collect(),
             });
         }
-        let explanations = explanations
-            .into_iter()
-            .map(|e| e.expect("every flow solved"))
-            .collect();
-        Ok((AnalysisReport::new(name, verdicts), explanations))
+        explanations.sort_unstable_by_key(|e| e.flow);
+        Ok(explanations)
     }
 
     /// Runs the analysis against `cache`, re-solving only the flows whose
@@ -209,40 +180,38 @@ impl<'a> Solver<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`AnalysisError::ConvergenceCap`] if a dirty flow's
-    /// fixed-point iteration exhausts the safety cap; the cache is then
-    /// poisoned all-dirty so the next solve through it is a full solve.
+    /// Same conditions as [`Solver::solve`]; an error raised by a dirty
+    /// flow poisons the cache all-dirty so the next solve through it is a
+    /// full solve.
     ///
     /// # Panics
     ///
     /// Panics if `cache` was sized for a different number of flows.
     pub(crate) fn solve_cached(
         mut self,
-        name: &'static str,
         cache: &mut SolveCache,
     ) -> Result<AnalysisReport, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
+        let order = self.ctx.priority_order();
         assert_eq!(
             cache.r.len(),
-            self.order.len(),
+            order.len(),
             "solve cache does not match the flow set"
         );
         // An exceeded budget must abort even when every flow is clean —
         // otherwise a cancelled solve answers from the warm cache and the
         // outcome depends on what happened to run on this context earlier.
         // No work has been done yet, so the cache stays valid (no poison).
-        if let Some(budget) = self.budget {
-            if budget.is_exceeded() {
-                if let Some(&first) = self.order.first() {
-                    metrics::SOLVER_DEADLINE_HITS.incr();
-                    return Err(AnalysisError::DeadlineExceeded {
-                        flow: first,
-                        iterations: 0,
-                    });
-                }
+        if let Some(&first) = order.first() {
+            if self.budget.is_exceeded() {
+                metrics::SOLVER_DEADLINE_HITS.incr();
+                return Err(AnalysisError::DeadlineExceeded {
+                    flow: first,
+                    iterations: 0,
+                });
             }
         }
-        for &i in self.order {
+        for &i in order {
             if !cache.dirty[i.index()] {
                 let deps_dirty = self
                     .graph
@@ -254,11 +223,11 @@ impl<'a> Solver<'a> {
             }
         }
         let (mut dirty_solved, mut clean_reused) = (0u64, 0u64);
-        for &i in self.order {
+        for &i in order {
             if cache.dirty[i.index()] {
                 dirty_solved += 1;
-                let verdict = match self.solve_flow(i) {
-                    Ok((verdict, _)) => verdict,
+                match self.solve_flow(i) {
+                    Ok((verdict, _)) => cache.verdicts[i.index()] = verdict,
                     Err(e) => {
                         // Half the flows are solved, half are stale; the
                         // only consistent cache state is "everything needs
@@ -266,11 +235,7 @@ impl<'a> Solver<'a> {
                         cache.poison();
                         return Err(e);
                     }
-                };
-                if let FlowVerdict::Schedulable { response_time } = verdict {
-                    self.r[i.index()] = Some(u128::from(response_time.as_u64()));
                 }
-                cache.verdicts[i.index()] = verdict;
             } else {
                 // Clean flow: its fixed point is unchanged; republish the
                 // cached response time for lower-priority flows to read.
@@ -289,123 +254,101 @@ impl<'a> Solver<'a> {
             noc_telemetry::events::emit(
                 "analysis.solve_cached",
                 &[
-                    ("analysis", name.into()),
+                    ("analysis", self.name.into()),
                     ("dirty_solved", dirty_solved.into()),
                     ("clean_reused", clean_reused.into()),
                 ],
             );
         }
-        Ok(AnalysisReport::new(name, cache.verdicts.clone()))
+        Ok(AnalysisReport::new(self.name, cache.verdicts.clone()))
     }
 
-    /// Computes the verdict for one flow; every higher-priority flow has
-    /// been solved already.
+    /// Zero-load latency Cₖ as the engine's wide integer.
+    fn c(&self, k: FlowId) -> u128 {
+        u128::from(self.ctx.zero_load(k).as_u64())
+    }
+
+    /// Computes the verdict for one flow, every higher-priority flow having
+    /// been solved already, and publishes its response time. Also returns
+    /// the window the explanation terms are evaluated at (the last
+    /// iterate), leaving those terms in `self.terms` (empty when tainted).
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::ConvergenceCap`] if the fixed-point
-    /// iteration exhausts [`MAX_ITERATIONS`].
-    fn solve_flow(
-        &mut self,
-        i: FlowId,
-    ) -> Result<(FlowVerdict, Vec<InterferenceTerm>), AnalysisError> {
+    /// iteration exhausts [`MAX_ITERATIONS`], and
+    /// [`AnalysisError::DeadlineExceeded`] once the budget expires.
+    fn solve_flow(&mut self, i: FlowId) -> Result<(FlowVerdict, u128), AnalysisError> {
         // Per-flow budget poll: catches an expired budget even when every
         // individual fixed point converges in a handful of iterations, and
         // makes a pre-cancelled budget abort deterministically at the first
         // flow of the solve order.
-        if let Some(budget) = self.budget {
-            if budget.is_exceeded() {
-                metrics::SOLVER_DEADLINE_HITS.incr();
-                return Err(AnalysisError::DeadlineExceeded {
-                    flow: i,
-                    iterations: 0,
-                });
-            }
+        if self.budget.is_exceeded() {
+            metrics::SOLVER_DEADLINE_HITS.incr();
+            return Err(AnalysisError::DeadlineExceeded {
+                flow: i,
+                iterations: 0,
+            });
         }
         metrics::SOLVER_FLOWS_SOLVED.incr();
         let flow = self.system.flow(i);
         let deadline = u128::from(flow.deadline().as_u64());
-        let direct: Vec<FlowId> = self.graph.direct_set(i).to_vec();
+        let direct = self.graph.direct_set(i);
+        self.terms.clear();
         // Taint: a failed direct interferer leaves τᵢ without a valid bound.
         if direct.iter().any(|&j| self.r[j.index()].is_none()) {
-            return Ok((FlowVerdict::Tainted, Vec::new()));
+            return Ok((FlowVerdict::Tainted, 0));
         }
         // Per-interferer constants of the recurrence (independent of Rᵢ):
         // each interferer contributes hits from its own arrival curve,
         // evaluated on the window inflated by the model-specific jitter.
-        let mut terms = Vec::with_capacity(direct.len());
-        for &j in &direct {
-            let curve = self.system.flow(j).arrival_curve();
+        for &j in direct {
             let extra_jitter = self.window_jitter(i, j);
             let downstream = self.downstream_term(j, i);
-            let charge = self.c[j.index()].saturating_add(downstream);
-            terms.push(Term {
+            self.terms.push(Term {
                 interferer: j,
-                curve,
+                curve: self.system.flow(j).arrival_curve(),
                 extra_jitter,
-                charge,
+                charge: self.c(j).saturating_add(downstream),
                 downstream,
             });
         }
-        let explain = |r: u128, terms: &[Term]| {
-            terms
-                .iter()
-                .map(|t| InterferenceTerm {
-                    interferer: t.interferer,
-                    hits: u64::try_from(t.curve.max_arrivals_raw(r.saturating_add(t.extra_jitter)))
-                        .unwrap_or(u64::MAX),
-                    charge_per_hit: clamp_cycles(t.charge),
-                    downstream_term: clamp_cycles(t.downstream),
-                    window_jitter: clamp_cycles(t.extra_jitter),
-                })
-                .collect::<Vec<_>>()
-        };
         // Monotone fixed-point iteration from Rᵢ⁰ = Cᵢ·(σᵢ + 1): a bursty
         // flow's packet can sit behind up to σᵢ same-burst predecessors,
         // each occupying the route for at most Cᵢ. σᵢ = 0 degenerates to
         // the paper's Rᵢ⁰ = Cᵢ exactly.
-        let c_i = self.c[i.index()].saturating_mul(u128::from(flow.burst()) + 1);
+        let c_i = self.c(i).saturating_mul(u128::from(flow.burst()) + 1);
         let mut r = c_i;
         let mut iterations = 0u64;
         for _ in 0..MAX_ITERATIONS {
             iterations += 1;
             // Cooperative cancellation: poll the budget's atomic flag (and
             // clock, while a deadline is pending) every POLL_ITERATIONS
-            // rounds. Without a budget this whole block is one predicted
-            // branch on the cached `Option` discriminant.
-            if let Some(budget) = self.budget {
-                if iterations.is_multiple_of(Budget::POLL_ITERATIONS) && budget.is_exceeded() {
-                    metrics::SOLVER_ITERATIONS.add(iterations);
-                    metrics::SOLVER_DEADLINE_HITS.incr();
-                    return Err(AnalysisError::DeadlineExceeded {
-                        flow: i,
-                        iterations,
-                    });
-                }
+            // rounds.
+            if iterations.is_multiple_of(Budget::POLL_ITERATIONS) && self.budget.is_exceeded() {
+                metrics::SOLVER_ITERATIONS.add(iterations);
+                metrics::SOLVER_DEADLINE_HITS.incr();
+                return Err(AnalysisError::DeadlineExceeded {
+                    flow: i,
+                    iterations,
+                });
             }
             let mut next = c_i;
-            for t in &terms {
+            for t in &self.terms {
                 let window = r.saturating_add(t.extra_jitter);
                 let hits = t.curve.max_arrivals_raw(window);
                 next = next.saturating_add(hits.saturating_mul(t.charge));
             }
             if next > deadline {
                 metrics::SOLVER_ITERATIONS.add(iterations);
-                return Ok((
-                    FlowVerdict::DeadlineMiss {
-                        exceeded_at: clamp_cycles(next),
-                    },
-                    explain(r, &terms),
-                ));
+                let exceeded_at = clamp_cycles(next);
+                return Ok((FlowVerdict::DeadlineMiss { exceeded_at }, r));
             }
             if next == r {
                 metrics::SOLVER_ITERATIONS.add(iterations);
-                return Ok((
-                    FlowVerdict::Schedulable {
-                        response_time: clamp_cycles(r),
-                    },
-                    explain(r, &terms),
-                ));
+                self.r[i.index()] = Some(r);
+                let response_time = clamp_cycles(r);
+                return Ok((FlowVerdict::Schedulable { response_time }, r));
             }
             r = next;
         }
@@ -426,7 +369,7 @@ impl<'a> Solver<'a> {
                 // J^I_j = Rⱼ − Cⱼ iff τⱼ suffers interference from S^I_i.
                 if self.graph.has_indirect_via(i, j) {
                     let r_j = self.r[j.index()].expect("solved before use");
-                    r_j.saturating_sub(self.c[j.index()])
+                    r_j.saturating_sub(self.c(j))
                 } else {
                     0
                 }
@@ -443,7 +386,7 @@ impl<'a> Solver<'a> {
         let mut total: u128 = 0;
         for &k in &part.upstream {
             let hits = self.hits_on(r_j, k);
-            total = total.saturating_add(hits.saturating_mul(self.c[k.index()]));
+            total = total.saturating_add(hits.saturating_mul(self.c(k)));
         }
         total
     }
@@ -471,7 +414,7 @@ impl<'a> Solver<'a> {
         for &k in &part.downstream {
             // One hit of τₖ on τⱼ blocks τⱼ for τₖ's own latency plus any
             // downstream interference τₖ itself suffers (recursive MPB).
-            let inner = self.c[k.index()].saturating_add(self.downstream_term(k, j));
+            let inner = self.c(k).saturating_add(self.downstream_term(k, j));
             let per_hit = match buffer_bound {
                 Some(bi) => bi.min(inner),
                 None => inner,
@@ -534,6 +477,23 @@ struct Term {
     downstream: u128,
 }
 
+impl Term {
+    /// This term as reported at the response window `r`.
+    fn explain(&self, r: u128) -> InterferenceTerm {
+        InterferenceTerm {
+            interferer: self.interferer,
+            hits: u64::try_from(
+                self.curve
+                    .max_arrivals_raw(r.saturating_add(self.extra_jitter)),
+            )
+            .unwrap_or(u64::MAX),
+            charge_per_hit: clamp_cycles(self.charge),
+            downstream_term: clamp_cycles(self.downstream),
+            window_jitter: clamp_cycles(self.extra_jitter),
+        }
+    }
+}
+
 /// Memoised solve state of **one** analysis over an evolving flow set: the
 /// response times and verdicts of the last solve plus a per-flow dirty bit.
 ///
@@ -556,7 +516,8 @@ impl SolveCache {
     pub(crate) fn all_dirty(n: usize) -> SolveCache {
         SolveCache {
             r: vec![None; n],
-            verdicts: vec![FlowVerdict::NotConverged; n],
+            // Placeholders only: dirty flows are re-solved before any read.
+            verdicts: vec![FlowVerdict::Tainted; n],
             dirty: vec![true; n],
         }
     }
@@ -565,7 +526,7 @@ impl SolveCache {
     /// marked dirty.
     pub(crate) fn push_flow(&mut self) {
         self.r.push(None);
-        self.verdicts.push(FlowVerdict::NotConverged);
+        self.verdicts.push(FlowVerdict::Tainted);
         self.dirty.push(true);
     }
 

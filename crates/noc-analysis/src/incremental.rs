@@ -8,19 +8,25 @@
 //! flow per change wastes nearly all of that work: a single flow only
 //! touches the interference neighbourhood its route overlaps.
 //!
-//! [`IncrementalContext`] keeps the derived structure **and** the last
-//! solve's results alive across mutations:
+//! [`IncrementalContext`] is an owned [`AnalysisContext`] plus the last
+//! solve's results, one solve cache per analysis, kept alive across
+//! mutations:
 //!
 //! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
-//!   update the owned [`InterferenceGraph`] through its delta methods
+//!   update the context's [`InterferenceGraph`] through its delta methods
 //!   ([`InterferenceGraph::add_flow`] / [`InterferenceGraph::remove_flow`]),
 //!   which recompute only the affected neighbourhood and report exactly
 //!   which flows' interference sets changed;
-//! * those flows are marked dirty in a per-analysis solve cache; the next
+//! * those flows are marked dirty in every solve cache; the next
 //!   [`IncrementalContext::analyze`] propagates dirtiness down the priority
 //!   order (a flow is re-solved iff a member of `S^D ∪ S^I` — all strictly
 //!   higher priority — is dirty) and reuses the cached response time of
 //!   every clean flow.
+//!
+//! [`IncrementalContext::from_context`] forks a shared base context
+//! copy-on-write: the fork clones the system but shares the base's graph,
+//! and copies the graph only on its first flow addition or removal. Buffer
+//! resizes never touch the graph.
 //!
 //! The result is bit-identical to a from-scratch
 //! [`AnalysisContext::new`] + solve —
@@ -52,6 +58,8 @@
 //! # Ok::<(), noc_analysis::error::AnalysisError>(())
 //! ```
 
+use std::borrow::Cow;
+
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
@@ -67,40 +75,14 @@ use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
 
-/// One mutation of the flow set, for batch application via
-/// [`IncrementalContext::apply`].
-#[derive(Debug, Clone)]
-pub enum Delta {
-    /// Admit a new flow; it is routed when the delta is applied and takes
-    /// the next dense [`FlowId`].
-    Add(Flow),
-    /// Retire the flow with this id. Every larger id shifts down by one
-    /// (flow ids are dense indices).
-    Remove(FlowId),
-    /// Resize the per-VC input buffers of one router — the heterogeneous
-    /// buffer what-if. Only the buffer-aware analysis reads buffer depths,
-    /// so only its cache is invalidated, and only for the flows whose
-    /// contention domains cross the resized router.
-    ResizeBuffer {
-        /// The router whose input-VC depth changes.
-        router: RouterId,
-        /// The new per-VC depth in flits (≥ 1).
-        depth: u32,
-    },
-}
-
-/// A [`System`] plus its derived analysis structure, maintained
-/// incrementally under flow additions and removals.
+/// An owned [`AnalysisContext`] plus per-analysis solve caches, maintained
+/// incrementally under flow additions, removals and buffer resizes.
 ///
-/// Unlike [`AnalysisContext`], which borrows its system and shares an
-/// immutable graph, this type **owns** both so it can mutate them in place.
-/// See the [module docs](self) for the admission-control pattern it serves.
+/// See the [module docs](self) for the admission-control pattern it serves
+/// and for how forks share the base graph.
 #[derive(Debug, Clone)]
 pub struct IncrementalContext {
-    system: System,
-    graph: InterferenceGraph,
-    priority_order: Vec<FlowId>,
-    zero_load: Vec<u128>,
+    ctx: AnalysisContext<'static>,
     /// One solve cache per [`AnalysisKind`], indexed by `AnalysisKind::index`.
     caches: [SolveCache; AnalysisKind::ALL.len()],
 }
@@ -113,31 +95,22 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if the system violates the
     /// contiguous contention-domain assumption.
     pub fn new(system: System) -> Result<IncrementalContext, AnalysisError> {
-        let graph = InterferenceGraph::new(&system)?;
-        Ok(Self::assemble(system, graph))
+        AnalysisContext::build(Cow::Owned(system)).map(Self::with_context)
     }
 
-    /// Builds an incremental context from an existing [`AnalysisContext`],
-    /// cloning its system and interference graph instead of re-deriving
-    /// them — the cheap way to fork per-thread mutable state off one shared
-    /// base context.
+    /// Forks an incremental context off an existing [`AnalysisContext`]:
+    /// the system is cloned and the interference graph shared, so the fork
+    /// pays for a graph copy only on its first flow addition or removal —
+    /// the cheap way to give each thread mutable state over one shared base
+    /// context.
     pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        Self::assemble(ctx.system().clone(), ctx.graph().clone())
+        Self::with_context(ctx.fork())
     }
 
-    fn assemble(system: System, graph: InterferenceGraph) -> IncrementalContext {
-        let priority_order = system.flows().ids_by_priority();
-        let zero_load: Vec<u128> = system
-            .flows()
-            .ids()
-            .map(|id| u128::from(system.zero_load_latency(id).as_u64()))
-            .collect();
-        let n = zero_load.len();
+    fn with_context(ctx: AnalysisContext<'static>) -> IncrementalContext {
+        let n = ctx.len();
         IncrementalContext {
-            system,
-            graph,
-            priority_order,
-            zero_load,
+            ctx,
             caches: std::array::from_fn(|_| SolveCache::all_dirty(n)),
         }
     }
@@ -157,20 +130,11 @@ impl IncrementalContext {
         flow: Flow,
         routing: &dyn RoutingAlgorithm,
     ) -> Result<FlowId, AnalysisError> {
-        let (system, id) = self.system.with_added_flow(flow, routing)?;
-        let affected = self.graph.add_flow(&system, id)?;
-        self.system = system;
-        self.priority_order = self.system.flows().ids_by_priority();
-        self.zero_load
-            .push(u128::from(self.system.zero_load_latency(id).as_u64()));
+        let (id, affected) = self.ctx.add_flow(flow, routing)?;
         for cache in &mut self.caches {
             cache.push_flow();
-            for &a in &affected {
-                cache.mark_dirty(a.index());
-            }
         }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
+        self.record_delta(&affected, &AnalysisKind::ALL);
         Ok(id)
     }
 
@@ -181,19 +145,11 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if `id` is out of bounds; the
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
-        let system = self.system.without_flow(id)?;
-        let affected = self.graph.remove_flow(&system, id);
-        self.system = system;
-        self.priority_order = self.system.flows().ids_by_priority();
-        self.zero_load.remove(id.index());
+        let affected = self.ctx.remove_flow(id)?;
         for cache in &mut self.caches {
             cache.remove_flow(id.index());
-            for &a in &affected {
-                cache.mark_dirty(a.index());
-            }
         }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
+        self.record_delta(&affected, &AnalysisKind::ALL);
         Ok(())
     }
 
@@ -220,24 +176,20 @@ impl IncrementalContext {
     /// queries before applying them.
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         let affected = self.buffer_dependents(router);
-        self.system = self.system.with_router_buffer_depth(router, depth);
-        let cache = &mut self.caches[AnalysisKind::BufferAware.index()];
-        for &a in &affected {
-            cache.mark_dirty(a.index());
-        }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
+        self.ctx.resize_buffer(router, depth);
+        self.record_delta(&affected, &[AnalysisKind::BufferAware]);
     }
 
     /// Flows whose buffer-aware bound reads the depth of `router`: the
     /// victims of direct interference pairs whose contention domain
     /// contains a link targeting it.
     fn buffer_dependents(&self, router: RouterId) -> Vec<FlowId> {
-        let topology = self.system.topology();
+        let (system, graph) = (self.ctx.system(), self.ctx.graph());
+        let topology = system.topology();
         let mut out = Vec::new();
-        for i in self.system.flows().ids() {
-            let touches = self.graph.direct_set(i).iter().any(|&j| {
-                self.graph.contention_domain(i, j).is_some_and(|cd| {
+        for i in system.flows().ids() {
+            let touches = graph.direct_set(i).iter().any(|&j| {
+                graph.contention_domain(i, j).is_some_and(|cd| {
                     cd.links()
                         .iter()
                         .any(|&l| topology.link(l).target() == Endpoint::Router(router))
@@ -250,37 +202,26 @@ impl IncrementalContext {
         out
     }
 
-    /// Applies one [`Delta`], returning the assigned id for an addition.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`IncrementalContext::add_flow`] and
-    /// [`IncrementalContext::remove_flow`].
-    ///
-    /// # Panics
-    ///
-    /// [`Delta::ResizeBuffer`] panics on an unknown router or a zero depth
-    /// — see [`IncrementalContext::resize_buffer`].
-    pub fn apply(
-        &mut self,
-        delta: Delta,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Result<Option<FlowId>, AnalysisError> {
-        match delta {
-            Delta::Add(flow) => self.add_flow(flow, routing).map(Some),
-            Delta::Remove(id) => self.remove_flow(id).map(|()| None),
-            Delta::ResizeBuffer { router, depth } => {
-                self.resize_buffer(router, depth);
-                Ok(None)
+    /// Marks `affected` dirty in the caches of `kinds` and counts the
+    /// delta.
+    fn record_delta(&mut self, affected: &[FlowId], kinds: &[AnalysisKind]) {
+        for kind in kinds {
+            let cache = &mut self.caches[kind.index()];
+            for &a in affected {
+                cache.mark_dirty(a.index());
             }
         }
+        metrics::INCREMENTAL_DELTAS.incr();
+        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
     }
 
     /// Runs `kind` over the current flow set, re-solving only the flows
     /// whose interference inputs changed since this kind last ran.
     ///
     /// Bit-identical to `kind` analysed from scratch over
-    /// [`IncrementalContext::system`].
+    /// [`IncrementalContext::system`]; the same call as
+    /// [`IncrementalContext::analyze_with_budget`] under an
+    /// [`unlimited`](Budget::unlimited) budget.
     ///
     /// # Errors
     ///
@@ -289,24 +230,12 @@ impl IncrementalContext {
     /// cache is then marked all-dirty, so a later call (after the offending
     /// flow is removed) recovers with a full solve.
     pub fn analyze(&mut self, kind: AnalysisKind) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = kind.models();
-        let solver = Solver::from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-            downstream,
-            jitter,
-        );
-        solver.solve_cached(kind.name(), &mut self.caches[kind.index()])
+        self.analyze_with_budget(kind, &Budget::unlimited())
     }
 
     /// [`IncrementalContext::analyze`] under a cooperative [`Budget`]: the
     /// solver polls the budget and aborts once it is exceeded, so serving
     /// layers can bound the wall-clock cost of a single query.
-    ///
-    /// With an [`unlimited`](Budget::unlimited) budget this is bit-identical
-    /// to [`IncrementalContext::analyze`].
     ///
     /// # Errors
     ///
@@ -320,17 +249,7 @@ impl IncrementalContext {
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let (downstream, jitter) = kind.models();
-        let solver = Solver::from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-            downstream,
-            jitter,
-        )
-        .with_budget(budget);
-        solver.solve_cached(kind.name(), &mut self.caches[kind.index()])
+        Solver::new(&self.ctx, kind, budget).solve_cached(&mut self.caches[kind.index()])
     }
 
     /// The cheap, non-iterative conservative bound over the current flow
@@ -341,32 +260,27 @@ impl IncrementalContext {
     /// Total (never fails), does not touch the solve caches, and does not
     /// depend on them: it reads only the incrementally maintained structure.
     pub fn conservative_report(&self) -> AnalysisReport {
-        crate::conservative::conservative_from_parts(
-            &self.system,
-            &self.graph,
-            &self.priority_order,
-            &self.zero_load,
-        )
+        crate::conservative::conservative_with(&self.ctx)
     }
 
     /// The current system.
     pub fn system(&self) -> &System {
-        &self.system
+        self.ctx.system()
     }
 
     /// The incrementally maintained interference graph.
     pub fn graph(&self) -> &InterferenceGraph {
-        &self.graph
+        self.ctx.graph()
     }
 
     /// Number of flows currently covered.
     pub fn len(&self) -> usize {
-        self.zero_load.len()
+        self.ctx.len()
     }
 
     /// `true` for an empty flow set.
     pub fn is_empty(&self) -> bool {
-        self.zero_load.is_empty()
+        self.ctx.is_empty()
     }
 }
 
@@ -462,17 +376,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_routes_additions_and_removals() {
+    fn additions_and_removals_take_dense_ids() {
         let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
-        let id = ctx
-            .apply(Delta::Add(mesh_flow(SPECS[2])), &XyRouting)
-            .unwrap();
-        assert_eq!(id, Some(FlowId::new(2)));
-        assert_eq!(
-            ctx.apply(Delta::Remove(FlowId::new(1)), &XyRouting)
-                .unwrap(),
-            None
-        );
+        let id = ctx.add_flow(mesh_flow(SPECS[2]), &XyRouting).unwrap();
+        assert_eq!(id, FlowId::new(2));
+        ctx.remove_flow(FlowId::new(1)).unwrap();
         assert_eq!(ctx.len(), 2);
         assert_matches_scratch(&mut ctx);
     }
@@ -485,6 +393,39 @@ mod tests {
         let mut fresh = IncrementalContext::new(sys.clone()).unwrap();
         for &kind in &AnalysisKind::ALL {
             assert_eq!(forked.analyze(kind).unwrap(), fresh.analyze(kind).unwrap());
+        }
+
+        // Forks share the base graph until their first flow-set delta …
+        let reports = |ctx: &AnalysisContext<'_>| -> Vec<AnalysisReport> {
+            crate::analysis::all_analyses()
+                .iter()
+                .map(|a| a.analyze_with(ctx).unwrap())
+                .collect()
+        };
+        let before = reports(&base);
+        let mut sibling = IncrementalContext::from_context(&base);
+        assert!(std::ptr::eq(forked.graph(), base.graph()));
+        assert!(std::ptr::eq(sibling.graph(), base.graph()));
+        // … a resize leaves the graph shared …
+        forked.resize_buffer(RouterId::new(5), 8);
+        assert!(std::ptr::eq(forked.graph(), base.graph()));
+        // … and an addition or removal copies it for the fork alone.
+        let id = forked
+            .add_flow(mesh_flow((3, 12, 7, 4000)), &XyRouting)
+            .unwrap();
+        assert_eq!(id.index(), SPECS.len());
+        assert!(!std::ptr::eq(forked.graph(), base.graph()));
+        assert!(std::ptr::eq(sibling.graph(), base.graph()));
+        forked.remove_flow(FlowId::new(0)).unwrap();
+        for &kind in &AnalysisKind::ALL {
+            forked.analyze(kind).unwrap();
+        }
+
+        // Neither the base nor the (still cold) sibling fork sees the deltas.
+        assert_eq!(base.graph(), fresh.graph());
+        assert_eq!(reports(&base), before);
+        for (&kind, report) in AnalysisKind::ALL.iter().zip(&before) {
+            assert_eq!(&sibling.analyze(kind).unwrap(), report, "{}", kind.name());
         }
     }
 
@@ -559,18 +500,9 @@ mod tests {
     }
 
     #[test]
-    fn resize_delta_applies_through_apply() {
+    fn resize_sets_the_router_depth() {
         let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..3])).unwrap();
-        let out = ctx
-            .apply(
-                Delta::ResizeBuffer {
-                    router: RouterId::new(4),
-                    depth: 16,
-                },
-                &XyRouting,
-            )
-            .unwrap();
-        assert_eq!(out, None);
+        ctx.resize_buffer(RouterId::new(4), 16);
         assert_eq!(ctx.system().buffer_depth_at(RouterId::new(4)), 16);
         assert_matches_scratch(&mut ctx);
     }

@@ -55,6 +55,8 @@
 //! systems (other buffer depths, scaled periods) share the graph through
 //! [`AnalysisContext::rebase`]. The
 //! experiment harnesses in `noc-experiments` rely on this throughout.
+//! [`IncrementalContext`] owns one such context plus per-analysis solve
+//! caches, and forks it copy-on-write for flow-set what-ifs.
 //!
 //! # Module map (code ↔ paper)
 //!
@@ -63,6 +65,7 @@
 //! | [`analysis`] | the five analyses: SB \[11\], Eq. 4 \[12\], Eq. 5/XLWX \[13\], **IBN** (Eq. 6–8, this paper) |
 //! | `engine` (private) | Equation 5 skeleton: the fixed-point recurrence `Rᵢ = Cᵢ + Σ ⌈(Rᵢ+Jⱼ+jitterⱼ)/Tⱼ⌉·(Cⱼ+Idown(j,i))`, Eq. 2 `Iup`, Eq. 3 `Idown`, Eq. 6 `bi(i,j)`, Eq. 8 condition |
 //! | [`context`] | precomputed §III structure shared across analyses (graph from [`noc_model::contention`]) |
+//! | [`incremental`] | an owned context plus per-analysis solve caches, updated by flow-set deltas |
 //! | [`report`] | per-flow verdicts/bounds — the `R_*` columns of Table II |
 //! | [`error`] | model-assumption violations surfaced to callers |
 //! | [`budget`] | cooperative solve deadlines/cancellation polled by the engine |
@@ -96,7 +99,7 @@ pub use budget::Budget;
 pub use conservative::conservative_with;
 pub use context::AnalysisContext;
 pub use error::AnalysisError;
-pub use incremental::{Delta, IncrementalContext};
+pub use incremental::IncrementalContext;
 pub use report::{AnalysisReport, FlowExplanation, FlowVerdict, InterferenceTerm};
 
 /// Convenient re-exports of the crate's public surface.
@@ -109,6 +112,6 @@ pub mod prelude {
     pub use crate::conservative::conservative_with;
     pub use crate::context::AnalysisContext;
     pub use crate::error::AnalysisError;
-    pub use crate::incremental::{Delta, IncrementalContext};
+    pub use crate::incremental::IncrementalContext;
     pub use crate::report::{AnalysisReport, FlowExplanation, FlowVerdict, InterferenceTerm};
 }

@@ -23,9 +23,6 @@ pub enum FlowVerdict {
     /// A higher-priority flow this bound depends on already failed, so no
     /// meaningful bound exists for this flow.
     Tainted,
-    /// The iteration hit the safety cap without converging (practically
-    /// unreachable; treated as unschedulable).
-    NotConverged,
 }
 
 impl FlowVerdict {
@@ -51,7 +48,6 @@ impl fmt::Display for FlowVerdict {
                 write!(f, "deadline miss (>{exceeded_at})")
             }
             FlowVerdict::Tainted => write!(f, "tainted by failed higher-priority flow"),
-            FlowVerdict::NotConverged => write!(f, "did not converge"),
         }
     }
 }
@@ -235,7 +231,6 @@ mod tests {
         assert!(!miss.is_schedulable());
         assert_eq!(miss.response_time(), None);
         assert!(!FlowVerdict::Tainted.is_schedulable());
-        assert!(!FlowVerdict::NotConverged.is_schedulable());
     }
 
     #[test]

@@ -120,17 +120,15 @@ fn xiong_original_uses_upstream_term_as_window_jitter() {
 #[test]
 fn not_converged_is_never_reached_on_constrained_deadlines() {
     // With D ≤ T the iteration either converges below D or crosses D; the
-    // NotConverged safety cap must not fire on realistic inputs.
+    // convergence safety cap (an `Err`, caught by the `unwrap`) must not
+    // fire on realistic inputs.
     use noc_workload::synthetic::SyntheticSpec;
     for seed in 0..20 {
         let system = SyntheticSpec::paper(4, 4, 60, 2)
             .generate(seed)
             .into_system();
         for analysis in all_analyses() {
-            let report = analysis.analyze(&system).unwrap();
-            for (id, v) in report.iter() {
-                assert_ne!(v, FlowVerdict::NotConverged, "{} {id}", analysis.name());
-            }
+            analysis.analyze(&system).unwrap();
         }
     }
 }

@@ -9,8 +9,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p noc-bench --bin bench_json                    # BENCH_sim.json
-//! cargo run --release -p noc-bench --bin bench_json -- --write-baseline # BENCH_baseline.json
+//! cargo run --release -p noc-bench --bin bench_json   # BENCH_sim.json
 //! ```
 //!
 //! Environment:
@@ -21,10 +20,9 @@
 //!
 //! Each measured fixture becomes one line in the output's `results` array:
 //! fixture label, cycles simulated per iteration (0 for the analysis-side
-//! `context_reuse` group), mean wall-clock nanoseconds per iteration, and
-//! the speedup relative to the checked-in `BENCH_baseline.json` (null when
-//! the baseline lacks the fixture). The writer and the baseline reader are
-//! deliberately ad-hoc line-oriented JSON so the repo needs no serde.
+//! `context_reuse` group) and mean wall-clock nanoseconds per iteration.
+//! Compare runs through the history log. The writer is deliberately ad-hoc
+//! line-oriented JSON so the repo needs no serde.
 
 use criterion::{Criterion, Measurement};
 use noc_bench::suites;
@@ -34,28 +32,15 @@ use std::rc::Rc;
 use std::time::Duration;
 
 /// Schema tag written to (and expected in) the JSON output.
-const SCHEMA: &str = "noc-bench/sim/v1";
+const SCHEMA: &str = "noc-bench/sim/v2";
 
 fn main() {
-    let write_baseline = std::env::args().any(|a| a == "--write-baseline");
     let fast = std::env::var("NOC_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
     let production = !fast;
 
-    let out_path = std::env::var("NOC_BENCH_OUT").unwrap_or_else(|_| {
-        if write_baseline {
-            "BENCH_baseline.json".to_string()
-        } else {
-            "BENCH_sim.json".to_string()
-        }
-    });
-
-    let baseline = if write_baseline {
-        BTreeMap::new()
-    } else {
-        read_baseline("BENCH_baseline.json")
-    };
+    let out_path = std::env::var("NOC_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim.json".to_string());
 
     // Collect every measurement the shim emits while the bench bodies run.
     let collected: Rc<RefCell<Vec<Measurement>>> = Rc::new(RefCell::new(Vec::new()));
@@ -96,45 +81,25 @@ fn main() {
     let mut lines = Vec::new();
     for m in collected.borrow().iter() {
         let cyc = cycles.get(&m.label).copied().unwrap_or(0);
-        let speedup = baseline
-            .get(&m.label)
-            .map(|base_ns| base_ns / m.mean_ns)
-            .map(|s| format!("{s:.3}"))
-            .unwrap_or_else(|| "null".to_string());
         lines.push(format!(
-            "    {{\"fixture\": {}, \"cycles\": {}, \"wall_ns\": {:.0}, \"speedup_vs_baseline\": {}}}",
+            "    {{\"fixture\": {}, \"cycles\": {}, \"wall_ns\": {:.0}}}",
             json_string(&m.label),
             cyc,
             m.mean_ns,
-            speedup
         ));
     }
 
     let body = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        if write_baseline {
-            "baseline"
-        } else {
-            "measurement"
-        },
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"results\": [\n{}\n  ]\n}}\n",
         lines.join(",\n")
     );
     std::fs::write(&out_path, &body).expect("write bench json");
     println!("\nwrote {} ({} results)", out_path, lines.len());
-    if !write_baseline && baseline.is_empty() {
-        eprintln!("warning: no BENCH_baseline.json found; speedups are null");
-    }
 
     let history_path =
         std::env::var("NOC_BENCH_HISTORY").unwrap_or_else(|_| "BENCH_history.jsonl".to_string());
     if !history_path.is_empty() {
-        let mode = if write_baseline {
-            "baseline"
-        } else if fast {
-            "fast"
-        } else {
-            "full"
-        };
+        let mode = if fast { "fast" } else { "full" };
         append_history(&history_path, mode, &collected.borrow());
     }
 }
@@ -186,46 +151,4 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Parse `fixture` → `wall_ns` pairs out of a previous run's output.
-///
-/// The writer emits exactly one result object per line, so a line-oriented
-/// scan is lossless for files this tool wrote itself.
-fn read_baseline(path: &str) -> BTreeMap<String, f64> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeMap::new();
-    };
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let Some(fixture) = field_str(line, "fixture") else {
-            continue;
-        };
-        let Some(wall_ns) = field_num(line, "wall_ns") else {
-            continue;
-        };
-        map.insert(fixture, wall_ns);
-    }
-    map
-}
-
-/// Extract a `"key": "value"` string field from a single JSON line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-/// Extract a `"key": number` field from a single JSON line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

@@ -34,10 +34,11 @@
 //!   [`AnalysisContext::rebase`] (an `Arc` clone: zero copying), because a
 //!   buffer depth change preserves the interference structure;
 //! * flow mutations need a *mutable* graph, so each worker thread forks one
-//!   [`IncrementalContext`] from the base (`from_context` clones the graph
-//!   rather than re-deriving it) and then serves all its queries through
-//!   add → dirty-bit re-solve → remove undo cycles, touching only the
-//!   interference neighbourhood each candidate overlaps.
+//!   [`IncrementalContext`] from the base (`from_context` shares the graph
+//!   copy-on-write; the shard copies it on its first addition or removal)
+//!   and then serves all its queries through add → dirty-bit re-solve →
+//!   remove undo cycles, touching only the interference neighbourhood each
+//!   candidate overlaps.
 //!
 //! Queries are sharded across threads in contiguous chunks via
 //! `par_map_indexed`; outcomes come back in submission order regardless of
@@ -335,9 +336,9 @@ impl BatchReport {
 /// [`run_batch_with`] bit-identical to [`run_batch`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Per-query wall-clock solve budget. `None` (default) solves without
-    /// any budget — the solver's fast path, one cached branch per
-    /// iteration.
+    /// Per-query wall-clock solve budget. `None` (default) solves under an
+    /// [`unlimited`](Budget::unlimited) budget, which only a fault-injected
+    /// cancellation can exceed.
     pub deadline: Option<Duration>,
     /// Bounded pending-queue depth: queries with batch index `>= max_pending`
     /// are shed as [`QueryOutcome::Shed`] without being served. `None`
@@ -514,27 +515,18 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Runs the batch's analysis over the shard's current flow set, under
-    /// `budget` if one is installed.
-    fn analyze(&mut self, budget: Option<&Budget>) -> Result<AnalysisReport, AnalysisError> {
-        match budget {
-            Some(budget) => self.ctx.analyze_with_budget(self.kind, budget),
-            None => self.ctx.analyze(self.kind),
-        }
-    }
-
     fn serve(
         &mut self,
         base: &AnalysisContext<'_>,
         query: &Query,
-        budget: Option<&Budget>,
+        budget: &Budget,
     ) -> QueryOutcome {
         let _span = metrics::QUERY_LATENCY_NS.span();
         metrics::QUERIES_SERVED.incr();
         match query {
             Query::Admission { flow } => match self.ctx.add_flow(flow.clone(), self.routing) {
                 Ok(id) => {
-                    let result = self.analyze(budget);
+                    let result = self.ctx.analyze_with_budget(self.kind, budget);
                     // Interpret before rolling back: the degraded path reads
                     // the conservative bound of the system *with* the
                     // candidate admitted.
@@ -558,7 +550,7 @@ impl<'a> Shard<'a> {
                 self.ctx
                     .remove_flow(current)
                     .expect("mapped ids stay in bounds");
-                let result = self.analyze(budget);
+                let result = self.ctx.analyze_with_budget(self.kind, budget);
                 // Interpret before restoring (the degraded bound describes
                 // the retired-flow system); restore before returning (even
                 // a failed solve must not leak a mutated shard).
@@ -582,10 +574,7 @@ impl<'a> Shard<'a> {
                 match base.rebase(&what_if) {
                     Ok(ctx) => {
                         metrics::CONTEXT_REBASES.incr();
-                        let result = match budget {
-                            Some(budget) => self.kind.analyze_with_budget(&ctx, budget),
-                            None => self.kind.as_analysis().analyze_with(&ctx),
-                        };
+                        let result = self.kind.analyze_with_budget(&ctx, budget);
                         outcome_of(result, || noc_analysis::conservative_with(&ctx))
                     }
                     Err(e) => QueryOutcome::Infeasible {
@@ -596,7 +585,7 @@ impl<'a> Shard<'a> {
             Query::RouterBufferWhatIf { router, depth } => {
                 let original = self.ctx.system().buffer_depth_at(*router);
                 self.ctx.resize_buffer(*router, *depth);
-                let result = self.analyze(budget);
+                let result = self.ctx.analyze_with_budget(self.kind, budget);
                 // Interpret before restoring: the degraded bound describes
                 // the resized system. (The conservative bound ignores
                 // buffer depths, but the report must still be taken from
@@ -658,15 +647,12 @@ fn serve_isolated(
         }
         // The budget is created before any injected delay, so a slow worker
         // genuinely eats into its own deadline.
-        let budget = match (fault, options.deadline) {
-            (Fault::CancelSolve, _) => {
-                let budget = Budget::unlimited();
-                budget.cancel();
-                Some(budget)
-            }
-            (_, Some(limit)) => Some(Budget::with_deadline(limit)),
-            (_, None) => None,
-        };
+        let budget = options
+            .deadline
+            .map_or_else(Budget::unlimited, Budget::with_deadline);
+        if fault == Fault::CancelSolve {
+            budget.cancel();
+        }
         if let Fault::Delay { ms } = fault {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -675,7 +661,7 @@ fn serve_isolated(
             if inject_panic {
                 panic!("injected fault: panic serving query {index} (attempt {attempt})");
             }
-            shard.serve(base, query, budget.as_ref())
+            shard.serve(base, query, &budget)
         }));
         match result {
             Ok(outcome) => return outcome,

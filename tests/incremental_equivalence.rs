@@ -1,6 +1,6 @@
 //! Regression guard for the incremental delta path: an
 //! [`IncrementalContext`] driven through randomized add/remove/resize
-//! [`Delta`] sequences must report **bit-identically** — for all five
+//! sequences must report **bit-identically** — for all five
 //! analyses — to a fresh [`AnalysisContext`] derived from scratch over the
 //! same mutated system after every single step.
 //!
@@ -8,7 +8,7 @@
 //! additions land in the *middle* of the priority order (not just at the
 //! bottom), exercising dirty-bit propagation through both the direct and
 //! indirect interference sets of flows above and below the insertion
-//! point. Interleaved [`Delta::ResizeBuffer`] steps retarget random
+//! point. Interleaved [`IncrementalContext::resize_buffer`] steps retarget random
 //! routers at random depths (including depth 1 and back), and candidate
 //! flows carry random burst allowances, so the buffer-aware cache
 //! invalidation and the arrival-curve plumbing are both exercised on the
@@ -117,34 +117,28 @@ fn exercise(
         if rng.chance(30) {
             // Interleave a per-router buffer resize with the flow churn.
             let routers = ctx.system().topology().router_count() as u64;
-            let delta = Delta::ResizeBuffer {
-                router: RouterId::new(rng.below(routers) as u32),
-                depth: 1 + rng.below(16) as u32,
-            };
-            ctx.apply(delta, routing).expect("resize applies cleanly");
+            let router = RouterId::new(rng.below(routers) as u32);
+            let depth = 1 + rng.below(16) as u32;
+            ctx.resize_buffer(router, depth);
             assert_matches_scratch(&mut ctx, label, step);
             continue;
         }
         let add = len <= min_flows || (len < max_flows && rng.chance(60));
-        let delta = if add {
+        if add {
             let priority = if !freed_priorities.is_empty() && rng.chance(50) {
                 freed_priorities.remove(rng.below(freed_priorities.len() as u64) as usize)
             } else {
                 next_priority += 1;
                 Priority::new(next_priority - 1)
             };
-            Delta::Add(random_candidate(
-                &mut rng,
-                ctx.system(),
-                priority,
-                cross_pairs,
-            ))
+            let candidate = random_candidate(&mut rng, ctx.system(), priority, cross_pairs);
+            ctx.add_flow(candidate, routing)
+                .expect("addition applies cleanly");
         } else {
             let id = FlowId::new(rng.below(len as u64) as u32);
             freed_priorities.push(ctx.system().flows().flow(id).priority());
-            Delta::Remove(id)
-        };
-        ctx.apply(delta, routing).expect("delta applies cleanly");
+            ctx.remove_flow(id).expect("removal applies cleanly");
+        }
         assert_matches_scratch(&mut ctx, label, step);
     }
 
@@ -185,9 +179,8 @@ fn convergence_cap_failure_recovers_to_scratch_equivalence() {
         .length_flits(16)
         .build();
     let id = ctx
-        .apply(Delta::Add(saturating), &XyRouting)
-        .expect("saturating flow routes")
-        .expect("additions yield an id");
+        .add_flow(saturating, &XyRouting)
+        .expect("saturating flow routes");
     let err = ctx.analyze(AnalysisKind::Xlwx);
     assert!(
         matches!(err, Err(AnalysisError::ConvergenceCap { .. })),
