@@ -53,15 +53,14 @@
 //! *whole-set* verdict ([`AnalysisReport::is_schedulable`]) is conservative:
 //! this bound accepts a system only if every analysis would.
 
-use std::collections::HashMap;
-
 use noc_model::arrival::ArrivalCurve;
-use noc_model::contention::InterferenceGraph;
+use noc_model::contention::{InterferenceGraph, Side};
 use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
 use crate::context::AnalysisContext;
+use crate::engine::EdgeMemo;
 use crate::metrics;
 use crate::report::{AnalysisReport, FlowVerdict};
 
@@ -78,25 +77,25 @@ pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
         ctx,
         system: ctx.system(),
         graph: ctx.graph(),
-        idown_memo: HashMap::new(),
+        idown_memo: EdgeMemo::new(ctx.graph()),
     };
-    // No bound reads another flow's result, so flows go in id order.
-    let verdicts = ctx
-        .system()
-        .flows()
-        .ids()
-        .map(|i| bounder.verdict(i))
-        .collect();
+    // No bound reads another flow's result, but in priority order every
+    // recursive `Idown*(k,j)` finds its edge memoised: it was bounded on
+    // τⱼ's own turn.
+    let mut verdicts = vec![FlowVerdict::Tainted; ctx.len()];
+    for &i in ctx.priority_order() {
+        verdicts[i.index()] = bounder.verdict(i);
+    }
     AnalysisReport::new(CONSERVATIVE_NAME, verdicts)
 }
 
 /// Shared state of one conservative pass: the `Idown*` memo mirrors the
-/// solver's, keyed by the (j, i) pair.
+/// solver's, one slot per direct edge.
 struct Bounder<'a> {
     ctx: &'a AnalysisContext<'a>,
     system: &'a System,
     graph: &'a InterferenceGraph,
-    idown_memo: HashMap<(FlowId, FlowId), u128>,
+    idown_memo: EdgeMemo<'a>,
 }
 
 impl Bounder<'_> {
@@ -108,15 +107,16 @@ impl Bounder<'_> {
         let mut bound = self
             .c(i)
             .saturating_mul(u128::from(system.flow(i).burst()) + 1);
-        for &j in self.graph.direct_set(i) {
+        for (edge, &j) in self.graph.direct_set(i).iter().enumerate() {
             let f_j = system.flow(j);
             let d_j = u128::from(f_j.deadline().as_u64());
             let c_j = self.c(j);
-            let jitter = d_j.saturating_sub(c_j).saturating_add(self.iup_bound(i, j));
+            let (iup, idown) = self.edge_bounds(i, j, edge, true);
+            let jitter = d_j.saturating_sub(c_j).saturating_add(iup);
             // ηⱼ adds Jⱼ and σⱼ itself, mirroring the solver's hit count.
             let window = d_i.saturating_add(jitter);
             let hits = f_j.arrival_curve().max_arrivals_raw(window);
-            let charge = c_j.saturating_add(self.idown_bound(j, i));
+            let charge = c_j.saturating_add(idown);
             bound = bound.saturating_add(hits.saturating_mul(charge));
         }
         if bound <= d_i {
@@ -137,35 +137,54 @@ impl Bounder<'_> {
 
     /// `ηₖ(Dⱼ) = ⌈(Dⱼ + Jₖ)/Tₖ⌉ + σₖ` — the hit count of Eq. 7/8 with the
     /// window widened from Rⱼ to Dⱼ, from τₖ's arrival curve.
-    fn hits_in_deadline(&self, j: FlowId, k: FlowId) -> u128 {
-        let d_j = u128::from(self.system.flow(j).deadline().as_u64());
+    fn hits_in_deadline(&self, d_j: u128, k: FlowId) -> u128 {
         self.system.flow(k).arrival_curve().max_arrivals_raw(d_j)
     }
 
-    /// `Iup*(j,i)` — Equation 2 over a Dⱼ-length window.
-    fn iup_bound(&mut self, i: FlowId, j: FlowId) -> u128 {
-        let part = self.graph.partition_indirect(i, j);
-        let mut total: u128 = 0;
-        for &k in &part.upstream {
-            total = total.saturating_add(self.hits_in_deadline(j, k).saturating_mul(self.c(k)));
+    /// `Iup*(j,i)` — Equation 2 over a Dⱼ-length window, when
+    /// `want_upstream` is set — and `Idown*(j,i)` — the XLWX downstream
+    /// charge (Eq. 3) over Dⱼ-length windows, memoised per edge exactly
+    /// like the solver's — from one pass over `S^I_i ∩ S^D_j`, τⱼ the
+    /// `edge`-th member of `S^D_i`.
+    fn edge_bounds(
+        &mut self,
+        i: FlowId,
+        j: FlowId,
+        edge: usize,
+        want_upstream: bool,
+    ) -> (u128, u128) {
+        let graph = self.graph;
+        let d_j = u128::from(self.system.flow(j).deadline().as_u64());
+        let memo = self.idown_memo.get(i, edge);
+        let (mut up, mut down): (u128, u128) = (0, 0);
+        for m in graph.partition_indirect(i, j) {
+            let k = m.flow;
+            match m.side {
+                Side::Upstream if want_upstream => {
+                    up = up.saturating_add(self.hits_in_deadline(d_j, k).saturating_mul(self.c(k)));
+                }
+                Side::Downstream if memo.is_none() => {
+                    let inner = self.c(k).saturating_add(self.idown_bound(k, j, m.edge));
+                    down = down.saturating_add(self.hits_in_deadline(d_j, k).saturating_mul(inner));
+                }
+                _ => {}
+            }
         }
-        total
+        match memo {
+            Some(v) => (up, v),
+            None => {
+                self.idown_memo.set(i, edge, down);
+                (up, down)
+            }
+        }
     }
 
-    /// `Idown*(j,i)` — the XLWX downstream charge (Eq. 3) over Dⱼ-length
-    /// windows, memoised per (j, i) pair exactly like the solver's.
-    fn idown_bound(&mut self, j: FlowId, i: FlowId) -> u128 {
-        if let Some(&v) = self.idown_memo.get(&(j, i)) {
-            return v;
+    /// `Idown*(j,i)`, τⱼ the `edge`-th member of `S^D_i`.
+    fn idown_bound(&mut self, j: FlowId, i: FlowId, edge: usize) -> u128 {
+        match self.idown_memo.get(i, edge) {
+            Some(v) => v,
+            None => self.edge_bounds(i, j, edge, false).1,
         }
-        let part = self.graph.partition_indirect(i, j);
-        let mut total: u128 = 0;
-        for &k in &part.downstream {
-            let inner = self.c(k).saturating_add(self.idown_bound(k, j));
-            total = total.saturating_add(self.hits_in_deadline(j, k).saturating_mul(inner));
-        }
-        self.idown_memo.insert((j, i), total);
-        total
     }
 }
 

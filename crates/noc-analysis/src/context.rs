@@ -4,10 +4,10 @@
 //! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets,
 //! contention domains and up/down partitions — §III of the paper), the
 //! priority-ordered flow indices the fixed-point engine solves in, and the
-//! zero-load latencies Cᵢ of Equation 1. Building that structure is
-//! O(candidate pairs × route length) — far more expensive than any single
-//! fixed-point solve — yet experiment harnesses routinely run 4–5 analyses
-//! (and several buffer depths) over the *same* flow set.
+//! zero-load latencies Cᵢ of Equation 1. Building that structure costs
+//! about as much as a full fixed-point solve, and experiment harnesses
+//! routinely run 4–5 analyses (and several buffer depths) over the *same*
+//! flow set.
 //!
 //! [`AnalysisContext`] computes everything once and lets every analysis
 //! borrow it via [`Analysis::analyze_with`]. It is the only holder of that

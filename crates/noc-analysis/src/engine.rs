@@ -28,10 +28,8 @@
 //! [`Solver::new`] is its only constructor; the incremental layer passes the
 //! context it owns, and unbudgeted callers pass [`Budget::unlimited`].
 
-use std::collections::HashMap;
-
 use noc_model::arrival::{ArrivalCurve, LeakyBucket};
-use noc_model::contention::InterferenceGraph;
+use noc_model::contention::{InterferenceGraph, Side};
 use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
@@ -92,8 +90,8 @@ pub(crate) struct Solver<'a> {
     budget: &'a Budget,
     /// Final response times, filled highest-priority-first.
     r: Vec<Option<u128>>,
-    /// Memoised `Idown(j,i)` values keyed by the (j, i) pair.
-    idown_memo: HashMap<(FlowId, FlowId), u128>,
+    /// Memoised `Idown(j,i)` values, one slot per direct edge (j → i).
+    idown_memo: EdgeMemo<'a>,
     /// The direct-interference terms of the flow solved last, reused
     /// across flows; read back only by the explain path.
     terms: Vec<Term>,
@@ -117,7 +115,7 @@ impl<'a> Solver<'a> {
             jitter,
             budget,
             r: vec![None; ctx.len()],
-            idown_memo: HashMap::new(),
+            idown_memo: EdgeMemo::new(ctx.graph()),
             terms: Vec::new(),
         }
     }
@@ -302,9 +300,8 @@ impl<'a> Solver<'a> {
         // Per-interferer constants of the recurrence (independent of Rᵢ):
         // each interferer contributes hits from its own arrival curve,
         // evaluated on the window inflated by the model-specific jitter.
-        for &j in direct {
-            let extra_jitter = self.window_jitter(i, j);
-            let downstream = self.downstream_term(j, i);
+        for (edge, &j) in direct.iter().enumerate() {
+            let (extra_jitter, downstream) = self.edge_terms(i, j, edge);
             self.terms.push(Term {
                 interferer: j,
                 curve: self.system.flow(j).arrival_curve(),
@@ -361,69 +358,102 @@ impl<'a> Solver<'a> {
         })
     }
 
-    /// The jitter added to τⱼ's interference window when bounding τᵢ.
-    fn window_jitter(&mut self, i: FlowId, j: FlowId) -> u128 {
-        match self.jitter {
-            JitterModel::None => 0,
-            JitterModel::InterferenceJitter => {
-                // J^I_j = Rⱼ − Cⱼ iff τⱼ suffers interference from S^I_i.
-                if self.graph.has_indirect_via(i, j) {
-                    let r_j = self.r[j.index()].expect("solved before use");
-                    r_j.saturating_sub(self.c(j))
-                } else {
-                    0
-                }
-            }
-            JitterModel::UpstreamInterference => self.upstream_term(j, i),
-        }
-    }
-
-    /// `Iup(j,i)` — Equation 2: the interference τⱼ suffers from upstream
-    /// indirect interferers of τᵢ, charged as hit-count × Cₖ.
-    fn upstream_term(&mut self, j: FlowId, i: FlowId) -> u128 {
-        let part = self.graph.partition_indirect(i, j);
-        let r_j = self.r[j.index()].expect("solved before use");
-        let mut total: u128 = 0;
-        for &k in &part.upstream {
-            let hits = self.hits_on(r_j, k);
-            total = total.saturating_add(hits.saturating_mul(self.c(k)));
-        }
-        total
-    }
-
-    /// `Idown(j,i)` for the configured downstream model, memoised per pair.
-    fn downstream_term(&mut self, j: FlowId, i: FlowId) -> u128 {
-        if matches!(self.downstream, DownstreamModel::Ignore) {
-            return 0;
-        }
-        if let Some(&v) = self.idown_memo.get(&(j, i)) {
-            return v;
-        }
-        let part = self.graph.partition_indirect(i, j);
-        // Eq. 8 applies when τⱼ does not suffer *both* upstream and
-        // downstream indirect interference; with no downstream interferers
-        // the sum is zero either way, so testing the upstream set suffices.
-        let buffer_bound = match self.downstream {
-            DownstreamModel::BufferAware if part.upstream.is_empty() => {
-                Some(self.buffered_interference(i, j))
-            }
-            _ => None,
+    /// The window jitter and `Idown(j,i)` of τⱼ, the `edge`-th member of
+    /// `S^D_i`, from at most one pass over `S^I_i ∩ S^D_j`.
+    fn edge_terms(&mut self, i: FlowId, j: FlowId, edge: usize) -> (u128, u128) {
+        let pass = match (self.downstream, self.jitter) {
+            (DownstreamModel::Ignore, JitterModel::None) => return (0, 0),
+            (DownstreamModel::Ignore, JitterModel::InterferenceJitter) => EdgePass {
+                indirect: self.graph.has_indirect_via(i, j),
+                ..EdgePass::default()
+            },
+            (_, jitter) => self.edge_pass(i, j, edge, jitter == JitterModel::UpstreamInterference),
         };
-        let r_j = self.r[j.index()].expect("solved before use");
-        let mut total: u128 = 0;
-        for &k in &part.downstream {
-            // One hit of τₖ on τⱼ blocks τⱼ for τₖ's own latency plus any
-            // downstream interference τₖ itself suffers (recursive MPB).
-            let inner = self.c(k).saturating_add(self.downstream_term(k, j));
-            let per_hit = match buffer_bound {
-                Some(bi) => bi.min(inner),
-                None => inner,
-            };
-            let hits = self.hits_on(r_j, k);
-            total = total.saturating_add(hits.saturating_mul(per_hit));
+        let jitter = match self.jitter {
+            JitterModel::None => 0,
+            // J^I_j = Rⱼ − Cⱼ iff τⱼ suffers interference from S^I_i.
+            JitterModel::InterferenceJitter if pass.indirect => {
+                let r_j = self.r[j.index()].expect("solved before use");
+                r_j.saturating_sub(self.c(j))
+            }
+            JitterModel::InterferenceJitter => 0,
+            JitterModel::UpstreamInterference => pass.upstream,
+        };
+        (jitter, pass.downstream)
+    }
+
+    /// `Idown(j,i)` for the configured downstream model, τⱼ the `edge`-th
+    /// member of `S^D_i`, memoised per edge.
+    fn downstream_term(&mut self, j: FlowId, i: FlowId, edge: usize) -> u128 {
+        match self.idown_memo.get(i, edge) {
+            Some(v) => v,
+            None => self.edge_pass(i, j, edge, false).downstream,
         }
-        self.idown_memo.insert((j, i), total);
-        total
+    }
+
+    /// One pass over `S^I_i ∩ S^D_j`, τⱼ the `edge`-th member of `S^D_i`:
+    /// whether it is non-empty, `Iup(j,i)` when `want_upstream` is set, and
+    /// `Idown(j,i)` for the configured downstream model (memoised).
+    ///
+    /// `Iup(j,i)` is Equation 2: the interference τⱼ suffers from upstream
+    /// indirect interferers of τᵢ, charged as hit-count × Cₖ.
+    fn edge_pass(&mut self, i: FlowId, j: FlowId, edge: usize, want_upstream: bool) -> EdgePass {
+        let graph = self.graph;
+        let r_j = self.r[j.index()].expect("solved before use");
+        // Ignoring downstream interference charges nothing, memo or not.
+        let known = match self.downstream {
+            DownstreamModel::Ignore => Some(0),
+            _ => self.idown_memo.get(i, edge),
+        };
+        // The Eq. 8 per-hit cap, in force only if the pass finds no
+        // upstream member.
+        let cap = (known.is_none() && self.downstream == DownstreamModel::BufferAware)
+            .then(|| self.buffered_interference(i, edge));
+        let mut pass = EdgePass::default();
+        let mut upstream_members = false;
+        let (mut capped, mut uncapped): (u128, u128) = (0, 0);
+        for m in graph.partition_indirect(i, j) {
+            pass.indirect = true;
+            let k = m.flow;
+            match m.side {
+                Side::Upstream => {
+                    upstream_members = true;
+                    if want_upstream {
+                        let hits = self.hits_on(r_j, k);
+                        pass.upstream =
+                            pass.upstream.saturating_add(hits.saturating_mul(self.c(k)));
+                    }
+                }
+                Side::Downstream if known.is_none() => {
+                    // One hit of τₖ on τⱼ blocks τⱼ for τₖ's own latency plus
+                    // any downstream interference τₖ itself suffers
+                    // (recursive MPB).
+                    let inner = self.c(k).saturating_add(self.downstream_term(k, j, m.edge));
+                    let hits = self.hits_on(r_j, k);
+                    uncapped = uncapped.saturating_add(hits.saturating_mul(inner));
+                    if let Some(bi) = cap {
+                        capped = capped.saturating_add(hits.saturating_mul(bi.min(inner)));
+                    }
+                }
+                Side::Downstream => {}
+            }
+        }
+        pass.downstream = match known {
+            Some(v) => v,
+            None => {
+                // Eq. 8 applies when τⱼ does not suffer *both* upstream and
+                // downstream indirect interference; with no downstream
+                // interferers the sum is zero either way, so testing the
+                // upstream set suffices.
+                let total = match cap {
+                    Some(_) if !upstream_members => capped,
+                    _ => uncapped,
+                };
+                self.idown_memo.set(i, edge, total);
+                total
+            }
+        };
+        pass
     }
 
     /// `ηₖ(Rⱼ) = ⌈(Rⱼ + Jₖ)/Tₖ⌉ + σₖ` — the number of τₖ packets that can
@@ -434,30 +464,89 @@ impl<'a> Solver<'a> {
     }
 
     /// Equation 6: `bi(i,j) = buf(Ξ) · linkl(Ξ) · |cd(i,j)|` — the time for
-    /// one contention-domain's worth of buffered τⱼ flits to drain past τᵢ.
+    /// one contention-domain's worth of buffered τⱼ flits to drain past τᵢ,
+    /// τⱼ the `edge`-th member of `S^D_i`.
     ///
     /// Generalised to heterogeneous routers as
     /// `linkl(Ξ) · Σ_{λ ∈ cd(i,j)} buf(target(λ))`: the flits that can pile
     /// up inside the contention domain sit in the input buffers at the
     /// downstream end of each shared link. For homogeneous systems this is
     /// exactly the paper's product form.
-    fn buffered_interference(&self, i: FlowId, j: FlowId) -> u128 {
+    fn buffered_interference(&self, i: FlowId, edge: usize) -> u128 {
+        let cd = self.graph.direct_domains(i)[edge];
         let linkl = u128::from(self.system.config().link_latency().as_u64());
         if !self.system.has_heterogeneous_buffers() {
             let buf = u128::from(self.system.config().buffer_depth());
-            let cd_len = self.graph.contention_len(i, j) as u128;
-            return buf * linkl * cd_len;
+            return buf * linkl * cd.len() as u128;
         }
-        let cd = self
-            .graph
-            .contention_domain(i, j)
-            .expect("buffered_interference requires a contention domain");
         let total_buf: u128 = cd
-            .links()
+            .links(self.system.route(i))
             .iter()
             .map(|&l| u128::from(self.system.buffer_depth_of_link(l).unwrap_or(0)))
             .sum();
         linkl * total_buf
+    }
+}
+
+/// What one pass over `S^I_i ∩ S^D_j` yields for the direct edge (j → i).
+#[derive(Default)]
+struct EdgePass {
+    /// `S^I_i ∩ S^D_j` is non-empty: τⱼ suffers interference from `S^I_i`.
+    indirect: bool,
+    /// `Iup(j,i)`, if asked for.
+    upstream: u128,
+    /// `Idown(j,i)`.
+    downstream: u128,
+}
+
+/// Per-direct-edge memo. Every key of the `Idown` recursion — `(j, i)` and
+/// each recursive `(k, j)` — is a direct edge (j → i), `j ∈ S^D_i`, so a
+/// flat array replaces a pair-keyed map: the edges into victim τᵢ take one
+/// block of slots, in `S^D_i` order, allocated when the solve first
+/// records one of them. A cached solve that reaches few victims pays for
+/// few slots.
+#[derive(Debug)]
+pub(crate) struct EdgeMemo<'g> {
+    graph: &'g InterferenceGraph,
+    /// Where each victim's block starts in `values`, or [`NO_BLOCK`].
+    block: Vec<usize>,
+    values: Vec<Option<u128>>,
+}
+
+/// Marks a victim whose block is not allocated yet.
+const NO_BLOCK: usize = usize::MAX;
+
+impl<'g> EdgeMemo<'g> {
+    /// An empty memo over the direct edges of `graph`.
+    pub(crate) fn new(graph: &'g InterferenceGraph) -> EdgeMemo<'g> {
+        EdgeMemo {
+            graph,
+            block: vec![NO_BLOCK; graph.len()],
+            values: Vec::new(),
+        }
+    }
+
+    /// The value of the `edge`-th direct edge into `victim`, if memoised.
+    pub(crate) fn get(&self, victim: FlowId, edge: usize) -> Option<u128> {
+        match self.block[victim.index()] {
+            NO_BLOCK => None,
+            start => self.values[start + edge],
+        }
+    }
+
+    /// Memoises the value of the `edge`-th direct edge into `victim`.
+    pub(crate) fn set(&mut self, victim: FlowId, edge: usize, value: u128) {
+        let start = match self.block[victim.index()] {
+            NO_BLOCK => {
+                let start = self.values.len();
+                let edges = self.graph.direct_set(victim).len();
+                self.values.resize(start + edges, None);
+                self.block[victim.index()] = start;
+                start
+            }
+            start => start,
+        };
+        self.values[start + edge] = Some(value);
     }
 }
 

@@ -65,7 +65,6 @@ use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
 use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
-use noc_model::topology::Endpoint;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
@@ -182,23 +181,21 @@ impl IncrementalContext {
 
     /// Flows whose buffer-aware bound reads the depth of `router`: the
     /// victims of direct interference pairs whose contention domain
-    /// contains a link targeting it.
+    /// contains a link into it, in ascending id order. Read off the graph's
+    /// link-overlap table for the router's input links, so the cost is
+    /// proportional to the flows routed through them.
     fn buffer_dependents(&self, router: RouterId) -> Vec<FlowId> {
-        let (system, graph) = (self.ctx.system(), self.ctx.graph());
-        let topology = system.topology();
-        let mut out = Vec::new();
-        for i in system.flows().ids() {
-            let touches = graph.direct_set(i).iter().any(|&j| {
-                graph.contention_domain(i, j).is_some_and(|cd| {
-                    cd.links()
-                        .iter()
-                        .any(|&l| topology.link(l).target() == Endpoint::Router(router))
-                })
-            });
-            if touches {
-                out.push(i);
-            }
-        }
+        let graph = self.ctx.graph();
+        let mut out: Vec<FlowId> = self
+            .ctx
+            .system()
+            .topology()
+            .input_links(router)
+            .iter()
+            .flat_map(|&link| graph.victims_on_link(link))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -505,6 +502,62 @@ mod tests {
         ctx.resize_buffer(RouterId::new(4), 16);
         assert_eq!(ctx.system().buffer_depth_at(RouterId::new(4)), 16);
         assert_matches_scratch(&mut ctx);
+    }
+
+    /// The full scan `buffer_dependents` replaced: every flow with a
+    /// direct interferer whose contention domain holds a link into
+    /// `router`.
+    fn scanned_dependents(ctx: &IncrementalContext, router: RouterId) -> Vec<FlowId> {
+        let (system, graph) = (ctx.system(), ctx.graph());
+        let topology = system.topology();
+        system
+            .flows()
+            .ids()
+            .filter(|&i| {
+                graph.direct_set(i).iter().any(|&j| {
+                    graph.contention_domain(i, j).is_some_and(|cd| {
+                        cd.links(system.route(i))
+                            .iter()
+                            .any(|&l| topology.link(l).target() == Endpoint::Router(router))
+                    })
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn buffer_dependents_match_the_full_scan() {
+        // The heterogeneous 8×8 bench fixture: mixed depths and bursts.
+        let sys = noc_workload::synthetic::SyntheticSpec::paper(8, 8, 120, 2)
+            .with_buffer_depth_range(2, 8)
+            .with_burst_range(0, 2)
+            .generate(5)
+            .into_system();
+        let mut ctx = IncrementalContext::new(sys).unwrap();
+        let check = |ctx: &IncrementalContext| {
+            for router in ctx.system().topology().router_ids() {
+                let found = ctx.buffer_dependents(router);
+                assert_eq!(found, scanned_dependents(ctx, router), "{router}");
+            }
+        };
+        check(&ctx);
+        let lowest = ctx
+            .system()
+            .flows()
+            .iter()
+            .map(|(_, f)| f.priority().level())
+            .max()
+            .unwrap();
+        let template = ctx.system().flow(FlowId::new(7)).clone();
+        let candidate = Flow::builder(template.source(), template.dest())
+            .priority(Priority::new(lowest + 1))
+            .period(template.period())
+            .length_flits(16)
+            .build();
+        ctx.add_flow(candidate, &XyRouting).unwrap();
+        check(&ctx);
+        ctx.remove_flow(FlowId::new(40)).unwrap();
+        check(&ctx);
     }
 
     #[test]

@@ -12,17 +12,38 @@
 //!   and the **downstream** set `S^downj_Ii` (τₖ hits τⱼ after it), by
 //!   comparing link order along `routeⱼ`.
 //!
-//! [`InterferenceGraph`] precomputes all of this for a
-//! [`System`] and is the single entry point used by
-//! every analysis in `noc-analysis`. Construction only examines flow pairs
-//! that actually share a link (via a link-overlap table), so it scales with
-//! real contention rather than with n²; `noc-analysis` wraps the graph in
-//! its shared `AnalysisContext` so one construction serves every analysis
-//! and every compatible system variant.
+//! [`InterferenceGraph`] precomputes all of this for a [`System`] and is the
+//! single entry point used by every analysis in `noc-analysis`, which wraps
+//! it in its shared `AnalysisContext` so one construction serves every
+//! analysis and every compatible system variant. The graph is flat: it
+//! hashes nothing, and no query allocates.
+//!
+//! * A [`ContentionDomain`] is a `Copy` pair of route spans. Contiguity is
+//!   validated on construction, so the shared links are one run on each
+//!   route; they are read off `routeᵢ` when needed
+//!   ([`ContentionDomain::links`]) and never stored.
+//! * Each flow keeps `S^D_i` sorted from highest priority to lowest, with
+//!   the domain `cd(i,j)` of every member beside it, and `S^I_i` in the same
+//!   order. Priorities are unique, so every contending pair is a direct
+//!   edge of exactly one of its two flows, and a pair lookup is one binary
+//!   search by priority.
+//! * For a direct interferer `j ∈ S^D_i`, `S^I_i ∩ S^D_j` is
+//!   `S^D_j ∖ S^D_i`, a merge of two short lists in that shared order:
+//!   [`InterferenceGraph::partition_indirect`] walks it once, classifying
+//!   each member up- or downstream and naming its edge in `S^D_j`, so
+//!   solvers can memoise per-edge values in a flat slot array and read the
+//!   [`InterferenceGraph::has_indirect_via`] bit off the same pass.
+//! * A link-overlap table lists the flows crossing each link, in id order,
+//!   with the link's position on their routes. Construction, the deltas and
+//!   [`InterferenceGraph::victims_on_link`] read it, so they scale with real
+//!   contention rather than with n².
+//!
+//! [`InterferenceGraph::add_flow`] and [`InterferenceGraph::remove_flow`]
+//! keep flow ids dense and recompute only the neighbourhood a delta
+//! touches; after any sequence of deltas the graph equals the one built
+//! from scratch for the final system.
 //!
 //! [`System`]: crate::system::System
-
-use std::collections::{BTreeSet, HashMap, HashSet};
 
 use crate::error::ModelError;
 use crate::ids::{FlowId, LinkId};
@@ -30,16 +51,17 @@ use crate::route::Route;
 use crate::system::System;
 
 /// The contention domain of an ordered pair of flows (i, j): the links
-/// shared by both routes, with their positions on each route.
+/// shared by both routes, as one span on each route.
 ///
 /// Validated to be contiguous on both routes and traversed in the same
 /// order by both flows — the standing assumption of the paper (§II), always
-/// satisfied by dimension-order routing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// satisfied by dimension-order routing. Both spans therefore cover the
+/// same links and have the same length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContentionDomain {
-    links: Vec<LinkId>,
-    span_i: (usize, usize),
-    span_j: (usize, usize),
+    first_i: u32,
+    first_j: u32,
+    len: u32,
 }
 
 impl ContentionDomain {
@@ -58,103 +80,270 @@ impl ContentionDomain {
         j: FlowId,
         route_j: &Route,
     ) -> Result<Option<ContentionDomain>, ModelError> {
-        let positions_j: HashMap<LinkId, usize> = route_j
-            .iter()
-            .enumerate()
-            .map(|(pos, &l)| (l, pos))
-            .collect();
-        let mut shared: Vec<(usize, usize, LinkId)> = Vec::new(); // (pos_i, pos_j, link)
+        let mut found: Option<ContentionDomain> = None;
         for (pos_i, &link) in route_i.iter().enumerate() {
-            if let Some(&pos_j) = positions_j.get(&link) {
-                shared.push((pos_i, pos_j, link));
+            let Some(pos_j) = route_j.position(link) else {
+                continue;
+            };
+            let (pos_i, pos_j) = (pos_i as u32, pos_j as u32);
+            match &mut found {
+                None => found = Some(ContentionDomain::at(pos_i, pos_j)),
+                Some(cd) => {
+                    if !cd.extend(pos_i, pos_j) {
+                        return Err(ModelError::NonContiguousContentionDomain {
+                            first: i,
+                            second: j,
+                        });
+                    }
+                }
             }
         }
-        if shared.is_empty() {
-            return Ok(None);
-        }
-        let err = || ModelError::NonContiguousContentionDomain {
-            first: i,
-            second: j,
-        };
-        // `shared` is ordered by position in route_i. Contiguity on route_i:
-        for w in shared.windows(2) {
-            if w[1].0 != w[0].0 + 1 {
-                return Err(err());
-            }
-            // Same traversal order on route_j, and contiguity there too:
-            if w[1].1 != w[0].1 + 1 {
-                return Err(err());
-            }
-        }
-        let span_i = (shared[0].0, shared[shared.len() - 1].0);
-        let span_j = (shared[0].1, shared[shared.len() - 1].1);
-        let links = shared.into_iter().map(|(_, _, l)| l).collect();
-        Ok(Some(ContentionDomain {
-            links,
-            span_i,
-            span_j,
-        }))
+        Ok(found)
     }
 
-    /// The shared links in traversal order — `|cd(i,j)|` is
-    /// [`ContentionDomain::len`].
-    pub fn links(&self) -> &[LinkId] {
-        &self.links
+    /// The one-link domain at `pos_i` on routeᵢ and `pos_j` on routeⱼ.
+    fn at(pos_i: u32, pos_j: u32) -> ContentionDomain {
+        ContentionDomain {
+            first_i: pos_i,
+            first_j: pos_j,
+            len: 1,
+        }
+    }
+
+    /// Grows the domain by the next shared link, at `pos_i` on routeᵢ and
+    /// `pos_j` on routeⱼ; `false`, leaving it unchanged, unless that link
+    /// directly follows the domain on both routes.
+    fn extend(&mut self, pos_i: u32, pos_j: u32) -> bool {
+        let follows = pos_i == self.first_i + self.len && pos_j == self.first_j + self.len;
+        self.len += u32::from(follows);
+        follows
+    }
+
+    /// The shared links in traversal order, read off flow i's route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `route_i` is shorter than flow i's route, i.e. is not it.
+    pub fn links<'r>(&self, route_i: &'r Route) -> &'r [LinkId] {
+        &route_i.links()[self.first_in_i()..=self.last_in_i()]
     }
 
     /// Number of shared links, the `|cd_ij|` of Equation 6.
     pub fn len(&self) -> usize {
-        self.links.len()
+        self.len as usize
     }
 
     /// Always `false`: link-disjoint pairs yield `None` instead.
     pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
+        self.len == 0
     }
 
     /// 0-based position of the first shared link on flow i's route.
     pub fn first_in_i(&self) -> usize {
-        self.span_i.0
+        self.first_i as usize
     }
 
     /// 0-based position of the last shared link on flow i's route.
     pub fn last_in_i(&self) -> usize {
-        self.span_i.1
+        (self.first_i + self.len - 1) as usize
     }
 
     /// 0-based position of the first shared link on flow j's route — the
     /// paper's `order(first(cd_ij), route_j)` minus one.
     pub fn first_in_j(&self) -> usize {
-        self.span_j.0
+        self.first_j as usize
     }
 
     /// 0-based position of the last shared link on flow j's route.
     pub fn last_in_j(&self) -> usize {
-        self.span_j.1
+        (self.first_j + self.len - 1) as usize
     }
 
-    /// The same domain viewed from the opposite flow order (swaps the two
-    /// position spans).
-    #[must_use]
-    pub fn swapped(&self) -> ContentionDomain {
+    /// The same domain seen from flow j.
+    fn reversed(self) -> ContentionDomain {
         ContentionDomain {
-            links: self.links.clone(),
-            span_i: self.span_j,
-            span_j: self.span_i,
+            first_i: self.first_j,
+            first_j: self.first_i,
+            len: self.len,
         }
     }
 }
 
+/// Where an indirect interferer τₖ ∈ `S^I_i ∩ S^D_j` hits τⱼ, relative to
+/// `cd(i,j)` on `routeⱼ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// `S^upj_Ii`: τₖ's contention with τⱼ ends before `cd(i,j)` begins.
+    Upstream,
+    /// `S^downj_Ii`: τₖ's contention with τⱼ begins after `cd(i,j)` ends.
+    Downstream,
+}
+
+/// One member τₖ of `S^I_i ∩ S^D_j`, as yielded by [`UpDownPartition`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndirectMember {
+    /// The indirect interferer τₖ.
+    pub flow: FlowId,
+    /// Position of τₖ in [`InterferenceGraph::direct_set`]`(j)`: it names
+    /// the direct edge (k → j), the key of any per-edge memo.
+    pub edge: usize,
+    /// Up- or downstream of `cd(i,j)`.
+    pub side: Side,
+}
+
 /// The partition of `S^I_i ∩ S^D_j` into upstream and downstream indirect
-/// interferers, relative to the contention domain `cd(i,j)` on `routeⱼ`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UpDownPartition {
-    /// `S^upj_Ii`: flows whose contention with τⱼ ends before `cd(i,j)`
-    /// begins (on `routeⱼ`).
-    pub upstream: Vec<FlowId>,
-    /// `S^downj_Ii`: flows whose contention with τⱼ begins after `cd(i,j)`
-    /// ends (on `routeⱼ`).
-    pub downstream: Vec<FlowId>,
+/// interferers, relative to the contention domain `cd(i,j)` on `routeⱼ`,
+/// for a direct interferer `j ∈ S^D_i`.
+///
+/// A borrowed view that never allocates. `S^I_i` is the union of the
+/// direct sets of `S^D_i`'s members, less `S^D_i` itself (τᵢ, outranked by
+/// all of them, is in none), so for `j ∈ S^D_i` the intersection is
+/// `S^D_j ∖ S^D_i`: each walk merges those two short priority-ordered
+/// sets and yields members from highest priority to lowest.
+#[derive(Debug, Clone, Copy)]
+pub struct UpDownPartition<'g> {
+    graph: &'g InterferenceGraph,
+    i: FlowId,
+    j: FlowId,
+    /// Positions of `cd(i,j)` on `routeⱼ`.
+    first: usize,
+    last: usize,
+}
+
+impl<'g> UpDownPartition<'g> {
+    /// Every member of `S^I_i ∩ S^D_j` with its side, highest priority
+    /// first.
+    pub fn iter(&self) -> Members<'g> {
+        let g = self.graph;
+        Members {
+            direct_j: &g.direct[self.j.index()],
+            domains_j: &g.domains[self.j.index()],
+            direct_i: &g.direct[self.i.index()],
+            rank: &g.rank,
+            edge: 0,
+            skip: 0,
+            partition: *self,
+        }
+    }
+
+    /// `S^upj_Ii`, highest priority first.
+    pub fn upstream(&self) -> impl Iterator<Item = FlowId> + 'g {
+        self.on(Side::Upstream)
+    }
+
+    /// `S^downj_Ii`, highest priority first.
+    pub fn downstream(&self) -> impl Iterator<Item = FlowId> + 'g {
+        self.on(Side::Downstream)
+    }
+
+    fn on(&self, side: Side) -> impl Iterator<Item = FlowId> + 'g {
+        self.iter().filter(move |m| m.side == side).map(|m| m.flow)
+    }
+
+    /// `true` if `S^I_i ∩ S^D_j` is empty.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
+    }
+}
+
+impl<'g> IntoIterator for UpDownPartition<'g> {
+    type Item = IndirectMember;
+    type IntoIter = Members<'g>;
+
+    fn into_iter(self) -> Members<'g> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`UpDownPartition`].
+#[derive(Debug, Clone)]
+pub struct Members<'g> {
+    /// `S^D_j`, and `cd(j,k)` for each of its members `k`.
+    direct_j: &'g [FlowId],
+    domains_j: &'g [ContentionDomain],
+    /// `S^D_i`: the members of `S^D_j` to leave out.
+    direct_i: &'g [FlowId],
+    rank: &'g [u32],
+    /// Next position in `direct_j`.
+    edge: usize,
+    /// First position in `direct_i` not above the flow at `edge`.
+    skip: usize,
+    partition: UpDownPartition<'g>,
+}
+
+impl Iterator for Members<'_> {
+    type Item = IndirectMember;
+
+    fn next(&mut self) -> Option<IndirectMember> {
+        while let Some(&flow) = self.direct_j.get(self.edge) {
+            let edge = self.edge;
+            self.edge += 1;
+            let r_k = self.rank[flow.index()];
+            while let Some(&f) = self.direct_i.get(self.skip) {
+                if self.rank[f.index()] >= r_k {
+                    break;
+                }
+                self.skip += 1;
+            }
+            if self.direct_i.get(self.skip) == Some(&flow) {
+                continue; // a direct interferer of τᵢ, not an indirect one
+            }
+            let p = &self.partition;
+            // positions of cd(j,k) on route_j:
+            let cd_jk = self.domains_j[edge];
+            let side = if cd_jk.last_in_i() < p.first {
+                Side::Upstream
+            } else if cd_jk.first_in_i() > p.last {
+                Side::Downstream
+            } else {
+                // Overlap is impossible: k ∈ S^I_i shares no link with
+                // route_i ⊇ cd(i,j), and both domains are contiguous on
+                // route_j, so their position intervals are disjoint.
+                debug_assert!(
+                    false,
+                    "unclassifiable indirect interferer {flow} for pair ({},{})",
+                    p.i, p.j
+                );
+                // Release-mode fallback: treat as upstream, the
+                // conservative choice (disables the buffer-aware bound).
+                Side::Upstream
+            };
+            return Some(IndirectMember { flow, edge, side });
+        }
+        None
+    }
+}
+
+/// Marks a flow not met by the current [`InterferenceGraph::contenders`]
+/// walk.
+const UNSEEN: u32 = u32::MAX;
+
+/// Reusable scratch space of graph construction and deltas, sized to the
+/// flow count; every field is back to its idle state between uses.
+struct Scratch {
+    /// Where each partner met by the current walk sits in `found`, or
+    /// [`UNSEEN`].
+    slot: Vec<u32>,
+    /// The partners met so far and their domains, oriented from the walker.
+    found: Vec<(FlowId, ContentionDomain)>,
+    /// Bitset over priority ranks: the indirect set under construction.
+    ranks: Vec<u64>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            slot: vec![UNSEEN; n],
+            found: Vec::new(),
+            ranks: vec![0; n.div_ceil(64)],
+        }
+    }
+}
+
+/// Position of the flow of priority rank `r` in `set`, sorted from highest
+/// priority to lowest.
+fn find(set: &[FlowId], rank: &[u32], r: u32) -> Option<usize> {
+    set.binary_search_by(|f| rank[f.index()].cmp(&r)).ok()
 }
 
 /// Precomputed interference structure of a [`System`]: contention domains
@@ -185,122 +374,154 @@ pub struct UpDownPartition {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceGraph {
+    /// Every flow's priority rank, 0 for the highest priority: the order of
+    /// the direct and indirect sets.
+    rank: Vec<u32>,
+    /// The flows by rank, highest priority first.
+    order: Vec<FlowId>,
+    /// `S^D_i`, highest priority first.
     direct: Vec<Vec<FlowId>>,
+    /// `cd(i,j)` for the member `j` at the same position of `direct[i]`.
+    domains: Vec<Vec<ContentionDomain>>,
+    /// `S^I_i`, highest priority first.
     indirect: Vec<Vec<FlowId>>,
-    domains: HashMap<(FlowId, FlowId), ContentionDomain>,
+    /// Link-overlap table: the flows crossing each link, in id order, with
+    /// the link's position on their route.
+    crossings: Vec<Vec<(FlowId, u32)>>,
 }
 
 impl InterferenceGraph {
     /// Builds the interference graph of `system`.
     ///
-    /// Contention domains are only computed for flow pairs that share at
-    /// least one link, found through a link-overlap table (link → flows
-    /// routed over it) instead of the full O(n²) route cross-product. On
-    /// sparse large systems (e.g. a 16×16 mesh with thousands of flows) the
-    /// candidate-pair set is a small fraction of all pairs, and graph
-    /// construction — the dominant cost this structure exists to amortise —
-    /// scales with actual contention rather than with n².
+    /// Contention domains are found through the link-overlap table, each
+    /// from its lower-priority flow's route, instead of the full O(n²)
+    /// route cross-product: the work scales with actual contention.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NonContiguousContentionDomain`] if any pair of
-    /// routes violates the contiguous contention-domain assumption.
+    /// routes violates the contiguous contention-domain assumption, naming
+    /// the lowest `(first, second)` id pair at fault.
     pub fn new(system: &System) -> Result<InterferenceGraph, ModelError> {
         let n = system.flows().len();
-        let ids: Vec<FlowId> = system.flows().ids().collect();
-        // Link-overlap table: which flows cross each link, in id order.
-        let mut flows_by_link: HashMap<LinkId, Vec<FlowId>> = HashMap::new();
-        for &id in &ids {
-            for &link in system.route(id).iter() {
-                flows_by_link.entry(link).or_default().push(id);
-            }
+        let order = system.flows().ids_by_priority();
+        let mut rank = vec![0; n];
+        for (r, f) in order.iter().enumerate() {
+            rank[f.index()] = r as u32;
         }
-        // Candidate pairs = pairs co-occurring on some link. Every such pair
-        // has a non-empty contention domain; disjoint pairs never appear.
-        // Ordered so domain computation — and the pair named by any
-        // NonContiguousContentionDomain error — is independent of HashMap
-        // iteration order.
-        let mut candidates: BTreeSet<(FlowId, FlowId)> = BTreeSet::new();
-        for flows in flows_by_link.values() {
-            for (x, &ia) in flows.iter().enumerate() {
-                for &ib in &flows[x + 1..] {
-                    let (lo, hi) = if ia < ib { (ia, ib) } else { (ib, ia) };
-                    candidates.insert((lo, hi));
+        let mut graph = InterferenceGraph {
+            rank,
+            order,
+            direct: Vec::with_capacity(n),
+            domains: Vec::with_capacity(n),
+            indirect: Vec::new(),
+            crossings: vec![Vec::new(); system.topology().link_count()],
+        };
+        for id in system.flows().ids() {
+            graph.cross(id, system.route(id));
+        }
+        let mut scratch = Scratch::new(n);
+        let mut fault: Option<(FlowId, FlowId)> = None;
+        for i in system.flows().ids() {
+            let r_i = graph.rank[i.index()];
+            let higher = |j: FlowId| graph.rank[j.index()] < r_i;
+            if let Err(j) = graph.contenders(i, system.route(i), higher, &mut scratch) {
+                let pair = (i.min(j), i.max(j));
+                fault = Some(fault.map_or(pair, |f| f.min(pair)));
+            }
+            graph.push_direct(&mut scratch.found);
+        }
+        if let Some((first, second)) = fault {
+            return Err(ModelError::NonContiguousContentionDomain { first, second });
+        }
+        graph.indirect = (0..n).map(|a| graph.indirect_of(a, &mut scratch)).collect();
+        Ok(graph)
+    }
+
+    /// Enters the route of flow `id` — the largest id so far — in the
+    /// link-overlap table.
+    fn cross(&mut self, id: FlowId, route: &Route) {
+        for (pos, link) in route.iter().enumerate() {
+            self.crossings[link.index()].push((id, pos as u32));
+        }
+    }
+
+    /// Collects in `scratch.found` the contention domains of flow `i`,
+    /// routed over `route_i`, with the flows `keep` admits, oriented from
+    /// `i`. Each partner's shared links arrive in `route_i` order, so its
+    /// domain grows one link at a time.
+    ///
+    /// `Err` names the lowest-id partner whose shared links are not one
+    /// contiguous, identically ordered run.
+    fn contenders(
+        &self,
+        i: FlowId,
+        route_i: &Route,
+        keep: impl Fn(FlowId) -> bool,
+        scratch: &mut Scratch,
+    ) -> Result<(), FlowId> {
+        let Scratch { slot, found, .. } = scratch;
+        found.clear();
+        let mut broken: Option<FlowId> = None;
+        for (pos_i, link) in route_i.iter().enumerate() {
+            let pos_i = pos_i as u32;
+            for &(j, pos_j) in &self.crossings[link.index()] {
+                if j == i || !keep(j) {
+                    continue;
+                }
+                match slot[j.index()] {
+                    UNSEEN => {
+                        slot[j.index()] = found.len() as u32;
+                        found.push((j, ContentionDomain::at(pos_i, pos_j)));
+                    }
+                    at => {
+                        if !found[at as usize].1.extend(pos_i, pos_j) {
+                            broken = Some(broken.map_or(j, |b| b.min(j)));
+                        }
+                    }
                 }
             }
         }
-        let mut domains = HashMap::new();
-        for (lo, hi) in candidates {
-            if let Some(cd) = ContentionDomain::compute(lo, system.route(lo), hi, system.route(hi))?
-            {
-                domains.insert((lo, hi), cd);
-            }
+        for &(j, _) in found.iter() {
+            slot[j.index()] = UNSEEN;
         }
-        // S^D_a: higher-priority flows sharing links with τa — read straight
-        // off the domain keys (priorities are unique per flow set, so the
-        // priority sort below is total and deterministic).
-        let mut direct: Vec<Vec<FlowId>> = vec![Vec::new(); n];
-        for &(lo, hi) in domains.keys() {
-            let (plo, phi) = (system.flow(lo).priority(), system.flow(hi).priority());
-            if phi.is_higher_than(plo) {
-                direct[lo.index()].push(hi);
-            } else if plo.is_higher_than(phi) {
-                direct[hi.index()].push(lo);
-            }
-        }
-        // Sort direct sets from highest priority to lowest (deterministic,
-        // convenient for analyses).
-        for set in direct.iter_mut() {
-            set.sort_by_key(|&j| system.flow(j).priority());
-        }
-        let mut indirect: Vec<Vec<FlowId>> = vec![Vec::new(); n];
-        // Scratch membership mask, reused across flows to avoid the
-        // quadratic Vec::contains scans of the naive formulation.
-        let mut excluded = vec![false; n];
-        for (a, set) in indirect.iter_mut().enumerate() {
-            *set = Self::indirect_of(&direct, system, a, &mut excluded);
-        }
-        Ok(InterferenceGraph {
-            direct,
-            indirect,
-            domains,
-        })
+        broken.map_or(Ok(()), Err)
+    }
+
+    /// Appends the direct set of the next flow from its `(j, cd(i,j))`
+    /// edges, in any order.
+    fn push_direct(&mut self, edges: &mut [(FlowId, ContentionDomain)]) {
+        edges.sort_unstable_by_key(|&(j, _)| self.rank[j.index()]);
+        self.direct.push(edges.iter().map(|&(j, _)| j).collect());
+        self.domains.push(edges.iter().map(|&(_, cd)| cd).collect());
     }
 
     /// Computes `S^I_a` from the direct sets: members of `S^D_j` for any
-    /// `j ∈ S^D_a` that are neither τa itself nor already direct.
-    ///
-    /// `excluded` is a caller-provided scratch mask (all `false` on entry,
-    /// restored to all `false` on exit) sized to the number of flows.
-    fn indirect_of(
-        direct: &[Vec<FlowId>],
-        system: &System,
-        a: usize,
-        excluded: &mut [bool],
-    ) -> Vec<FlowId> {
-        excluded[a] = true;
-        for &j in &direct[a] {
-            excluded[j.index()] = true;
-        }
-        let mut seen: Vec<FlowId> = Vec::new();
-        for &j in &direct[a] {
-            for &k in &direct[j.index()] {
-                if !excluded[k.index()] {
-                    excluded[k.index()] = true;
-                    seen.push(k);
-                }
+    /// `j ∈ S^D_a` that are neither τa itself nor already direct. Members
+    /// are marked in a bitset over priority ranks and read back in rank
+    /// order, so the set comes out sorted.
+    fn indirect_of(&self, a: usize, scratch: &mut Scratch) -> Vec<FlowId> {
+        let ranks = &mut scratch.ranks;
+        let direct = &self.direct[a];
+        for &j in direct {
+            for &k in &self.direct[j.index()] {
+                let r = self.rank[k.index()] as usize;
+                ranks[r / 64] |= 1 << (r % 64);
             }
         }
-        // Reset the scratch mask for the next flow.
-        excluded[a] = false;
-        for &j in &direct[a] {
-            excluded[j.index()] = false;
+        // τa itself is never marked: its direct interferers outrank it.
+        for &j in direct {
+            let r = self.rank[j.index()] as usize;
+            ranks[r / 64] &= !(1 << (r % 64));
         }
-        for &k in &seen {
-            excluded[k.index()] = false;
+        let mut set = Vec::new();
+        for (w, word) in ranks.iter_mut().enumerate() {
+            while *word != 0 {
+                set.push(self.order[w * 64 + word.trailing_zeros() as usize]);
+                *word &= *word - 1;
+            }
         }
-        seen.sort_by_key(|&k| system.flow(k).priority());
-        seen
+        set
     }
 
     /// Extends the graph with the (already routed) flow `id` of `system`,
@@ -315,7 +536,7 @@ impl InterferenceGraph {
     ///
     /// Returns every flow whose direct or indirect interference set may
     /// have changed, `id` included — the set an incremental solver must
-    /// mark dirty.
+    /// mark dirty — in ascending id order.
     ///
     /// # Errors
     ///
@@ -328,67 +549,74 @@ impl InterferenceGraph {
     /// Panics if `id` is not the next dense id or `system` does not have
     /// exactly one more flow than the graph covers.
     pub fn add_flow(&mut self, system: &System, id: FlowId) -> Result<Vec<FlowId>, ModelError> {
-        let n_old = self.direct.len();
+        let n_old = self.len();
         assert_eq!(id.index(), n_old, "added flow must take the next dense id");
         assert_eq!(
             system.flows().len(),
             n_old + 1,
             "system must already contain the added flow"
         );
-        // Existing flows sharing at least one link with the new route.
-        let new_links: HashSet<LinkId> = system.route(id).iter().copied().collect();
-        let mut overlapping: Vec<FlowId> = Vec::new();
-        for g in system.flows().ids() {
-            if g != id && system.route(g).iter().any(|l| new_links.contains(l)) {
-                overlapping.push(g);
-            }
-        }
         // All fallible work happens before any mutation, so a contiguity
         // violation leaves the graph exactly as it was.
-        let mut new_domains: Vec<(FlowId, ContentionDomain)> =
-            Vec::with_capacity(overlapping.len());
-        for &g in &overlapping {
-            // `g < id` always holds (the new flow has the largest id), so
-            // `(g, id)` is already in canonical key order.
-            if let Some(cd) = ContentionDomain::compute(g, system.route(g), id, system.route(id))? {
-                new_domains.push((g, cd));
-            }
-        }
-        self.direct.push(Vec::new());
-        self.indirect.push(Vec::new());
+        let route = system.route(id);
+        let mut scratch = Scratch::new(n_old + 1);
+        self.contenders(id, route, |_| true, &mut scratch)
+            .map_err(|g| ModelError::NonContiguousContentionDomain {
+                first: g,
+                second: id,
+            })?;
+        // Every flow the new one outranks moves one rank down.
         let p_new = system.flow(id).priority();
-        // Existing flows whose direct set gains the new flow.
-        let mut changed = vec![false; n_old + 1];
-        for (g, cd) in new_domains {
-            let p_g = system.flow(g).priority();
-            self.domains.insert((g, id), cd);
-            if p_new.is_higher_than(p_g) {
-                self.direct[g.index()].push(id);
-                changed[g.index()] = true;
+        let r_new = self
+            .order
+            .partition_point(|f| system.flow(*f).priority() < p_new);
+        self.order.insert(r_new, id);
+        for f in &self.order[r_new + 1..] {
+            self.rank[f.index()] += 1;
+        }
+        let r_new = r_new as u32;
+        self.rank.push(r_new);
+        self.cross(id, route);
+        // Existing flows whose direct set gains the new flow take it at its
+        // priority rank; the rest go into the new flow's own direct set.
+        let mut gained: Vec<FlowId> = Vec::new();
+        let mut own = Vec::new();
+        for &(g, cd) in &scratch.found {
+            let set = &self.direct[g.index()];
+            if r_new < self.rank[g.index()] {
+                let at = set.partition_point(|f| self.rank[f.index()] < r_new);
+                self.direct[g.index()].insert(at, id);
+                self.domains[g.index()].insert(at, cd.reversed());
+                gained.push(g);
             } else {
-                self.direct[id.index()].push(g);
+                own.push((g, cd));
             }
         }
-        // Restore the highest-to-lowest priority order of every touched set.
-        self.direct[id.index()].sort_by_key(|&j| system.flow(j).priority());
-        for (a, _) in changed.iter().enumerate().filter(|&(_, &c)| c) {
-            self.direct[a].sort_by_key(|&j| system.flow(j).priority());
-        }
+        self.push_direct(&mut own);
+        self.indirect.push(Vec::new());
         // A flow's indirect set depends on its own direct set and on the
-        // direct sets of its direct interferers, so recompute exactly where
-        // one of those inputs changed.
-        let mut affected: Vec<FlowId> = Vec::new();
-        for a in 0..=n_old {
-            let touched =
-                a == id.index() || changed[a] || self.direct[a].iter().any(|&j| changed[j.index()]);
-            if touched {
-                affected.push(FlowId::new(a as u32));
+        // direct sets of its direct interferers: recompute it for the new
+        // flow, for the flows that gained it, and for their victims — their
+        // lower-priority contenders, read off the overlap table.
+        let mut touched = vec![false; n_old + 1];
+        touched[id.index()] = true;
+        for &g in &gained {
+            touched[g.index()] = true;
+            let r_g = self.rank[g.index()];
+            for link in system.route(g).iter() {
+                for &(a, _) in &self.crossings[link.index()] {
+                    if r_g < self.rank[a.index()] {
+                        touched[a.index()] = true;
+                    }
+                }
             }
         }
-        let mut excluded = vec![false; n_old + 1];
+        let affected: Vec<FlowId> = (0..=n_old)
+            .filter(|&a| touched[a])
+            .map(|a| FlowId::new(a as u32))
+            .collect();
         for &a in &affected {
-            self.indirect[a.index()] =
-                Self::indirect_of(&self.direct, system, a.index(), &mut excluded);
+            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch);
         }
         Ok(affected)
     }
@@ -400,31 +628,21 @@ impl InterferenceGraph {
     /// `system` must be the *post-removal* system, e.g. the one returned by
     /// [`System::without_flow`].
     ///
-    /// Returns every remaining flow — under its **new** id — whose direct
-    /// or indirect interference set changed.
+    /// Returns every remaining flow — under its **new** id, in ascending
+    /// order — whose direct or indirect interference set changed.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds or `system` does not have exactly
     /// one flow fewer than the graph covers.
     pub fn remove_flow(&mut self, system: &System, id: FlowId) -> Vec<FlowId> {
-        let n_old = self.direct.len();
+        let n_old = self.len();
         assert!(id.index() < n_old, "no such flow to remove");
         assert_eq!(
             system.flows().len(),
             n_old - 1,
             "system must no longer contain the removed flow"
         );
-        // Flows that lose the removed flow from their interference sets —
-        // indexed under the *old* numbering. Losing a direct interferer can
-        // reshape the whole indirect set (the removed flow's own direct set
-        // stops being unioned in); losing an indirect one only drops it.
-        let affected_old: Vec<usize> = (0..n_old)
-            .filter(|&a| {
-                a != id.index() && (self.direct[a].contains(&id) || self.indirect[a].contains(&id))
-            })
-            .collect();
-        // Drop domains involving the flow and shift the keys above it.
         let shift = |f: FlowId| {
             if f > id {
                 FlowId::new(f.raw() - 1)
@@ -432,70 +650,87 @@ impl InterferenceGraph {
                 f
             }
         };
-        let old_domains = std::mem::take(&mut self.domains);
-        for ((lo, hi), cd) in old_domains {
-            if lo != id && hi != id {
-                self.domains.insert((shift(lo), shift(hi)), cd);
+        // Renumbering visits every set anyway, so the same pass finds the
+        // flows that lose the removed flow — each by a binary search on its
+        // priority. Losing a direct interferer can reshape the whole
+        // indirect set (the removed flow's own direct set stops being
+        // unioned in); losing an indirect one only drops it.
+        let r_gone = self.rank[id.index()];
+        let mut affected: Vec<FlowId> = Vec::new();
+        for a in (0..n_old).filter(|&a| a != id.index()) {
+            let mut lost = false;
+            if let Some(at) = find(&self.direct[a], &self.rank, r_gone) {
+                self.direct[a].remove(at);
+                self.domains[a].remove(at);
+                lost = true;
+            }
+            if let Some(at) = find(&self.indirect[a], &self.rank, r_gone) {
+                self.indirect[a].remove(at);
+                lost = true;
+            }
+            for f in self.direct[a].iter_mut().chain(&mut self.indirect[a]) {
+                *f = shift(*f);
+            }
+            if lost {
+                affected.push(shift(FlowId::new(a as u32)));
             }
         }
-        // Renumber the direct/indirect adjacency. Priorities are untouched
-        // and relative order is preserved, so the lists stay sorted.
+        // Every flow the removed one outranked moves one rank up.
+        self.rank.remove(id.index());
+        self.order.remove(r_gone as usize);
+        for f in &mut self.order {
+            *f = shift(*f);
+        }
+        for f in &self.order[r_gone as usize..] {
+            self.rank[f.index()] -= 1;
+        }
         self.direct.remove(id.index());
+        self.domains.remove(id.index());
         self.indirect.remove(id.index());
-        for set in self.direct.iter_mut().chain(self.indirect.iter_mut()) {
-            set.retain(|&f| f != id);
-            for f in set.iter_mut() {
+        // Overlap lists are in id order: the removed flow and every flow
+        // renumbered after it form a suffix.
+        for on_link in &mut self.crossings {
+            let start = on_link.partition_point(|&(f, _)| f < id);
+            if on_link.get(start).is_some_and(|&(f, _)| f == id) {
+                on_link.remove(start);
+            }
+            for (f, _) in &mut on_link[start..] {
                 *f = shift(*f);
             }
         }
-        let affected: Vec<FlowId> = affected_old
-            .into_iter()
-            .map(|a| shift(FlowId::new(a as u32)))
-            .collect();
-        let mut excluded = vec![false; n_old - 1];
+        let mut scratch = Scratch::new(n_old - 1);
         for &a in &affected {
-            self.indirect[a.index()] =
-                Self::indirect_of(&self.direct, system, a.index(), &mut excluded);
+            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch);
         }
         affected
-    }
-
-    fn lookup(
-        domains: &HashMap<(FlowId, FlowId), ContentionDomain>,
-        i: FlowId,
-        j: FlowId,
-    ) -> Option<(&ContentionDomain, bool)> {
-        if i < j {
-            domains.get(&(i, j)).map(|cd| (cd, false))
-        } else {
-            domains.get(&(j, i)).map(|cd| (cd, true))
-        }
     }
 
     /// The contention domain `cd(i,j)`, oriented so that
     /// [`ContentionDomain::first_in_i`] refers to flow `i`'s route.
     ///
     /// Returns `None` for link-disjoint pairs (and for `i == j`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is out of bounds.
     pub fn contention_domain(&self, i: FlowId, j: FlowId) -> Option<ContentionDomain> {
-        Self::lookup(&self.domains, i, j).map(
-            |(cd, swapped)| {
-                if swapped {
-                    cd.swapped()
-                } else {
-                    cd.clone()
-                }
-            },
-        )
+        let (r_i, r_j) = (self.rank[i.index()], self.rank[j.index()]);
+        if r_j < r_i {
+            find(&self.direct[i.index()], &self.rank, r_j).map(|e| self.domains[i.index()][e])
+        } else {
+            find(&self.direct[j.index()], &self.rank, r_i)
+                .map(|e| self.domains[j.index()][e].reversed())
+        }
     }
 
     /// `|cd(i,j)|`, or 0 for disjoint pairs.
     pub fn contention_len(&self, i: FlowId, j: FlowId) -> usize {
-        Self::lookup(&self.domains, i, j).map_or(0, |(cd, _)| cd.len())
+        self.contention_domain(i, j).map_or(0, |cd| cd.len())
     }
 
     /// `true` if flows `i` and `j` share at least one link.
     pub fn contend(&self, i: FlowId, j: FlowId) -> bool {
-        Self::lookup(&self.domains, i, j).is_some()
+        self.contention_domain(i, j).is_some()
     }
 
     /// The direct interference set `S^D_i`, sorted from highest priority to
@@ -506,6 +741,16 @@ impl InterferenceGraph {
     /// Panics if `i` is out of bounds.
     pub fn direct_set(&self, i: FlowId) -> &[FlowId] {
         &self.direct[i.index()]
+    }
+
+    /// The contention domains `cd(i,j)` of the members `j` of `S^D_i`, in
+    /// [`InterferenceGraph::direct_set`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    pub fn direct_domains(&self, i: FlowId) -> &[ContentionDomain] {
+        &self.domains[i.index()]
     }
 
     /// The indirect interference set `S^I_i`, sorted from highest priority
@@ -520,11 +765,14 @@ impl InterferenceGraph {
 
     /// `true` if τⱼ suffers interference from a member of `S^I_i` — the
     /// condition under which the analyses charge τⱼ's interference jitter
-    /// `J^I_j = R_j − C_j` when bounding τᵢ.
+    /// `J^I_j = R_j − C_j` when bounding τᵢ. For `j ∈ S^D_i` this is
+    /// `!partition_indirect(i, j).is_empty()`, which the solvers read off
+    /// their one pass over the edge.
     pub fn has_indirect_via(&self, i: FlowId, j: FlowId) -> bool {
-        self.indirect[i.index()]
+        let indirect = &self.indirect[i.index()];
+        self.direct[j.index()]
             .iter()
-            .any(|&k| self.direct[j.index()].contains(&k))
+            .any(|k| find(indirect, &self.rank, self.rank[k.index()]).is_some())
     }
 
     /// Partitions `S^I_i ∩ S^D_j` into the upstream set `S^upj_Ii` and the
@@ -533,57 +781,50 @@ impl InterferenceGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `j` does not contend with `i` (callers must only pass
-    /// `j ∈ S^D_i`), or in debug builds if a member cannot be classified —
-    /// impossible while the contiguity invariant holds.
-    pub fn partition_indirect(&self, i: FlowId, j: FlowId) -> UpDownPartition {
-        let cd_ij = self
-            .contention_domain(i, j)
+    /// Panics if `j ∉ S^D_i`, or in debug builds if a member cannot be
+    /// classified — impossible while the contiguity invariant holds.
+    pub fn partition_indirect(&self, i: FlowId, j: FlowId) -> UpDownPartition<'_> {
+        let edge = find(&self.direct[i.index()], &self.rank, self.rank[j.index()])
             .expect("partition_indirect requires j ∈ S^D_i");
-        // positions of cd(i,j) on route_j:
-        let ij_first = cd_ij.first_in_j();
-        let ij_last = cd_ij.last_in_j();
-        let mut partition = UpDownPartition::default();
-        for &k in &self.indirect[i.index()] {
-            // Only members of S^D_j (higher priority than τj *and* sharing
-            // links with it) can interfere with τj.
-            if !self.direct[j.index()].contains(&k) {
-                continue;
-            }
-            let Some(cd_jk) = self.contention_domain(j, k) else {
-                continue; // unreachable given the membership check above
-            };
-            // positions of cd(j,k) on route_j:
-            let jk_first = cd_jk.first_in_i();
-            let jk_last = cd_jk.last_in_i();
-            if jk_last < ij_first {
-                partition.upstream.push(k);
-            } else if jk_first > ij_last {
-                partition.downstream.push(k);
-            } else {
-                // Overlap is impossible: k ∈ S^I_i shares no link with
-                // route_i ⊇ cd(i,j), and both domains are contiguous on
-                // route_j, so their position intervals are disjoint.
-                debug_assert!(
-                    false,
-                    "unclassifiable indirect interferer {k} for pair ({i},{j})"
-                );
-                // Release-mode fallback: treat as upstream, the
-                // conservative choice (disables the buffer-aware bound).
-                partition.upstream.push(k);
-            }
+        let cd_ij = self.domains[i.index()][edge];
+        UpDownPartition {
+            graph: self,
+            i,
+            j,
+            first: cd_ij.first_in_j(),
+            last: cd_ij.last_in_j(),
         }
-        partition
+    }
+
+    /// The flows routed over `link` that share it with a higher-priority
+    /// flow, in ascending id order: exactly the victims `x` of the direct
+    /// pairs (`y ∈ S^D_x`) whose contention domain `cd(x,y)` contains
+    /// `link`. These are the flows whose buffer-aware bound reads the
+    /// depth of the buffer `link` feeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is not a link of the graph's topology.
+    pub fn victims_on_link(&self, link: LinkId) -> impl Iterator<Item = FlowId> + '_ {
+        let on_link = &self.crossings[link.index()];
+        let top = on_link
+            .iter()
+            .map(|&(f, _)| f)
+            .min_by_key(|f| self.rank[f.index()]);
+        on_link
+            .iter()
+            .map(|&(f, _)| f)
+            .filter(move |&f| Some(f) != top)
     }
 
     /// Number of flows covered by this graph.
     pub fn len(&self) -> usize {
-        self.direct.len()
+        self.rank.len()
     }
 
     /// `true` if the graph covers no flows.
     pub fn is_empty(&self) -> bool {
-        self.direct.is_empty()
+        self.rank.is_empty()
     }
 }
 
@@ -633,7 +874,10 @@ mod tests {
         let g = InterferenceGraph::new(&sys).unwrap();
         let a = g.contention_domain(FlowId::new(0), FlowId::new(1)).unwrap();
         let b = g.contention_domain(FlowId::new(1), FlowId::new(0)).unwrap();
-        assert_eq!(a.links(), b.links());
+        assert_eq!(
+            a.links(sys.route(FlowId::new(0))),
+            b.links(sys.route(FlowId::new(1)))
+        );
         assert_eq!(a.first_in_i(), b.first_in_j());
         assert_eq!(a.last_in_j(), b.last_in_i());
     }
@@ -800,8 +1044,8 @@ mod tests {
         assert_eq!(g.contention_len(t3, t2), 3);
         // τ1's hits on τ2 land downstream of cd(3,2):
         let part = g.partition_indirect(t3, t2);
-        assert_eq!(part.downstream, vec![t1]);
-        assert!(part.upstream.is_empty());
+        assert_eq!(part.downstream().collect::<Vec<_>>(), vec![t1]);
+        assert!(part.upstream().next().is_none());
         // τ2 suffers indirect-relevant interference relative to τ3:
         assert!(g.has_indirect_via(t3, t2));
         assert!(!g.has_indirect_via(t2, t1));
@@ -831,8 +1075,8 @@ mod tests {
         assert_eq!(g.direct_set(low), &[mid]);
         assert_eq!(g.indirect_set(low), &[hi]);
         let part = g.partition_indirect(low, mid);
-        assert_eq!(part.upstream, vec![hi]);
-        assert!(part.downstream.is_empty());
+        assert_eq!(part.upstream().collect::<Vec<_>>(), vec![hi]);
+        assert!(part.downstream().next().is_none());
     }
 
     #[test]
@@ -876,6 +1120,60 @@ mod tests {
             err,
             ModelError::NonContiguousContentionDomain { .. }
         ));
+    }
+
+    #[test]
+    fn non_contiguous_systems_rejected_by_build_and_delta() {
+        // The braid above, with two flows taking different middle paths.
+        use crate::topology::Endpoint;
+        let mut b = TopologyBuilder::new();
+        let r: Vec<_> = (0..6).map(|_| b.add_router()).collect();
+        let (src_a, src_b) = (b.add_node(r[0]), b.add_node(r[0]));
+        let (dst_a, dst_b) = (b.add_node(r[5]), b.add_node(r[5]));
+        for (x, y) in [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)] {
+            b.add_duplex_router_link(r[x], r[y]);
+        }
+        let topo = b.build().unwrap();
+        let link = |a: usize, c: usize| {
+            topo.find_link(Endpoint::Router(r[a]), Endpoint::Router(r[c]))
+                .unwrap()
+        };
+        let mut table = TableRouting::new();
+        for (src, dst, mid) in [(src_a, dst_a, 2), (src_b, dst_b, 3)] {
+            let links = vec![
+                topo.injection_link(src),
+                link(0, 1),
+                link(1, mid),
+                link(mid, 4),
+                link(4, 5),
+                topo.ejection_link(dst),
+            ];
+            table.insert(src, dst, Route::new(&topo, links).unwrap());
+        }
+        let mk = |src, dst, p| {
+            Flow::builder(src, dst)
+                .priority(Priority::new(p))
+                .period(Cycles::new(1000))
+                .build()
+        };
+        let both = FlowSet::new(vec![mk(src_a, dst_a, 2), mk(src_b, dst_b, 1)]).unwrap();
+        let sys = System::new(topo.clone(), NocConfig::default(), both, &table).unwrap();
+        assert!(matches!(
+            InterferenceGraph::new(&sys),
+            Err(ModelError::NonContiguousContentionDomain { first, second })
+                if (first, second) == (FlowId::new(0), FlowId::new(1))
+        ));
+        // An admission that would braid fails and leaves the graph as it was.
+        let one = FlowSet::new(vec![mk(src_a, dst_a, 2)]).unwrap();
+        let one = System::new(topo, NocConfig::default(), one, &table).unwrap();
+        let mut g = InterferenceGraph::new(&one).unwrap();
+        let before = g.clone();
+        let (next, id) = one.with_added_flow(mk(src_b, dst_b, 1), &table).unwrap();
+        assert!(matches!(
+            g.add_flow(&next, id),
+            Err(ModelError::NonContiguousContentionDomain { .. })
+        ));
+        assert_eq!(g, before);
     }
 
     /// Six flows criss-crossing a 4×4 mesh — enough contention to exercise

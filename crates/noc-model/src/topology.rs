@@ -142,6 +142,10 @@ pub struct Topology {
     link_lookup: HashMap<(Endpoint, Endpoint), LinkId>,
     injection: Vec<LinkId>,
     ejection: Vec<LinkId>,
+    /// Links into each router, grouped by router: those of router `r` are
+    /// `inputs[input_start[r]..input_start[r + 1]]`.
+    input_start: Vec<usize>,
+    inputs: Vec<LinkId>,
     mesh: Option<MeshDims>,
 }
 
@@ -207,6 +211,16 @@ impl Topology {
     /// Panics if `id` is out of bounds for this topology.
     pub fn link(&self, id: LinkId) -> Link {
         self.links[id.index()]
+    }
+
+    /// The links whose target is `router`, in id order: the links feeding
+    /// its input buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `router` is out of bounds.
+    pub fn input_links(&self, router: RouterId) -> &[LinkId] {
+        &self.inputs[self.input_start[router.index()]..self.input_start[router.index() + 1]]
     }
 
     /// Looks up the link from `source` to `target`, if one exists.
@@ -430,6 +444,23 @@ impl TopologyBuilder {
                 target: t.to_string(),
             });
         }
+        let mut input_start = vec![0; self.routers.len() + 1];
+        for link in &self.links {
+            if let Endpoint::Router(r) = link.target() {
+                input_start[r.index() + 1] += 1;
+            }
+        }
+        for r in 0..self.routers.len() {
+            input_start[r + 1] += input_start[r];
+        }
+        let mut inputs = vec![LinkId::new(0); input_start[self.routers.len()]];
+        let mut next = input_start.clone();
+        for (id, link) in self.links.iter().enumerate() {
+            if let Endpoint::Router(r) = link.target() {
+                inputs[next[r.index()]] = LinkId::new(id as u32);
+                next[r.index()] += 1;
+            }
+        }
         Ok(Topology {
             routers: self.routers,
             nodes: self.nodes,
@@ -437,6 +468,8 @@ impl TopologyBuilder {
             link_lookup: self.link_lookup,
             injection: self.injection,
             ejection: self.ejection,
+            input_start,
+            inputs,
             mesh: None,
         })
     }
@@ -461,6 +494,20 @@ mod tests {
                 height: 2
             })
         );
+    }
+
+    #[test]
+    fn input_links_are_the_links_into_each_router() {
+        let t = Topology::mesh(3, 2);
+        for r in t.router_ids() {
+            let expected: Vec<LinkId> = t
+                .link_ids()
+                .filter(|&l| t.link(l).target() == Endpoint::Router(r))
+                .collect();
+            assert_eq!(t.input_links(r), expected.as_slice());
+        }
+        // A corner router of a mesh has two neighbours plus its node.
+        assert_eq!(t.input_links(RouterId::new(0)).len(), 3);
     }
 
     #[test]

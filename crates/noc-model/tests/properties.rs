@@ -36,6 +36,188 @@ fn build_system(w: u16, h: u16, raw: &[RawFlow]) -> Option<System> {
     System::new(topology, NocConfig::default(), flows, &XyRouting).ok()
 }
 
+/// Brute-force interference structure derived from routes alone: the
+/// shared-link span of every ordered pair, then `S^D` and `S^I` by their
+/// definitions.
+struct Oracle {
+    /// `(first position on routeᵢ, first position on routeⱼ, length)` of
+    /// `cd(i,j)`, indexed `[i][j]`.
+    spans: Vec<Vec<Option<(usize, usize, usize)>>>,
+    direct: Vec<Vec<FlowId>>,
+    indirect: Vec<Vec<FlowId>>,
+}
+
+impl Oracle {
+    fn new(system: &System) -> Oracle {
+        let ids: Vec<FlowId> = system.flows().ids().collect();
+        let priority = |f: FlowId| system.flow(f).priority();
+        let spans: Vec<Vec<Option<(usize, usize, usize)>>> = ids
+            .iter()
+            .map(|&i| {
+                ids.iter()
+                    .map(|&j| {
+                        if i == j {
+                            return None;
+                        }
+                        let route_j = system.route(j).links();
+                        let shared: Vec<(usize, usize)> = system
+                            .route(i)
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(pi, l)| {
+                                route_j.iter().position(|m| m == l).map(|pj| (pi, pj))
+                            })
+                            .collect();
+                        let &(fi, fj) = shared.first()?;
+                        // XY routes always share one contiguous run.
+                        for (n, &(pi, pj)) in shared.iter().enumerate() {
+                            assert_eq!((pi, pj), (fi + n, fj + n), "non-contiguous XY domain");
+                        }
+                        Some((fi, fj, shared.len()))
+                    })
+                    .collect()
+            })
+            .collect();
+        let by_priority = |mut set: Vec<FlowId>| {
+            set.sort_by_key(|&f| priority(f));
+            set
+        };
+        let direct: Vec<Vec<FlowId>> = ids
+            .iter()
+            .map(|&i| {
+                by_priority(
+                    ids.iter()
+                        .copied()
+                        .filter(|&j| {
+                            spans[i.index()][j.index()].is_some()
+                                && priority(j).is_higher_than(priority(i))
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        let indirect = ids
+            .iter()
+            .map(|&i| {
+                let d = &direct[i.index()];
+                by_priority(
+                    ids.iter()
+                        .copied()
+                        .filter(|&k| {
+                            k != i
+                                && !d.contains(&k)
+                                && d.iter().any(|j| direct[j.index()].contains(&k))
+                        })
+                        .collect(),
+                )
+            })
+            .collect();
+        Oracle {
+            spans,
+            direct,
+            indirect,
+        }
+    }
+
+    /// `S^I_i ∩ S^D_j` split into the members whose domain with τⱼ lies
+    /// before `cd(i,j)` on `routeⱼ` and those whose domain lies after it.
+    fn partition(&self, i: FlowId, j: FlowId) -> (Vec<FlowId>, Vec<FlowId>) {
+        let (_, ij_first, ij_len) = self.spans[i.index()][j.index()].unwrap();
+        let (mut up, mut down) = (Vec::new(), Vec::new());
+        for &k in &self.indirect[i.index()] {
+            if !self.direct[j.index()].contains(&k) {
+                continue;
+            }
+            let (jk_first, _, jk_len) = self.spans[j.index()][k.index()].unwrap();
+            if jk_first + jk_len <= ij_first {
+                up.push(k);
+            } else if jk_first >= ij_first + ij_len {
+                down.push(k);
+            } else {
+                panic!("cd({j},{k}) overlaps cd({i},{j}) on route_j");
+            }
+        }
+        (up, down)
+    }
+}
+
+/// Compares every accessor of `graph` with the brute-force oracle of
+/// `system`.
+fn check_against_oracle(graph: &InterferenceGraph, system: &System) -> Result<(), TestCaseError> {
+    let oracle = Oracle::new(system);
+    let ids: Vec<FlowId> = system.flows().ids().collect();
+    prop_assert_eq!(graph.len(), ids.len());
+    for &i in &ids {
+        prop_assert_eq!(graph.direct_set(i), oracle.direct[i.index()].as_slice());
+        prop_assert_eq!(graph.indirect_set(i), oracle.indirect[i.index()].as_slice());
+        for (&j, &cd) in graph.direct_set(i).iter().zip(graph.direct_domains(i)) {
+            prop_assert_eq!(Some(cd), graph.contention_domain(i, j));
+        }
+        let route_i = system.route(i);
+        for &j in &ids {
+            let span = oracle.spans[i.index()][j.index()];
+            prop_assert_eq!(graph.contend(i, j), span.is_some());
+            prop_assert_eq!(graph.contention_len(i, j), span.map_or(0, |s| s.2));
+            let cd = graph.contention_domain(i, j);
+            prop_assert_eq!(
+                cd.map(|cd| (cd.first_in_i(), cd.first_in_j(), cd.len())),
+                span
+            );
+            let via = oracle.indirect[i.index()]
+                .iter()
+                .any(|k| oracle.direct[j.index()].contains(k));
+            prop_assert_eq!(
+                graph.has_indirect_via(i, j),
+                via,
+                "has_indirect_via({}, {})",
+                i,
+                j
+            );
+            let Some(cd) = cd else { continue };
+            prop_assert_eq!(cd.last_in_i(), cd.first_in_i() + cd.len() - 1);
+            prop_assert_eq!(cd.last_in_j(), cd.first_in_j() + cd.len() - 1);
+            let shared: Vec<LinkId> = route_i
+                .iter()
+                .copied()
+                .filter(|&l| system.route(j).contains(l))
+                .collect();
+            prop_assert_eq!(cd.links(route_i), shared.as_slice());
+            if !oracle.direct[i.index()].contains(&j) {
+                continue; // partitions are defined for direct edges only
+            }
+            let (up, down) = oracle.partition(i, j);
+            let part = graph.partition_indirect(i, j);
+            prop_assert_eq!(part.upstream().collect::<Vec<_>>(), up);
+            prop_assert_eq!(part.downstream().collect::<Vec<_>>(), down);
+            prop_assert_eq!(part.is_empty(), !via);
+            for m in part {
+                prop_assert_eq!(graph.direct_set(j)[m.edge], m.flow);
+            }
+        }
+    }
+    for link in system.topology().link_ids() {
+        let expected: Vec<FlowId> = ids
+            .iter()
+            .copied()
+            .filter(|&x| {
+                system.route(x).contains(link)
+                    && oracle.direct[x.index()]
+                        .iter()
+                        .any(|&y| system.route(y).contains(link))
+            })
+            .collect();
+        prop_assert_eq!(graph.victims_on_link(link).collect::<Vec<_>>(), expected);
+    }
+    Ok(())
+}
+
+/// Strategy: seeded graph deltas — `(kind, a, b, priority)`, a removal of
+/// flow `a mod n` when `kind == 0`, else an admission from node `a` to
+/// node `b` (mod the node count) at `priority`.
+fn deltas() -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
+    proptest::collection::vec((0u32..3, 0u32..64, 0u32..64, 1u32..48), 1..8)
+}
+
 proptest! {
     /// XY route length is always the Manhattan distance plus the two node
     /// links.
@@ -90,7 +272,7 @@ proptest! {
                     graph.contention_domain(j, i),
                 ) {
                     prop_assert_eq!(a.len(), b.len());
-                    prop_assert_eq!(a.links(), b.links());
+                    prop_assert_eq!(a.links(system.route(i)), b.links(system.route(j)));
                     prop_assert_eq!(a.first_in_i(), b.first_in_j());
                 }
             }
@@ -143,16 +325,92 @@ proptest! {
                     .copied()
                     .filter(|&k| graph.direct_set(j).contains(&k))
                     .collect();
-                let mut together = part.upstream.clone();
-                together.extend(part.downstream.iter().copied());
+                let upstream: Vec<FlowId> = part.upstream().collect();
+                let downstream: Vec<FlowId> = part.downstream().collect();
+                let mut together = upstream.clone();
+                together.extend(downstream.iter().copied());
                 together.sort();
                 let mut expected_sorted = expected.clone();
                 expected_sorted.sort();
                 prop_assert_eq!(together, expected_sorted);
-                for k in &part.upstream {
-                    prop_assert!(!part.downstream.contains(k));
+                for k in &upstream {
+                    prop_assert!(!downstream.contains(k));
                 }
             }
+        }
+    }
+
+    /// Every graph accessor agrees with the brute-force oracle on freshly
+    /// built graphs.
+    #[test]
+    fn graph_matches_oracle((w, h, raw) in mesh_and_flows()) {
+        let Some(system) = build_system(w, h, &raw) else { return Ok(()); };
+        let graph = InterferenceGraph::new(&system).unwrap();
+        check_against_oracle(&graph, &system)?;
+    }
+
+    /// Every graph accessor agrees with the oracle after each delta of a
+    /// random admission/removal sequence, the graph equals a from-scratch
+    /// build, and each delta reports exactly the flows its definition names.
+    #[test]
+    fn graph_matches_oracle_under_deltas((w, h, raw) in mesh_and_flows(), ops in deltas()) {
+        let Some(mut system) = build_system(w, h, &raw) else { return Ok(()); };
+        let mut graph = InterferenceGraph::new(&system).unwrap();
+        let nodes = u32::from(w) * u32::from(h);
+        for (kind, a, b, p) in ops {
+            let n = system.flows().len();
+            let affected = if kind == 0 && n > 1 {
+                let id = FlowId::new(a % n as u32);
+                let before = Oracle::new(&system);
+                let next = system.without_flow(id).unwrap();
+                let affected = graph.remove_flow(&next, id);
+                // Flows that held the removed one, under their new ids.
+                let expected: Vec<FlowId> = system
+                    .flows()
+                    .ids()
+                    .filter(|&x| {
+                        before.direct[x.index()].contains(&id)
+                            || before.indirect[x.index()].contains(&id)
+                    })
+                    .map(|x| if x > id { FlowId::new(x.raw() - 1) } else { x })
+                    .collect();
+                prop_assert_eq!(&affected, &expected);
+                system = next;
+                affected
+            } else {
+                let (src, dst) = (a % nodes, b % nodes);
+                if src == dst {
+                    continue;
+                }
+                let flow = Flow::builder(NodeId::new(src), NodeId::new(dst))
+                    .priority(Priority::new(p))
+                    .period(Cycles::new(10_000))
+                    .length_flits(8)
+                    .build();
+                // A drawn priority may already be taken; skip that draw.
+                let Ok((next, id)) = system.with_added_flow(flow, &XyRouting) else { continue };
+                let affected = graph.add_flow(&next, id).unwrap();
+                // The new flow, the flows whose direct set gained it, and
+                // every flow directly interfered with by one of those.
+                let after = Oracle::new(&next);
+                let gained: Vec<FlowId> =
+                    next.flows().ids().filter(|&g| after.direct[g.index()].contains(&id)).collect();
+                let expected: Vec<FlowId> = next
+                    .flows()
+                    .ids()
+                    .filter(|&x| {
+                        x == id
+                            || gained.contains(&x)
+                            || after.direct[x.index()].iter().any(|j| gained.contains(j))
+                    })
+                    .collect();
+                prop_assert_eq!(&affected, &expected);
+                system = next;
+                affected
+            };
+            prop_assert!(affected.windows(2).all(|w| w[0] < w[1]));
+            check_against_oracle(&graph, &system)?;
+            prop_assert!(graph == InterferenceGraph::new(&system).unwrap());
         }
     }
 

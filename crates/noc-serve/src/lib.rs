@@ -692,7 +692,8 @@ fn serve_isolated(
 /// A deterministic sample query mix for demos and benchmarks: admissions
 /// (templated on existing source/dest pairs with a fresh priority),
 /// removals, homogeneous buffer what-ifs, and single-router buffer
-/// what-ifs, in a 2:1:1:1 ratio.
+/// what-ifs, in a 2:1:1:1 ratio. Buffer depths are drawn from 2–8, inside
+/// the `buf ≥ 2` domain the simulator validates the bounds in.
 pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query> {
     let ids: Vec<FlowId> = system.flows().ids().collect();
     let routers = system.topology().router_count();
@@ -703,7 +704,7 @@ pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query
                 id: ids[i % ids.len()],
             },
             3 => Query::BufferWhatIf {
-                depth: 1 + (i % 8) as u32,
+                depth: 2 + (i % 7) as u32,
             },
             4 => Query::RouterBufferWhatIf {
                 router: noc_model::ids::RouterId::new((i % routers) as u32),

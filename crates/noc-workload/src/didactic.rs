@@ -324,8 +324,8 @@ mod tests {
         assert_eq!(g.indirect_set(f.tau3), &[f.tau1]);
         assert_eq!(g.contention_len(f.tau3, f.tau2), 3);
         let part = g.partition_indirect(f.tau3, f.tau2);
-        assert_eq!(part.downstream, vec![f.tau1]);
-        assert!(part.upstream.is_empty());
+        assert_eq!(part.downstream().collect::<Vec<_>>(), vec![f.tau1]);
+        assert!(part.upstream().next().is_none());
         // τ1 and τ3 never share a link.
         assert!(!g.contend(f.tau1, f.tau3));
     }
@@ -347,8 +347,8 @@ mod tests {
         assert!(!g.contend(f.tau_i, f.tau_k));
         // τk hits τj downstream of cd(i,j): the MPB trigger of Figure 2.
         let part = g.partition_indirect(f.tau_i, f.tau_j);
-        assert_eq!(part.downstream, vec![f.tau_k]);
-        assert!(part.upstream.is_empty());
+        assert_eq!(part.downstream().collect::<Vec<_>>(), vec![f.tau_k]);
+        assert!(part.upstream().next().is_none());
         // cd(i,j) covers the three links a→r1, r1→r2, r2→r3.
         assert_eq!(g.contention_len(f.tau_i, f.tau_j), 3);
     }
