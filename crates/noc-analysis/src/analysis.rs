@@ -1,4 +1,5 @@
-//! The [`Analysis`] trait and the five concrete analyses.
+//! The [`Analysis`] trait and the five analyses, the variants of
+//! [`AnalysisKind`] (re-exported here under their own names).
 //!
 //! | Analysis | Paper | Downstream MPB charge | Safe under MPB? |
 //! |---|---|---|---|
@@ -20,10 +21,11 @@ use crate::report::{AnalysisReport, FlowExplanation};
 /// latency bounds and a schedulability verdict.
 ///
 /// Object-safe ([C-OBJECT]) so experiment harnesses can iterate over
-/// `&dyn Analysis` collections.
+/// `&dyn Analysis` collections. [`AnalysisKind`] is its only implementor;
+/// it stays a trait for those `&dyn Analysis` callers.
 ///
-/// An implementation only names its [`AnalysisKind`]; every other method
-/// is provided and reads that kind's entry in the analysis table. The
+/// Every method but [`Analysis::kind`] is provided and reads that kind's
+/// entry in the analysis table. The
 /// primitive operations are [`Analysis::analyze_with`] and
 /// [`Analysis::explain_with`], which borrow a shared [`AnalysisContext`];
 /// the [`Analysis::analyze`]/[`Analysis::explain`] conveniences build a
@@ -62,7 +64,7 @@ pub trait Analysis {
         &self,
         ctx: &AnalysisContext<'_>,
     ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, self.kind(), &Budget::unlimited()).solve_explained()
+        Solver::new(ctx, self.kind().spec(), &Budget::unlimited()).solve_explained()
     }
 
     /// Runs the analysis over every flow of `system`, deriving the
@@ -89,143 +91,99 @@ pub trait Analysis {
     }
 }
 
-/// Direct interference only, no interference jitter: the naive bound that
-/// predates SB. Unsafe; kept as a teaching/ablation baseline showing why
-/// indirect interference matters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoIndirect;
-
-impl Analysis for NoIndirect {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::NoIndirect
-    }
-}
-
-/// The Shi & Burns analysis (SB, \[11\]): direct interference plus the
-/// interference jitter `J^I_j = Rⱼ − Cⱼ` for direct interferers that suffer
-/// indirect interference. Optimistic under multi-point progressive blocking
-/// (§III of the paper).
+/// The five analyses of this crate: the only implementor of [`Analysis`].
 ///
-/// # Examples
+/// A kind is a plain `Copy` value, so it also keys the per-analysis solve
+/// caches of [`IncrementalContext`](crate::incremental::IncrementalContext)
+/// and ships a choice of analysis across threads in a query batch. The
+/// variants are re-exported under their own names, so `ShiBurns.analyze(&sys)`
+/// and `&Xlwx as &dyn Analysis` name an analysis directly.
 ///
-/// ```
-/// # use noc_model::prelude::*;
-/// # use noc_analysis::prelude::*;
-/// # fn system() -> System {
-/// #     let t = Topology::mesh(2, 1);
-/// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
-/// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
-/// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
-/// # }
-/// let report = ShiBurns.analyze(&system())?;
-/// assert!(report.is_schedulable());
-/// # Ok::<(), noc_analysis::error::AnalysisError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShiBurns;
-
-impl Analysis for ShiBurns {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::ShiBurns
-    }
-}
-
-/// The original Xiong et al. analysis (Equation 4, GLSVLSI 2016 \[12\]):
-/// downstream indirect interference charged as direct interference and the
-/// upstream term `Iup(j,i)` used as window jitter. Shown optimistic by the
-/// counter-example of \[6\]; kept for ablation studies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XiongOriginal;
-
-impl Analysis for XiongOriginal {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::XiongOriginal
-    }
-}
-
-/// The corrected Xiong/Lu/Wu/Xie analysis (XLWX, Equation 5 with the fix of
-/// \[6\], published in \[13\]): the state of the art the paper improves on.
-/// Safe under MPB but pessimistic — downstream indirect interference is
-/// charged in full as direct interference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Xlwx;
-
-impl Analysis for Xlwx {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::Xlwx
-    }
-}
-
-/// **IBN** — the paper's buffer-aware analysis (§IV): downstream indirect
-/// interference per hit is capped by the buffered interference
-/// `bi(i,j) = buf(Ξ)·linkl(Ξ)·|cd(i,j)|` (Equation 6) whenever the direct
-/// interferer suffers no upstream indirect interference (Equation 8),
-/// falling back to the XLWX charge otherwise. Reads `buf(Ξ)` from
-/// [`System::config`]; analyse `system.with_buffer_depth(b)` to study other
-/// buffer sizes.
-///
-/// Never less tight than [`Xlwx`], and safe under MPB.
-///
-/// # Examples
-///
-/// ```
-/// # use noc_model::prelude::*;
-/// # use noc_analysis::prelude::*;
-/// # fn system() -> System {
-/// #     let t = Topology::mesh(2, 1);
-/// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
-/// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
-/// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
-/// # }
-/// let sys = system();
-/// let small = BufferAware.analyze(&sys)?;
-/// let large = BufferAware.analyze(&sys.with_buffer_depth(100))?;
-/// // Buffer size can only increase IBN's bounds:
-/// for (id, v) in small.iter() {
-///     assert!(v.response_time() <= large.verdict(id).response_time());
-/// }
-/// # Ok::<(), noc_analysis::error::AnalysisError>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BufferAware;
-
-impl Analysis for BufferAware {
-    fn kind(&self) -> AnalysisKind {
-        AnalysisKind::BufferAware
-    }
-}
-
-/// The five analyses as a plain value — the form used where a `&dyn
-/// Analysis` is inconvenient, such as keying the per-analysis solve caches
-/// of [`IncrementalContext`](crate::incremental::IncrementalContext) or
-/// shipping a choice of analysis across threads in a query batch.
-///
-/// The kind holds the analysis table: each unit struct's [`Analysis`]
-/// impl only names its kind, so the two paths are one code path.
+/// The kind holds the analysis table: the five analyses differ only in how
+/// downstream indirect interference is charged and in what widens a direct
+/// interferer's window, so they are one code path through one solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalysisKind {
-    /// [`NoIndirect`]: direct interference only, no jitter.
+    /// Direct interference only, no interference jitter: the naive bound
+    /// that predates SB. Unsafe; kept as a teaching/ablation baseline
+    /// showing why indirect interference matters.
     NoIndirect,
-    /// [`ShiBurns`] (SB): direct interference + interference jitter.
+    /// The Shi & Burns analysis (SB, \[11\]): direct interference plus the
+    /// interference jitter `J^I_j = Rⱼ − Cⱼ` for direct interferers that
+    /// suffer indirect interference. Optimistic under multi-point
+    /// progressive blocking (§III of the paper).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use noc_model::prelude::*;
+    /// # use noc_analysis::prelude::*;
+    /// # fn system() -> System {
+    /// #     let t = Topology::mesh(2, 1);
+    /// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
+    /// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
+    /// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
+    /// # }
+    /// let report = ShiBurns.analyze(&system())?;
+    /// assert!(report.is_schedulable());
+    /// # Ok::<(), noc_analysis::error::AnalysisError>(())
+    /// ```
     ShiBurns,
-    /// [`XiongOriginal`] (Eq. 4): MPB with `Iup` as window jitter.
+    /// The original Xiong et al. analysis (Equation 4, GLSVLSI 2016 \[12\]):
+    /// downstream indirect interference charged as direct interference and
+    /// the upstream term `Iup(j,i)` used as window jitter. Shown optimistic
+    /// by the counter-example of \[6\]; kept for ablation studies.
     XiongOriginal,
-    /// [`Xlwx`] (Eq. 5): downstream MPB charged as direct interference.
+    /// The corrected Xiong/Lu/Wu/Xie analysis (XLWX, Equation 5 with the
+    /// fix of \[6\], published in \[13\]): the state of the art the paper
+    /// improves on. Safe under MPB but pessimistic — downstream indirect
+    /// interference is charged in full as direct interference.
     Xlwx,
-    /// [`BufferAware`] (**IBN**): MPB capped by the buffered interference.
+    /// **IBN** — the paper's buffer-aware analysis (§IV): downstream
+    /// indirect interference per hit is capped by the buffered interference
+    /// `bi(i,j) = buf(Ξ)·linkl(Ξ)·|cd(i,j)|` (Equation 6) whenever the
+    /// direct interferer suffers no upstream indirect interference
+    /// (Equation 8), falling back to the XLWX charge otherwise. Reads
+    /// `buf(Ξ)` from [`System::config`]; analyse
+    /// `system.with_buffer_depth(b)` to study other buffer sizes.
+    ///
+    /// Never less tight than [`Xlwx`], and safe under MPB.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use noc_model::prelude::*;
+    /// # use noc_analysis::prelude::*;
+    /// # fn system() -> System {
+    /// #     let t = Topology::mesh(2, 1);
+    /// #     let f = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(1))
+    /// #         .priority(Priority::new(1)).period(Cycles::new(100)).build()]).unwrap();
+    /// #     System::new(t, NocConfig::default(), f, &XyRouting).unwrap()
+    /// # }
+    /// let sys = system();
+    /// let small = BufferAware.analyze(&sys)?;
+    /// let large = BufferAware.analyze(&sys.with_buffer_depth(100))?;
+    /// // Buffer size can only increase IBN's bounds:
+    /// for (id, v) in small.iter() {
+    ///     assert!(v.response_time() <= large.verdict(id).response_time());
+    /// }
+    /// # Ok::<(), noc_analysis::error::AnalysisError>(())
+    /// ```
     BufferAware,
+}
+
+pub use self::AnalysisKind::{BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx};
+
+impl Analysis for AnalysisKind {
+    fn kind(&self) -> AnalysisKind {
+        *self
+    }
 }
 
 impl AnalysisKind {
     /// Every kind, in increasing order of modelled interference detail
     /// (the same order as [`all_analyses`]).
-    pub const ALL: [AnalysisKind; 5] = [
-        AnalysisKind::NoIndirect,
-        AnalysisKind::ShiBurns,
-        AnalysisKind::XiongOriginal,
-        AnalysisKind::Xlwx,
-        AnalysisKind::BufferAware,
-    ];
+    pub const ALL: [AnalysisKind; 5] = [NoIndirect, ShiBurns, XiongOriginal, Xlwx, BufferAware];
 
     /// The display name (`"SB"`, `"XLWX"`, `"IBN"`, …), shared with
     /// [`Analysis::name`].
@@ -233,15 +191,15 @@ impl AnalysisKind {
         self.spec().0
     }
 
-    /// The corresponding analysis as a trait object, for callers that hold
-    /// a kind but want the [`Analysis`] entry points.
+    /// This analysis as a `'static` trait object, for callers that store
+    /// or pass `&dyn Analysis` values.
     pub fn as_analysis(self) -> &'static (dyn Analysis + Send + Sync) {
         match self {
-            AnalysisKind::NoIndirect => &NoIndirect,
-            AnalysisKind::ShiBurns => &ShiBurns,
-            AnalysisKind::XiongOriginal => &XiongOriginal,
-            AnalysisKind::Xlwx => &Xlwx,
-            AnalysisKind::BufferAware => &BufferAware,
+            NoIndirect => &NoIndirect,
+            ShiBurns => &ShiBurns,
+            XiongOriginal => &XiongOriginal,
+            Xlwx => &Xlwx,
+            BufferAware => &BufferAware,
         }
     }
 
@@ -264,7 +222,7 @@ impl AnalysisKind {
         ctx: &AnalysisContext<'_>,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, self, budget).solve()
+        Solver::new(ctx, self.spec(), budget).solve()
     }
 
     /// The analysis table: display name and solver configuration. The
@@ -291,13 +249,10 @@ impl AnalysisKind {
 /// All analyses of this crate as trait objects, in increasing order of
 /// modelled interference detail. Convenient for sweeping experiments.
 pub fn all_analyses() -> Vec<Box<dyn Analysis + Send + Sync>> {
-    vec![
-        Box::new(NoIndirect),
-        Box::new(ShiBurns),
-        Box::new(XiongOriginal),
-        Box::new(Xlwx),
-        Box::new(BufferAware),
-    ]
+    AnalysisKind::ALL
+        .iter()
+        .map(|&kind| Box::new(kind) as Box<dyn Analysis + Send + Sync>)
+        .collect()
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //! ```
 //!
 //! solved highest-priority-first so that every `Rⱼ` referenced by the
-//! interference terms of τᵢ is already final. The hit count comes from each
+//! interference terms of τᵢ is already final. The conservative bound of
+//! [`crate::conservative`] evaluates the same recurrence once per flow at
+//! `Rᵢ := Dᵢ`, reading every `Rⱼ` as `Dⱼ`
+//! ([`Solver::evaluate_at_deadlines`]). The hit count comes from each
 //! interferer's [arrival curve](noc_model::arrival):
 //! `ηⱼ(w) = ⌈(w + Jⱼ)/Tⱼ⌉ + σⱼ`, the paper's Eq. 5 window arithmetic plus
 //! the burst allowance σⱼ. For strictly periodic flow sets (every σ = 0)
@@ -34,7 +37,6 @@ use noc_model::ids::FlowId;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
-use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
 use crate::error::AnalysisError;
@@ -70,6 +72,10 @@ pub(crate) enum JitterModel {
     /// (GLSVLSI 2016) Xiong et al. analysis — Equation 4, shown optimistic
     /// by \[6\]; kept for ablation studies.
     UpstreamInterference,
+    /// `(Rⱼ − Cⱼ) + Iup(j,i)`, charged for every direct interferer: it
+    /// dominates the other three models. The window jitter of the
+    /// conservative bound, where Rⱼ is read as Dⱼ.
+    Dominating,
 }
 
 /// Iteration safety cap; monotone integer iterations converge or blow past
@@ -98,14 +104,15 @@ pub(crate) struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    /// A solver for analysis `kind` over `ctx`, aborting with
-    /// [`AnalysisError::DeadlineExceeded`] once `budget` expires.
+    /// A solver over `ctx` that reports as `name`, charges downstream
+    /// interference per `downstream` and widens windows per `jitter` (an
+    /// analysis's [`spec`](crate::analysis::AnalysisKind::spec)), aborting
+    /// with [`AnalysisError::DeadlineExceeded`] once `budget` expires.
     pub(crate) fn new(
         ctx: &'a AnalysisContext<'a>,
-        kind: AnalysisKind,
+        (name, downstream, jitter): (&'static str, DownstreamModel, JitterModel),
         budget: &'a Budget,
     ) -> Self {
-        let (name, downstream, jitter) = kind.spec();
         Solver {
             ctx,
             system: ctx.system(),
@@ -261,6 +268,38 @@ impl<'a> Solver<'a> {
         Ok(AnalysisReport::new(self.name, cache.verdicts.clone()))
     }
 
+    /// One evaluation of every flow's recurrence at Rᵢ := Dᵢ, with every
+    /// Rⱼ it reads also taken as Dⱼ, in place of the fixed-point loop: a
+    /// flow is schedulable, with that value as its bound, iff the value is
+    /// at most its deadline. Nothing is read from another flow's result,
+    /// so no flow is tainted and nothing can fail; no solver metric moves.
+    pub(crate) fn evaluate_at_deadlines(mut self) -> AnalysisReport {
+        for (r, (_, flow)) in self.r.iter_mut().zip(self.system.flows().iter()) {
+            *r = Some(u128::from(flow.deadline().as_u64()));
+        }
+        // Placeholders only: the priority order covers every flow. In that
+        // order every recursive `Idown(k,j)` finds its edge memoised: it
+        // was evaluated on τⱼ's own turn.
+        let mut verdicts = vec![FlowVerdict::Tainted; self.r.len()];
+        for &i in self.ctx.priority_order() {
+            let d_i = self.r[i.index()].expect("every flow reads its deadline");
+            let mut bound = self.base(i);
+            for (edge, &j) in self.graph.direct_set(i).iter().enumerate() {
+                bound = bound.saturating_add(self.term(i, j, edge).interference(d_i));
+            }
+            verdicts[i.index()] = if bound <= d_i {
+                FlowVerdict::Schedulable {
+                    response_time: clamp_cycles(bound),
+                }
+            } else {
+                FlowVerdict::DeadlineMiss {
+                    exceeded_at: clamp_cycles(bound),
+                }
+            };
+        }
+        AnalysisReport::new(self.name, verdicts)
+    }
+
     /// Zero-load latency Cₖ as the engine's wide integer.
     fn c(&self, k: FlowId) -> u128 {
         u128::from(self.ctx.zero_load(k).as_u64())
@@ -289,32 +328,19 @@ impl<'a> Solver<'a> {
             });
         }
         metrics::SOLVER_FLOWS_SOLVED.incr();
-        let flow = self.system.flow(i);
-        let deadline = u128::from(flow.deadline().as_u64());
+        let deadline = u128::from(self.system.flow(i).deadline().as_u64());
         let direct = self.graph.direct_set(i);
         self.terms.clear();
         // Taint: a failed direct interferer leaves τᵢ without a valid bound.
         if direct.iter().any(|&j| self.r[j.index()].is_none()) {
             return Ok((FlowVerdict::Tainted, 0));
         }
-        // Per-interferer constants of the recurrence (independent of Rᵢ):
-        // each interferer contributes hits from its own arrival curve,
-        // evaluated on the window inflated by the model-specific jitter.
         for (edge, &j) in direct.iter().enumerate() {
-            let (extra_jitter, downstream) = self.edge_terms(i, j, edge);
-            self.terms.push(Term {
-                interferer: j,
-                curve: self.system.flow(j).arrival_curve(),
-                extra_jitter,
-                charge: self.c(j).saturating_add(downstream),
-                downstream,
-            });
+            let term = self.term(i, j, edge);
+            self.terms.push(term);
         }
-        // Monotone fixed-point iteration from Rᵢ⁰ = Cᵢ·(σᵢ + 1): a bursty
-        // flow's packet can sit behind up to σᵢ same-burst predecessors,
-        // each occupying the route for at most Cᵢ. σᵢ = 0 degenerates to
-        // the paper's Rᵢ⁰ = Cᵢ exactly.
-        let c_i = self.c(i).saturating_mul(u128::from(flow.burst()) + 1);
+        // Monotone fixed-point iteration from Rᵢ⁰ = Cᵢ·(σᵢ + 1).
+        let c_i = self.base(i);
         let mut r = c_i;
         let mut iterations = 0u64;
         for _ in 0..MAX_ITERATIONS {
@@ -330,12 +356,10 @@ impl<'a> Solver<'a> {
                     iterations,
                 });
             }
-            let mut next = c_i;
-            for t in &self.terms {
-                let window = r.saturating_add(t.extra_jitter);
-                let hits = t.curve.max_arrivals_raw(window);
-                next = next.saturating_add(hits.saturating_mul(t.charge));
-            }
+            let next = self
+                .terms
+                .iter()
+                .fold(c_i, |total, t| total.saturating_add(t.interference(r)));
             if next > deadline {
                 metrics::SOLVER_ITERATIONS.add(iterations);
                 let exceeded_at = clamp_cycles(next);
@@ -358,6 +382,29 @@ impl<'a> Solver<'a> {
         })
     }
 
+    /// The base Cᵢ·(σᵢ + 1) of τᵢ's recurrence: a bursty flow's packet can
+    /// sit behind up to σᵢ same-burst predecessors, each occupying the
+    /// route for at most Cᵢ. σᵢ = 0 degenerates to the paper's Cᵢ exactly.
+    fn base(&self, i: FlowId) -> u128 {
+        self.c(i)
+            .saturating_mul(u128::from(self.system.flow(i).burst()) + 1)
+    }
+
+    /// The constants (independent of Rᵢ) of the term τⱼ, the `edge`-th
+    /// member of `S^D_i`, adds to τᵢ's recurrence: hits from τⱼ's own
+    /// arrival curve, on the window inflated by the model-specific jitter.
+    /// τⱼ must have a response time to read.
+    fn term(&mut self, i: FlowId, j: FlowId, edge: usize) -> Term {
+        let (extra_jitter, downstream) = self.edge_terms(i, j, edge);
+        Term {
+            interferer: j,
+            curve: self.system.flow(j).arrival_curve(),
+            extra_jitter,
+            charge: self.c(j).saturating_add(downstream),
+            downstream,
+        }
+    }
+
     /// The window jitter and `Idown(j,i)` of τⱼ, the `edge`-th member of
     /// `S^D_i`, from at most one pass over `S^I_i ∩ S^D_j`.
     fn edge_terms(&mut self, i: FlowId, j: FlowId, edge: usize) -> (u128, u128) {
@@ -367,7 +414,13 @@ impl<'a> Solver<'a> {
                 indirect: self.graph.has_indirect_via(i, j),
                 ..EdgePass::default()
             },
-            (_, jitter) => self.edge_pass(i, j, edge, jitter == JitterModel::UpstreamInterference),
+            (_, jitter) => {
+                let want_upstream = matches!(
+                    jitter,
+                    JitterModel::UpstreamInterference | JitterModel::Dominating
+                );
+                self.edge_pass(i, j, edge, want_upstream)
+            }
         };
         let jitter = match self.jitter {
             JitterModel::None => 0,
@@ -378,6 +431,10 @@ impl<'a> Solver<'a> {
             }
             JitterModel::InterferenceJitter => 0,
             JitterModel::UpstreamInterference => pass.upstream,
+            JitterModel::Dominating => {
+                let r_j = self.r[j.index()].expect("solved before use");
+                r_j.saturating_sub(self.c(j)).saturating_add(pass.upstream)
+            }
         };
         (jitter, pass.downstream)
     }
@@ -567,15 +624,22 @@ struct Term {
 }
 
 impl Term {
+    /// `ηⱼ(r + jitter)`: the interferer's hits in the response window `r`.
+    fn hits(&self, r: u128) -> u128 {
+        self.curve
+            .max_arrivals_raw(r.saturating_add(self.extra_jitter))
+    }
+
+    /// The interference this term charges in the response window `r`.
+    fn interference(&self, r: u128) -> u128 {
+        self.hits(r).saturating_mul(self.charge)
+    }
+
     /// This term as reported at the response window `r`.
     fn explain(&self, r: u128) -> InterferenceTerm {
         InterferenceTerm {
             interferer: self.interferer,
-            hits: u64::try_from(
-                self.curve
-                    .max_arrivals_raw(r.saturating_add(self.extra_jitter)),
-            )
-            .unwrap_or(u64::MAX),
+            hits: u64::try_from(self.hits(r)).unwrap_or(u64::MAX),
             charge_per_hit: clamp_cycles(self.charge),
             downstream_term: clamp_cycles(self.downstream),
             window_jitter: clamp_cycles(self.extra_jitter),

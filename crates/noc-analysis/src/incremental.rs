@@ -246,7 +246,7 @@ impl IncrementalContext {
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(&self.ctx, kind, budget).solve_cached(&mut self.caches[kind.index()])
+        Solver::new(&self.ctx, kind.spec(), budget).solve_cached(&mut self.caches[kind.index()])
     }
 
     /// The cheap, non-iterative conservative bound over the current flow

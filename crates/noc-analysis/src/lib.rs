@@ -3,7 +3,10 @@
 //! This crate is the primary contribution of the reproduced paper,
 //! *"Buffer-aware bounds to multi-point progressive blocking in
 //! priority-preemptive NoCs"* (Indrusiak, Burns & Nikolić, DATE 2018),
-//! together with every baseline it compares against:
+//! together with every baseline it compares against. The five analyses are
+//! the variants of [`AnalysisKind`], re-exported under their own names, and
+//! [`AnalysisKind`] is the only implementor of the [`Analysis`] trait (a
+//! trait still, for callers that hold `&dyn Analysis` values):
 //!
 //! * [`ShiBurns`] (SB) — direct interference + interference jitter;
 //!   optimistic under multi-point progressive blocking (MPB).
@@ -69,7 +72,7 @@
 //! | [`report`] | per-flow verdicts/bounds — the `R_*` columns of Table II |
 //! | [`error`] | model-assumption violations surfaced to callers |
 //! | [`budget`] | cooperative solve deadlines/cancellation polled by the engine |
-//! | [`conservative`] | non-iterative conservative bound — the degraded-mode fallback |
+//! | [`conservative`] | one evaluation of the engine's recurrence at `R := D` — the degraded-mode fallback |
 //! | [`metrics`] | solver/cache telemetry (iterations, dirty-bit hit rates) — no-ops unless `NOC_TELEMETRY=1` |
 //!
 //! # Safety ordering

@@ -7,8 +7,9 @@
 //! plan is consulted by [`run_batch_with`](crate::run_batch_with) once per
 //! serve attempt; everything else in the crate is fault-oblivious.
 //!
-//! Activate from the environment (read by [`FaultPlan::from_env`], which
-//! [`ServeOptions::from_env`](crate::ServeOptions::from_env) folds in):
+//! Activate from the environment (read by [`FaultPlan::try_from_env`],
+//! which [`ServeOptions::try_from_env`](crate::ServeOptions::try_from_env)
+//! folds in):
 //!
 //! * `NOC_FAULT_SEED` — u64 seed; setting it turns injection on;
 //! * `NOC_FAULT_RATE` — fraction of queries faulted, `0.0..=1.0`
@@ -89,23 +90,11 @@ impl FaultPlan {
         FaultPlan { seed, threshold }
     }
 
-    /// Reads `NOC_FAULT_SEED` / `NOC_FAULT_RATE`; `None` (injection off)
-    /// unless a seed is set. Lenient: an unparsable seed counts as unset
-    /// and an unparsable rate falls back to 0.1. Front-ends that should
-    /// fail loudly on misconfiguration use [`FaultPlan::try_from_env`].
-    pub fn from_env() -> Option<FaultPlan> {
-        let seed: u64 = env::var("NOC_FAULT_SEED").ok()?.trim().parse().ok()?;
-        let rate = env::var("NOC_FAULT_RATE")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .unwrap_or(0.1);
-        Some(FaultPlan::new(seed, rate))
-    }
-
-    /// Strict variant of [`FaultPlan::from_env`]: a variable that is set
-    /// but unparsable is a configuration error, not "injection off" — a
-    /// chaos CI run with a typoed seed fails loudly instead of silently
-    /// measuring a clean run.
+    /// Reads `NOC_FAULT_SEED` / `NOC_FAULT_RATE`; `Ok(None)` (injection
+    /// off) unless a seed is set, and the rate defaults to 0.1. A variable
+    /// that is set but unparsable is a configuration error, not "injection
+    /// off" — a chaos CI run with a typoed seed fails loudly instead of
+    /// silently measuring a clean run.
     pub fn try_from_env() -> Result<Option<FaultPlan>, String> {
         FaultPlan::plan_from(
             env::var("NOC_FAULT_SEED").ok().as_deref(),
@@ -284,9 +273,9 @@ mod tests {
         // just pin the parsing contract on whatever is set. When the chaos
         // CI job exports NOC_FAULT_SEED this still holds.
         if env::var("NOC_FAULT_SEED").is_err() {
-            assert_eq!(FaultPlan::from_env(), None);
+            assert_eq!(FaultPlan::try_from_env(), Ok(None));
         } else {
-            assert!(FaultPlan::from_env().is_some());
+            assert!(FaultPlan::try_from_env().unwrap().is_some());
         }
     }
 }

@@ -51,7 +51,8 @@
 //! fails along the way:
 //!
 //! * **Validation** — malformed queries (unknown flow id, clashing
-//!   priority, zero period/payload/depth) are rejected up front as
+//!   priority, zero period/payload, buffer depth below the validated
+//!   `buf ≥ 2`) are rejected up front as
 //!   [`QueryOutcome::Failed`] with [`ServeError::InvalidQuery`], before any
 //!   solver work.
 //! * **Deadlines and degradation** — with [`ServeOptions::deadline`] set,
@@ -120,7 +121,8 @@ pub enum Query {
     /// `depth` flits? Interference structure is preserved, so this is
     /// served from the shared base context without any graph work.
     BufferWhatIf {
-        /// Hypothetical homogeneous buffer depth, in flits (≥ 1).
+        /// Hypothetical homogeneous buffer depth, in flits (≥ 2, the
+        /// simulator-validated domain).
         depth: u32,
     },
     /// Is the system schedulable when **one** router's buffers are resized
@@ -133,7 +135,8 @@ pub enum Query {
     RouterBufferWhatIf {
         /// The router whose buffers are hypothetically resized.
         router: noc_model::ids::RouterId,
-        /// Hypothetical buffer depth at that router, in flits (≥ 1).
+        /// Hypothetical buffer depth at that router, in flits (≥ 2, the
+        /// simulator-validated domain).
         depth: u32,
     },
 }
@@ -369,26 +372,9 @@ impl ServeOptions {
     /// * `NOC_SERVE_DEADLINE_MS` — per-query solve budget in milliseconds;
     /// * `NOC_SERVE_MAX_PENDING` — pending-queue bound (shed beyond it);
     /// * `NOC_FAULT_SEED` / `NOC_FAULT_RATE` — fault injection (see
-    ///   [`FaultPlan::from_env`]).
+    ///   [`FaultPlan::try_from_env`]).
     ///
-    /// Unset or unparsable variables leave the corresponding default
-    /// (lenient); front-ends that should fail loudly on misconfiguration
-    /// use [`ServeOptions::try_from_env`].
-    pub fn from_env() -> ServeOptions {
-        let parse_u64 = |name: &str| {
-            env::var(name)
-                .ok()
-                .and_then(|s| s.trim().parse::<u64>().ok())
-        };
-        ServeOptions {
-            deadline: parse_u64("NOC_SERVE_DEADLINE_MS").map(Duration::from_millis),
-            max_pending: parse_u64("NOC_SERVE_MAX_PENDING").map(|n| n as usize),
-            faults: FaultPlan::from_env(),
-            ..ServeOptions::default()
-        }
-    }
-
-    /// Strict variant of [`ServeOptions::from_env`]: a variable that is
+    /// Unset variables leave the corresponding default; a variable that is
     /// set but unparsable is an `Err` naming it, not a silently-applied
     /// default.
     pub fn try_from_env() -> Result<ServeOptions, String> {
@@ -443,17 +429,27 @@ fn validate(base: &AnalysisContext<'_>, query: &Query) -> Option<String> {
         Query::Removal { id } => {
             (id.index() >= base.len()).then(|| format!("no flow {id} in the base system"))
         }
-        Query::BufferWhatIf { depth } => {
-            (*depth == 0).then(|| "buffer what-if depth must be at least 1 flit".to_string())
-        }
+        Query::BufferWhatIf { depth } => below_validated_depth(*depth),
         Query::RouterBufferWhatIf { router, depth } => {
-            if *depth == 0 {
-                return Some("buffer what-if depth must be at least 1 flit".to_string());
+            if let Some(reason) = below_validated_depth(*depth) {
+                return Some(reason);
             }
             (router.index() >= base.system().topology().router_count())
                 .then(|| format!("no router {router} in the base topology"))
         }
     }
+}
+
+/// Rejects buffer what-if depths below 2 flits. Single-flit buffers add
+/// credit round-trip bubbles that Eq. 1's zero-load latency does not
+/// model, so `R^sim ≤ R^IBN` is validated against the simulator only for
+/// `buf ≥ 2`; serving does not certify outside that domain.
+fn below_validated_depth(depth: u32) -> Option<String> {
+    (depth < 2).then(|| {
+        format!(
+            "buffer what-if depth {depth} is outside the simulator-validated domain buf ≥ 2 flits"
+        )
+    })
 }
 
 /// How a query will be handled, decided up front on the submitting thread
@@ -897,10 +893,6 @@ mod tests {
                     router: RouterId::new(5),
                     depth: 16,
                 },
-                Query::RouterBufferWhatIf {
-                    router: RouterId::new(0),
-                    depth: 1,
-                },
             ],
         }
     }
@@ -974,6 +966,12 @@ mod tests {
                 Query::RouterBufferWhatIf {
                     router: RouterId::new(3),
                     depth: 0,
+                },
+                // Single-flit buffers, outside the validated buf ≥ 2.
+                Query::BufferWhatIf { depth: 1 },
+                Query::RouterBufferWhatIf {
+                    router: RouterId::new(0),
+                    depth: 1,
                 },
                 // Router outside the 4x4 mesh.
                 Query::RouterBufferWhatIf {
@@ -1235,13 +1233,13 @@ mod tests {
 
     #[test]
     fn serve_options_from_env_defaults_are_inert() {
-        // The test environment does not set the serve variables; from_env
-        // must then equal the default policy.
+        // The test environment does not set the serve variables; the
+        // environment must then yield the default policy.
         if env::var("NOC_SERVE_DEADLINE_MS").is_err()
             && env::var("NOC_SERVE_MAX_PENDING").is_err()
             && env::var("NOC_FAULT_SEED").is_err()
         {
-            let options = ServeOptions::from_env();
+            let options = ServeOptions::try_from_env().unwrap();
             assert_eq!(options.deadline, None);
             assert_eq!(options.max_pending, None);
             assert_eq!(options.faults, None);

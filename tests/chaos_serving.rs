@@ -181,7 +181,7 @@ fn heterogeneous_what_ifs_survive_chaos() {
     for r in 0..8u32 {
         queries.push(Query::RouterBufferWhatIf {
             router: RouterId::new(r * 2),
-            depth: 1 + r,
+            depth: 2 + r,
         });
     }
     let batch = QueryBatch {
