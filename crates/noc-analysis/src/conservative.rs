@@ -104,8 +104,22 @@ mod reference {
 
     use super::CONSERVATIVE_NAME;
     use crate::context::AnalysisContext;
-    use crate::engine::EdgeMemo;
     use crate::report::{AnalysisReport, FlowVerdict};
+
+    /// A per-edge memo of the reference's own, keyed by (victim, edge), so
+    /// the oracle shares no memo code with the engine.
+    #[derive(Default)]
+    struct EdgeMemo(std::collections::HashMap<(FlowId, usize), u128>);
+
+    impl EdgeMemo {
+        fn get(&self, victim: FlowId, edge: usize) -> Option<u128> {
+            self.0.get(&(victim, edge)).copied()
+        }
+
+        fn set(&mut self, victim: FlowId, edge: usize, value: u128) {
+            self.0.insert((victim, edge), value);
+        }
+    }
 
     /// The conservative bound of every flow, in priority order.
     pub(super) fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
@@ -113,7 +127,7 @@ mod reference {
             ctx,
             system: ctx.system(),
             graph: ctx.graph(),
-            idown_memo: EdgeMemo::new(ctx.graph()),
+            idown_memo: EdgeMemo::default(),
         };
         // No bound reads another flow's result, but in priority order every
         // recursive `Idown*(k,j)` finds its edge memoised: it was bounded on
@@ -131,7 +145,7 @@ mod reference {
         ctx: &'a AnalysisContext<'a>,
         system: &'a System,
         graph: &'a InterferenceGraph,
-        idown_memo: EdgeMemo<'a>,
+        idown_memo: EdgeMemo,
     }
 
     impl Bounder<'_> {

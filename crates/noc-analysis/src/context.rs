@@ -22,6 +22,12 @@
 //! context and forks it copy-on-write: a fork shares the graph until its
 //! first flow-set delta copies it.
 //!
+//! A context can also keep one solved cache per analysis
+//! ([`AnalysisContext::warm`]): forks then start from the base's results
+//! and re-solve only what their deltas change. Serving warms its base once
+//! per batch kind; rebasing, forking and every delta start with no cache,
+//! so a cache always belongs to the exact system it was solved for.
+//!
 //! ```
 //! use noc_model::prelude::*;
 //! use noc_analysis::prelude::*;
@@ -45,7 +51,7 @@
 //! [`Analysis::analyze_with`]: crate::analysis::Analysis::analyze_with
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
@@ -54,6 +60,9 @@ use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
+use crate::analysis::AnalysisKind;
+use crate::budget::Budget;
+use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
 
 /// Precomputed, analysis-independent structure of one [`System`]: the
@@ -74,6 +83,9 @@ pub struct AnalysisContext<'sys> {
     graph: Arc<InterferenceGraph>,
     priority_order: Vec<FlowId>,
     zero_load: Vec<Cycles>,
+    /// One solved cache per [`AnalysisKind`], indexed by
+    /// `AnalysisKind::index`, filled by [`AnalysisContext::warm`].
+    solved: [OnceLock<SolveCache>; AnalysisKind::ALL.len()],
 }
 
 impl<'sys> AnalysisContext<'sys> {
@@ -106,6 +118,7 @@ impl<'sys> AnalysisContext<'sys> {
             graph,
             priority_order,
             zero_load,
+            solved: Default::default(),
         }
     }
 
@@ -115,7 +128,8 @@ impl<'sys> AnalysisContext<'sys> {
     /// (one [`Arc`] clone); priority order and zero-load latencies are
     /// recomputed from the new system, so config changes (buffer depth,
     /// link/routing latency) and timing changes (periods, deadlines,
-    /// jitters) are picked up correctly.
+    /// jitters) are picked up correctly. Solved caches are not carried
+    /// over: they describe the old system.
     ///
     /// Typical sources of compatible systems are
     /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
@@ -179,14 +193,47 @@ impl<'sys> AnalysisContext<'sys> {
 
     /// An owned copy of this context that shares its interference graph:
     /// the system is cloned, the graph is one [`Arc`] clone until a delta
-    /// on either side copies it.
+    /// on either side copies it. The copy holds no solved cache; the
+    /// incremental layer copies the caches it wants into its own.
     pub(crate) fn fork(&self) -> AnalysisContext<'static> {
         AnalysisContext {
             system: Cow::Owned(self.system().clone()),
             graph: Arc::clone(&self.graph),
             priority_order: self.priority_order.clone(),
             zero_load: self.zero_load.clone(),
+            solved: Default::default(),
         }
+    }
+
+    /// Solves `kind` over this context under `budget` and keeps the
+    /// result, so that every [`IncrementalContext`] forked from it
+    /// afterwards starts from this solve instead of all-dirty. Does nothing
+    /// if `kind` is already kept.
+    ///
+    /// The result is the same as without warming: a fork's cached solve is
+    /// bit-identical to a full solve either way. Only the cost moves — the
+    /// full solve is paid once here, not once per fork.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`AnalysisKind::analyze_with_budget`]; nothing is
+    /// kept then, and forks start all-dirty as before.
+    ///
+    /// [`IncrementalContext`]: crate::incremental::IncrementalContext
+    pub fn warm(&self, kind: AnalysisKind, budget: &Budget) -> Result<(), AnalysisError> {
+        let lock = &self.solved[kind.index()];
+        if lock.get().is_none() {
+            let mut cache = SolveCache::all_dirty(self.len());
+            Solver::new(self, kind.spec(), budget).solve_cached(&mut cache)?;
+            // A concurrent warm may have won the race with the same result.
+            let _ = lock.set(cache);
+        }
+        Ok(())
+    }
+
+    /// The cache [`AnalysisContext::warm`] kept for `kind`, if any.
+    pub(crate) fn solved(&self, kind: AnalysisKind) -> Option<&SolveCache> {
+        self.solved[kind.index()].get()
     }
 
     /// Admits `flow`, routed by `routing`, and returns its new dense id
@@ -202,6 +249,7 @@ impl<'sys> AnalysisContext<'sys> {
         self.zero_load.push(system.zero_load_latency(id));
         self.priority_order = system.flows().ids_by_priority();
         self.system = Cow::Owned(system);
+        self.solved = Default::default();
         Ok((id, affected))
     }
 
@@ -214,13 +262,15 @@ impl<'sys> AnalysisContext<'sys> {
         self.zero_load.remove(id.index());
         self.priority_order = system.flows().ids_by_priority();
         self.system = Cow::Owned(system);
+        self.solved = Default::default();
         Ok(affected)
     }
 
     /// Resizes the per-VC buffers of `router`; nothing derived depends on
-    /// buffer depths, so only the system changes.
+    /// buffer depths, so only the system (and any solved cache) changes.
     pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
+        self.solved = Default::default();
     }
 
     /// The system this context was built for (or last rebased onto).
@@ -337,5 +387,82 @@ mod tests {
         let err = ctx.rebase(&other).unwrap_err();
         assert!(matches!(err, AnalysisError::ContextMismatch { .. }));
         assert!(err.to_string().contains("flow count"));
+    }
+
+    /// Whether any kind's solved cache is kept.
+    fn any_warm(ctx: &AnalysisContext<'_>) -> bool {
+        AnalysisKind::ALL.iter().any(|&k| ctx.solved(k).is_some())
+    }
+
+    #[test]
+    fn warm_caches_never_outlive_their_system() {
+        let ibn = AnalysisKind::BufferAware;
+        let sys = noc_workload::didactic::system(2);
+        let base = AnalysisContext::new(&sys).unwrap();
+        assert!(!any_warm(&base));
+        base.warm(ibn, &Budget::unlimited()).unwrap();
+        assert!(base.solved(ibn).is_some());
+        assert!(base.solved(AnalysisKind::Xlwx).is_none());
+
+        // Rebasing and forking start empty …
+        let deeper = sys.with_buffer_depth(10);
+        let rebased = base.rebase(&deeper).unwrap();
+        assert!(!any_warm(&rebased));
+        assert!(!any_warm(&base.fork()));
+
+        // … and a rebased context answers for its own depth, never from
+        // the base's cache: the didactic τ₃ bound grows from 348 to 396.
+        let mut at_ten = crate::incremental::IncrementalContext::from_context(&rebased);
+        let shallow = ibn
+            .analyze_with_budget(&base, &Budget::unlimited())
+            .unwrap();
+        let deep = at_ten.analyze(ibn).unwrap();
+        assert_eq!(
+            deep,
+            ibn.analyze_with_budget(&rebased, &Budget::unlimited())
+                .unwrap()
+        );
+        assert_ne!(deep, shallow);
+
+        // Every mutator drops whatever the context kept.
+        let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
+        owned.warm(ibn, &Budget::unlimited()).unwrap();
+        owned.resize_buffer(RouterId::new(0), 4);
+        assert!(!any_warm(&owned));
+        owned.warm(ibn, &Budget::unlimited()).unwrap();
+        let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
+            .priority(Priority::new(4))
+            .period(Cycles::new(2_000))
+            .length_flits(4)
+            .build();
+        owned.add_flow(extra, &XyRouting).unwrap();
+        assert!(!any_warm(&owned));
+        owned.warm(ibn, &Budget::unlimited()).unwrap();
+        owned.remove_flow(FlowId::new(0)).unwrap();
+        assert!(!any_warm(&owned));
+    }
+
+    #[test]
+    fn a_failed_warm_keeps_nothing() {
+        let ibn = AnalysisKind::BufferAware;
+        let sys = system(2);
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        assert!(matches!(
+            ctx.warm(ibn, &expired),
+            Err(AnalysisError::DeadlineExceeded { .. })
+        ));
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        assert!(ctx.warm(ibn, &cancelled).is_err());
+        assert!(!any_warm(&ctx));
+        // A later warm with budget to spare fills the lock, and the kept
+        // cache reproduces the full solve.
+        ctx.warm(ibn, &Budget::unlimited()).unwrap();
+        let mut fork = crate::incremental::IncrementalContext::from_context(&ctx);
+        assert_eq!(
+            fork.analyze(ibn).unwrap(),
+            ibn.analyze_with_budget(&ctx, &Budget::unlimited()).unwrap()
+        );
     }
 }

@@ -96,8 +96,13 @@ pub(crate) struct Solver<'a> {
     budget: &'a Budget,
     /// Final response times, filled highest-priority-first.
     r: Vec<Option<u128>>,
-    /// Memoised `Idown(j,i)` values, one slot per direct edge (j → i).
-    idown_memo: EdgeMemo<'a>,
+    /// `Idown(j,i)`, one slot per direct edge (j → i): laid out fresh by
+    /// the from-scratch entry points, borrowed from the cache by
+    /// [`Solver::solve_cached`].
+    idown_memo: EdgeMemo,
+    /// Whether the flow solved last wrote a slot that differs from before
+    /// (a first write always does): read by the cached solve's cutoff.
+    slots_changed: bool,
     /// The direct-interference terms of the flow solved last, reused
     /// across flows; read back only by the explain path.
     terms: Vec<Term>,
@@ -122,7 +127,8 @@ impl<'a> Solver<'a> {
             jitter,
             budget,
             r: vec![None; ctx.len()],
-            idown_memo: EdgeMemo::new(ctx.graph()),
+            idown_memo: EdgeMemo::default(),
+            slots_changed: false,
             terms: Vec::new(),
         }
     }
@@ -136,6 +142,7 @@ impl<'a> Solver<'a> {
     /// [`AnalysisError::DeadlineExceeded`] once the budget expires.
     pub(crate) fn solve(mut self) -> Result<AnalysisReport, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
+        self.idown_memo = EdgeMemo::new(self.graph);
         // Placeholders only: the priority order covers every flow.
         let mut verdicts = vec![FlowVerdict::Tainted; self.r.len()];
         for &i in self.ctx.priority_order() {
@@ -152,6 +159,7 @@ impl<'a> Solver<'a> {
     /// Same conditions as [`Solver::solve`].
     pub(crate) fn solve_explained(mut self) -> Result<Vec<FlowExplanation>, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
+        self.idown_memo = EdgeMemo::new(self.graph);
         let mut explanations = Vec::with_capacity(self.r.len());
         for &i in self.ctx.priority_order() {
             let (verdict, window) = self.solve_flow(i)?;
@@ -167,25 +175,49 @@ impl<'a> Solver<'a> {
     }
 
     /// Runs the analysis against `cache`, re-solving only the flows whose
-    /// interference inputs changed since the cache was last brought up to
-    /// date; every other flow's verdict (and response time) is reused
-    /// verbatim, so the result is bit-identical to a full
-    /// [`Solver::solve`] by construction.
+    /// inputs changed since the cache was last brought up to date; every
+    /// other flow's verdict, response time and `Idown` slots are reused
+    /// verbatim, so the result is bit-identical to a full [`Solver::solve`].
     ///
-    /// Dirtiness propagates down the priority order first: every member of
-    /// `S^D_i ∪ S^I_i` has strictly higher priority than τᵢ (both sets are
-    /// built from higher-priority flows only), and the fixed point of τᵢ
-    /// reads nothing outside those sets — including through the recursive
-    /// downstream term, whose every `R`- and structure-reference follows
-    /// chains of such edges. One pass in solve order therefore reaches the
-    /// whole transitive closure.
+    /// **Read set.** With the `Idown` slots persisted in the cache, the
+    /// solve of τᵢ reads exactly:
+    ///
+    /// 1. for each τⱼ ∈ `S^D_i`: its response time `Rⱼ` (`None` taints
+    ///    τᵢ; otherwise `Rⱼ` sets the jitter `Rⱼ − Cⱼ` and every hit count
+    ///    `ηₖ(Rⱼ)` of `Iup(j,i)` and `Idown(j,i)`), and the slots
+    ///    `Idown(k,j)` of τⱼ's block, which τⱼ's own solve wrote;
+    /// 2. its own structure — `Cᵢ`, σᵢ, `Dᵢ`, `S^D_i`, the domains
+    ///    `cd(i,j)` and the partitions `S^I_i ∩ S^D_j` into sides — and
+    ///    the buffer depths on those domains (Eq. 6), plus the arrival
+    ///    curves and `C` of the flows named there, which never change.
+    ///
+    /// Members of `S^I_i` enter only through (1): their hits are counted
+    /// in τⱼ's window `Rⱼ` and their own downstream load arrives in the
+    /// slots of τⱼ's block, so a change in one of them reaches τᵢ only by
+    /// changing a member of `S^D_i`. The inputs of (2) change only
+    /// through a delta, and every delta marks the flows whose inputs of
+    /// (2) it changes: an addition or removal marks each flow whose
+    /// `S^D` or `S^I` it changes (a change to `S^D_j` changes the
+    /// `S^D ∪ S^I` of every victim of τⱼ), and a resize marks each victim
+    /// of a domain with a link into the router.
+    ///
+    /// So, in priority order — every member of `S^D_i` outranks τᵢ and is
+    /// settled first — τᵢ is re-solved iff a delta marked it or some
+    /// τⱼ ∈ `S^D_i` changed its response time, its verdict or a slot of
+    /// its block in this pass. Any other flow has all its inputs equal to
+    /// those of the solve that filled its cache entry, so that entry is
+    /// the solve's result. By induction down the priority order, every
+    /// published `R` and slot equals a full solve's. (Each slot of τⱼ's
+    /// block is the per-hit charge of one term of τⱼ's own recurrence, so
+    /// for a schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test
+    /// costs one comparison per edge and does not lean on that.)
     ///
     /// On return the cache is clean (all dirty bits cleared) and holds the
     /// verdicts of the report.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Solver::solve`]; an error raised by a dirty
+    /// Same conditions as [`Solver::solve`]; an error raised by a re-solved
     /// flow poisons the cache all-dirty so the next solve through it is a
     /// full solve.
     ///
@@ -216,44 +248,49 @@ impl<'a> Solver<'a> {
                 });
             }
         }
+        self.idown_memo = std::mem::take(&mut cache.memo);
+        if !self.idown_memo.is_laid_out() {
+            self.idown_memo = EdgeMemo::new(self.graph);
+        }
+        #[cfg(test)]
+        cache.resolved.clear();
+        let (mut dirty_solved, mut clean_reused, mut unchanged) = (0u64, 0u64, 0u64);
         for &i in order {
-            if !cache.dirty[i.index()] {
-                let deps_dirty = self
+            let at = i.index();
+            // Until τᵢ's turn its dirty bit says whether a delta marked it;
+            // from then on, whether it changed in this pass. So for τᵢ the
+            // bits of `S^D_i`, all settled, read as "changed".
+            let wake = cache.dirty[at]
+                || self
                     .graph
                     .direct_set(i)
                     .iter()
-                    .chain(self.graph.indirect_set(i).iter())
                     .any(|&j| cache.dirty[j.index()]);
-                cache.dirty[i.index()] = deps_dirty;
-            }
-        }
-        let (mut dirty_solved, mut clean_reused) = (0u64, 0u64);
-        for &i in order {
-            if cache.dirty[i.index()] {
-                dirty_solved += 1;
-                match self.solve_flow(i) {
-                    Ok((verdict, _)) => cache.verdicts[i.index()] = verdict,
-                    Err(e) => {
-                        // Half the flows are solved, half are stale; the
-                        // only consistent cache state is "everything needs
-                        // a re-solve".
-                        cache.poison();
-                        return Err(e);
-                    }
-                }
-            } else {
-                // Clean flow: its fixed point is unchanged; republish the
-                // cached response time for lower-priority flows to read.
+            if !wake {
+                // Unchanged inputs: republish the cached response time for
+                // lower-priority flows to read.
                 clean_reused += 1;
-                self.r[i.index()] = cache.r[i.index()];
+                self.r[at] = cache.r[at];
+                continue;
             }
+            dirty_solved += 1;
+            #[cfg(test)]
+            cache.resolved.push(i);
+            // On error half the flows are solved and half are stale; the
+            // only consistent cache state is "everything needs a re-solve".
+            let verdict = self.solve_flow(i).inspect_err(|_| cache.poison())?.0;
+            let changed =
+                self.slots_changed || self.r[at] != cache.r[at] || verdict != cache.verdicts[at];
+            unchanged += u64::from(!changed);
+            cache.verdicts[at] = verdict;
+            cache.dirty[at] = changed;
         }
         cache.r = self.r;
-        for d in cache.dirty.iter_mut() {
-            *d = false;
-        }
+        cache.memo = self.idown_memo;
+        cache.dirty.fill(false);
         metrics::CACHE_DIRTY_SOLVED.add(dirty_solved);
         metrics::CACHE_CLEAN_REUSED.add(clean_reused);
+        metrics::CACHE_UNCHANGED_RESOLVES.add(unchanged);
         // Argument construction allocates, so gate the emission itself.
         if noc_telemetry::enabled() {
             noc_telemetry::events::emit(
@@ -262,6 +299,7 @@ impl<'a> Solver<'a> {
                     ("analysis", self.name.into()),
                     ("dirty_solved", dirty_solved.into()),
                     ("clean_reused", clean_reused.into()),
+                    ("unchanged_resolves", unchanged.into()),
                 ],
             );
         }
@@ -274,6 +312,7 @@ impl<'a> Solver<'a> {
     /// at most its deadline. Nothing is read from another flow's result,
     /// so no flow is tainted and nothing can fail; no solver metric moves.
     pub(crate) fn evaluate_at_deadlines(mut self) -> AnalysisReport {
+        self.idown_memo = EdgeMemo::new(self.graph);
         for (r, (_, flow)) in self.r.iter_mut().zip(self.system.flows().iter()) {
             *r = Some(u128::from(flow.deadline().as_u64()));
         }
@@ -287,6 +326,7 @@ impl<'a> Solver<'a> {
             for (edge, &j) in self.graph.direct_set(i).iter().enumerate() {
                 bound = bound.saturating_add(self.term(i, j, edge).interference(d_i));
             }
+            self.idown_memo.seal(i);
             verdicts[i.index()] = if bound <= d_i {
                 FlowVerdict::Schedulable {
                     response_time: clamp_cycles(bound),
@@ -331,6 +371,10 @@ impl<'a> Solver<'a> {
         let deadline = u128::from(self.system.flow(i).deadline().as_u64());
         let direct = self.graph.direct_set(i);
         self.terms.clear();
+        // τᵢ's block is rewritten below, in edge order; until it is
+        // complete it is not valid.
+        self.idown_memo.open(i);
+        self.slots_changed = false;
         // Taint: a failed direct interferer leaves τᵢ without a valid bound.
         if direct.iter().any(|&j| self.r[j.index()].is_none()) {
             return Ok((FlowVerdict::Tainted, 0));
@@ -339,6 +383,7 @@ impl<'a> Solver<'a> {
             let term = self.term(i, j, edge);
             self.terms.push(term);
         }
+        self.idown_memo.seal(i);
         // Monotone fixed-point iteration from Rᵢ⁰ = Cᵢ·(σᵢ + 1).
         let c_i = self.base(i);
         let mut r = c_i;
@@ -439,32 +484,22 @@ impl<'a> Solver<'a> {
         (jitter, pass.downstream)
     }
 
-    /// `Idown(j,i)` for the configured downstream model, τⱼ the `edge`-th
-    /// member of `S^D_i`, memoised per edge.
-    fn downstream_term(&mut self, j: FlowId, i: FlowId, edge: usize) -> u128 {
-        match self.idown_memo.get(i, edge) {
-            Some(v) => v,
-            None => self.edge_pass(i, j, edge, false).downstream,
-        }
-    }
-
     /// One pass over `S^I_i ∩ S^D_j`, τⱼ the `edge`-th member of `S^D_i`:
     /// whether it is non-empty, `Iup(j,i)` when `want_upstream` is set, and
-    /// `Idown(j,i)` for the configured downstream model (memoised).
+    /// `Idown(j,i)` for the configured downstream model, which it writes to
+    /// τᵢ's memo block.
     ///
     /// `Iup(j,i)` is Equation 2: the interference τⱼ suffers from upstream
     /// indirect interferers of τᵢ, charged as hit-count × Cₖ.
     fn edge_pass(&mut self, i: FlowId, j: FlowId, edge: usize, want_upstream: bool) -> EdgePass {
         let graph = self.graph;
         let r_j = self.r[j.index()].expect("solved before use");
-        // Ignoring downstream interference charges nothing, memo or not.
-        let known = match self.downstream {
-            DownstreamModel::Ignore => Some(0),
-            _ => self.idown_memo.get(i, edge),
-        };
+        // Ignoring downstream interference charges nothing and writes no
+        // slot.
+        let charged = self.downstream != DownstreamModel::Ignore;
         // The Eq. 8 per-hit cap, in force only if the pass finds no
         // upstream member.
-        let cap = (known.is_none() && self.downstream == DownstreamModel::BufferAware)
+        let cap = (self.downstream == DownstreamModel::BufferAware)
             .then(|| self.buffered_interference(i, edge));
         let mut pass = EdgePass::default();
         let mut upstream_members = false;
@@ -481,11 +516,11 @@ impl<'a> Solver<'a> {
                             pass.upstream.saturating_add(hits.saturating_mul(self.c(k)));
                     }
                 }
-                Side::Downstream if known.is_none() => {
+                Side::Downstream if charged => {
                     // One hit of τₖ on τⱼ blocks τⱼ for τₖ's own latency plus
                     // any downstream interference τₖ itself suffers
-                    // (recursive MPB).
-                    let inner = self.c(k).saturating_add(self.downstream_term(k, j, m.edge));
+                    // (recursive MPB): `Idown(k,j)`, written on τⱼ's turn.
+                    let inner = self.c(k).saturating_add(self.idown_memo.get(j, m.edge));
                     let hits = self.hits_on(r_j, k);
                     uncapped = uncapped.saturating_add(hits.saturating_mul(inner));
                     if let Some(bi) = cap {
@@ -495,21 +530,17 @@ impl<'a> Solver<'a> {
                 Side::Downstream => {}
             }
         }
-        pass.downstream = match known {
-            Some(v) => v,
-            None => {
-                // Eq. 8 applies when τⱼ does not suffer *both* upstream and
-                // downstream indirect interference; with no downstream
-                // interferers the sum is zero either way, so testing the
-                // upstream set suffices.
-                let total = match cap {
-                    Some(_) if !upstream_members => capped,
-                    _ => uncapped,
-                };
-                self.idown_memo.set(i, edge, total);
-                total
-            }
-        };
+        if charged {
+            // Eq. 8 applies when τⱼ does not suffer *both* upstream and
+            // downstream indirect interference; with no downstream
+            // interferers the sum is zero either way, so testing the
+            // upstream set suffices.
+            pass.downstream = match cap {
+                Some(_) if !upstream_members => capped,
+                _ => uncapped,
+            };
+            self.slots_changed |= self.idown_memo.set(i, edge, pass.downstream);
+        }
         pass
     }
 
@@ -556,54 +587,128 @@ struct EdgePass {
     downstream: u128,
 }
 
-/// Per-direct-edge memo. Every key of the `Idown` recursion — `(j, i)` and
-/// each recursive `(k, j)` — is a direct edge (j → i), `j ∈ S^D_i`, so a
-/// flat array replaces a pair-keyed map: the edges into victim τᵢ take one
-/// block of slots, in `S^D_i` order, allocated when the solve first
-/// records one of them. A cached solve that reaches few victims pays for
-/// few slots.
-#[derive(Debug)]
-pub(crate) struct EdgeMemo<'g> {
-    graph: &'g InterferenceGraph,
-    /// Where each victim's block starts in `values`, or [`NO_BLOCK`].
-    block: Vec<usize>,
-    values: Vec<Option<u128>>,
+/// Per-direct-edge memo of `Idown(j,i)`. Every key of the `Idown`
+/// recursion — `(j, i)` and each recursive `(k, j)` — is a direct edge
+/// (j → i), `j ∈ S^D_i`, so a flat array replaces a pair-keyed map: the
+/// edges into victim τᵢ take one block of slots, in `S^D_i` order.
+///
+/// Only τᵢ's own solve writes its block, in edge order, and nothing else
+/// is written meanwhile, so a victim's first solve appends its block at
+/// the end; later solves rewrite it in place. The storage is reserved once
+/// for every edge of the graph and never grows. A tainted victim writes
+/// nothing, so a solve fills slots only for flows with a bound.
+///
+/// A block is *valid* from the end of its victim's solve until the victim
+/// is solved again or a delta changes its `S^D`. Solving highest priority
+/// first, every block a solve reads — that of a schedulable τⱼ ∈ `S^D_i`
+/// — is valid. A solve cache keeps the memo across solves, so a clean
+/// flow's slots need no recomputation.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EdgeMemo {
+    /// Each victim's block in `values`; empty until the victim's first
+    /// solve appends it. No blocks at all until the memo is laid out.
+    blocks: Vec<Block>,
+    values: Vec<u128>,
 }
 
-/// Marks a victim whose block is not allocated yet.
-const NO_BLOCK: usize = usize::MAX;
+/// Where one victim's slots sit in [`EdgeMemo::values`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    start: usize,
+    len: usize,
+    /// The slots hold the values the victim's last solve wrote.
+    valid: bool,
+}
 
-impl<'g> EdgeMemo<'g> {
-    /// An empty memo over the direct edges of `graph`.
-    pub(crate) fn new(graph: &'g InterferenceGraph) -> EdgeMemo<'g> {
+impl EdgeMemo {
+    /// A memo over the direct edges of `graph`, with room for all of them
+    /// and no block written.
+    pub(crate) fn new(graph: &InterferenceGraph) -> EdgeMemo {
+        let n = graph.len();
+        let edges = (0..n)
+            .map(|i| graph.direct_set(FlowId::new(i as u32)).len())
+            .sum();
         EdgeMemo {
-            graph,
-            block: vec![NO_BLOCK; graph.len()],
-            values: Vec::new(),
+            blocks: vec![Block::default(); n],
+            values: Vec::with_capacity(edges),
         }
     }
 
-    /// The value of the `edge`-th direct edge into `victim`, if memoised.
-    pub(crate) fn get(&self, victim: FlowId, edge: usize) -> Option<u128> {
-        match self.block[victim.index()] {
-            NO_BLOCK => None,
-            start => self.values[start + edge],
-        }
+    /// `false` for the empty memo a fresh or poisoned cache holds.
+    fn is_laid_out(&self) -> bool {
+        !self.blocks.is_empty()
     }
 
-    /// Memoises the value of the `edge`-th direct edge into `victim`.
-    pub(crate) fn set(&mut self, victim: FlowId, edge: usize, value: u128) {
-        let start = match self.block[victim.index()] {
-            NO_BLOCK => {
-                let start = self.values.len();
-                let edges = self.graph.direct_set(victim).len();
-                self.values.resize(start + edges, None);
-                self.block[victim.index()] = start;
-                start
+    /// Compacts the memo over `graph` after a flow addition or removal:
+    /// `old(x)` names the pre-delta id of the flow now at `x`, if any. A
+    /// valid block whose length still matches `|S^D_x|` keeps its values
+    /// and validity — a delta adds or removes one flow, so an unchanged
+    /// `|S^D_x|` means an unchanged `S^D_x`, in the same order. The other
+    /// victims lose their blocks. A memo that was never laid out stays so.
+    pub(crate) fn relayout(
+        &mut self,
+        graph: &InterferenceGraph,
+        old: impl Fn(usize) -> Option<usize>,
+    ) {
+        if !self.is_laid_out() {
+            return;
+        }
+        let mut fresh = EdgeMemo::new(graph);
+        for x in 0..graph.len() {
+            let Some(o) = old(x) else { continue };
+            let b = self.blocks[o];
+            if b.valid && b.len == graph.direct_set(FlowId::new(x as u32)).len() {
+                fresh.blocks[x] = Block {
+                    start: fresh.values.len(),
+                    ..b
+                };
+                fresh
+                    .values
+                    .extend_from_slice(&self.values[b.start..b.start + b.len]);
             }
-            start => start,
-        };
-        self.values[start + edge] = Some(value);
+        }
+        *self = fresh;
+    }
+
+    /// The value of the `edge`-th direct edge into `victim`, whose block
+    /// must be valid.
+    fn get(&self, victim: FlowId, edge: usize) -> u128 {
+        let b = self.blocks[victim.index()];
+        debug_assert!(
+            b.valid && edge < b.len,
+            "Idown slot into {victim} read before its solve wrote it"
+        );
+        self.values[b.start + edge]
+    }
+
+    /// Starts rewriting `victim`'s block: it is invalid until
+    /// [`EdgeMemo::seal`].
+    fn open(&mut self, victim: FlowId) {
+        self.blocks[victim.index()].valid = false;
+    }
+
+    /// Writes the `edge`-th direct edge into `victim`, the victim being
+    /// solved; `true` if that changed the slot (a first write always
+    /// does).
+    fn set(&mut self, victim: FlowId, edge: usize, value: u128) -> bool {
+        let b = &mut self.blocks[victim.index()];
+        if edge < b.len {
+            return std::mem::replace(&mut self.values[b.start + edge], value) != value;
+        }
+        // The victim's first solve: its block grows at the end, in edge
+        // order, inside the reserved room.
+        if edge == 0 {
+            b.start = self.values.len();
+        }
+        debug_assert_eq!(b.start + edge, self.values.len());
+        b.len += 1;
+        self.values.push(value);
+        true
+    }
+
+    /// Marks `victim`'s block complete.
+    fn seal(&mut self, victim: FlowId) {
+        self.blocks[victim.index()].valid = true;
     }
 }
 
@@ -648,11 +753,13 @@ impl Term {
 }
 
 /// Memoised solve state of **one** analysis over an evolving flow set: the
-/// response times and verdicts of the last solve plus a per-flow dirty bit.
+/// response times, verdicts and `Idown` slots of the last solve plus a
+/// per-flow dirty bit.
 ///
-/// Owned per analysis kind by the incremental context; consumed and
-/// refreshed by [`Solver::solve_cached`]. A freshly created cache is
-/// all-dirty, so the first solve through it is exactly a full solve.
+/// Owned per analysis kind by the incremental context and, once solved,
+/// by a warmed [`AnalysisContext`]; consumed and refreshed by
+/// [`Solver::solve_cached`]. A freshly created cache is all-dirty, so the
+/// first solve through it is exactly a full solve.
 #[derive(Debug, Clone)]
 pub(crate) struct SolveCache {
     /// Final response times of the last solve (`None` for flows without a
@@ -660,8 +767,13 @@ pub(crate) struct SolveCache {
     r: Vec<Option<u128>>,
     /// Verdicts of the last solve, indexed by flow.
     verdicts: Vec<FlowVerdict>,
-    /// Flows whose interference inputs changed since the last solve.
+    /// Flows whose inputs a delta changed since the last solve.
     dirty: Vec<bool>,
+    /// The `Idown` slots of the last solve; laid out by the first solve.
+    memo: EdgeMemo,
+    /// The flows the last solve re-solved, in solve order.
+    #[cfg(test)]
+    pub(crate) resolved: Vec<FlowId>,
 }
 
 impl SolveCache {
@@ -672,23 +784,38 @@ impl SolveCache {
             // Placeholders only: dirty flows are re-solved before any read.
             verdicts: vec![FlowVerdict::Tainted; n],
             dirty: vec![true; n],
+            memo: EdgeMemo::default(),
+            #[cfg(test)]
+            resolved: Vec::new(),
         }
     }
 
     /// Appends state for a newly added flow (dense id = old length),
-    /// marked dirty.
-    pub(crate) fn push_flow(&mut self) {
+    /// marked dirty; `graph` is the graph after the addition.
+    pub(crate) fn push_flow(&mut self, graph: &InterferenceGraph) {
+        let n = self.r.len();
         self.r.push(None);
         self.verdicts.push(FlowVerdict::Tainted);
         self.dirty.push(true);
+        self.memo.relayout(graph, |x| (x < n).then_some(x));
     }
 
     /// Drops the state of the flow at `index`; the dense renumbering of the
-    /// flows above it is the same `Vec::remove` shift.
-    pub(crate) fn remove_flow(&mut self, index: usize) {
+    /// flows above it is the same `Vec::remove` shift. `graph` is the
+    /// graph after the removal.
+    pub(crate) fn remove_flow(&mut self, index: usize, graph: &InterferenceGraph) {
         self.r.remove(index);
         self.verdicts.remove(index);
         self.dirty.remove(index);
+        self.memo
+            .relayout(graph, |x| Some(x + usize::from(x >= index)));
+    }
+
+    /// The `Idown` slots of `victim`'s last solve, if its block is valid.
+    #[cfg(test)]
+    pub(crate) fn slots(&self, victim: FlowId) -> Option<&[u128]> {
+        let b = self.memo.blocks[victim.index()];
+        b.valid.then(|| &self.memo.values[b.start..b.start + b.len])
     }
 
     /// Marks one flow's inputs as changed.
@@ -696,12 +823,11 @@ impl SolveCache {
         self.dirty[index] = true;
     }
 
-    /// Marks every flow dirty — the recovery state after an aborted
-    /// cached solve left the cache half-refreshed.
+    /// Marks every flow dirty and drops the memo — the recovery state
+    /// after an aborted cached solve left the cache half-refreshed.
     pub(crate) fn poison(&mut self) {
-        for d in self.dirty.iter_mut() {
-            *d = true;
-        }
+        self.dirty.fill(true);
+        self.memo = EdgeMemo::default();
     }
 }
 

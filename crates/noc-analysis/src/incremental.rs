@@ -18,15 +18,18 @@
 //!   which recompute only the affected neighbourhood and report exactly
 //!   which flows' interference sets changed;
 //! * those flows are marked dirty in every solve cache; the next
-//!   [`IncrementalContext::analyze`] propagates dirtiness down the priority
-//!   order (a flow is re-solved iff a member of `S^D ∪ S^I` — all strictly
-//!   higher priority — is dirty) and reuses the cached response time of
-//!   every clean flow.
+//!   [`IncrementalContext::analyze`] walks the priority order and re-solves
+//!   a flow iff it is marked or a member of its `S^D` — all strictly
+//!   higher priority — changed its response time, verdict or `Idown`
+//!   slots in this pass. Every other flow keeps its cached result, so the
+//!   re-solve stops where results stop changing.
 //!
 //! [`IncrementalContext::from_context`] forks a shared base context
 //! copy-on-write: the fork clones the system but shares the base's graph,
 //! and copies the graph only on its first flow addition or removal. Buffer
-//! resizes never touch the graph.
+//! resizes never touch the graph. A fork also copies every solve cache the
+//! base was [warmed](AnalysisContext::warm) with, so its first solve
+//! re-solves only what its own deltas change.
 //!
 //! The result is bit-identical to a from-scratch
 //! [`AnalysisContext::new`] + solve —
@@ -101,9 +104,20 @@ impl IncrementalContext {
     /// the system is cloned and the interference graph shared, so the fork
     /// pays for a graph copy only on its first flow addition or removal —
     /// the cheap way to give each thread mutable state over one shared base
-    /// context.
+    /// context. The solve caches `ctx` was [warmed](AnalysisContext::warm)
+    /// with are copied; the other kinds start all-dirty.
     pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        Self::with_context(ctx.fork())
+        let n = ctx.len();
+        let caches = AnalysisKind::ALL.map(|kind| ctx.solved(kind).cloned());
+        if caches.iter().any(Option::is_some) {
+            metrics::FORK_WARM.incr();
+        } else {
+            metrics::FORK_COLD.incr();
+        }
+        IncrementalContext {
+            ctx: ctx.fork(),
+            caches: caches.map(|cache| cache.unwrap_or_else(|| SolveCache::all_dirty(n))),
+        }
     }
 
     fn with_context(ctx: AnalysisContext<'static>) -> IncrementalContext {
@@ -131,7 +145,7 @@ impl IncrementalContext {
     ) -> Result<FlowId, AnalysisError> {
         let (id, affected) = self.ctx.add_flow(flow, routing)?;
         for cache in &mut self.caches {
-            cache.push_flow();
+            cache.push_flow(self.ctx.graph());
         }
         self.record_delta(&affected, &AnalysisKind::ALL);
         Ok(id)
@@ -146,7 +160,7 @@ impl IncrementalContext {
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
         let affected = self.ctx.remove_flow(id)?;
         for cache in &mut self.caches {
-            cache.remove_flow(id.index());
+            cache.remove_flow(id.index(), self.ctx.graph());
         }
         self.record_delta(&affected, &AnalysisKind::ALL);
         Ok(())
@@ -158,15 +172,14 @@ impl IncrementalContext {
     /// all unaffected by buffer depths, so the only state invalidated is
     /// the buffer-aware analysis cache — and within it only the flows that
     /// actually read the resized router's depth: a solve of τᵢ reads
-    /// `buf(ξ)` exclusively through Equation 6 terms `bi(x, y)` over direct
-    /// pairs (`y ∈ S^D_x`), at `x = i` directly and at deeper victims
-    /// through the recursive `Idown` chain. Marking every such *victim* `x`
-    /// whose `cd(x, y)` contains a link into `router` suffices: the deeper
-    /// victims are members of `S^D ∪ S^I` chains above τᵢ, so
-    /// `solve_cached`'s one-pass propagation down the priority order dirties
-    /// every transitive reader — the same closure argument its docs make
-    /// for flow additions and removals. Bit-identity to a from-scratch
-    /// solve is pinned by `tests/incremental_equivalence.rs`.
+    /// `buf(ξ)` exclusively through its own Equation 6 terms `bi(i, j)`
+    /// over `j ∈ S^D_i`. A deeper victim's `bi` reaches τᵢ only through
+    /// the `Idown` slots of that victim's block, which its own re-solve
+    /// rewrites. So marking every *victim* `x` whose `cd(x, y)` contains a
+    /// link into `router` suffices: the cached solve re-solves the marked
+    /// flows and, down the priority order, every flow one of whose direct
+    /// interferers then changed its bound or slots. Bit-identity to a
+    /// from-scratch solve is pinned by `tests/incremental_equivalence.rs`.
     ///
     /// # Panics
     ///
@@ -213,7 +226,9 @@ impl IncrementalContext {
     }
 
     /// Runs `kind` over the current flow set, re-solving only the flows
-    /// whose interference inputs changed since this kind last ran.
+    /// whose inputs changed since this kind last ran: the flows a delta
+    /// marked, and below them only the flows whose direct interferers
+    /// changed their results in this pass.
     ///
     /// Bit-identical to `kind` analysed from scratch over
     /// [`IncrementalContext::system`]; the same call as
@@ -284,6 +299,9 @@ impl IncrementalContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::{Analysis, BufferAware};
+    use crate::engine::DownstreamModel;
+    use crate::report::{FlowExplanation, FlowVerdict};
     use noc_model::prelude::*;
 
     fn mesh_flow((src, dst, p, t): (u32, u32, u32, u64)) -> Flow {
@@ -572,5 +590,267 @@ mod tests {
         let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
         assert!(ctx.remove_flow(FlowId::new(9)).is_err());
         assert_eq!(ctx.len(), 2);
+    }
+
+    // --- Early cutoff -------------------------------------------------
+
+    /// Deterministic xorshift64 stream for the delta sequences.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: u64) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x % n
+        }
+    }
+
+    /// 40 deltas per sequence; at least 200 in the exhaustive soundness
+    /// leg (`NOC_MPB_SWEEP_EXHAUSTIVE=1`).
+    fn oracle_steps() -> usize {
+        if std::env::var("NOC_MPB_SWEEP_EXHAUSTIVE").is_ok_and(|v| v == "1") {
+            240
+        } else {
+            40
+        }
+    }
+
+    /// 8×8, 120 paper flows with periods ×4: most flows certify, so
+    /// `Idown` chains run deep.
+    fn deep_fixture() -> System {
+        let mut spec = noc_workload::synthetic::SyntheticSpec::paper(8, 8, 120, 2);
+        spec.period_range = (4 * spec.period_range.0, 4 * spec.period_range.1);
+        spec.generate(3).into_system()
+    }
+
+    /// 4×4, bursty sources over heterogeneous router depths.
+    fn bursty_hetero_fixture() -> System {
+        noc_workload::synthetic::SyntheticSpec::paper(4, 4, 20, 2)
+            .with_burst_range(0, 2)
+            .with_buffer_depth_range(2, 8)
+            .generate(13)
+            .into_system()
+    }
+
+    /// A fork of a context over `system` warmed for every kind.
+    fn warm_fork(system: &System) -> IncrementalContext {
+        let base = AnalysisContext::new(system).unwrap();
+        for kind in AnalysisKind::ALL {
+            base.warm(kind, &Budget::unlimited()).unwrap();
+        }
+        IncrementalContext::from_context(&base)
+    }
+
+    /// From-scratch explanations over `ctx`, per kind, indexed by flow.
+    fn explanations(ctx: &AnalysisContext<'_>) -> Vec<Vec<FlowExplanation>> {
+        AnalysisKind::ALL
+            .iter()
+            .map(|kind| kind.explain_with(ctx).unwrap())
+            .collect()
+    }
+
+    /// `e` with every flow id renumbered by `map`.
+    fn renumbered(e: &FlowExplanation, map: impl Fn(FlowId) -> FlowId) -> FlowExplanation {
+        let mut e = e.clone();
+        e.flow = map(e.flow);
+        for t in &mut e.terms {
+            t.interferer = map(t.interferer);
+        }
+        e
+    }
+
+    /// One random delta: an addition (recycling freed priorities, so it
+    /// can land mid-order), a removal, or a router resize. Returns the
+    /// removed id, if any.
+    fn random_delta(
+        ctx: &mut IncrementalContext,
+        rng: &mut XorShift,
+        freed: &mut Vec<Priority>,
+        next_priority: &mut u32,
+        min_len: usize,
+    ) -> Option<FlowId> {
+        let len = ctx.len();
+        match rng.below(3) {
+            0 if len > min_len => {
+                let id = FlowId::new(rng.below(len as u64) as u32);
+                freed.push(ctx.system().flow(id).priority());
+                ctx.remove_flow(id).unwrap();
+                Some(id)
+            }
+            1 => {
+                let routers = ctx.system().topology().router_count() as u64;
+                let router = RouterId::new(rng.below(routers) as u32);
+                ctx.resize_buffer(router, 1 + rng.below(16) as u32);
+                None
+            }
+            _ => {
+                let priority = if !freed.is_empty() && rng.below(2) == 0 {
+                    freed.swap_remove(rng.below(freed.len() as u64) as usize)
+                } else {
+                    *next_priority += 1;
+                    Priority::new(*next_priority)
+                };
+                let system = ctx.system();
+                let pick = |r: u64| system.flow(FlowId::new(r as u32)).clone();
+                let (a, b) = (pick(rng.below(len as u64)), pick(rng.below(len as u64)));
+                let dest = if a.source() == b.dest() {
+                    a.dest()
+                } else {
+                    b.dest()
+                };
+                let candidate = Flow::builder(a.source(), dest)
+                    .priority(priority)
+                    .period(Cycles::new(4 * (2_500 + 2_500 * rng.below(40))))
+                    .length_flits(4 + rng.below(60) as u32)
+                    .burst(rng.below(3) as u32)
+                    .build();
+                ctx.add_flow(candidate, &XyRouting).unwrap();
+                None
+            }
+        }
+    }
+
+    /// Drives random deltas through a fork of a warmed base. After every
+    /// step, each kind's report equals a from-scratch solve; every flow
+    /// the cutoff skipped has the from-scratch explanation it had before
+    /// the delta; and every persisted `Idown` block holds the
+    /// from-scratch downstream terms.
+    fn cutoff_oracle(system: System, seed: u64) {
+        let min_len = system.flows().len() / 2;
+        let mut next_priority = system
+            .flows()
+            .iter()
+            .map(|(_, f)| f.priority().level())
+            .max()
+            .unwrap();
+        let mut freed = Vec::new();
+        let mut rng = XorShift(seed | 1);
+        let mut before = explanations(&AnalysisContext::new(&system).unwrap());
+        let mut ctx = warm_fork(&system);
+        let mut skipped_total = 0;
+        for step in 0..oracle_steps() {
+            let removed = random_delta(&mut ctx, &mut rng, &mut freed, &mut next_priority, min_len);
+            // Pre-delta id → post-delta id, and back.
+            let forward = |f: FlowId| match removed {
+                Some(r) if f > r => FlowId::new(f.raw() - 1),
+                _ => f,
+            };
+            let backward = |x: usize| match removed {
+                Some(r) if x >= r.index() => Some(x + 1),
+                _ => (x < before[0].len()).then_some(x),
+            };
+            let system = ctx.system().clone();
+            let scratch = AnalysisContext::new(&system).unwrap();
+            let now = explanations(&scratch);
+            for kind in AnalysisKind::ALL {
+                let report = ctx.analyze(kind).unwrap();
+                let label = format!("step {step}, {}", kind.name());
+                assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
+                let cache = &ctx.caches[kind.index()];
+                let mut resolved = vec![false; ctx.len()];
+                for i in &cache.resolved {
+                    resolved[i.index()] = true;
+                }
+                for (x, expected) in now[kind.index()].iter().enumerate() {
+                    let id = FlowId::new(x as u32);
+                    if !resolved[x] {
+                        skipped_total += 1;
+                        let old = backward(x).expect("an added flow is always re-solved");
+                        let kept = renumbered(&before[kind.index()][old], forward);
+                        assert_eq!(&kept, expected, "{label}: skipped {id} is stale");
+                    }
+                    // Only kinds that charge downstream interference
+                    // write slots.
+                    if kind.spec().1 == DownstreamModel::Ignore {
+                        continue;
+                    }
+                    let slots = cache.slots(id);
+                    assert_eq!(
+                        slots.is_some(),
+                        expected.verdict != FlowVerdict::Tainted,
+                        "{label}: {id} has a valid block iff it is untainted"
+                    );
+                    if let Some(slots) = slots {
+                        let terms: Vec<u64> = expected
+                            .terms
+                            .iter()
+                            .map(|t| t.downstream_term.as_u64())
+                            .collect();
+                        let kept: Vec<u64> = slots
+                            .iter()
+                            .map(|&v| u64::try_from(v).unwrap_or(u64::MAX))
+                            .collect();
+                        assert_eq!(kept, terms, "{label}: Idown slots of {id}");
+                    }
+                }
+            }
+            before = now;
+        }
+        assert!(skipped_total > 0, "the cutoff never skipped a flow");
+    }
+
+    #[test]
+    fn cutoff_matches_from_scratch_on_a_deep_fixture() {
+        cutoff_oracle(deep_fixture(), 0xC0FF_0001);
+    }
+
+    #[test]
+    fn cutoff_matches_from_scratch_on_a_bursty_heterogeneous_fixture() {
+        let system = bursty_hetero_fixture();
+        assert!(system.has_heterogeneous_buffers());
+        cutoff_oracle(system, 0xC0FF_0002);
+    }
+
+    #[test]
+    fn a_warm_fork_re_solves_nothing_without_a_delta() {
+        let system = deep_fixture();
+        let mut fork = warm_fork(&system);
+        let scratch = AnalysisContext::new(&system).unwrap();
+        for kind in AnalysisKind::ALL {
+            let report = fork.analyze(kind).unwrap();
+            assert_eq!(report, kind.analyze_with(&scratch).unwrap());
+            assert_eq!(fork.caches[kind.index()].resolved, [], "{}", kind.name());
+        }
+    }
+
+    /// The propagation rule the cutoff replaced: the `affected` flows plus,
+    /// down the priority order, every flow with a member of `S^D ∪ S^I`
+    /// in the set.
+    fn closure(graph: &InterferenceGraph, system: &System, affected: &[FlowId]) -> usize {
+        let mut dirty = vec![false; graph.len()];
+        for a in affected {
+            dirty[a.index()] = true;
+        }
+        for i in system.flows().ids_by_priority() {
+            let sets = graph.direct_set(i).iter().chain(graph.indirect_set(i));
+            dirty[i.index()] |= sets.into_iter().any(|j| dirty[j.index()]);
+        }
+        dirty.iter().filter(|&&d| d).count()
+    }
+
+    #[test]
+    fn a_removal_re_solves_fewer_flows_than_the_closure() {
+        let system = deep_fixture();
+        let mut fork = warm_fork(&system);
+        // The highest-priority flow: its removal reaches deepest.
+        let gone = system.flows().ids_by_priority()[0];
+        let after = system.without_flow(gone).unwrap();
+        let affected = fork.graph().clone().remove_flow(&after, gone);
+        fork.remove_flow(gone).unwrap();
+        let report = fork.analyze(AnalysisKind::BufferAware).unwrap();
+        let scratch = AnalysisContext::new(&after).unwrap();
+        assert_eq!(report, BufferAware.analyze_with(&scratch).unwrap());
+        let resolved = fork.caches[AnalysisKind::BufferAware.index()]
+            .resolved
+            .len();
+        let closure = closure(fork.graph(), &after, &affected);
+        assert!(
+            affected.len() <= resolved && resolved < closure,
+            "re-solved {resolved} flows: {} marked, closure of {closure}",
+            affected.len()
+        );
     }
 }

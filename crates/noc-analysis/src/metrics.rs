@@ -47,3 +47,20 @@ pub static INCREMENTAL_DELTAS: Counter = Counter::new("analysis.incremental.delt
 /// interference neighbourhood, summed over deltas; excludes the added
 /// flow itself, which starts dirty).
 pub static INCREMENTAL_FLOWS_DIRTIED: Counter = Counter::new("analysis.incremental.flows_dirtied");
+
+/// Flows a cached solve re-solved whose response time, verdict and
+/// `Idown` slots all came out as before: the work a finer re-solve trigger
+/// could still save.
+pub static CACHE_UNCHANGED_RESOLVES: Counter = Counter::new("analysis.cache.unchanged_resolves");
+
+/// Incremental contexts forked from an [`AnalysisContext`] holding at least
+/// one solved cache, so their first solve re-solves only what changed.
+///
+/// [`AnalysisContext`]: crate::context::AnalysisContext
+pub static FORK_WARM: Counter = Counter::new("analysis.fork.warm");
+
+/// Incremental contexts forked from an [`AnalysisContext`] holding no
+/// solved cache, so their first solve is a full one.
+///
+/// [`AnalysisContext`]: crate::context::AnalysisContext
+pub static FORK_COLD: Counter = Counter::new("analysis.fork.cold");

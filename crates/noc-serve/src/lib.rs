@@ -36,9 +36,15 @@
 //! * flow mutations need a *mutable* graph, so each worker thread forks one
 //!   [`IncrementalContext`] from the base (`from_context` shares the graph
 //!   copy-on-write; the shard copies it on its first addition or removal)
-//!   and then serves all its queries through add → dirty-bit re-solve →
-//!   remove undo cycles, touching only the interference neighbourhood each
-//!   candidate overlaps.
+//!   and then serves all its queries through add → cached re-solve →
+//!   remove undo cycles, re-solving only the flows each delta marks and
+//!   those below them whose results the delta changes.
+//!
+//! Before forking, the batch solves the base once for its analysis
+//! ([`AnalysisContext::warm`], under the budget a query gets), so shards
+//! fork warm: a shard's first query is a cached re-solve, not a full
+//! solve, and the full solve is paid once per base rather than once per
+//! shard per batch. If that solve fails, shards fork cold.
 //!
 //! Queries are sharded across threads in contiguous chunks via
 //! `par_map_indexed`; outcomes come back in submission order regardless of
@@ -798,6 +804,15 @@ pub fn run_batch_with(
         })
         .collect();
     let started = Instant::now();
+    // Solve the base once, under the budget a query gets, so every shard
+    // forks warm. A failed solve keeps nothing and the shards fork cold;
+    // their queries then meet the same budget and degrade on their own.
+    if dispositions.iter().any(|d| matches!(d, Disposition::Serve)) {
+        let budget = options
+            .deadline
+            .map_or_else(Budget::unlimited, Budget::with_deadline);
+        let _ = base.warm(batch.analysis, &budget);
+    }
     let per_shard: Vec<(Vec<QueryOutcome>, u128)> =
         noc_experiments::runner::par_map_indexed(shards, shards, |s| {
             let (lo, hi) = bounds[s];

@@ -250,3 +250,78 @@ fn deadlines_and_shedding_compose_under_chaos() {
         "composed policy must stay deterministic and thread-invariant"
     );
 }
+
+/// The answer to `query` recomputed from scratch: the what-if system is
+/// built anew and analysed with a fresh context.
+fn from_scratch(
+    system: &System,
+    query: &Query,
+    kind: AnalysisKind,
+    routing: &dyn RoutingAlgorithm,
+) -> QueryOutcome {
+    let what_if = match query {
+        Query::Admission { flow } => system
+            .with_added_flow(flow.clone(), routing)
+            .map(|(s, _)| s),
+        Query::Removal { id } => system.without_flow(*id),
+        Query::BufferWhatIf { depth } => Ok(system.with_buffer_depth(*depth)),
+        Query::RouterBufferWhatIf { router, depth } => {
+            Ok(system.with_router_buffer_depth(*router, *depth))
+        }
+    }
+    .expect("sample queries are feasible");
+    let ctx = AnalysisContext::new(&what_if).expect("what-if system is analysable");
+    let report = kind.as_analysis().analyze_with(&ctx).expect("exact solve");
+    match report.len() - report.schedulable_count() {
+        0 => QueryOutcome::Accepted,
+        failing => QueryOutcome::Rejected {
+            failing: failing as u32,
+        },
+    }
+}
+
+/// Warm forks change what serving costs, never what it answers: a base
+/// warmed ahead of time, a base the batch warms itself, and a base whose
+/// warm-up ran out of budget (zero deadline, then cancelled) all serve the
+/// from-scratch answers, at 1, 2 and 4 threads.
+#[test]
+fn warm_and_cold_bases_serve_identically() {
+    let system = SyntheticSpec::paper(4, 4, 16, 2)
+        .with_buffer_depth_range(2, 8)
+        .with_burst_range(0, 2)
+        .generate(0xBEEF)
+        .into_system();
+    let kind = AnalysisKind::BufferAware;
+    let batch = QueryBatch {
+        analysis: kind,
+        queries: sample_queries(&system, 20),
+    };
+    let expected: Vec<QueryOutcome> = batch
+        .queries
+        .iter()
+        .map(|q| from_scratch(&system, q, kind, &XyRouting))
+        .collect();
+    for threads in [1, 2, 4] {
+        let cold = AnalysisContext::new(&system).expect("base is analysable");
+        let warmed = AnalysisContext::new(&system).expect("base is analysable");
+        warmed
+            .warm(kind, &Budget::unlimited())
+            .expect("an unlimited warm-up succeeds");
+        let starved = AnalysisContext::new(&system).expect("base is analysable");
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        assert!(starved.warm(kind, &expired).is_err());
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        assert!(starved.warm(kind, &cancelled).is_err());
+        for (label, base) in [("cold", &cold), ("warmed", &warmed), ("starved", &starved)] {
+            // Twice: the second batch forks from whatever the first kept.
+            for round in 0..2 {
+                let served = run_batch(base, &batch, &XyRouting, threads).outcomes;
+                assert_eq!(
+                    served, expected,
+                    "{label} base, {threads} threads, round {round}"
+                );
+            }
+        }
+    }
+}

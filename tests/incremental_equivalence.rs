@@ -247,3 +247,44 @@ fn bursty_hetero_delta_sequences_match_from_scratch() {
     assert!(system.has_heterogeneous_buffers());
     exercise("4x4_20_hetero", system, &XyRouting, true, 10, 0x5EED_0004);
 }
+
+/// The four sequences above at length: at least 200 steps each in the
+/// exhaustive soundness leg (`NOC_MPB_SWEEP_EXHAUSTIVE=1`, run in release
+/// mode), a short smoke otherwise.
+#[test]
+fn long_delta_sequences_match_from_scratch() {
+    let steps = if std::env::var("NOC_MPB_SWEEP_EXHAUSTIVE").is_ok_and(|v| v == "1") {
+        200
+    } else {
+        4
+    };
+    let (didactic_system, table) = didactic::system_with_routing(2);
+    let didactic_system = didactic_system
+        .with_virtual_channels(None)
+        .expect("didactic VCs auto-size");
+    exercise(
+        "didactic_long",
+        didactic_system,
+        &table,
+        false,
+        steps,
+        0x5EED_0101,
+    );
+    let mesh = SyntheticSpec::paper(4, 4, 24, 2).generate(7).into_system();
+    exercise("4x4_24_long", mesh, &XyRouting, true, steps, 0x5EED_0102);
+    let mesh = SyntheticSpec::paper(8, 8, 80, 2).generate(11).into_system();
+    exercise("8x8_80_long", mesh, &XyRouting, true, steps, 0x5EED_0103);
+    let hetero = SyntheticSpec::paper(4, 4, 20, 2)
+        .with_burst_range(0, 2)
+        .with_buffer_depth_range(2, 8)
+        .generate(13)
+        .into_system();
+    exercise(
+        "4x4_20_hetero_long",
+        hetero,
+        &XyRouting,
+        true,
+        steps,
+        0x5EED_0104,
+    );
+}
