@@ -8,8 +8,9 @@
 //! response-time recurrence per flow, at `R := D` — the layered
 //! fast-model/slow-model pattern of Mandal et al. (arXiv:1908.02408), with
 //! this bound as the fast model and the crate's fixed-point solver as the
-//! slow one. Both run the same solver code: the same edge pass, `Idown`
-//! memo and term evaluation as the five analyses.
+//! slow one. Both run the same solver code: the same cached loop, edge
+//! pass, `Idown` memo and term evaluation as the five analyses, with one
+//! evaluation per flow in place of the fixed point.
 //!
 //! # The bound
 //!
@@ -65,10 +66,39 @@
 //! interferers are all schedulable — is always reported as a miss, so the
 //! *whole-set* verdict ([`AnalysisReport::is_schedulable`]) is
 //! conservative: this bound accepts a system only if every analysis would.
+//!
+//! # Cached evaluation
+//!
+//! The bound runs through the solver's cached loop, the one incremental
+//! solves use, with every `Rⱼ` fixed at `Dⱼ`, so it costs O(what a delta
+//! changes), not O(n). τᵢ's evaluation
+//! reads exactly:
+//!
+//! * its own structure — `Cᵢ`, σᵢ, `Dᵢ`, `S^D_i`, the partitions of
+//!   `S^I_i ∩ S^D_j` — which every flow addition or removal marks where it
+//!   changes it;
+//! * the constant `Dⱼ` of each τⱼ ∈ `S^D_i`;
+//! * the `Idown(k,j)` slots of τⱼ's memo block.
+//!
+//! It reads **no buffer depth** (the XLWX charge has no Eq. 8 cap). So the
+//! cached solve's read-set proof holds verbatim with `Rⱼ ≡ Dⱼ`: τᵢ is
+//! re-evaluated iff a delta marked it or some τⱼ ∈ `S^D_i` changed its
+//! slots or its verdict in this pass, and every other flow keeps its
+//! cached bound. Consequences:
+//!
+//! * [`IncrementalContext::conservative_report`] keeps its own cache:
+//!   flow additions and removals mark it, buffer resizes do not;
+//! * an [`AnalysisContext`] keeps the bound once computed
+//!   ([`AnalysisContext::warm_conservative`]), forks copy it, and a
+//!   context [rebased](AnalysisContext::rebase) onto a buffer-only change
+//!   (same flows, same zero-load latencies) shares it, so
+//!   [`conservative_with`] over either is a lookup.
+//!
+//! [`IncrementalContext::conservative_report`]: crate::incremental::IncrementalContext::conservative_report
 
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
-use crate::engine::{DownstreamModel, JitterModel, Solver};
+use crate::engine::{DownstreamModel, JitterModel, SolveCache, Solver};
 use crate::metrics;
 use crate::report::AnalysisReport;
 
@@ -79,23 +109,35 @@ pub const CONSERVATIVE_NAME: &str = "Conservative";
 ///
 /// One evaluation of the recurrence per flow and total: no fixed-point
 /// iteration, no failure mode. See the [module docs](self) for the bound
-/// and its soundness argument.
+/// and its soundness argument. The context keeps the result
+/// ([`AnalysisContext::warm_conservative`]), so a second report over it,
+/// or over a context rebased onto a buffer-only change, is a lookup.
 pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
     metrics::CONSERVATIVE_SOLVES.incr();
-    // Never polled: the single evaluation has no loop to abort.
+    ctx.conservative_report()
+}
+
+/// Brings `cache` up to date with the conservative bound over `ctx`,
+/// re-evaluating only the flows the cached read set says changed, and
+/// returns the report.
+pub(crate) fn evaluate(ctx: &AnalysisContext<'_>, cache: &mut SolveCache) -> AnalysisReport {
+    // Never exceeded: the evaluation has no loop to abort.
     let budget = Budget::unlimited();
     let spec = (
         CONSERVATIVE_NAME,
         DownstreamModel::Xlwx,
         JitterModel::Dominating,
     );
-    Solver::new(ctx, spec, &budget).evaluate_at_deadlines()
+    Solver::new(ctx, spec, &budget)
+        .at_deadlines()
+        .solve_cached(cache)
+        .expect("the evaluation at deadlines cannot fail")
 }
 
 /// An independent single-pass evaluator of the same bound, with its own
 /// edge pass, kept as the bit-identity reference for [`conservative_with`].
 #[cfg(test)]
-mod reference {
+pub(crate) mod reference {
     use noc_model::arrival::ArrivalCurve;
     use noc_model::contention::{InterferenceGraph, Side};
     use noc_model::ids::FlowId;
@@ -122,7 +164,7 @@ mod reference {
     }
 
     /// The conservative bound of every flow, in priority order.
-    pub(super) fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
+    pub(crate) fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
         let mut bounder = Bounder {
             ctx,
             system: ctx.system(),

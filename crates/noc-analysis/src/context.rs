@@ -23,10 +23,16 @@
 //! first flow-set delta copies it.
 //!
 //! A context can also keep one solved cache per analysis
-//! ([`AnalysisContext::warm`]): forks then start from the base's results
-//! and re-solve only what their deltas change. Serving warms its base once
-//! per batch kind; rebasing, forking and every delta start with no cache,
-//! so a cache always belongs to the exact system it was solved for.
+//! ([`AnalysisContext::warm`]) and one for the conservative bound
+//! ([`AnalysisContext::warm_conservative`], or the first
+//! [`conservative_with`](crate::conservative::conservative_with) over it):
+//! forks then start from the base's results and re-solve only what their
+//! deltas change. Serving warms its base once per batch kind, and keeps
+//! its conservative bound when a batch can degrade. Rebasing, forking and
+//! every flow delta start with no cache, so a cache always belongs to the
+//! exact system it was solved for. The conservative bound reads no buffer
+//! depth, so its cache survives a resize and is shared with a context
+//! rebased onto a buffer-only change.
 //!
 //! ```
 //! use noc_model::prelude::*;
@@ -62,8 +68,11 @@ use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
+use crate::conservative::{self, CONSERVATIVE_NAME};
 use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
+use crate::metrics;
+use crate::report::AnalysisReport;
 
 /// Precomputed, analysis-independent structure of one [`System`]: the
 /// interference graph, the priority order and the zero-load latencies.
@@ -85,7 +94,12 @@ pub struct AnalysisContext<'sys> {
     zero_load: Vec<Cycles>,
     /// One solved cache per [`AnalysisKind`], indexed by
     /// `AnalysisKind::index`, filled by [`AnalysisContext::warm`].
-    solved: [OnceLock<SolveCache>; AnalysisKind::ALL.len()],
+    solved: [OnceLock<Arc<SolveCache>>; AnalysisKind::ALL.len()],
+    /// The conservative bound's cache, filled by the first conservative
+    /// report or [`AnalysisContext::warm_conservative`]. Handed to the
+    /// contexts rebased onto a buffer-only change: the bound reads no
+    /// buffer depth.
+    conservative: OnceLock<Arc<SolveCache>>,
 }
 
 impl<'sys> AnalysisContext<'sys> {
@@ -119,6 +133,7 @@ impl<'sys> AnalysisContext<'sys> {
             priority_order,
             zero_load,
             solved: Default::default(),
+            conservative: Default::default(),
         }
     }
 
@@ -129,7 +144,10 @@ impl<'sys> AnalysisContext<'sys> {
     /// recomputed from the new system, so config changes (buffer depth,
     /// link/routing latency) and timing changes (periods, deadlines,
     /// jitters) are picked up correctly. Solved caches are not carried
-    /// over: they describe the old system.
+    /// over: they describe the old system. The conservative bound's kept
+    /// cache is shared (one [`Arc`] clone) when only buffer depths changed,
+    /// that is when every flow and zero-load latency is the same: the
+    /// bound reads nothing else.
     ///
     /// Typical sources of compatible systems are
     /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
@@ -163,10 +181,13 @@ impl<'sys> AnalysisContext<'sys> {
                 });
             }
         }
-        Ok(AnalysisContext::assemble(
-            Cow::Borrowed(target),
-            Arc::clone(&self.graph),
-        ))
+        let rebased = AnalysisContext::assemble(Cow::Borrowed(target), Arc::clone(&self.graph));
+        if let Some(cache) = self.conservative.get() {
+            if rebased.zero_load == self.zero_load && target.flows() == source.flows() {
+                let _ = rebased.conservative.set(Arc::clone(cache));
+            }
+        }
+        Ok(rebased)
     }
 
     /// [`AnalysisContext::rebase`] for targets known to preserve the
@@ -194,7 +215,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// An owned copy of this context that shares its interference graph:
     /// the system is cloned, the graph is one [`Arc`] clone until a delta
     /// on either side copies it. The copy holds no solved cache; the
-    /// incremental layer copies the caches it wants into its own.
+    /// incremental layer takes shared handles to the caches it wants.
     pub(crate) fn fork(&self) -> AnalysisContext<'static> {
         AnalysisContext {
             system: Cow::Owned(self.system().clone()),
@@ -202,6 +223,7 @@ impl<'sys> AnalysisContext<'sys> {
             priority_order: self.priority_order.clone(),
             zero_load: self.zero_load.clone(),
             solved: Default::default(),
+            conservative: Default::default(),
         }
     }
 
@@ -226,14 +248,52 @@ impl<'sys> AnalysisContext<'sys> {
             let mut cache = SolveCache::all_dirty(self.len());
             Solver::new(self, kind.spec(), budget).solve_cached(&mut cache)?;
             // A concurrent warm may have won the race with the same result.
-            let _ = lock.set(cache);
+            let _ = lock.set(Arc::new(cache));
         }
         Ok(())
     }
 
     /// The cache [`AnalysisContext::warm`] kept for `kind`, if any.
-    pub(crate) fn solved(&self, kind: AnalysisKind) -> Option<&SolveCache> {
+    pub(crate) fn solved(&self, kind: AnalysisKind) -> Option<&Arc<SolveCache>> {
         self.solved[kind.index()].get()
+    }
+
+    /// Evaluates the conservative bound over this context and keeps it, so
+    /// that every [`IncrementalContext`] forked from it afterwards
+    /// re-evaluates only the flows its deltas reach, and every conservative
+    /// report over it, or over a context rebased onto a buffer-only change,
+    /// is a lookup. Does nothing if the bound is already kept. Counts as no
+    /// `analysis.conservative.solves`: no report is served.
+    ///
+    /// [`IncrementalContext`]: crate::incremental::IncrementalContext
+    pub fn warm_conservative(&self) {
+        self.conservative
+            .get_or_init(|| self.evaluate_conservative());
+    }
+
+    /// The cache [`AnalysisContext::warm_conservative`] kept, if any.
+    pub(crate) fn conservative_solved(&self) -> Option<&Arc<SolveCache>> {
+        self.conservative.get()
+    }
+
+    /// The conservative report over this context, from the kept cache,
+    /// which the first call fills.
+    pub(crate) fn conservative_report(&self) -> AnalysisReport {
+        let mut evaluated = false;
+        let cache = self.conservative.get_or_init(|| {
+            evaluated = true;
+            self.evaluate_conservative()
+        });
+        if !evaluated {
+            metrics::CONSERVATIVE_REUSED.add(self.len() as u64);
+        }
+        cache.report(CONSERVATIVE_NAME)
+    }
+
+    fn evaluate_conservative(&self) -> Arc<SolveCache> {
+        let mut cache = SolveCache::all_dirty(self.len());
+        conservative::evaluate(self, &mut cache);
+        Arc::new(cache)
     }
 
     /// Admits `flow`, routed by `routing`, and returns its new dense id
@@ -250,6 +310,7 @@ impl<'sys> AnalysisContext<'sys> {
         self.priority_order = system.flows().ids_by_priority();
         self.system = Cow::Owned(system);
         self.solved = Default::default();
+        self.conservative = Default::default();
         Ok((id, affected))
     }
 
@@ -263,11 +324,13 @@ impl<'sys> AnalysisContext<'sys> {
         self.priority_order = system.flows().ids_by_priority();
         self.system = Cow::Owned(system);
         self.solved = Default::default();
+        self.conservative = Default::default();
         Ok(affected)
     }
 
     /// Resizes the per-VC buffers of `router`; nothing derived depends on
     /// buffer depths, so only the system (and any solved cache) changes.
+    /// The conservative bound reads no buffer depth, so its cache stays.
     pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
         self.solved = Default::default();
@@ -424,11 +487,14 @@ mod tests {
         );
         assert_ne!(deep, shallow);
 
-        // Every mutator drops whatever the context kept.
+        // Every mutator drops whatever the context kept, except that a
+        // resize keeps the conservative bound, which reads no buffer depth.
         let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
         owned.warm(ibn, &Budget::unlimited()).unwrap();
+        owned.warm_conservative();
         owned.resize_buffer(RouterId::new(0), 4);
         assert!(!any_warm(&owned));
+        assert!(owned.conservative_solved().is_some());
         owned.warm(ibn, &Budget::unlimited()).unwrap();
         let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
             .priority(Priority::new(4))
@@ -437,9 +503,42 @@ mod tests {
             .build();
         owned.add_flow(extra, &XyRouting).unwrap();
         assert!(!any_warm(&owned));
+        assert!(owned.conservative_solved().is_none());
         owned.warm(ibn, &Budget::unlimited()).unwrap();
+        owned.warm_conservative();
         owned.remove_flow(FlowId::new(0)).unwrap();
         assert!(!any_warm(&owned));
+        assert!(owned.conservative_solved().is_none());
+    }
+
+    /// A buffer-only rebase shares the base's conservative cache, so its
+    /// report is a lookup; a period rescale does not, and answers for its
+    /// own system.
+    #[test]
+    fn rebase_shares_the_conservative_cache_only_across_buffer_changes() {
+        use crate::conservative::conservative_with;
+        let sys = noc_workload::didactic::system(2);
+        let base = AnalysisContext::new(&sys).unwrap();
+        base.warm_conservative();
+        let warmed = conservative_with(&base);
+        let kept = base.conservative_solved().unwrap();
+        for target in [
+            sys.with_buffer_depth(10),
+            sys.with_router_buffer_depth(RouterId::new(1), 7),
+        ] {
+            let rebased = base.rebase(&target).unwrap();
+            assert!(Arc::ptr_eq(kept, rebased.conservative_solved().unwrap()));
+            assert_eq!(conservative_with(&rebased), warmed);
+            let scratch = AnalysisContext::new(&target).unwrap();
+            assert_eq!(conservative_with(&scratch), warmed);
+        }
+        let faster = sys.with_scaled_periods(1, 4).unwrap();
+        let rebased = base.rebase(&faster).unwrap();
+        assert!(rebased.conservative_solved().is_none());
+        let report = conservative_with(&rebased);
+        let scratch = AnalysisContext::new(&faster).unwrap();
+        assert_eq!(report, conservative_with(&scratch));
+        assert_ne!(report, warmed);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! solved highest-priority-first so that every `Rⱼ` referenced by the
 //! interference terms of τᵢ is already final. The conservative bound of
-//! [`crate::conservative`] evaluates the same recurrence once per flow at
-//! `Rᵢ := Dᵢ`, reading every `Rⱼ` as `Dⱼ`
-//! ([`Solver::evaluate_at_deadlines`]). The hit count comes from each
+//! [`crate::conservative`] runs the same loop with a different per-flow
+//! [`Step`]: one evaluation of the recurrence at `Rᵢ := Dᵢ`, reading every
+//! `Rⱼ` as `Dⱼ`, in place of the fixed point. The hit count comes from each
 //! interferer's [arrival curve](noc_model::arrival):
 //! `ηⱼ(w) = ⌈(w + Jⱼ)/Tⱼ⌉ + σⱼ`, the paper's Eq. 5 window arithmetic plus
 //! the burst allowance σⱼ. For strictly periodic flow sets (every σ = 0)
@@ -30,6 +30,8 @@
 //! analysis at several buffer depths) pays for that structure exactly once.
 //! [`Solver::new`] is its only constructor; the incremental layer passes the
 //! context it owns, and unbudgeted callers pass [`Budget::unlimited`].
+
+use std::sync::Arc;
 
 use noc_model::arrival::{ArrivalCurve, LeakyBucket};
 use noc_model::contention::{InterferenceGraph, Side};
@@ -78,6 +80,18 @@ pub(crate) enum JitterModel {
     Dominating,
 }
 
+/// What the solver does with one flow whose inputs changed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Iterate the recurrence from `Cᵢ·(σᵢ + 1)` to its fixed point: the
+    /// five analyses.
+    FixedPoint,
+    /// Evaluate the recurrence once at `Rᵢ := Dᵢ`, with every `Rⱼ` it
+    /// reads taken as `Dⱼ`: the conservative bound. Nothing reads another
+    /// flow's result, so no flow is tainted and nothing can fail.
+    AtDeadline,
+}
+
 /// Iteration safety cap; monotone integer iterations converge or blow past
 /// the deadline long before this on sane inputs. Exhausting it aborts the
 /// solve with [`AnalysisError::ConvergenceCap`] naming the flow (and bumps
@@ -91,6 +105,8 @@ pub(crate) struct Solver<'a> {
     name: &'static str,
     downstream: DownstreamModel,
     jitter: JitterModel,
+    /// The fixed point, unless [`Solver::at_deadlines`] switched it.
+    step: Step,
     /// Cooperative deadline/cancellation token, polled once per flow and
     /// every [`Budget::POLL_ITERATIONS`] fixed-point iterations.
     budget: &'a Budget,
@@ -125,12 +141,23 @@ impl<'a> Solver<'a> {
             name,
             downstream,
             jitter,
+            step: Step::FixedPoint,
             budget,
             r: vec![None; ctx.len()],
             idown_memo: EdgeMemo::default(),
             slots_changed: false,
             terms: Vec::new(),
         }
+    }
+
+    /// This solver with its per-flow [`Step`] switched to the one
+    /// evaluation at `Rᵢ := Dᵢ`: only [`Solver::solve_cached`] takes it.
+    /// No `analysis.solver.*` or `analysis.cache.*` metric moves then; the
+    /// pass counts its flows as `analysis.conservative.evaluated` and
+    /// `analysis.conservative.reused`.
+    pub(crate) fn at_deadlines(mut self) -> Self {
+        self.step = Step::AtDeadline;
+        self
     }
 
     /// Runs the analysis over the whole flow set.
@@ -212,6 +239,12 @@ impl<'a> Solver<'a> {
     /// for a schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test
     /// costs one comparison per edge and does not lean on that.)
     ///
+    /// Under [`Step::AtDeadline`] the same proof holds with every `Rⱼ`
+    /// read as the constant `Dⱼ`: τᵢ's evaluation reads its own structure
+    /// (no buffer depth: the XLWX charge has no Eq. 8 cap), each `Dⱼ` and
+    /// the slots of τⱼ's block, so it is re-evaluated iff a delta marked
+    /// it or some τⱼ ∈ `S^D_i` changed its slots or its verdict.
+    ///
     /// On return the cache is clean (all dirty bits cleared) and holds the
     /// verdicts of the report.
     ///
@@ -228,7 +261,8 @@ impl<'a> Solver<'a> {
         mut self,
         cache: &mut SolveCache,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let _span = metrics::SOLVE_NS.span();
+        let fixed_point = self.step == Step::FixedPoint;
+        let _span = fixed_point.then(|| metrics::SOLVE_NS.span());
         let order = self.ctx.priority_order();
         assert_eq!(
             cache.r.len(),
@@ -276,9 +310,13 @@ impl<'a> Solver<'a> {
             dirty_solved += 1;
             #[cfg(test)]
             cache.resolved.push(i);
-            // On error half the flows are solved and half are stale; the
-            // only consistent cache state is "everything needs a re-solve".
-            let verdict = self.solve_flow(i).inspect_err(|_| cache.poison())?.0;
+            let verdict = match self.step {
+                // On error half the flows are solved and half are stale;
+                // the only consistent cache state is "everything needs a
+                // re-solve".
+                Step::FixedPoint => self.solve_flow(i).inspect_err(|_| cache.poison())?.0,
+                Step::AtDeadline => self.evaluate_at_deadline(i),
+            };
             let changed =
                 self.slots_changed || self.r[at] != cache.r[at] || verdict != cache.verdicts[at];
             unchanged += u64::from(!changed);
@@ -288,6 +326,11 @@ impl<'a> Solver<'a> {
         cache.r = self.r;
         cache.memo = self.idown_memo;
         cache.dirty.fill(false);
+        if !fixed_point {
+            metrics::CONSERVATIVE_EVALUATED.add(dirty_solved);
+            metrics::CONSERVATIVE_REUSED.add(clean_reused);
+            return Ok(cache.report(self.name));
+        }
         metrics::CACHE_DIRTY_SOLVED.add(dirty_solved);
         metrics::CACHE_CLEAN_REUSED.add(clean_reused);
         metrics::CACHE_UNCHANGED_RESOLVES.add(unchanged);
@@ -303,41 +346,33 @@ impl<'a> Solver<'a> {
                 ],
             );
         }
-        Ok(AnalysisReport::new(self.name, cache.verdicts.clone()))
+        Ok(cache.report(self.name))
     }
 
-    /// One evaluation of every flow's recurrence at Rᵢ := Dᵢ, with every
-    /// Rⱼ it reads also taken as Dⱼ, in place of the fixed-point loop: a
-    /// flow is schedulable, with that value as its bound, iff the value is
-    /// at most its deadline. Nothing is read from another flow's result,
-    /// so no flow is tainted and nothing can fail; no solver metric moves.
-    pub(crate) fn evaluate_at_deadlines(mut self) -> AnalysisReport {
-        self.idown_memo = EdgeMemo::new(self.graph);
-        for (r, (_, flow)) in self.r.iter_mut().zip(self.system.flows().iter()) {
-            *r = Some(u128::from(flow.deadline().as_u64()));
+    /// One evaluation of τᵢ's recurrence at `Rᵢ := Dᵢ`, every higher-priority
+    /// flow having published its deadline as its `R`: τᵢ is schedulable,
+    /// with that value as its bound, iff the value is at most `Dᵢ`.
+    /// Publishes `Dᵢ` for lower-priority flows to read and rewrites τᵢ's
+    /// memo block, like [`Solver::solve_flow`].
+    fn evaluate_at_deadline(&mut self, i: FlowId) -> FlowVerdict {
+        let d_i = u128::from(self.system.flow(i).deadline().as_u64());
+        self.r[i.index()] = Some(d_i);
+        self.idown_memo.open(i);
+        self.slots_changed = false;
+        let mut bound = self.base(i);
+        for (edge, &j) in self.graph.direct_set(i).iter().enumerate() {
+            bound = bound.saturating_add(self.term(i, j, edge).interference(d_i));
         }
-        // Placeholders only: the priority order covers every flow. In that
-        // order every recursive `Idown(k,j)` finds its edge memoised: it
-        // was evaluated on τⱼ's own turn.
-        let mut verdicts = vec![FlowVerdict::Tainted; self.r.len()];
-        for &i in self.ctx.priority_order() {
-            let d_i = self.r[i.index()].expect("every flow reads its deadline");
-            let mut bound = self.base(i);
-            for (edge, &j) in self.graph.direct_set(i).iter().enumerate() {
-                bound = bound.saturating_add(self.term(i, j, edge).interference(d_i));
+        self.idown_memo.seal(i);
+        if bound <= d_i {
+            FlowVerdict::Schedulable {
+                response_time: clamp_cycles(bound),
             }
-            self.idown_memo.seal(i);
-            verdicts[i.index()] = if bound <= d_i {
-                FlowVerdict::Schedulable {
-                    response_time: clamp_cycles(bound),
-                }
-            } else {
-                FlowVerdict::DeadlineMiss {
-                    exceeded_at: clamp_cycles(bound),
-                }
-            };
+        } else {
+            FlowVerdict::DeadlineMiss {
+                exceeded_at: clamp_cycles(bound),
+            }
         }
-        AnalysisReport::new(self.name, verdicts)
     }
 
     /// Zero-load latency Cₖ as the engine's wide integer.
@@ -594,8 +629,9 @@ struct EdgePass {
 ///
 /// Only τᵢ's own solve writes its block, in edge order, and nothing else
 /// is written meanwhile, so a victim's first solve appends its block at
-/// the end; later solves rewrite it in place. The storage is reserved once
-/// for every edge of the graph and never grows. A tainted victim writes
+/// the end; later solves rewrite it in place. The storage has room for
+/// every edge of the graph, so a solve never reallocates it, and a delta
+/// compacts it in place ([`EdgeMemo::relayout`]). A tainted victim writes
 /// nothing, so a solve fills slots only for flows with a bound.
 ///
 /// A block is *valid* from the end of its victim's solve until the victim
@@ -611,6 +647,13 @@ pub(crate) struct EdgeMemo {
     values: Vec<u128>,
 }
 
+/// The number of direct edges of `graph`: one memo slot each.
+fn edge_count(graph: &InterferenceGraph) -> usize {
+    (0..graph.len())
+        .map(|i| graph.direct_set(FlowId::new(i as u32)).len())
+        .sum()
+}
+
 /// Where one victim's slots sit in [`EdgeMemo::values`].
 #[derive(Debug, Clone, Copy, Default)]
 struct Block {
@@ -624,13 +667,9 @@ impl EdgeMemo {
     /// A memo over the direct edges of `graph`, with room for all of them
     /// and no block written.
     pub(crate) fn new(graph: &InterferenceGraph) -> EdgeMemo {
-        let n = graph.len();
-        let edges = (0..n)
-            .map(|i| graph.direct_set(FlowId::new(i as u32)).len())
-            .sum();
         EdgeMemo {
-            blocks: vec![Block::default(); n],
-            values: Vec::with_capacity(edges),
+            blocks: vec![Block::default(); graph.len()],
+            values: Vec::with_capacity(edge_count(graph)),
         }
     }
 
@@ -645,29 +684,32 @@ impl EdgeMemo {
     /// and validity — a delta adds or removes one flow, so an unchanged
     /// `|S^D_x|` means an unchanged `S^D_x`, in the same order. The other
     /// victims lose their blocks. A memo that was never laid out stays so.
-    pub(crate) fn relayout(
-        &mut self,
-        graph: &InterferenceGraph,
-        old: impl Fn(usize) -> Option<usize>,
-    ) {
+    ///
+    /// The kept blocks slide down inside the same storage, in the order
+    /// they already sit in, so no second copy of the memo is held.
+    fn relayout(&mut self, graph: &InterferenceGraph, old: impl Fn(usize) -> Option<usize>) {
         if !self.is_laid_out() {
             return;
         }
-        let mut fresh = EdgeMemo::new(graph);
-        for x in 0..graph.len() {
-            let Some(o) = old(x) else { continue };
-            let b = self.blocks[o];
-            if b.valid && b.len == graph.direct_set(FlowId::new(x as u32)).len() {
-                fresh.blocks[x] = Block {
-                    start: fresh.values.len(),
-                    ..b
-                };
-                fresh
-                    .values
-                    .extend_from_slice(&self.values[b.start..b.start + b.len]);
-            }
+        let n = graph.len();
+        let mut kept: Vec<(usize, Block)> = (0..n)
+            .filter_map(|x| {
+                let b = self.blocks[old(x)?];
+                let same = b.valid && b.len == graph.direct_set(FlowId::new(x as u32)).len();
+                same.then_some((x, b))
+            })
+            .collect();
+        kept.sort_unstable_by_key(|(_, b)| b.start);
+        let mut blocks = vec![Block::default(); n];
+        let mut end = 0;
+        for (x, b) in kept {
+            self.values.copy_within(b.start..b.start + b.len, end);
+            blocks[x] = Block { start: end, ..b };
+            end += b.len;
         }
-        *self = fresh;
+        self.blocks = blocks;
+        self.values.truncate(end);
+        self.values.reserve_exact(edge_count(graph) - end);
     }
 
     /// The value of the `edge`-th direct edge into `victim`, whose block
@@ -752,14 +794,17 @@ impl Term {
     }
 }
 
-/// Memoised solve state of **one** analysis over an evolving flow set: the
-/// response times, verdicts and `Idown` slots of the last solve plus a
-/// per-flow dirty bit.
+/// Memoised solve state of **one** analysis, or of the conservative bound,
+/// over an evolving flow set: the response times (deadlines, for the
+/// bound), verdicts and `Idown` slots of the last solve plus a per-flow
+/// dirty bit.
 ///
-/// Owned per analysis kind by the incremental context and, once solved,
-/// by a warmed [`AnalysisContext`]; consumed and refreshed by
-/// [`Solver::solve_cached`]. A freshly created cache is all-dirty, so the
-/// first solve through it is exactly a full solve.
+/// Held per analysis kind, plus one for the conservative bound, by the
+/// incremental context and, once solved, by a warmed [`AnalysisContext`],
+/// behind an [`Arc`] that a base shares with its forks until a fork's
+/// first delta or solve [unshares](SolveCache::unshare) it; consumed and
+/// refreshed by [`Solver::solve_cached`]. A freshly created cache is
+/// all-dirty, so the first solve through it is exactly a full solve.
 #[derive(Debug, Clone)]
 pub(crate) struct SolveCache {
     /// Final response times of the last solve (`None` for flows without a
@@ -811,6 +856,37 @@ impl SolveCache {
             .relayout(graph, |x| Some(x + usize::from(x >= index)));
     }
 
+    /// `cache`, owned: a cache still shared with a base or another fork is
+    /// first copied, with room for the flows and direct edges of `graph`,
+    /// the graph after the delta about to be applied, so that applying it
+    /// reallocates nothing.
+    pub(crate) fn unshare<'c>(
+        cache: &'c mut Arc<SolveCache>,
+        graph: &InterferenceGraph,
+    ) -> &'c mut SolveCache {
+        if Arc::get_mut(cache).is_none() {
+            let flows = graph.len().max(cache.r.len());
+            // A memo that was never laid out stays empty.
+            let slots = if cache.memo.is_laid_out() {
+                edge_count(graph).max(cache.memo.values.len())
+            } else {
+                0
+            };
+            *cache = Arc::new(SolveCache {
+                r: copy_with_room(&cache.r, flows),
+                verdicts: copy_with_room(&cache.verdicts, flows),
+                dirty: copy_with_room(&cache.dirty, flows),
+                memo: EdgeMemo {
+                    blocks: cache.memo.blocks.clone(),
+                    values: copy_with_room(&cache.memo.values, slots),
+                },
+                #[cfg(test)]
+                resolved: Vec::new(),
+            });
+        }
+        Arc::get_mut(cache).expect("just unshared")
+    }
+
     /// The `Idown` slots of `victim`'s last solve, if its block is valid.
     #[cfg(test)]
     pub(crate) fn slots(&self, victim: FlowId) -> Option<&[u128]> {
@@ -818,9 +894,17 @@ impl SolveCache {
         b.valid.then(|| &self.memo.values[b.start..b.start + b.len])
     }
 
-    /// Marks one flow's inputs as changed.
-    pub(crate) fn mark_dirty(&mut self, index: usize) {
-        self.dirty[index] = true;
+    /// Marks the inputs of `flows` as changed.
+    pub(crate) fn mark_dirty(&mut self, flows: &[FlowId]) {
+        for f in flows {
+            self.dirty[f.index()] = true;
+        }
+    }
+
+    /// The verdicts of the last solve, as a report named `name`. Only
+    /// meaningful for a clean cache.
+    pub(crate) fn report(&self, name: &'static str) -> AnalysisReport {
+        AnalysisReport::new(name, self.verdicts.clone())
     }
 
     /// Marks every flow dirty and drops the memo — the recovery state
@@ -829,6 +913,13 @@ impl SolveCache {
         self.dirty.fill(true);
         self.memo = EdgeMemo::default();
     }
+}
+
+/// A copy of `v` with capacity for `room` elements.
+fn copy_with_room<T: Clone>(v: &[T], room: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(room);
+    copy.extend_from_slice(v);
+    copy
 }
 
 fn clamp_cycles(v: u128) -> Cycles {

@@ -9,8 +9,8 @@
 //! touches the interference neighbourhood its route overlaps.
 //!
 //! [`IncrementalContext`] is an owned [`AnalysisContext`] plus the last
-//! solve's results, one solve cache per analysis, kept alive across
-//! mutations:
+//! solve's results, one solve cache per analysis and one for the
+//! conservative bound, kept alive across mutations:
 //!
 //! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
 //!   update the context's [`InterferenceGraph`] through its delta methods
@@ -22,14 +22,20 @@
 //!   a flow iff it is marked or a member of its `S^D` — all strictly
 //!   higher priority — changed its response time, verdict or `Idown`
 //!   slots in this pass. Every other flow keeps its cached result, so the
-//!   re-solve stops where results stop changing.
+//!   re-solve stops where results stop changing;
+//! * [`IncrementalContext::conservative_report`] runs the conservative
+//!   bound through the same loop with every `R` fixed at its deadline, so
+//!   it re-evaluates only what the deltas reach; buffer resizes mark
+//!   nothing in its cache (see [`crate::conservative`]).
 //!
 //! [`IncrementalContext::from_context`] forks a shared base context
 //! copy-on-write: the fork clones the system but shares the base's graph,
 //! and copies the graph only on its first flow addition or removal. Buffer
-//! resizes never touch the graph. A fork also copies every solve cache the
-//! base was [warmed](AnalysisContext::warm) with, so its first solve
-//! re-solves only what its own deltas change.
+//! resizes never touch the graph. A fork also shares every solve cache the
+//! base was [warmed](AnalysisContext::warm) with, and the base's kept
+//! conservative bound, so its first solve re-solves only what its own
+//! deltas change. A shared cache is copied, like the graph, by the fork's
+//! first delta or solve through it.
 //!
 //! The result is bit-identical to a from-scratch
 //! [`AnalysisContext::new`] + solve —
@@ -62,6 +68,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
@@ -85,9 +92,17 @@ use crate::report::AnalysisReport;
 #[derive(Debug, Clone)]
 pub struct IncrementalContext {
     ctx: AnalysisContext<'static>,
-    /// One solve cache per [`AnalysisKind`], indexed by `AnalysisKind::index`.
-    caches: [SolveCache; AnalysisKind::ALL.len()],
+    /// One solve cache per [`AnalysisKind`], indexed by `AnalysisKind::index`,
+    /// then the conservative bound's at [`CONSERVATIVE`]. `None` until the
+    /// first solve through it, unless shared with a warmed base: an absent
+    /// cache is all-dirty, so deltas skip it and a context that serves one
+    /// kind holds one cache. A shared cache is copied by its first delta or
+    /// solve, never by the fork.
+    caches: [Option<Arc<SolveCache>>; CONSERVATIVE + 1],
 }
+
+/// The index of the conservative bound's cache, after the five kinds'.
+const CONSERVATIVE: usize = AnalysisKind::ALL.len();
 
 impl IncrementalContext {
     /// Builds the full derived structure for `system`, taking ownership.
@@ -105,26 +120,31 @@ impl IncrementalContext {
     /// pays for a graph copy only on its first flow addition or removal —
     /// the cheap way to give each thread mutable state over one shared base
     /// context. The solve caches `ctx` was [warmed](AnalysisContext::warm)
-    /// with are copied; the other kinds start all-dirty.
+    /// with are shared copy-on-write, and so is its conservative bound's
+    /// ([`AnalysisContext::warm_conservative`]); the others start
+    /// all-dirty. A fork counts as warm if it shares any of the five
+    /// kinds' caches.
     pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        let n = ctx.len();
-        let caches = AnalysisKind::ALL.map(|kind| ctx.solved(kind).cloned());
-        if caches.iter().any(Option::is_some) {
+        let solved = AnalysisKind::ALL.map(|kind| ctx.solved(kind));
+        if solved.iter().any(Option::is_some) {
             metrics::FORK_WARM.incr();
         } else {
             metrics::FORK_COLD.incr();
         }
+        let conservative = ctx.conservative_solved();
         IncrementalContext {
             ctx: ctx.fork(),
-            caches: caches.map(|cache| cache.unwrap_or_else(|| SolveCache::all_dirty(n))),
+            // The five kinds' caches, then the conservative bound's.
+            caches: std::array::from_fn(|i| {
+                solved.get(i).copied().unwrap_or(conservative).cloned()
+            }),
         }
     }
 
     fn with_context(ctx: AnalysisContext<'static>) -> IncrementalContext {
-        let n = ctx.len();
         IncrementalContext {
             ctx,
-            caches: std::array::from_fn(|_| SolveCache::all_dirty(n)),
+            caches: Default::default(),
         }
     }
 
@@ -144,10 +164,12 @@ impl IncrementalContext {
         routing: &dyn RoutingAlgorithm,
     ) -> Result<FlowId, AnalysisError> {
         let (id, affected) = self.ctx.add_flow(flow, routing)?;
-        for cache in &mut self.caches {
+        for cache in self.caches.iter_mut().flatten() {
+            let cache = SolveCache::unshare(cache, self.ctx.graph());
             cache.push_flow(self.ctx.graph());
+            cache.mark_dirty(&affected);
         }
-        self.record_delta(&affected, &AnalysisKind::ALL);
+        record_delta(&affected);
         Ok(id)
     }
 
@@ -159,10 +181,12 @@ impl IncrementalContext {
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
         let affected = self.ctx.remove_flow(id)?;
-        for cache in &mut self.caches {
+        for cache in self.caches.iter_mut().flatten() {
+            let cache = SolveCache::unshare(cache, self.ctx.graph());
             cache.remove_flow(id.index(), self.ctx.graph());
+            cache.mark_dirty(&affected);
         }
-        self.record_delta(&affected, &AnalysisKind::ALL);
+        record_delta(&affected);
         Ok(())
     }
 
@@ -180,6 +204,8 @@ impl IncrementalContext {
     /// flows and, down the priority order, every flow one of whose direct
     /// interferers then changed its bound or slots. Bit-identity to a
     /// from-scratch solve is pinned by `tests/incremental_equivalence.rs`.
+    /// The conservative bound reads no buffer depth, so its cache is not
+    /// marked either.
     ///
     /// # Panics
     ///
@@ -189,7 +215,10 @@ impl IncrementalContext {
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         let affected = self.buffer_dependents(router);
         self.ctx.resize_buffer(router, depth);
-        self.record_delta(&affected, &[AnalysisKind::BufferAware]);
+        if let Some(cache) = &mut self.caches[AnalysisKind::BufferAware.index()] {
+            Arc::make_mut(cache).mark_dirty(&affected);
+        }
+        record_delta(&affected);
     }
 
     /// Flows whose buffer-aware bound reads the depth of `router`: the
@@ -210,19 +239,6 @@ impl IncrementalContext {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Marks `affected` dirty in the caches of `kinds` and counts the
-    /// delta.
-    fn record_delta(&mut self, affected: &[FlowId], kinds: &[AnalysisKind]) {
-        for kind in kinds {
-            let cache = &mut self.caches[kind.index()];
-            for &a in affected {
-                cache.mark_dirty(a.index());
-            }
-        }
-        metrics::INCREMENTAL_DELTAS.incr();
-        metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
     }
 
     /// Runs `kind` over the current flow set, re-solving only the flows
@@ -261,7 +277,8 @@ impl IncrementalContext {
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(&self.ctx, kind.spec(), budget).solve_cached(&mut self.caches[kind.index()])
+        let (ctx, cache) = self.with_cache(kind.index());
+        Solver::new(ctx, kind.spec(), budget).solve_cached(cache)
     }
 
     /// The cheap, non-iterative conservative bound over the current flow
@@ -269,10 +286,32 @@ impl IncrementalContext {
     /// [`IncrementalContext::analyze_with_budget`] runs out of budget (see
     /// [`crate::conservative`] for the bound and its soundness argument).
     ///
-    /// Total (never fails), does not touch the solve caches, and does not
-    /// depend on them: it reads only the incrementally maintained structure.
-    pub fn conservative_report(&self) -> AnalysisReport {
-        crate::conservative::conservative_with(&self.ctx)
+    /// Total (never fails) and bit-identical to
+    /// [`conservative_with`](crate::conservative::conservative_with) over a
+    /// fresh context. It runs through its own solve cache, by the cached
+    /// read set of [`crate::conservative`]: a flow is re-evaluated iff a
+    /// flow addition or removal marked it or a direct interferer changed
+    /// its slots or verdict in this pass. Buffer resizes mark nothing, and
+    /// the five kinds' caches are neither read nor touched. The cache is
+    /// copied from a [warmed](AnalysisContext::warm_conservative) base, or
+    /// laid out by the first call.
+    pub fn conservative_report(&mut self) -> AnalysisReport {
+        metrics::CONSERVATIVE_SOLVES.incr();
+        let (ctx, cache) = self.with_cache(CONSERVATIVE);
+        crate::conservative::evaluate(ctx, cache)
+    }
+
+    /// The context and the cache at `index`, laid out all-dirty if absent.
+    fn with_cache(&mut self, index: usize) -> (&AnalysisContext<'static>, &mut SolveCache) {
+        let n = self.ctx.len();
+        let cache = self.caches[index].get_or_insert_with(|| Arc::new(SolveCache::all_dirty(n)));
+        (&self.ctx, Arc::make_mut(cache))
+    }
+
+    /// The cache at `index`, which a solve has laid out.
+    #[cfg(test)]
+    fn cache(&self, index: usize) -> &SolveCache {
+        self.caches[index].as_deref().expect("solved at least once")
     }
 
     /// The current system.
@@ -294,6 +333,12 @@ impl IncrementalContext {
     pub fn is_empty(&self) -> bool {
         self.ctx.is_empty()
     }
+}
+
+/// Counts one delta and the flows it marked.
+fn record_delta(affected: &[FlowId]) {
+    metrics::INCREMENTAL_DELTAS.incr();
+    metrics::INCREMENTAL_FLOWS_DIRTIED.add(affected.len() as u64);
 }
 
 #[cfg(test)]
@@ -635,13 +680,35 @@ mod tests {
             .into_system()
     }
 
-    /// A fork of a context over `system` warmed for every kind.
+    /// A fork of a context over `system` warmed for every kind and for
+    /// the conservative bound.
     fn warm_fork(system: &System) -> IncrementalContext {
         let base = AnalysisContext::new(system).unwrap();
         for kind in AnalysisKind::ALL {
             base.warm(kind, &Budget::unlimited()).unwrap();
         }
+        base.warm_conservative();
         IncrementalContext::from_context(&base)
+    }
+
+    /// The fork's conservative report equals the bound over a fresh
+    /// context and the independent reference evaluator; returns how many
+    /// flows the report re-evaluated.
+    fn assert_conservative_matches_scratch(ctx: &mut IncrementalContext, label: &str) -> usize {
+        let report = ctx.conservative_report();
+        let system = ctx.system().clone();
+        let scratch = AnalysisContext::new(&system).unwrap();
+        assert_eq!(
+            report,
+            crate::conservative::conservative_with(&scratch),
+            "{label}: conservative"
+        );
+        assert_eq!(
+            report,
+            crate::conservative::reference::conservative_with(&scratch),
+            "{label}: conservative reference"
+        );
+        ctx.cache(CONSERVATIVE).resolved.len()
     }
 
     /// From-scratch explanations over `ctx`, per kind, indexed by flow.
@@ -716,8 +783,9 @@ mod tests {
     /// Drives random deltas through a fork of a warmed base. After every
     /// step, each kind's report equals a from-scratch solve; every flow
     /// the cutoff skipped has the from-scratch explanation it had before
-    /// the delta; and every persisted `Idown` block holds the
-    /// from-scratch downstream terms.
+    /// the delta; every persisted `Idown` block holds the from-scratch
+    /// downstream terms; and the conservative report equals the bound over
+    /// a fresh context and the reference evaluator.
     fn cutoff_oracle(system: System, seed: u64) {
         let min_len = system.flows().len() / 2;
         let mut next_priority = system
@@ -730,7 +798,7 @@ mod tests {
         let mut rng = XorShift(seed | 1);
         let mut before = explanations(&AnalysisContext::new(&system).unwrap());
         let mut ctx = warm_fork(&system);
-        let mut skipped_total = 0;
+        let (mut skipped_total, mut conservative_skipped) = (0, 0);
         for step in 0..oracle_steps() {
             let removed = random_delta(&mut ctx, &mut rng, &mut freed, &mut next_priority, min_len);
             // Pre-delta id → post-delta id, and back.
@@ -749,7 +817,7 @@ mod tests {
                 let report = ctx.analyze(kind).unwrap();
                 let label = format!("step {step}, {}", kind.name());
                 assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
-                let cache = &ctx.caches[kind.index()];
+                let cache = ctx.cache(kind.index());
                 let mut resolved = vec![false; ctx.len()];
                 for i in &cache.resolved {
                     resolved[i.index()] = true;
@@ -787,9 +855,15 @@ mod tests {
                     }
                 }
             }
+            let evaluated = assert_conservative_matches_scratch(&mut ctx, &format!("step {step}"));
+            conservative_skipped += ctx.len() - evaluated;
             before = now;
         }
         assert!(skipped_total > 0, "the cutoff never skipped a flow");
+        assert!(
+            conservative_skipped > 0,
+            "the conservative cutoff never skipped a flow"
+        );
     }
 
     #[test]
@@ -812,7 +886,33 @@ mod tests {
         for kind in AnalysisKind::ALL {
             let report = fork.analyze(kind).unwrap();
             assert_eq!(report, kind.analyze_with(&scratch).unwrap());
-            assert_eq!(fork.caches[kind.index()].resolved, [], "{}", kind.name());
+            assert_eq!(fork.cache(kind.index()).resolved, [], "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn conservative_cutoff_re_evaluates_nothing_on_a_warm_fork() {
+        let mut fork = warm_fork(&deep_fixture());
+        for round in 0..2 {
+            let evaluated = assert_conservative_matches_scratch(&mut fork, "warm fork");
+            assert_eq!(evaluated, 0, "round {round}");
+        }
+    }
+
+    /// The conservative bound reads no buffer depth: a router resize marks
+    /// nothing in its cache, and the report re-evaluates no flow.
+    #[test]
+    fn conservative_cutoff_re_evaluates_nothing_after_a_router_resize() {
+        let system = bursty_hetero_fixture();
+        let mut fork = warm_fork(&system);
+        let routers = system.topology().router_count() as u64;
+        let mut rng = XorShift(0xC0FF_0003);
+        for step in 0..oracle_steps() {
+            let router = RouterId::new(rng.below(routers) as u32);
+            fork.resize_buffer(router, 2 + rng.below(15) as u32);
+            let label = format!("step {step}, {router}");
+            let evaluated = assert_conservative_matches_scratch(&mut fork, &label);
+            assert_eq!(evaluated, 0, "{label}");
         }
     }
 
@@ -843,9 +943,7 @@ mod tests {
         let report = fork.analyze(AnalysisKind::BufferAware).unwrap();
         let scratch = AnalysisContext::new(&after).unwrap();
         assert_eq!(report, BufferAware.analyze_with(&scratch).unwrap());
-        let resolved = fork.caches[AnalysisKind::BufferAware.index()]
-            .resolved
-            .len();
+        let resolved = fork.cache(AnalysisKind::BufferAware.index()).resolved.len();
         let closure = closure(fork.graph(), &after, &affected);
         assert!(
             affected.len() <= resolved && resolved < closure,

@@ -29,6 +29,17 @@ pub static SOLVER_DEADLINE_HITS: Counter = Counter::new("analysis.solver.deadlin
 /// the degraded fallback after a deadline or convergence failure.
 pub static CONSERVATIVE_SOLVES: Counter = Counter::new("analysis.conservative.solves");
 
+/// Flows whose conservative bound was evaluated, by a report or by
+/// [`AnalysisContext::warm_conservative`]: every flow of a cold pass, and
+/// in a cached pass the flows a delta marked plus those below them whose
+/// direct interferers changed.
+///
+/// [`AnalysisContext::warm_conservative`]: crate::context::AnalysisContext::warm_conservative
+pub static CONSERVATIVE_EVALUATED: Counter = Counter::new("analysis.conservative.evaluated");
+
+/// Flows whose conservative bound a report took from a cache unevaluated.
+pub static CONSERVATIVE_REUSED: Counter = Counter::new("analysis.conservative.reused");
+
 /// Wall-clock time of whole-report solves (all flows of one analysis),
 /// full and cached alike.
 pub static SOLVE_NS: Histogram = Histogram::new("analysis.solver.solve_ns");
@@ -40,7 +51,8 @@ pub static CACHE_DIRTY_SOLVED: Counter = Counter::new("analysis.cache.dirty_solv
 /// (republished for lower-priority flows to read) by cached solves.
 pub static CACHE_CLEAN_REUSED: Counter = Counter::new("analysis.cache.clean_reused");
 
-/// Flow-set deltas (additions + removals) applied to incremental contexts.
+/// Deltas applied to incremental contexts: flow additions, flow removals
+/// and router buffer resizes.
 pub static INCREMENTAL_DELTAS: Counter = Counter::new("analysis.incremental.deltas");
 
 /// Flows marked dirty by delta application (the size of the touched

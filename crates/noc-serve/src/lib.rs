@@ -44,7 +44,10 @@
 //! ([`AnalysisContext::warm`], under the budget a query gets), so shards
 //! fork warm: a shard's first query is a cached re-solve, not a full
 //! solve, and the full solve is paid once per base rather than once per
-//! shard per batch. If that solve fails, shards fork cold.
+//! shard per batch. If that solve fails, shards fork cold. A batch that
+//! can degrade (a deadline or a fault plan is set) also keeps the base's
+//! conservative bound ([`AnalysisContext::warm_conservative`]), so shards
+//! fork with it too.
 //!
 //! Queries are sharded across threads in contiguous chunks via
 //! `par_map_indexed`; outcomes come back in submission order regardless of
@@ -66,7 +69,11 @@
 //!   the fixed point trips the convergence cap) the query still answers,
 //!   as [`QueryOutcome::Degraded`] computed from the cheap conservative
 //!   bound of [`noc_analysis::conservative`] — never optimistic, pinned by
-//!   the `chaos_serving` integration test.
+//!   the `chaos_serving` integration test. The bound is cached like an
+//!   exact solve: a degraded admission or removal re-evaluates only the
+//!   flows its delta reaches, a router what-if re-evaluates none (the
+//!   bound reads no buffer depth), and a homogeneous buffer what-if reads
+//!   the base's kept bound through the rebased context.
 //! * **Isolation and retry** — each serve attempt runs inside
 //!   `catch_unwind`; a panicking worker poisons only its own shard, which
 //!   is re-forked from the shared base, and the query is retried with
@@ -589,9 +596,9 @@ impl<'a> Shard<'a> {
                 self.ctx.resize_buffer(*router, *depth);
                 let result = self.ctx.analyze_with_budget(self.kind, budget);
                 // Interpret before restoring: the degraded bound describes
-                // the resized system. (The conservative bound ignores
-                // buffer depths, but the report must still be taken from
-                // the what-if state for consistency.)
+                // the resized system. The conservative bound reads no
+                // buffer depth, so the resize marked nothing in its cache
+                // and the degraded report re-evaluates no flow.
                 let outcome = outcome_of(result, || self.ctx.conservative_report());
                 // Restoring sets an override equal to the original depth,
                 // which is numerically identical to the base system on
@@ -807,11 +814,16 @@ pub fn run_batch_with(
     // Solve the base once, under the budget a query gets, so every shard
     // forks warm. A failed solve keeps nothing and the shards fork cold;
     // their queries then meet the same budget and degrade on their own.
+    // A batch that can degrade also keeps the base's conservative bound,
+    // so each degraded answer re-evaluates only what its query changes.
     if dispositions.iter().any(|d| matches!(d, Disposition::Serve)) {
         let budget = options
             .deadline
             .map_or_else(Budget::unlimited, Budget::with_deadline);
         let _ = base.warm(batch.analysis, &budget);
+        if options.deadline.is_some() || options.faults.is_some() {
+            base.warm_conservative();
+        }
     }
     let per_shard: Vec<(Vec<QueryOutcome>, u128)> =
         noc_experiments::runner::par_map_indexed(shards, shards, |s| {

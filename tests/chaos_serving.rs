@@ -325,3 +325,86 @@ fn warm_and_cold_bases_serve_identically() {
         }
     }
 }
+
+/// The degraded answer to `query` recomputed from scratch: the failing
+/// count of the conservative bound over the what-if system, built anew
+/// with a fresh context.
+fn conservative_from_scratch(
+    system: &System,
+    query: &Query,
+    routing: &dyn RoutingAlgorithm,
+) -> u32 {
+    let what_if = match query {
+        Query::Admission { flow } => system
+            .with_added_flow(flow.clone(), routing)
+            .map(|(s, _)| s),
+        Query::Removal { id } => system.without_flow(*id),
+        Query::BufferWhatIf { depth } => Ok(system.with_buffer_depth(*depth)),
+        Query::RouterBufferWhatIf { router, depth } => {
+            Ok(system.with_router_buffer_depth(*router, *depth))
+        }
+    }
+    .expect("sample queries are feasible");
+    let ctx = AnalysisContext::new(&what_if).expect("what-if system is analysable");
+    let report = conservative_with(&ctx);
+    (report.len() - report.schedulable_count()) as u32
+}
+
+/// Cached conservative bounds change what degraded serving costs, never
+/// what it answers: under a zero deadline every query degrades, and its
+/// failing count is the from-scratch bound's, on a cold base and on a
+/// base whose conservative bound was kept ahead of time, two batches each,
+/// at 1, 2 and 4 threads. Periods are cut eightfold so that the counts
+/// differ between queries and a stale cached bound would show.
+#[test]
+fn degraded_answers_match_the_from_scratch_conservative_bound() {
+    let mut spec = SyntheticSpec::paper(4, 4, 16, 2)
+        .with_buffer_depth_range(2, 8)
+        .with_burst_range(0, 2);
+    spec.period_range = (spec.period_range.0 / 8, spec.period_range.1 / 8);
+    let system = spec.generate(0xBEEF).into_system();
+    let batch = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries: sample_queries(&system, 20),
+    };
+    let expected: Vec<QueryOutcome> = batch
+        .queries
+        .iter()
+        .map(|q| QueryOutcome::Degraded {
+            reason: DegradeReason::DeadlineExceeded,
+            failing: conservative_from_scratch(&system, q, &XyRouting),
+        })
+        .collect();
+    let mut counts: Vec<u32> = expected
+        .iter()
+        .filter_map(|o| match o {
+            QueryOutcome::Degraded { failing, .. } => Some(*failing),
+            _ => None,
+        })
+        .collect();
+    counts.sort_unstable();
+    counts.dedup();
+    assert!(
+        counts.len() > 1,
+        "the fixture must give queries different failing counts: {counts:?}"
+    );
+    let options = ServeOptions {
+        deadline: Some(std::time::Duration::ZERO),
+        ..ServeOptions::default()
+    };
+    for threads in [1, 2, 4] {
+        let cold = AnalysisContext::new(&system).expect("base is analysable");
+        let warmed = AnalysisContext::new(&system).expect("base is analysable");
+        warmed.warm_conservative();
+        for (label, base) in [("cold", &cold), ("warmed", &warmed)] {
+            // Twice: the second batch forks from whatever the first kept.
+            for round in 0..2 {
+                let served = run_batch_with(base, &batch, &XyRouting, threads, &options).outcomes;
+                assert_eq!(
+                    served, expected,
+                    "{label} base, {threads} threads, round {round}"
+                );
+            }
+        }
+    }
+}
