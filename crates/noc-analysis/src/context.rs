@@ -34,6 +34,16 @@
 //! depth, so its cache survives a resize and is shared with a context
 //! rebased onto a buffer-only change.
 //!
+//! Finally a context keeps up to [`KEPT_BUFFER_DEPTHS`] reports solved at
+//! homogeneous buffer depths ([`AnalysisContext::warm_buffer_depths`]), one
+//! per (analysis, depth): the answer to "does this flow set still certify
+//! with every buffer `depth` flits deep?" is a pure function of the
+//! system, the analysis and the depth, so
+//! [`AnalysisContext::analyze_at_buffer_depth`] reads it back instead of
+//! rebasing and solving again. Serving fills these once per base, for the
+//! depths its batches without a deadline ask about. Like the solved caches, they are dropped
+//! by every mutator and not carried over by rebasing or forking.
+//!
 //! ```
 //! use noc_model::prelude::*;
 //! use noc_analysis::prelude::*;
@@ -100,6 +110,25 @@ pub struct AnalysisContext<'sys> {
     /// contexts rebased onto a buffer-only change: the bound reads no
     /// buffer depth.
     conservative: OnceLock<Arc<SolveCache>>,
+    /// Reports solved at homogeneous buffer depths, filled in slot order
+    /// by [`AnalysisContext::warm_buffer_depths`], so the filled slots are
+    /// a prefix.
+    by_depth: [OnceLock<DepthReport>; KEPT_BUFFER_DEPTHS],
+}
+
+/// How many buffer-depth reports an [`AnalysisContext`] keeps
+/// ([`AnalysisContext::warm_buffer_depths`]), over all analysis kinds.
+/// A kept report holds one 16-byte verdict per flow, so a full store costs
+/// about 256 B per flow: some 175 KiB for 700 flows. Past the cap, depths
+/// are solved and not kept.
+pub const KEPT_BUFFER_DEPTHS: usize = 16;
+
+/// One report [`AnalysisContext::warm_buffer_depths`] kept.
+#[derive(Debug, Clone)]
+struct DepthReport {
+    kind: AnalysisKind,
+    depth: u32,
+    report: AnalysisReport,
 }
 
 impl<'sys> AnalysisContext<'sys> {
@@ -134,6 +163,7 @@ impl<'sys> AnalysisContext<'sys> {
             zero_load,
             solved: Default::default(),
             conservative: Default::default(),
+            by_depth: Default::default(),
         }
     }
 
@@ -143,11 +173,11 @@ impl<'sys> AnalysisContext<'sys> {
     /// (one [`Arc`] clone); priority order and zero-load latencies are
     /// recomputed from the new system, so config changes (buffer depth,
     /// link/routing latency) and timing changes (periods, deadlines,
-    /// jitters) are picked up correctly. Solved caches are not carried
-    /// over: they describe the old system. The conservative bound's kept
-    /// cache is shared (one [`Arc`] clone) when only buffer depths changed,
-    /// that is when every flow and zero-load latency is the same: the
-    /// bound reads nothing else.
+    /// jitters) are picked up correctly. Solved caches and buffer-depth
+    /// reports are not carried over: they describe the old system. The
+    /// conservative bound's kept cache is shared (one [`Arc`] clone) when
+    /// only buffer depths changed, that is when every flow and zero-load
+    /// latency is the same: the bound reads nothing else.
     ///
     /// Typical sources of compatible systems are
     /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
@@ -214,8 +244,9 @@ impl<'sys> AnalysisContext<'sys> {
 
     /// An owned copy of this context that shares its interference graph:
     /// the system is cloned, the graph is one [`Arc`] clone until a delta
-    /// on either side copies it. The copy holds no solved cache; the
-    /// incremental layer takes shared handles to the caches it wants.
+    /// on either side copies it. The copy holds no solved cache and no
+    /// buffer-depth report; the incremental layer takes shared handles to
+    /// the caches it wants.
     pub(crate) fn fork(&self) -> AnalysisContext<'static> {
         AnalysisContext {
             system: Cow::Owned(self.system().clone()),
@@ -224,6 +255,7 @@ impl<'sys> AnalysisContext<'sys> {
             zero_load: self.zero_load.clone(),
             solved: Default::default(),
             conservative: Default::default(),
+            by_depth: Default::default(),
         }
     }
 
@@ -296,6 +328,172 @@ impl<'sys> AnalysisContext<'sys> {
         Arc::new(cache)
     }
 
+    /// Solves `kind` over this context's system with every router buffer
+    /// resized to each of `depths` flits ([`System::with_buffer_depth`],
+    /// through [`AnalysisContext::rebase`]) and keeps the reports, so that
+    /// [`AnalysisContext::analyze_at_buffer_depth`] answers them as
+    /// lookups. Only depths that will be kept are solved: the first ones
+    /// not yet kept, in order of first appearance, up to the
+    /// [`KEPT_BUFFER_DEPTHS`] slots still free. Up to `threads` of them
+    /// are solved at once, and they are kept in that order, so what a call
+    /// keeps and where never depends on thread timing. Each report is kept
+    /// as a copy made on the calling thread, so a kept report pins no
+    /// allocator arena of a finished worker thread. A solve that fails
+    /// under `budget` keeps nothing, and a `budget` already exceeded keeps
+    /// nothing and counts nothing, not even a deadline hit. Returns how
+    /// many reports the call kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0`, and re-raises a panic of any solve.
+    pub fn warm_buffer_depths(
+        &self,
+        kind: AnalysisKind,
+        depths: &[u32],
+        budget: &Budget,
+        threads: usize,
+    ) -> usize {
+        assert!(threads > 0, "need at least one worker thread");
+        if budget.is_exceeded() {
+            return 0;
+        }
+        let free = self.by_depth.iter().filter(|slot| slot.get().is_none());
+        let free = free.count();
+        let mut todo: Vec<u32> = Vec::new();
+        for &depth in depths {
+            if todo.len() < free
+                && !todo.contains(&depth)
+                && self.kept_at_depth(kind, depth).is_none()
+            {
+                todo.push(depth);
+            }
+        }
+        let workers = threads.min(todo.len());
+        let todo = &todo;
+        // Worker `w` solves every `workers`-th depth, starting at the `w`-th.
+        let solve_stride = |w: usize| -> Vec<(usize, Option<AnalysisReport>)> {
+            let mine = todo.iter().enumerate().skip(w).step_by(workers);
+            mine.map(|(i, &depth)| (i, self.solve_at_buffer_depth(kind, depth, budget).ok()))
+                .collect()
+        };
+        let mut solved: Vec<(usize, Option<AnalysisReport>)> = match workers {
+            0 => Vec::new(),
+            1 => solve_stride(0),
+            _ => std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || solve_stride(w)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|handle| {
+                        handle
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    })
+                    .collect()
+            }),
+        };
+        // Kept in `todo` order, so the slot layout is thread-count invariant.
+        solved.sort_unstable_by_key(|&(i, _)| i);
+        let mut kept = 0;
+        for (i, report) in solved {
+            if let Some(report) = report {
+                kept += usize::from(self.keep(kind, todo[i], report.clone()));
+            }
+        }
+        kept
+    }
+
+    /// Keeps `report` as `kind` at `depth` in the first free slot, unless a
+    /// concurrent fill kept that depth first or the store is full. Returns
+    /// whether this call kept it.
+    fn keep(&self, kind: AnalysisKind, depth: u32, report: AnalysisReport) -> bool {
+        let mut solved = Some(DepthReport {
+            kind,
+            depth,
+            report,
+        });
+        for slot in &self.by_depth {
+            let kept = slot.get_or_init(|| {
+                metrics::BUFFER_DEPTH_FILLED.incr();
+                solved.take().expect("a fill takes one slot")
+            });
+            if solved.is_none() {
+                return true;
+            }
+            if (kept.kind, kept.depth) == (kind, depth) {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// `kind` over this context's system with every router buffer resized
+    /// to `depth` flits: the report [`AnalysisContext::warm_buffer_depths`]
+    /// kept, or else a solve of the rebased system that keeps nothing.
+    /// Either way bit-identical to `kind` analysed from scratch over
+    /// `system().with_buffer_depth(depth)`, which also clears any
+    /// per-router override.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::DeadlineExceeded`] if `budget` is already exceeded,
+    /// whatever is kept, as for every cached solve: an answer never depends
+    /// on what happened to be kept. Otherwise, when nothing is kept, the
+    /// conditions of [`AnalysisKind::analyze_with_budget`].
+    pub fn analyze_at_buffer_depth(
+        &self,
+        kind: AnalysisKind,
+        depth: u32,
+        budget: &Budget,
+    ) -> Result<AnalysisReport, AnalysisError> {
+        self.check_budget(budget)?;
+        if let Some(report) = self.kept_at_depth(kind, depth) {
+            metrics::BUFFER_DEPTH_SERVED.incr();
+            return Ok(report.clone());
+        }
+        metrics::BUFFER_DEPTH_UNKEPT.incr();
+        self.solve_at_buffer_depth(kind, depth, budget)
+    }
+
+    fn solve_at_buffer_depth(
+        &self,
+        kind: AnalysisKind,
+        depth: u32,
+        budget: &Budget,
+    ) -> Result<AnalysisReport, AnalysisError> {
+        let target = self.system().with_buffer_depth(depth);
+        kind.analyze_with_budget(&self.rebase(&target)?, budget)
+    }
+
+    /// The report [`AnalysisContext::warm_buffer_depths`] kept for `kind`
+    /// at `depth`, if any.
+    fn kept_at_depth(&self, kind: AnalysisKind, depth: u32) -> Option<&AnalysisReport> {
+        self.by_depth
+            .iter()
+            .map_while(OnceLock::get)
+            .find(|kept| (kept.kind, kept.depth) == (kind, depth))
+            .map(|kept| &kept.report)
+    }
+
+    /// Fails as a solve under `budget` would at its first flow, counting a
+    /// deadline hit, if `budget` is already exceeded: the check every
+    /// budgeted answer makes before any work, so that an exceeded budget
+    /// aborts even an answer that is kept or cached clean. An empty flow
+    /// set never fails.
+    pub(crate) fn check_budget(&self, budget: &Budget) -> Result<(), AnalysisError> {
+        match self.priority_order.first() {
+            Some(&first) if budget.is_exceeded() => {
+                metrics::SOLVER_DEADLINE_HITS.incr();
+                Err(AnalysisError::DeadlineExceeded {
+                    flow: first,
+                    iterations: 0,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Admits `flow`, routed by `routing`, and returns its new dense id
     /// plus the flows whose interference sets changed. The context is
     /// unchanged on error.
@@ -311,6 +509,7 @@ impl<'sys> AnalysisContext<'sys> {
         self.system = Cow::Owned(system);
         self.solved = Default::default();
         self.conservative = Default::default();
+        self.by_depth = Default::default();
         Ok((id, affected))
     }
 
@@ -325,15 +524,18 @@ impl<'sys> AnalysisContext<'sys> {
         self.system = Cow::Owned(system);
         self.solved = Default::default();
         self.conservative = Default::default();
+        self.by_depth = Default::default();
         Ok(affected)
     }
 
     /// Resizes the per-VC buffers of `router`; nothing derived depends on
-    /// buffer depths, so only the system (and any solved cache) changes.
-    /// The conservative bound reads no buffer depth, so its cache stays.
+    /// buffer depths, so only the system (and any solved cache or
+    /// buffer-depth report) changes. The conservative bound reads no buffer
+    /// depth, so its cache stays.
     pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
         self.solved = Default::default();
+        self.by_depth = Default::default();
     }
 
     /// The system this context was built for (or last rebased onto).
@@ -376,6 +578,7 @@ impl<'sys> AnalysisContext<'sys> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::Analysis;
     use noc_model::prelude::*;
 
     fn system(buffer: u32) -> System {
@@ -539,6 +742,187 @@ mod tests {
         let scratch = AnalysisContext::new(&faster).unwrap();
         assert_eq!(report, conservative_with(&scratch));
         assert_ne!(report, warmed);
+    }
+
+    /// Whether any buffer-depth report is kept (the slots fill in order).
+    fn any_depth_kept(ctx: &AnalysisContext<'_>) -> bool {
+        ctx.by_depth[0].get().is_some()
+    }
+
+    #[test]
+    fn kept_depth_reports_never_outlive_their_system() {
+        let ibn = AnalysisKind::BufferAware;
+        let unlimited = Budget::unlimited();
+        let sys = noc_workload::didactic::system(2);
+        let base = AnalysisContext::new(&sys).unwrap();
+        assert_eq!(base.warm_buffer_depths(ibn, &[10], &unlimited, 1), 1);
+        assert_eq!(base.warm_buffer_depths(ibn, &[10], &unlimited, 1), 0);
+        assert!(base.kept_at_depth(ibn, 10).is_some());
+        assert!(base.by_depth[1].get().is_none(), "a re-fill takes no slot");
+        assert!(base.kept_at_depth(ibn, 2).is_none());
+        assert!(base.kept_at_depth(AnalysisKind::Xlwx, 10).is_none());
+
+        // Rebasing and forking start empty.
+        let deeper = sys.with_buffer_depth(10);
+        assert!(!any_depth_kept(&base.rebase(&deeper).unwrap()));
+        assert!(!any_depth_kept(&base.fork()));
+
+        // Every mutator drops the store.
+        let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
+        let fill = |ctx: &AnalysisContext<'_>| {
+            assert_eq!(ctx.warm_buffer_depths(ibn, &[6], &unlimited, 1), 1);
+            assert!(any_depth_kept(ctx));
+        };
+        fill(&owned);
+        owned.resize_buffer(RouterId::new(0), 4);
+        assert!(!any_depth_kept(&owned));
+        fill(&owned);
+        let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
+            .priority(Priority::new(4))
+            .period(Cycles::new(2_000))
+            .length_flits(4)
+            .build();
+        owned.add_flow(extra, &XyRouting).unwrap();
+        assert!(!any_depth_kept(&owned));
+        fill(&owned);
+        owned.remove_flow(FlowId::new(0)).unwrap();
+        assert!(!any_depth_kept(&owned));
+    }
+
+    /// A kept report is the budgeted solve over the rebased context, bit
+    /// for bit, for every kind, and the store tells depths apart: the
+    /// didactic τ₃ bound is 348 at depth 2 and 396 at depth 10.
+    #[test]
+    fn a_kept_depth_report_is_the_rebased_solve() {
+        let unlimited = Budget::unlimited();
+        let sys = noc_workload::didactic::system(2);
+        let base = AnalysisContext::new(&sys).unwrap();
+        for kind in AnalysisKind::ALL {
+            for depth in [2, 10, 100] {
+                base.warm_buffer_depths(kind, &[depth], &unlimited, 1);
+                let target = sys.with_buffer_depth(depth);
+                let rebased = base.rebase(&target).unwrap();
+                let solved = kind.analyze_with_budget(&rebased, &unlimited).unwrap();
+                assert_eq!(base.kept_at_depth(kind, depth), Some(&solved));
+                let answered = base.analyze_at_buffer_depth(kind, depth, &unlimited);
+                assert_eq!(answered.unwrap(), solved, "{} at {depth}", kind.name());
+            }
+        }
+        let ibn = AnalysisKind::BufferAware;
+        let tau3 = |depth| {
+            base.kept_at_depth(ibn, depth)
+                .unwrap()
+                .response_time(FlowId::new(2))
+        };
+        assert_eq!(tau3(2), Some(Cycles::new(348)));
+        assert_eq!(tau3(10), Some(Cycles::new(396)));
+    }
+
+    #[test]
+    fn a_failed_buffer_depth_fill_keeps_nothing() {
+        let ibn = AnalysisKind::BufferAware;
+        let sys = system(2);
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        for spent in [&expired, &cancelled] {
+            assert_eq!(ctx.warm_buffer_depths(ibn, &[8, 9], spent, 2), 0);
+        }
+        assert!(!any_depth_kept(&ctx));
+        // A spent budget fails an answer even once its depth is kept.
+        assert_eq!(
+            ctx.warm_buffer_depths(ibn, &[8], &Budget::unlimited(), 1),
+            1
+        );
+        for spent in [&expired, &cancelled] {
+            assert!(matches!(
+                ctx.analyze_at_buffer_depth(ibn, 8, spent),
+                Err(AnalysisError::DeadlineExceeded { iterations: 0, .. })
+            ));
+        }
+    }
+
+    /// Past the cap a depth is solved and not kept, and its answer is as
+    /// exact as a kept one's.
+    #[test]
+    fn a_full_store_keeps_nothing_more() {
+        let ibn = AnalysisKind::BufferAware;
+        let unlimited = Budget::unlimited();
+        let sys = system(2);
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let past = 2 + KEPT_BUFFER_DEPTHS as u32;
+        for depth in 2..past {
+            assert_eq!(ctx.warm_buffer_depths(ibn, &[depth], &unlimited, 1), 1);
+        }
+        assert!(ctx.by_depth.iter().all(|slot| slot.get().is_some()));
+        assert_eq!(ctx.warm_buffer_depths(ibn, &[past], &unlimited, 1), 0);
+        assert!(ctx.kept_at_depth(ibn, past).is_none());
+        for depth in 2..=past {
+            let scratch = ibn.analyze(&sys.with_buffer_depth(depth)).unwrap();
+            assert_eq!(
+                ctx.analyze_at_buffer_depth(ibn, depth, &unlimited).unwrap(),
+                scratch
+            );
+        }
+    }
+
+    /// A batched fill keeps the first free depths not yet kept, whatever
+    /// the thread count: the same slots, each the rebased solve.
+    #[test]
+    fn a_batched_fill_keeps_the_first_free_depths() {
+        let ibn = AnalysisKind::BufferAware;
+        let unlimited = Budget::unlimited();
+        let sys = system(2);
+        // Two depths more than the cap, repeats and an already-kept one.
+        let mut depths: Vec<u32> = (2..4 + KEPT_BUFFER_DEPTHS as u32).collect();
+        depths.splice(3..3, [2, 5, 2]);
+        let layouts: Vec<Vec<(AnalysisKind, u32)>> = [1, 3, 4]
+            .into_iter()
+            .map(|threads| {
+                let ctx = AnalysisContext::new(&sys).unwrap();
+                ctx.warm_buffer_depths(ibn, &[3], &unlimited, 1);
+                let kept = ctx.warm_buffer_depths(ibn, &depths, &unlimited, threads);
+                assert_eq!(kept, KEPT_BUFFER_DEPTHS - 1, "{threads} threads");
+                assert_eq!(ctx.warm_buffer_depths(ibn, &depths, &unlimited, threads), 0);
+                for depth in 2..2 + KEPT_BUFFER_DEPTHS as u32 {
+                    let target = sys.with_buffer_depth(depth);
+                    let rebased = ctx.rebase(&target).unwrap();
+                    let solved = ibn.analyze_with_budget(&rebased, &unlimited).unwrap();
+                    assert_eq!(ctx.kept_at_depth(ibn, depth), Some(&solved));
+                }
+                for past in [2 + KEPT_BUFFER_DEPTHS as u32, 3 + KEPT_BUFFER_DEPTHS as u32] {
+                    assert!(ctx.kept_at_depth(ibn, past).is_none());
+                }
+                let slots = ctx.by_depth.iter().map(|slot| slot.get().unwrap());
+                slots.map(|kept| (kept.kind, kept.depth)).collect()
+            })
+            .collect();
+        assert!(layouts.windows(2).all(|pair| pair[0] == pair[1]));
+    }
+
+    /// Concurrent fills keep each depth once, whatever the interleaving:
+    /// every filler scans the slots from the first. The fillers start
+    /// together, so most runs race on the first slot.
+    #[test]
+    fn concurrent_fills_keep_each_depth_once() {
+        let ibn = AnalysisKind::BufferAware;
+        let sys = system(2);
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let depths = [3, 4, 3, 4, 3, 4];
+        let start = std::sync::Barrier::new(depths.len());
+        std::thread::scope(|scope| {
+            for depth in depths {
+                let (ctx, start) = (&ctx, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    ctx.warm_buffer_depths(ibn, &[depth], &Budget::unlimited(), 1)
+                });
+            }
+        });
+        let kept = ctx.by_depth.iter().filter(|slot| slot.get().is_some());
+        assert_eq!(kept.count(), 2);
+        assert!(ctx.kept_at_depth(ibn, 3).is_some() && ctx.kept_at_depth(ibn, 4).is_some());
     }
 
     #[test]

@@ -269,19 +269,10 @@ impl<'a> Solver<'a> {
             order.len(),
             "solve cache does not match the flow set"
         );
-        // An exceeded budget must abort even when every flow is clean —
-        // otherwise a cancelled solve answers from the warm cache and the
-        // outcome depends on what happened to run on this context earlier.
-        // No work has been done yet, so the cache stays valid (no poison).
-        if let Some(&first) = order.first() {
-            if self.budget.is_exceeded() {
-                metrics::SOLVER_DEADLINE_HITS.incr();
-                return Err(AnalysisError::DeadlineExceeded {
-                    flow: first,
-                    iterations: 0,
-                });
-            }
-        }
+        // An exceeded budget aborts even when every flow is clean, so the
+        // outcome never depends on what ran on this context earlier. No
+        // work has been done yet, so the cache stays valid (no poison).
+        self.ctx.check_budget(self.budget)?;
         self.idown_memo = std::mem::take(&mut cache.memo);
         if !self.idown_memo.is_laid_out() {
             self.idown_memo = EdgeMemo::new(self.graph);

@@ -268,15 +268,19 @@ impl IncrementalContext {
     /// # Errors
     ///
     /// [`AnalysisError::DeadlineExceeded`] when the budget expires
-    /// mid-solve, plus the conditions of [`IncrementalContext::analyze`].
-    /// On any error this kind's cache is marked all-dirty, so a later call
-    /// (with a fresh budget) recovers with a full solve — pinned by the
-    /// `incremental_equivalence` integration test.
+    /// mid-solve, or is already exceeded at the call, plus the conditions
+    /// of [`IncrementalContext::analyze`]. An error raised mid-solve marks
+    /// this kind's cache all-dirty, so a later call (with a fresh budget)
+    /// recovers with a full solve — pinned by the `incremental_equivalence`
+    /// integration test; a budget already exceeded fails before the cache
+    /// is touched, or laid out.
     pub fn analyze_with_budget(
         &mut self,
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
+        // Before the cache: a spent budget lays out or copies nothing.
+        self.ctx.check_budget(budget)?;
         let (ctx, cache) = self.with_cache(kind.index());
         Solver::new(ctx, kind.spec(), budget).solve_cached(cache)
     }
@@ -308,10 +312,11 @@ impl IncrementalContext {
         (&self.ctx, Arc::make_mut(cache))
     }
 
-    /// The cache at `index`, which a solve has laid out.
+    /// The cache at `index`, if a solve has laid it out (or a warmed base
+    /// shared it).
     #[cfg(test)]
-    fn cache(&self, index: usize) -> &SolveCache {
-        self.caches[index].as_deref().expect("solved at least once")
+    fn cache(&self, index: usize) -> Option<&SolveCache> {
+        self.caches[index].as_deref()
     }
 
     /// The current system.
@@ -443,6 +448,25 @@ mod tests {
         ctx.remove_flow(FlowId::new(1)).unwrap();
         assert_eq!(ctx.len(), 2);
         assert_matches_scratch(&mut ctx);
+    }
+
+    /// A spent budget fails before the kind's cache is laid out, so a
+    /// fork whose only solve ran out of budget holds no cache for the
+    /// deltas after it to shift, and a later solve still answers exactly.
+    #[test]
+    fn a_spent_budget_lays_out_no_cache() {
+        let ibn = AnalysisKind::BufferAware;
+        let sys = mesh_system(&SPECS[..5]);
+        let base = AnalysisContext::new(&sys).unwrap();
+        let mut fork = IncrementalContext::from_context(&base);
+        let spent = Budget::with_deadline(std::time::Duration::ZERO);
+        assert!(matches!(
+            fork.analyze_with_budget(ibn, &spent),
+            Err(AnalysisError::DeadlineExceeded { iterations: 0, .. })
+        ));
+        fork.add_flow(mesh_flow(SPECS[5]), &XyRouting).unwrap();
+        assert!(fork.cache(ibn.index()).is_none());
+        assert_matches_scratch(&mut fork);
     }
 
     #[test]
@@ -708,7 +732,7 @@ mod tests {
             crate::conservative::reference::conservative_with(&scratch),
             "{label}: conservative reference"
         );
-        ctx.cache(CONSERVATIVE).resolved.len()
+        ctx.cache(CONSERVATIVE).unwrap().resolved.len()
     }
 
     /// From-scratch explanations over `ctx`, per kind, indexed by flow.
@@ -817,7 +841,7 @@ mod tests {
                 let report = ctx.analyze(kind).unwrap();
                 let label = format!("step {step}, {}", kind.name());
                 assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
-                let cache = ctx.cache(kind.index());
+                let cache = ctx.cache(kind.index()).unwrap();
                 let mut resolved = vec![false; ctx.len()];
                 for i in &cache.resolved {
                     resolved[i.index()] = true;
@@ -886,7 +910,12 @@ mod tests {
         for kind in AnalysisKind::ALL {
             let report = fork.analyze(kind).unwrap();
             assert_eq!(report, kind.analyze_with(&scratch).unwrap());
-            assert_eq!(fork.cache(kind.index()).resolved, [], "{}", kind.name());
+            assert_eq!(
+                fork.cache(kind.index()).unwrap().resolved,
+                [],
+                "{}",
+                kind.name()
+            );
         }
     }
 
@@ -943,7 +972,11 @@ mod tests {
         let report = fork.analyze(AnalysisKind::BufferAware).unwrap();
         let scratch = AnalysisContext::new(&after).unwrap();
         assert_eq!(report, BufferAware.analyze_with(&scratch).unwrap());
-        let resolved = fork.cache(AnalysisKind::BufferAware.index()).resolved.len();
+        let resolved = fork
+            .cache(AnalysisKind::BufferAware.index())
+            .unwrap()
+            .resolved
+            .len();
         let closure = closure(fork.graph(), &after, &affected);
         assert!(
             affected.len() <= resolved && resolved < closure,

@@ -76,3 +76,24 @@ pub static FORK_WARM: Counter = Counter::new("analysis.fork.warm");
 ///
 /// [`AnalysisContext`]: crate::context::AnalysisContext
 pub static FORK_COLD: Counter = Counter::new("analysis.fork.cold");
+
+/// Buffer-depth reports an [`AnalysisContext`] kept
+/// ([`AnalysisContext::warm_buffer_depths`]).
+///
+/// [`AnalysisContext`]: crate::context::AnalysisContext
+/// [`AnalysisContext::warm_buffer_depths`]: crate::context::AnalysisContext::warm_buffer_depths
+pub static BUFFER_DEPTH_FILLED: Counter = Counter::new("analysis.buffer_depth.filled");
+
+/// Buffer-depth answers
+/// ([`AnalysisContext::analyze_at_buffer_depth`]) read from a kept report,
+/// with no solve.
+///
+/// [`AnalysisContext::analyze_at_buffer_depth`]: crate::context::AnalysisContext::analyze_at_buffer_depth
+pub static BUFFER_DEPTH_SERVED: Counter = Counter::new("analysis.buffer_depth.served");
+
+/// Buffer-depth answers
+/// ([`AnalysisContext::analyze_at_buffer_depth`]) solved in full because
+/// no report was kept for their kind and depth.
+///
+/// [`AnalysisContext::analyze_at_buffer_depth`]: crate::context::AnalysisContext::analyze_at_buffer_depth
+pub static BUFFER_DEPTH_UNKEPT: Counter = Counter::new("analysis.buffer_depth.unkept");

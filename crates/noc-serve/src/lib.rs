@@ -16,7 +16,8 @@
 //!
 //! * [`Query::Admission`] — add a candidate flow, re-certify, roll back;
 //! * [`Query::Removal`] — retire an existing flow, re-certify, restore;
-//! * [`Query::BufferWhatIf`] — re-certify at a different buffer depth;
+//! * [`Query::BufferWhatIf`] — re-certify at a different buffer depth,
+//!   answered from the report the base keeps for that depth;
 //! * [`Query::RouterBufferWhatIf`] — re-certify with **one** router's
 //!   buffers resized (heterogeneous depths), served through the shard's
 //!   [`IncrementalContext::resize_buffer`] with a restore afterwards.
@@ -24,15 +25,21 @@
 //! Every query answers with a [`QueryOutcome`]; the batch reports wall
 //! time and queries/second in its [`BatchReport`].
 //!
-//! # Deduplication via rebase, sharding via worker threads
+//! # Answers kept on the base, sharding via worker threads
 //!
 //! The expensive derived structure — the interference graph — is built
 //! **once** for the base system, inside the shared
-//! [`AnalysisContext`]. From there two cheap forks serve all queries:
+//! [`AnalysisContext`], which also keeps solved answers across batches.
+//! From there all queries are served two ways:
 //!
-//! * buffer what-ifs share the graph itself through
-//!   [`AnalysisContext::rebase`] (an `Arc` clone: zero copying), because a
-//!   buffer depth change preserves the interference structure;
+//! * a homogeneous buffer what-if is a pure function of the base, the
+//!   analysis and the depth, so the base keeps one report per depth
+//!   ([`AnalysisContext::warm_buffer_depths`], up to
+//!   [`KEPT_BUFFER_DEPTHS`](noc_analysis::context::KEPT_BUFFER_DEPTHS)
+//!   reports) and a shard answers through
+//!   [`AnalysisContext::analyze_at_buffer_depth`]: a lookup, with no
+//!   system clone and no rebase. Past the cap, a depth is solved over a
+//!   rebased context that shares the graph and keeps nothing;
 //! * flow mutations need a *mutable* graph, so each worker thread forks one
 //!   [`IncrementalContext`] from the base (`from_context` shares the graph
 //!   copy-on-write; the shard copies it on its first addition or removal)
@@ -40,14 +47,21 @@
 //!   remove undo cycles, re-solving only the flows each delta marks and
 //!   those below them whose results the delta changes.
 //!
-//! Before forking, the batch solves the base once for its analysis
-//! ([`AnalysisContext::warm`], under the budget a query gets), so shards
-//! fork warm: a shard's first query is a cached re-solve, not a full
-//! solve, and the full solve is paid once per base rather than once per
-//! shard per batch. If that solve fails, shards fork cold. A batch that
-//! can degrade (a deadline or a fault plan is set) also keeps the base's
-//! conservative bound ([`AnalysisContext::warm_conservative`]), so shards
-//! fork with it too.
+//! Before forking, on the submitting thread, the batch solves the base
+//! once for its analysis ([`AnalysisContext::warm`], under the budget a
+//! query gets), so shards fork warm: a shard's first query is a cached
+//! re-solve, not a full solve, and the full solve is paid once per base
+//! rather than once per shard per batch. If that solve fails, shards fork
+//! cold. Unless a deadline is set, it then solves each buffer depth the
+//! batch serves that the base does not keep yet, up to `threads` depths at
+//! once, so a depth costs one solve per base, not one per query. Under a
+//! deadline it keeps nothing new: a fill that ran out of budget would keep
+//! nothing, and its queries would spend a second budget on the same solve.
+//! Filling there rather than in the shards keeps the work, and the solver
+//! counters, independent of thread scheduling. A batch that can degrade
+//! (a deadline or a fault plan is set) also keeps the base's conservative
+//! bound ([`AnalysisContext::warm_conservative`]), so shards fork with it
+//! too.
 //!
 //! Queries are sharded across threads in contiguous chunks via
 //! `par_map_indexed`; outcomes come back in submission order regardless of
@@ -73,7 +87,9 @@
 //!   exact solve: a degraded admission or removal re-evaluates only the
 //!   flows its delta reaches, a router what-if re-evaluates none (the
 //!   bound reads no buffer depth), and a homogeneous buffer what-if reads
-//!   the base's kept bound through the rebased context.
+//!   the base's kept bound directly. An exceeded budget degrades a buffer
+//!   what-if even when its depth's report is kept, so the outcome never
+//!   depends on what earlier batches happened to keep.
 //! * **Isolation and retry** — each serve attempt runs inside
 //!   `catch_unwind`; a panicking worker poisons only its own shard, which
 //!   is re-forked from the shared base, and the query is retried with
@@ -131,8 +147,13 @@ pub enum Query {
         id: FlowId,
     },
     /// Is the system schedulable with every router buffer resized to
-    /// `depth` flits? Interference structure is preserved, so this is
-    /// served from the shared base context without any graph work.
+    /// `depth` flits (any per-router override of the base cleared)?
+    /// Interference structure is preserved, so this is served from the
+    /// shared base context without any graph work: a batch without a
+    /// deadline solves each depth once per base
+    /// ([`AnalysisContext::warm_buffer_depths`]) and
+    /// the query reads the kept report
+    /// ([`AnalysisContext::analyze_at_buffer_depth`]).
     BufferWhatIf {
         /// Hypothetical homogeneous buffer depth, in flits (≥ 2, the
         /// simulator-validated domain).
@@ -408,6 +429,13 @@ impl ServeOptions {
             ..ServeOptions::default()
         })
     }
+
+    /// A fresh budget for one solve: the deadline a query gets, or
+    /// unlimited.
+    fn query_budget(&self) -> Budget {
+        self.deadline
+            .map_or_else(Budget::unlimited, Budget::with_deadline)
+    }
 }
 
 /// Checks one query against the base system before any serving work.
@@ -579,17 +607,10 @@ impl<'a> Shard<'a> {
                 outcome
             }
             Query::BufferWhatIf { depth } => {
-                let what_if = base.system().with_buffer_depth(*depth);
-                match base.rebase(&what_if) {
-                    Ok(ctx) => {
-                        metrics::CONTEXT_REBASES.incr();
-                        let result = self.kind.analyze_with_budget(&ctx, budget);
-                        outcome_of(result, || noc_analysis::conservative_with(&ctx))
-                    }
-                    Err(e) => QueryOutcome::Infeasible {
-                        reason: e.to_string(),
-                    },
-                }
+                let result = base.analyze_at_buffer_depth(self.kind, *depth, budget);
+                // The conservative bound reads no buffer depth: the base's
+                // is the what-if's.
+                outcome_of(result, || noc_analysis::conservative_with(base))
             }
             Query::RouterBufferWhatIf { router, depth } => {
                 let original = self.ctx.system().buffer_depth_at(*router);
@@ -656,9 +677,7 @@ fn serve_isolated(
         }
         // The budget is created before any injected delay, so a slow worker
         // genuinely eats into its own deadline.
-        let budget = options
-            .deadline
-            .map_or_else(Budget::unlimited, Budget::with_deadline);
+        let budget = options.query_budget();
         if fault == Fault::CancelSolve {
             budget.cancel();
         }
@@ -817,12 +836,26 @@ pub fn run_batch_with(
     // A batch that can degrade also keeps the base's conservative bound,
     // so each degraded answer re-evaluates only what its query changes.
     if dispositions.iter().any(|d| matches!(d, Disposition::Serve)) {
-        let budget = options
-            .deadline
-            .map_or_else(Budget::unlimited, Budget::with_deadline);
-        let _ = base.warm(batch.analysis, &budget);
+        let _ = base.warm(batch.analysis, &options.query_budget());
         if options.deadline.is_some() || options.faults.is_some() {
             base.warm_conservative();
+        }
+        // Likewise each homogeneous buffer depth served, once per base and
+        // up to `threads` at once, so a buffer what-if is a lookup. Not
+        // under a deadline: a fill that runs out of budget keeps nothing,
+        // and its queries would then spend a second budget on the same
+        // solve.
+        if options.deadline.is_none() {
+            let depths: Vec<u32> = batch
+                .queries
+                .iter()
+                .zip(&dispositions)
+                .filter_map(|(query, disposition)| match (query, disposition) {
+                    (Query::BufferWhatIf { depth }, Disposition::Serve) => Some(*depth),
+                    _ => None,
+                })
+                .collect();
+            base.warm_buffer_depths(batch.analysis, &depths, &Budget::unlimited(), threads);
         }
     }
     let per_shard: Vec<(Vec<QueryOutcome>, u128)> =

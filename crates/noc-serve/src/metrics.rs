@@ -21,10 +21,6 @@ pub static BATCHES: Counter = Counter::new("serve.batches");
 /// forks off the shared base context (one per shard per batch).
 pub static CONTEXT_FORKS: Counter = Counter::new("serve.context_forks");
 
-/// Graph-sharing rebases served for buffer what-ifs
-/// ([`AnalysisContext::rebase`](noc_analysis::context::AnalysisContext::rebase)).
-pub static CONTEXT_REBASES: Counter = Counter::new("serve.context_rebases");
-
 /// Worker panics caught by the per-query isolation boundary (injected or
 /// real). Each one also triggers a shard rebuild.
 pub static PANICS_CAUGHT: Counter = Counter::new("serve.panics_caught");

@@ -12,6 +12,7 @@
 
 use std::sync::Once;
 
+use noc_mpb::analysis::context::KEPT_BUFFER_DEPTHS;
 use noc_mpb::prelude::*;
 use noc_mpb::serve::fault::{Fault, FaultPlan};
 use noc_mpb::serve::{
@@ -405,6 +406,254 @@ fn degraded_answers_match_the_from_scratch_conservative_bound() {
                     "{label} base, {threads} threads, round {round}"
                 );
             }
+        }
+    }
+}
+
+/// The chaos fixture with τ₃'s deadline cut so that a homogeneous buffer
+/// what-if accepts up to depth `accept_up_to` and rejects deeper ones:
+/// τ₃'s IBN bound is 348 + 6·(depth − 2) cycles (Eq. 6–8 charge deeper
+/// buffers more), and the deadline sits 3 cycles above its bound at
+/// `accept_up_to`. Over every boundary, a report kept for the wrong
+/// depth, or one that kept a per-router override, shows.
+fn depth_sensitive_fixture(accept_up_to: u32) -> (System, TableRouting) {
+    let (system, table) = fixture();
+    let tau3 = FlowId::new(2);
+    let old = system.flow(tau3);
+    let tight = Flow::builder(old.source(), old.dest())
+        .priority(old.priority())
+        .period(old.period())
+        .deadline(Cycles::new(351 + 6 * u64::from(accept_up_to - 2)))
+        .length_flits(old.length_flits())
+        .build();
+    let (system, _) = system
+        .without_flow(tau3)
+        .and_then(|s| s.with_added_flow(tight, &table))
+        .expect("τ₃ with a tighter deadline is feasible");
+    (system, table)
+}
+
+/// Homogeneous buffer what-ifs at each of `depths`, in order.
+fn buffer_what_ifs(depths: impl IntoIterator<Item = u32>) -> Vec<Query> {
+    depths
+        .into_iter()
+        .map(|depth| Query::BufferWhatIf { depth })
+        .collect()
+}
+
+/// The from-scratch answers to `batch` over `system`.
+fn expected_outcomes(
+    system: &System,
+    batch: &QueryBatch,
+    routing: &dyn RoutingAlgorithm,
+) -> Vec<QueryOutcome> {
+    batch
+        .queries
+        .iter()
+        .map(|q| from_scratch(system, q, batch.analysis, routing))
+        .collect()
+}
+
+/// A buffer what-if is solved once per depth on the base and then looked
+/// up: two batches on one base, every depth 2..=16 plus repeats among
+/// flow what-ifs, at 1, 2 and 4 threads, all answer as from scratch, with
+/// the accept/reject boundary at every depth in turn. So does a base with
+/// a per-router override, which a homogeneous what-if clears.
+#[test]
+fn kept_buffer_depths_answer_from_scratch_across_batches() {
+    let router = RouterId::new(3);
+    let depths: Vec<u32> = (2..=16).chain([16, 2, 7, 8, 8]).collect();
+    for accept_up_to in 2..=15 {
+        let (system, table) = depth_sensitive_fixture(accept_up_to);
+        let overridden = system.with_router_buffer_depth(router, 16);
+        let mut queries = buffer_what_ifs(depths.iter().copied());
+        queries.extend(sample_queries(&system, 10));
+        let batch = QueryBatch {
+            analysis: AnalysisKind::BufferAware,
+            queries,
+        };
+        let homogeneous = expected_outcomes(&system, &batch, &table);
+        for (&depth, outcome) in depths.iter().zip(&homogeneous) {
+            assert_eq!(
+                outcome.is_accepted(),
+                depth <= accept_up_to,
+                "depth {depth}, accepting up to {accept_up_to}"
+            );
+        }
+        for (label, base_system) in [("homogeneous", &system), ("overridden", &overridden)] {
+            let expected = expected_outcomes(base_system, &batch, &table);
+            // Buffer what-ifs answer alike on both bases.
+            assert_eq!(expected[..depths.len()], homogeneous[..depths.len()]);
+            for threads in [1, 2, 4] {
+                let base = AnalysisContext::new(base_system).expect("base is analysable");
+                // Twice: the second batch looks up what the first kept.
+                for round in 0..2 {
+                    let served = run_batch(&base, &batch, &table, threads).outcomes;
+                    assert_eq!(
+                        served, expected,
+                        "{label} base accepting up to {accept_up_to}, \
+                         {threads} threads, round {round}"
+                    );
+                }
+            }
+        }
+    }
+    // Keeping the override would turn depth 4's accept into a reject.
+    let (system, _) = depth_sensitive_fixture(7);
+    let kept_override = system
+        .with_buffer_depth(4)
+        .with_router_buffer_depth(router, 16);
+    assert!(!AnalysisKind::BufferAware
+        .as_analysis()
+        .analyze(&kept_override)
+        .expect("exact solve")
+        .is_schedulable());
+}
+
+/// Past the cap a depth is solved and not kept, and answers as exactly
+/// as a kept one. Depths run deepest first, so the shallowest are the
+/// ones left unkept, with the accept/reject boundary at every depth in
+/// turn.
+#[test]
+fn buffer_depths_past_the_cap_answer_from_scratch() {
+    let deepest = 2 + KEPT_BUFFER_DEPTHS as u32 + 3;
+    let batch = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries: buffer_what_ifs((2..=deepest).rev().chain(2..=deepest)),
+    };
+    for accept_up_to in 2..deepest {
+        let (system, table) = depth_sensitive_fixture(accept_up_to);
+        let expected = expected_outcomes(&system, &batch, &table);
+        for threads in [1, 2, 4] {
+            let base = AnalysisContext::new(&system).expect("base is analysable");
+            for round in 0..2 {
+                let served = run_batch(&base, &batch, &table, threads).outcomes;
+                assert_eq!(
+                    served, expected,
+                    "accepting up to {accept_up_to}, {threads} threads, round {round}"
+                );
+            }
+        }
+    }
+}
+
+/// A spent deadline degrades every query, buffer what-ifs included, even
+/// on a base that keeps a report for every depth it can: each answers
+/// with the from-scratch conservative failing count.
+#[test]
+fn a_spent_deadline_degrades_buffer_what_ifs_on_a_full_store() {
+    let (system, table) = depth_sensitive_fixture(7);
+    let full = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries: buffer_what_ifs(2..2 + KEPT_BUFFER_DEPTHS as u32),
+    };
+    let mut queries = buffer_what_ifs((2..=20).chain([2, 9]));
+    queries.extend(sample_queries(&system, 10));
+    let batch = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries,
+    };
+    let expected: Vec<QueryOutcome> = batch
+        .queries
+        .iter()
+        .map(|q| QueryOutcome::Degraded {
+            reason: DegradeReason::DeadlineExceeded,
+            failing: conservative_from_scratch(&system, q, &table),
+        })
+        .collect();
+    let options = ServeOptions {
+        deadline: Some(std::time::Duration::ZERO),
+        ..ServeOptions::default()
+    };
+    for threads in [1, 2, 4] {
+        let base = AnalysisContext::new(&system).expect("base is analysable");
+        assert_eq!(
+            run_batch(&base, &full, &table, threads).outcomes,
+            expected_outcomes(&system, &full, &table)
+        );
+        for round in 0..2 {
+            let served = run_batch_with(&base, &batch, &table, threads, &options).outcomes;
+            assert_eq!(served, expected, "{threads} threads, round {round}");
+        }
+    }
+}
+
+/// A batch under a deadline keeps no new depth but answers every buffer
+/// what-if exactly while the budget holds: on a fresh base, its depths are
+/// solved unkept; after a batch without a deadline, they are looked up.
+#[test]
+fn a_generous_deadline_answers_buffer_what_ifs_exactly() {
+    let (system, table) = depth_sensitive_fixture(7);
+    let mut queries = buffer_what_ifs((2..=16).chain([2, 9, 16]));
+    queries.extend(sample_queries(&system, 10));
+    let batch = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries,
+    };
+    let expected = expected_outcomes(&system, &batch, &table);
+    let options = ServeOptions {
+        deadline: Some(std::time::Duration::from_secs(60)),
+        ..ServeOptions::default()
+    };
+    for threads in [1, 2, 4] {
+        let base = AnalysisContext::new(&system).expect("base is analysable");
+        for round in 0..2 {
+            let served = run_batch_with(&base, &batch, &table, threads, &options).outcomes;
+            assert_eq!(served, expected, "{threads} threads, round {round}");
+        }
+        assert_eq!(run_batch(&base, &batch, &table, threads).outcomes, expected);
+        let served = run_batch_with(&base, &batch, &table, threads, &options).outcomes;
+        assert_eq!(served, expected, "{threads} threads, after a fill");
+    }
+}
+
+/// A cancelled solve degrades a buffer what-if even when its depth's
+/// report is kept: the outcome follows the fault, never what an earlier
+/// batch happened to keep.
+#[test]
+fn cancelled_buffer_what_ifs_degrade_even_when_kept() {
+    quiet_injected_panics();
+    let (system, table) = depth_sensitive_fixture(7);
+    let batch = QueryBatch {
+        analysis: AnalysisKind::BufferAware,
+        queries: buffer_what_ifs((2..=16).chain([2, 8, 16])),
+    };
+    let clean = expected_outcomes(&system, &batch, &table);
+    let n = batch.queries.len();
+    let plan = (0..4096)
+        .map(|seed| FaultPlan::new(seed, 0.5))
+        .find(|plan| {
+            (0..n)
+                .filter(|&q| plan.fault_for(q, 0) == Fault::CancelSolve)
+                .count()
+                >= 3
+        })
+        .expect("some seed cancels several buffer what-ifs");
+    let options = ServeOptions {
+        faults: Some(plan),
+        ..ServeOptions::default()
+    };
+    for threads in [1, 2, 4] {
+        let base = AnalysisContext::new(&system).expect("base is analysable");
+        // Keep every depth first.
+        assert_eq!(run_batch(&base, &batch, &table, threads).outcomes, clean);
+        let served = run_batch_with(&base, &batch, &table, threads, &options).outcomes;
+        for (i, (query, outcome)) in batch.queries.iter().zip(&served).enumerate() {
+            let expected = match plan.fault_for(i, 0) {
+                Fault::CancelSolve => QueryOutcome::Degraded {
+                    reason: DegradeReason::DeadlineExceeded,
+                    failing: conservative_from_scratch(&system, query, &table),
+                },
+                Fault::Panic { persistent: true } => {
+                    assert!(
+                        matches!(outcome, QueryOutcome::Failed { .. }),
+                        "{threads} threads, query {i}: {outcome:?}"
+                    );
+                    continue;
+                }
+                _ => clean[i].clone(),
+            };
+            assert_eq!(outcome, &expected, "{threads} threads, query {i}");
         }
     }
 }
