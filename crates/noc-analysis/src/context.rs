@@ -2,9 +2,9 @@
 //!
 //! Every analysis of this crate consumes the same derived structure of a
 //! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets,
-//! contention domains and up/down partitions — §III of the paper), the
-//! priority-ordered flow indices the fixed-point engine solves in, and the
-//! zero-load latencies Cᵢ of Equation 1. Building that structure costs
+//! contention domains and up/down partitions — §III of the paper — and the
+//! priority order the fixed-point engine solves in) and the zero-load
+//! latencies Cᵢ of Equation 1. Building that structure costs
 //! about as much as a full fixed-point solve, and experiment harnesses
 //! routinely run 4–5 analyses (and several buffer depths) over the *same*
 //! flow set.
@@ -72,6 +72,7 @@ use std::sync::{Arc, OnceLock};
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
+use noc_model::route::Route;
 use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
 use noc_model::time::Cycles;
@@ -100,7 +101,6 @@ pub struct AnalysisContext<'sys> {
     system: Cow<'sys, System>,
     /// Shared by rebased contexts and forks; copied on the first delta.
     graph: Arc<InterferenceGraph>,
-    priority_order: Vec<FlowId>,
     zero_load: Vec<Cycles>,
     /// One solved cache per [`AnalysisKind`], indexed by
     /// `AnalysisKind::index`, filled by [`AnalysisContext::warm`].
@@ -132,8 +132,8 @@ struct DepthReport {
 }
 
 impl<'sys> AnalysisContext<'sys> {
-    /// Builds the full context for `system`: interference graph, priority
-    /// order, zero-load latencies.
+    /// Builds the full context for `system`: interference graph (priority
+    /// order included) and zero-load latencies.
     ///
     /// # Errors
     ///
@@ -150,7 +150,6 @@ impl<'sys> AnalysisContext<'sys> {
     }
 
     fn assemble(system: Cow<'sys, System>, graph: Arc<InterferenceGraph>) -> AnalysisContext<'sys> {
-        let priority_order = system.flows().ids_by_priority();
         let zero_load = system
             .flows()
             .ids()
@@ -159,7 +158,6 @@ impl<'sys> AnalysisContext<'sys> {
         AnalysisContext {
             system,
             graph,
-            priority_order,
             zero_load,
             solved: Default::default(),
             conservative: Default::default(),
@@ -170,8 +168,9 @@ impl<'sys> AnalysisContext<'sys> {
     /// Rebinds this context to a *derived* system that preserves the
     /// interference structure — same flows in the same order, same
     /// priorities, same routes. The expensive interference graph is shared
-    /// (one [`Arc`] clone); priority order and zero-load latencies are
-    /// recomputed from the new system, so config changes (buffer depth,
+    /// (one [`Arc`] clone), and with it the priority order, which the
+    /// check below keeps valid; zero-load latencies are recomputed from the
+    /// new system, so config changes (buffer depth,
     /// link/routing latency) and timing changes (periods, deadlines,
     /// jitters) are picked up correctly. Solved caches and buffer-depth
     /// reports are not carried over: they describe the old system. The
@@ -251,7 +250,6 @@ impl<'sys> AnalysisContext<'sys> {
         AnalysisContext {
             system: Cow::Owned(self.system().clone()),
             graph: Arc::clone(&self.graph),
-            priority_order: self.priority_order.clone(),
             zero_load: self.zero_load.clone(),
             solved: Default::default(),
             conservative: Default::default(),
@@ -482,7 +480,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// aborts even an answer that is kept or cached clean. An empty flow
     /// set never fails.
     pub(crate) fn check_budget(&self, budget: &Budget) -> Result<(), AnalysisError> {
-        match self.priority_order.first() {
+        match self.priority_order().first() {
             Some(&first) if budget.is_exceeded() => {
                 metrics::SOLVER_DEADLINE_HITS.incr();
                 Err(AnalysisError::DeadlineExceeded {
@@ -502,39 +500,71 @@ impl<'sys> AnalysisContext<'sys> {
         flow: Flow,
         routing: &dyn RoutingAlgorithm,
     ) -> Result<(FlowId, Vec<FlowId>), AnalysisError> {
-        let (system, id) = self.system.with_added_flow(flow, routing)?;
-        let affected = Arc::make_mut(&mut self.graph).add_flow(&system, id)?;
-        self.zero_load.push(system.zero_load_latency(id));
-        self.priority_order = system.flows().ids_by_priority();
-        self.system = Cow::Owned(system);
-        self.solved = Default::default();
-        self.conservative = Default::default();
-        self.by_depth = Default::default();
-        Ok((id, affected))
+        let system = self.system();
+        let route = routing.route(system.topology(), flow.source(), flow.dest())?;
+        let id = FlowId::new(self.len() as u32);
+        Ok((id, self.insert_flow(id, flow, route)?))
     }
 
-    /// Retires the flow `id`, renumbering every larger id one down, and
-    /// returns the flows whose interference sets changed. The context is
-    /// unchanged on error.
-    pub(crate) fn remove_flow(&mut self, id: FlowId) -> Result<Vec<FlowId>, AnalysisError> {
-        let system = self.system.without_flow(id)?;
-        let affected = Arc::make_mut(&mut self.graph).remove_flow(&system, id);
-        self.zero_load.remove(id.index());
-        self.priority_order = system.flows().ids_by_priority();
-        self.system = Cow::Owned(system);
-        self.solved = Default::default();
-        self.conservative = Default::default();
-        self.by_depth = Default::default();
+    /// Inserts `flow`, routed over `route`, at `id`, renumbering every flow
+    /// at `id` or above one up, in place, and returns the flows whose
+    /// interference sets changed: the exact inverse of
+    /// [`AnalysisContext::remove_flow`]. The context is unchanged on error.
+    pub(crate) fn insert_flow(
+        &mut self,
+        id: FlowId,
+        flow: Flow,
+        route: Route,
+    ) -> Result<Vec<FlowId>, AnalysisError> {
+        let system = self.system.to_mut();
+        system.insert_flow(id, flow, route)?;
+        let affected = match Arc::make_mut(&mut self.graph).add_flow(system, id) {
+            Ok(affected) => affected,
+            Err(e) => {
+                system.remove_flow(id).expect("just inserted");
+                return Err(e.into());
+            }
+        };
+        self.zero_load
+            .insert(id.index(), system.zero_load_latency(id));
+        self.forget();
         Ok(affected)
     }
 
-    /// Resizes the per-VC buffers of `router`; nothing derived depends on
+    /// Retires the flow `id` in place, renumbering every larger id one
+    /// down, and returns the flows whose interference sets changed, then
+    /// the flow and its route, which [`AnalysisContext::insert_flow`] takes
+    /// back. The context is unchanged on error.
+    pub(crate) fn remove_flow(
+        &mut self,
+        id: FlowId,
+    ) -> Result<(Vec<FlowId>, Flow, Route), AnalysisError> {
+        let system = self.system.to_mut();
+        let (flow, route) = system.remove_flow(id)?;
+        let affected = Arc::make_mut(&mut self.graph).remove_flow(system, id);
+        self.zero_load.remove(id.index());
+        self.forget();
+        Ok((affected, flow, route))
+    }
+
+    /// Overrides (`Some`) or clears (`None`) the per-VC buffer depth of
+    /// `router` in place and returns the override it replaced (see
+    /// [`System::set_router_buffer_depth`]). Nothing derived depends on
     /// buffer depths, so only the system (and any solved cache or
     /// buffer-depth report) changes. The conservative bound reads no buffer
     /// depth, so its cache stays.
-    pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: u32) {
-        self.system = Cow::Owned(self.system.with_router_buffer_depth(router, depth));
+    pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
+        let previous = self.system.to_mut().set_router_buffer_depth(router, depth);
         self.solved = Default::default();
+        self.by_depth = Default::default();
+        previous
+    }
+
+    /// Drops every solved cache and buffer-depth report: they describe the
+    /// flow set before a delta.
+    fn forget(&mut self) {
+        self.solved = Default::default();
+        self.conservative = Default::default();
         self.by_depth = Default::default();
     }
 
@@ -552,7 +582,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// Flow ids from highest priority to lowest — the order the fixed-point
     /// engine solves in, so every `Rⱼ` referenced by τᵢ is already final.
     pub fn priority_order(&self) -> &[FlowId] {
-        &self.priority_order
+        self.graph.priority_order()
     }
 
     /// The zero-load latency Cᵢ (Equation 1) of `id`.
@@ -695,7 +725,7 @@ mod tests {
         let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
         owned.warm(ibn, &Budget::unlimited()).unwrap();
         owned.warm_conservative();
-        owned.resize_buffer(RouterId::new(0), 4);
+        owned.resize_buffer(RouterId::new(0), Some(4));
         assert!(!any_warm(&owned));
         assert!(owned.conservative_solved().is_some());
         owned.warm(ibn, &Budget::unlimited()).unwrap();
@@ -774,7 +804,7 @@ mod tests {
             assert!(any_depth_kept(ctx));
         };
         fill(&owned);
-        owned.resize_buffer(RouterId::new(0), 4);
+        owned.resize_buffer(RouterId::new(0), Some(4));
         assert!(!any_depth_kept(&owned));
         fill(&owned);
         let extra = Flow::builder(NodeId::new(0), NodeId::new(2))

@@ -107,6 +107,9 @@ pub(crate) struct Solver<'a> {
     jitter: JitterModel,
     /// The fixed point, unless [`Solver::at_deadlines`] switched it.
     step: Step,
+    /// `buf(Ξ)`, if every router has it: read once per solve, since
+    /// [`System::has_heterogeneous_buffers`] scans every router.
+    uniform_depth: Option<u128>,
     /// Cooperative deadline/cancellation token, polled once per flow and
     /// every [`Budget::POLL_ITERATIONS`] fixed-point iterations.
     budget: &'a Budget,
@@ -142,6 +145,8 @@ impl<'a> Solver<'a> {
             downstream,
             jitter,
             step: Step::FixedPoint,
+            uniform_depth: (!ctx.system().has_heterogeneous_buffers())
+                .then(|| u128::from(ctx.system().config().buffer_depth())),
             budget,
             r: vec![None; ctx.len()],
             idown_memo: EdgeMemo::default(),
@@ -589,8 +594,7 @@ impl<'a> Solver<'a> {
     fn buffered_interference(&self, i: FlowId, edge: usize) -> u128 {
         let cd = self.graph.direct_domains(i)[edge];
         let linkl = u128::from(self.system.config().link_latency().as_u64());
-        if !self.system.has_heterogeneous_buffers() {
-            let buf = u128::from(self.system.config().buffer_depth());
+        if let Some(buf) = self.uniform_depth {
             return buf * linkl * cd.len() as u128;
         }
         let total_buf: u128 = cd

@@ -26,7 +26,15 @@
 //! * [`IncrementalContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
-//!   nothing in its cache (see [`crate::conservative`]).
+//!   nothing in its cache (see [`crate::conservative`]);
+//! * [`IncrementalContext::what_if`] scopes a hypothetical: the deltas
+//!   made inside it are journaled and undone on exit by their exact
+//!   inverses, and the solve caches are handed back as they were on entry,
+//!   so nothing is re-solved for the rollback.
+//!
+//! The deltas work in place: an addition or removal moves O(n) ids and
+//! copies no other flow, route or interference set, and a resize
+//! touches one router.
 //!
 //! [`IncrementalContext::from_context`] forks a shared base context
 //! copy-on-write: the fork clones the system but shares the base's graph,
@@ -53,15 +61,18 @@
 //! let mut ctx = IncrementalContext::new(system)?;
 //! let before = ctx.analyze(AnalysisKind::BufferAware)?;
 //!
-//! // Admission what-if: add the candidate, re-analyse, roll back.
+//! // Admission what-if: add the candidate and re-analyse; the scope
+//! // rolls the addition back on exit.
 //! let candidate = Flow::builder(NodeId::new(1), NodeId::new(2))
 //!     .priority(Priority::new(2))
 //!     .period(Cycles::new(2_000))
 //!     .length_flits(8)
 //!     .build();
-//! let id = ctx.add_flow(candidate, &XyRouting)?;
-//! let admitted = ctx.analyze(AnalysisKind::BufferAware)?.is_schedulable();
-//! ctx.remove_flow(id)?;
+//! let admitted = ctx.what_if(|ctx| {
+//!     ctx.add_flow(candidate, &XyRouting)?;
+//!     Ok::<_, AnalysisError>(ctx.analyze(AnalysisKind::BufferAware)?.is_schedulable())
+//! })?;
+//! assert_eq!(ctx.len(), 1);
 //! assert_eq!(ctx.analyze(AnalysisKind::BufferAware)?, before);
 //! # assert!(admitted);
 //! # Ok::<(), noc_analysis::error::AnalysisError>(())
@@ -73,8 +84,10 @@ use std::sync::Arc;
 use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
+use noc_model::route::Route;
 use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
+use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
@@ -99,10 +112,33 @@ pub struct IncrementalContext {
     /// kind holds one cache. A shared cache is copied by its first delta or
     /// solve, never by the fork.
     caches: [Option<Arc<SolveCache>>; CONSERVATIVE + 1],
+    /// What undoes each delta made in the innermost open
+    /// [`IncrementalContext::what_if`] scope, oldest first; `None` outside
+    /// every scope.
+    journal: Option<Vec<Undo>>,
 }
 
 /// The index of the conservative bound's cache, after the five kinds'.
 const CONSERVATIVE: usize = AnalysisKind::ALL.len();
+
+/// The exact inverse of one delta made inside a
+/// [`IncrementalContext::what_if`] scope.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// Remove the flow an addition appended.
+    Added(FlowId),
+    /// Insert a removed flow back at its own id, with its own route.
+    Removed {
+        id: FlowId,
+        flow: Flow,
+        route: Route,
+    },
+    /// Give a resized router back its previous override, or none.
+    Resized {
+        router: RouterId,
+        previous: Option<u32>,
+    },
+}
 
 impl IncrementalContext {
     /// Builds the full derived structure for `system`, taking ownership.
@@ -138,6 +174,7 @@ impl IncrementalContext {
             caches: std::array::from_fn(|i| {
                 solved.get(i).copied().unwrap_or(conservative).cloned()
             }),
+            journal: None,
         }
     }
 
@@ -145,6 +182,7 @@ impl IncrementalContext {
         IncrementalContext {
             ctx,
             caches: Default::default(),
+            journal: None,
         }
     }
 
@@ -156,7 +194,7 @@ impl IncrementalContext {
     /// # Errors
     ///
     /// Propagates routing and validation failures from
-    /// [`System::with_added_flow`] and contiguity violations from
+    /// [`System::add_flow`] and contiguity violations from
     /// [`InterferenceGraph::add_flow`]; the context is unchanged on error.
     pub fn add_flow(
         &mut self,
@@ -170,6 +208,7 @@ impl IncrementalContext {
             cache.mark_dirty(&affected);
         }
         record_delta(&affected);
+        self.log(Undo::Added(id));
         Ok(id)
     }
 
@@ -180,13 +219,14 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if `id` is out of bounds; the
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
-        let affected = self.ctx.remove_flow(id)?;
+        let (affected, flow, route) = self.ctx.remove_flow(id)?;
         for cache in self.caches.iter_mut().flatten() {
             let cache = SolveCache::unshare(cache, self.ctx.graph());
             cache.remove_flow(id.index(), self.ctx.graph());
             cache.mark_dirty(&affected);
         }
         record_delta(&affected);
+        self.log(Undo::Removed { id, flow, route });
         Ok(())
     }
 
@@ -214,11 +254,63 @@ impl IncrementalContext {
     /// queries before applying them.
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         let affected = self.buffer_dependents(router);
-        self.ctx.resize_buffer(router, depth);
+        let previous = self.ctx.resize_buffer(router, Some(depth));
         if let Some(cache) = &mut self.caches[AnalysisKind::BufferAware.index()] {
             Arc::make_mut(cache).mark_dirty(&affected);
         }
         record_delta(&affected);
+        self.log(Undo::Resized { router, previous });
+    }
+
+    /// Journals `undo` if a [`IncrementalContext::what_if`] scope is open.
+    fn log(&mut self, undo: Undo) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(undo);
+        }
+    }
+
+    /// Runs `f` on this context as a what-if and returns its result, with
+    /// the context put back exactly as it was on entry.
+    ///
+    /// Every flow addition, removal and buffer resize `f` makes is
+    /// journaled, and on exit each is undone by its exact inverse, newest
+    /// first: an added flow is removed, a removed flow goes back in at its
+    /// own id with its own route, and a resized router gets its previous
+    /// override back. The system, its [`BufferMap`] and the interference
+    /// graph then compare equal to their entry state, so flow ids are
+    /// stable across scopes. The solve caches are handed back as the
+    /// [`Arc`] handles held on entry: the copies the scope's deltas and
+    /// solves made of them copy-on-write are dropped, so no rollback is
+    /// re-solved or re-evaluated, and a cache first laid out inside the
+    /// scope is dropped with it. A context that serves every query in a
+    /// scope should therefore hold its caches before the first one (a
+    /// [warmed](AnalysisContext::warm) base shares them with its forks).
+    ///
+    /// Scopes nest: an inner scope undoes only its own deltas. If `f`
+    /// panics, the context is left mid-scope and should be dropped.
+    ///
+    /// [`BufferMap`]: noc_model::config::BufferMap
+    pub fn what_if<T>(&mut self, f: impl FnOnce(&mut IncrementalContext) -> T) -> T {
+        let caches = self.caches.clone();
+        let outer = self.journal.replace(Vec::new());
+        let out = f(self);
+        let journal = std::mem::replace(&mut self.journal, outer);
+        for undo in journal.expect("the scope's journal").into_iter().rev() {
+            match undo {
+                Undo::Added(id) => {
+                    self.ctx.remove_flow(id).expect("an added flow stays");
+                }
+                Undo::Removed { id, flow, route } => {
+                    let back = self.ctx.insert_flow(id, flow, route);
+                    back.expect("a removed flow fits back where it was");
+                }
+                Undo::Resized { router, previous } => {
+                    self.ctx.resize_buffer(router, previous);
+                }
+            }
+        }
+        self.caches = caches;
+        out
     }
 
     /// Flows whose buffer-aware bound reads the depth of `router`: the
@@ -327,6 +419,16 @@ impl IncrementalContext {
     /// The incrementally maintained interference graph.
     pub fn graph(&self) -> &InterferenceGraph {
         self.ctx.graph()
+    }
+
+    /// The zero-load latency Cᵢ (Equation 1) of `id`, as the context
+    /// keeps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    pub fn zero_load(&self, id: FlowId) -> Cycles {
+        self.ctx.zero_load(id)
     }
 
     /// Number of flows currently covered.
@@ -943,6 +1045,88 @@ mod tests {
             let evaluated = assert_conservative_matches_scratch(&mut fork, &label);
             assert_eq!(evaluated, 0, "{label}");
         }
+    }
+
+    // --- What-if scopes ---------------------------------------------
+
+    /// A what-if scope hands back the very cache handles it held on entry,
+    /// whatever its delta and solves copied, drops a cache first laid out
+    /// inside it, and leaves the graph as it was.
+    #[test]
+    fn a_what_if_restores_the_same_caches() {
+        let system = deep_fixture();
+        let base = AnalysisContext::new(&system).unwrap();
+        base.warm(AnalysisKind::BufferAware, &Budget::unlimited())
+            .unwrap();
+        base.warm_conservative();
+        let mut fork = IncrementalContext::from_context(&base);
+        // XLWX is laid out here, outside any scope; IBN and the
+        // conservative bound stay shared with the base, and the other
+        // kinds are first laid out inside the scopes.
+        fork.analyze(AnalysisKind::Xlwx).unwrap();
+        let xlwx = AnalysisKind::Xlwx.index();
+        let handles = |ctx: &IncrementalContext| ctx.caches.clone();
+        let same = |a: &[Option<Arc<SolveCache>>], b: &[Option<Arc<SolveCache>>]| {
+            a.iter().zip(b).all(|pair| match pair {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            })
+        };
+        let before = handles(&fork);
+        let graph = fork.graph().clone();
+        let candidate = mesh_flow((3, 40, 9_999, 4_000_000));
+        for step in 0..3 {
+            fork.what_if(|ctx| {
+                match step {
+                    0 => drop(ctx.add_flow(candidate.clone(), &XyRouting).unwrap()),
+                    1 => ctx.remove_flow(FlowId::new(17)).unwrap(),
+                    _ => ctx.resize_buffer(RouterId::new(9), 7),
+                }
+                for kind in AnalysisKind::ALL {
+                    ctx.analyze(kind).unwrap();
+                }
+                ctx.conservative_report();
+                assert!(!same(&handles(ctx), &before), "step {step}: nothing copied");
+            });
+            assert!(same(&handles(&fork), &before), "step {step}");
+            assert!(
+                fork.cache(AnalysisKind::ShiBurns.index()).is_none(),
+                "step {step}"
+            );
+            assert!(fork.journal.is_none());
+            assert_eq!(fork.graph(), &graph, "step {step}");
+        }
+        assert!(fork.cache(xlwx).is_some());
+        assert_matches_scratch(&mut fork);
+    }
+
+    /// Scopes nest: an inner scope undoes only its own deltas, and the
+    /// outer one the rest.
+    #[test]
+    fn nested_what_ifs_undo_their_own_deltas() {
+        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let router = RouterId::new(5);
+        ctx.resize_buffer(router, 6);
+        let (flows, buffers) = (
+            ctx.system().flows().clone(),
+            ctx.system().buffer_map().clone(),
+        );
+        ctx.what_if(|ctx| {
+            ctx.remove_flow(FlowId::new(1)).unwrap();
+            let outer = ctx.system().flows().clone();
+            ctx.what_if(|ctx| {
+                ctx.resize_buffer(router, 9);
+                ctx.remove_flow(FlowId::new(0)).unwrap();
+                assert_matches_scratch(ctx);
+            });
+            assert_eq!(ctx.system().flows(), &outer);
+            assert_eq!(ctx.system().buffer_depth_at(router), 6);
+            assert_matches_scratch(ctx);
+        });
+        assert_eq!(ctx.system().flows(), &flows);
+        assert_eq!(ctx.system().buffer_map(), &buffers);
+        assert_matches_scratch(&mut ctx);
     }
 
     /// The propagation rule the cutoff replaced: the `affected` flows plus,

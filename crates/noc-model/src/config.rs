@@ -182,10 +182,15 @@ impl BufferMap {
     }
 
     /// Removes the override of one router, restoring the default depth.
+    /// The override list never ends in an empty slot, so setting an
+    /// override and clearing it again gives back a map equal to the first
+    /// under `==`, not only in every depth.
     pub fn clear_router_depth(&mut self, router: RouterId) {
         if let Some(slot) = self.overrides.get_mut(router.index()) {
             *slot = None;
         }
+        let span = self.override_span();
+        self.overrides.truncate(span);
     }
 
     /// The depth routers without an override use.
@@ -388,6 +393,13 @@ mod tests {
         map.clear_router_depth(RouterId::new(5));
         assert_eq!(map.depth_at(RouterId::new(5)), 2);
         assert_eq!(map.override_span(), 2);
+        // Set and cleared again, a map compares equal to what it was.
+        let before = map.clone();
+        map.set_router_depth(RouterId::new(9), 4);
+        map.clear_router_depth(RouterId::new(9));
+        assert_eq!(map, before);
+        map.clear_router_depth(RouterId::new(1));
+        assert_eq!(map, BufferMap::uniform(2));
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //! [`InterferenceGraph::add_flow`] and [`InterferenceGraph::remove_flow`]
 //! keep flow ids dense and recompute only the neighbourhood a delta
 //! touches; after any sequence of deltas the graph equals the one built
-//! from scratch for the final system.
+//! from scratch for the final system. An addition may insert at any id, so
+//! removing a flow and adding it back at its own id restores the graph
+//! exactly.
 //!
 //! [`System`]: crate::system::System
 
@@ -314,30 +316,19 @@ impl Iterator for Members<'_> {
     }
 }
 
-/// Marks a flow not met by the current [`InterferenceGraph::contenders`]
-/// walk.
-const UNSEEN: u32 = u32::MAX;
-
-/// Reusable scratch space of graph construction and deltas, sized to the
-/// flow count; every field is back to its idle state between uses.
+/// Reusable scratch space of graph construction and deltas. Every buffer
+/// grows on demand, to the size one route or one indirect set needs, and is
+/// back to its idle state between uses.
+#[derive(Default)]
 struct Scratch {
-    /// Where each partner met by the current walk sits in `found`, or
-    /// [`UNSEEN`].
-    slot: Vec<u32>,
     /// The partners met so far and their domains, oriented from the walker.
     found: Vec<(FlowId, ContentionDomain)>,
+    /// The partners met on the previous link of the walk, then on the
+    /// current one, in id order, each with its place in `found`.
+    on_prev: Vec<(FlowId, u32)>,
+    on_link: Vec<(FlowId, u32)>,
     /// Bitset over priority ranks: the indirect set under construction.
     ranks: Vec<u64>,
-}
-
-impl Scratch {
-    fn new(n: usize) -> Scratch {
-        Scratch {
-            slot: vec![UNSEEN; n],
-            found: Vec::new(),
-            ranks: vec![0; n.div_ceil(64)],
-        }
-    }
 }
 
 /// Position of the flow of priority rank `r` in `set`, sorted from highest
@@ -415,93 +406,118 @@ impl InterferenceGraph {
             direct: Vec::with_capacity(n),
             domains: Vec::with_capacity(n),
             indirect: Vec::new(),
-            crossings: vec![Vec::new(); system.topology().link_count()],
+            crossings: Vec::new(),
         };
+        // Sized first, so each overlap list is allocated once.
+        let mut crossed = vec![0; system.topology().link_count()];
         for id in system.flows().ids() {
-            graph.cross(id, system.route(id));
+            for link in system.route(id).iter() {
+                crossed[link.index()] += 1;
+            }
         }
-        let mut scratch = Scratch::new(n);
+        graph.crossings = crossed.into_iter().map(Vec::with_capacity).collect();
+        for id in system.flows().ids() {
+            for (pos, link) in system.route(id).iter().enumerate() {
+                graph.crossings[link.index()].push((id, pos as u32));
+            }
+        }
+        let mut scratch = Scratch::default();
         let mut fault: Option<(FlowId, FlowId)> = None;
         for i in system.flows().ids() {
             let r_i = graph.rank[i.index()];
             let higher = |j: FlowId| graph.rank[j.index()] < r_i;
-            if let Err(j) = graph.contenders(i, system.route(i), higher, &mut scratch) {
+            if let Err(j) = graph.contenders(system.route(i), higher, &mut scratch) {
                 let pair = (i.min(j), i.max(j));
                 fault = Some(fault.map_or(pair, |f| f.min(pair)));
             }
-            graph.push_direct(&mut scratch.found);
+            let edges = &scratch.found;
+            graph.direct.push(edges.iter().map(|&(j, _)| j).collect());
+            graph
+                .domains
+                .push(edges.iter().map(|&(_, cd)| cd).collect());
         }
         if let Some((first, second)) = fault {
             return Err(ModelError::NonContiguousContentionDomain { first, second });
         }
-        graph.indirect = (0..n).map(|a| graph.indirect_of(a, &mut scratch)).collect();
+        graph.indirect = (0..n)
+            .map(|a| graph.indirect_of(a, &mut scratch.ranks))
+            .collect();
         Ok(graph)
     }
 
-    /// Enters the route of flow `id` — the largest id so far — in the
-    /// link-overlap table.
-    fn cross(&mut self, id: FlowId, route: &Route) {
-        for (pos, link) in route.iter().enumerate() {
-            self.crossings[link.index()].push((id, pos as u32));
-        }
-    }
-
-    /// Collects in `scratch.found` the contention domains of flow `i`,
-    /// routed over `route_i`, with the flows `keep` admits, oriented from
-    /// `i`. Each partner's shared links arrive in `route_i` order, so its
-    /// domain grows one link at a time.
+    /// Collects in `scratch.found` the contention domains of a flow routed
+    /// over `route_i` with the flows `keep` admits, oriented from that flow
+    /// and sorted by priority rank. Each link's overlap list is merged with
+    /// the previous link's, both in id order, so a partner met on
+    /// consecutive links grows one domain a link at a time, and the walk
+    /// needs no table over all flows.
     ///
     /// `Err` names the lowest-id partner whose shared links are not one
-    /// contiguous, identically ordered run.
+    /// contiguous, identically ordered run: one met on links that are not
+    /// adjacent on `route_i` (it then has two entries in `found`), or on
+    /// adjacent links that are not adjacent on its own route.
     fn contenders(
         &self,
-        i: FlowId,
         route_i: &Route,
         keep: impl Fn(FlowId) -> bool,
         scratch: &mut Scratch,
     ) -> Result<(), FlowId> {
-        let Scratch { slot, found, .. } = scratch;
+        let Scratch {
+            found,
+            on_prev,
+            on_link,
+            ..
+        } = scratch;
         found.clear();
+        on_prev.clear();
         let mut broken: Option<FlowId> = None;
+        let mut fault = |j: FlowId| broken = Some(broken.map_or(j, |b| b.min(j)));
         for (pos_i, link) in route_i.iter().enumerate() {
             let pos_i = pos_i as u32;
+            on_link.clear();
+            let mut prev = 0;
             for &(j, pos_j) in &self.crossings[link.index()] {
-                if j == i || !keep(j) {
+                if !keep(j) {
                     continue;
                 }
-                match slot[j.index()] {
-                    UNSEEN => {
-                        slot[j.index()] = found.len() as u32;
-                        found.push((j, ContentionDomain::at(pos_i, pos_j)));
-                    }
-                    at => {
-                        if !found[at as usize].1.extend(pos_i, pos_j) {
-                            broken = Some(broken.map_or(j, |b| b.min(j)));
-                        }
-                    }
+                while on_prev.get(prev).is_some_and(|&(p, _)| p < j) {
+                    prev += 1;
                 }
+                let at = match on_prev.get(prev) {
+                    Some(&(p, at)) if p == j => {
+                        if !found[at as usize].1.extend(pos_i, pos_j) {
+                            fault(j);
+                        }
+                        at
+                    }
+                    _ => {
+                        found.push((j, ContentionDomain::at(pos_i, pos_j)));
+                        found.len() as u32 - 1
+                    }
+                };
+                on_link.push((j, at));
+            }
+            std::mem::swap(on_prev, on_link);
+        }
+        found.sort_unstable_by_key(|&(j, _)| self.rank[j.index()]);
+        for pair in found.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                fault(pair[0].0);
             }
         }
-        for &(j, _) in found.iter() {
-            slot[j.index()] = UNSEEN;
-        }
         broken.map_or(Ok(()), Err)
-    }
-
-    /// Appends the direct set of the next flow from its `(j, cd(i,j))`
-    /// edges, in any order.
-    fn push_direct(&mut self, edges: &mut [(FlowId, ContentionDomain)]) {
-        edges.sort_unstable_by_key(|&(j, _)| self.rank[j.index()]);
-        self.direct.push(edges.iter().map(|&(j, _)| j).collect());
-        self.domains.push(edges.iter().map(|&(_, cd)| cd).collect());
     }
 
     /// Computes `S^I_a` from the direct sets: members of `S^D_j` for any
     /// `j ∈ S^D_a` that are neither τa itself nor already direct. Members
     /// are marked in a bitset over priority ranks and read back in rank
-    /// order, so the set comes out sorted.
-    fn indirect_of(&self, a: usize, scratch: &mut Scratch) -> Vec<FlowId> {
-        let ranks = &mut scratch.ranks;
+    /// order, so the set comes out sorted. Every member outranks τa, so the
+    /// bitset grows to τa's rank at most.
+    fn indirect_of(&self, a: usize, ranks: &mut Vec<u64>) -> Vec<FlowId> {
+        let words = (self.rank[a] as usize).div_ceil(64);
+        if ranks.len() < words {
+            ranks.resize(words, 0);
+        }
         let direct = &self.direct[a];
         for &j in direct {
             for &k in &self.direct[j.index()] {
@@ -515,7 +531,7 @@ impl InterferenceGraph {
             ranks[r / 64] &= !(1 << (r % 64));
         }
         let mut set = Vec::new();
-        for (w, word) in ranks.iter_mut().enumerate() {
+        for (w, word) in ranks[..words].iter_mut().enumerate() {
             while *word != 0 {
                 set.push(self.order[w * 64 + word.trailing_zeros() as usize]);
                 *word &= *word - 1;
@@ -524,15 +540,36 @@ impl InterferenceGraph {
         set
     }
 
-    /// Extends the graph with the (already routed) flow `id` of `system`,
-    /// recomputing only the neighbourhood the new flow touches.
+    /// Adds `step` (wrapping, so `u32::MAX` subtracts one) to every flow
+    /// id the graph stores at or above `from`. The sets are in rank
+    /// order, so every id is compared; the add is branch-free.
+    fn renumber(&mut self, from: FlowId, step: u32) {
+        let shift = |f: &mut FlowId| {
+            *f = FlowId::new(f.raw().wrapping_add(step * u32::from(*f >= from)));
+        };
+        for set in self.direct.iter_mut().chain(&mut self.indirect) {
+            set.iter_mut().for_each(shift);
+        }
+        self.order.iter_mut().for_each(shift);
+        // Overlap lists are in id order: the shifted ids form a suffix.
+        for on_link in &mut self.crossings {
+            let start = on_link.partition_point(|&(f, _)| f < from);
+            on_link[start..].iter_mut().for_each(|(f, _)| shift(f));
+        }
+    }
+
+    /// Inserts the (already routed) flow `id` of `system` into the graph,
+    /// renumbering every flow at `id` or above one up, and recomputes only
+    /// the neighbourhood the new flow touches: the exact inverse of
+    /// [`InterferenceGraph::remove_flow`].
     ///
-    /// `system` must be the *post-addition* system, e.g. the one returned by
-    /// [`System::with_added_flow`], and `id` the dense id it assigned. Only
-    /// pairs involving the new flow can gain a contention domain, so the
-    /// work is proportional to the flows sharing links with the new route —
-    /// not to the whole system, which is what makes incremental admission
-    /// queries cheap.
+    /// `system` must be the *post-insertion* system, e.g. the one
+    /// [`System::add_flow`] (which appends, so `id` is the old flow count)
+    /// or [`System::insert_flow`] leaves. Only pairs involving the new flow
+    /// can gain a contention domain, so the work is proportional to the
+    /// flows sharing links with the new route — not to the whole system,
+    /// which is what makes incremental admission queries cheap — plus, when
+    /// `id` is not the last id, one renumbering pass.
     ///
     /// Returns every flow whose direct or indirect interference set may
     /// have changed, `id` included — the set an incremental solver must
@@ -546,26 +583,41 @@ impl InterferenceGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not the next dense id or `system` does not have
+    /// Panics if `id` is past the flow count or `system` does not have
     /// exactly one more flow than the graph covers.
     pub fn add_flow(&mut self, system: &System, id: FlowId) -> Result<Vec<FlowId>, ModelError> {
         let n_old = self.len();
-        assert_eq!(id.index(), n_old, "added flow must take the next dense id");
+        assert!(
+            id.index() <= n_old,
+            "added flow must take an id up to the flow count"
+        );
         assert_eq!(
             system.flows().len(),
             n_old + 1,
             "system must already contain the added flow"
         );
+        let up = |f: FlowId| {
+            if f >= id {
+                FlowId::new(f.raw() + 1)
+            } else {
+                f
+            }
+        };
         // All fallible work happens before any mutation, so a contiguity
-        // violation leaves the graph exactly as it was.
+        // violation leaves the graph exactly as it was. The walk reads the
+        // overlap table under the old ids.
         let route = system.route(id);
-        let mut scratch = Scratch::new(n_old + 1);
-        self.contenders(id, route, |_| true, &mut scratch)
+        let mut scratch = Scratch::default();
+        self.contenders(route, |_| true, &mut scratch)
             .map_err(|g| ModelError::NonContiguousContentionDomain {
-                first: g,
-                second: id,
+                first: up(g).min(id),
+                second: up(g).max(id),
             })?;
+        if id.index() < n_old {
+            self.renumber(id, 1);
+        }
         // Every flow the new one outranks moves one rank down.
+        self.rank.insert(id.index(), 0);
         let p_new = system.flow(id).priority();
         let r_new = self
             .order
@@ -575,48 +627,49 @@ impl InterferenceGraph {
             self.rank[f.index()] += 1;
         }
         let r_new = r_new as u32;
-        self.rank.push(r_new);
-        self.cross(id, route);
+        self.rank[id.index()] = r_new;
+        for (pos, link) in route.iter().enumerate() {
+            let on_link = &mut self.crossings[link.index()];
+            let at = on_link.partition_point(|&(f, _)| f < id);
+            on_link.insert(at, (id, pos as u32));
+        }
         // Existing flows whose direct set gains the new flow take it at its
-        // priority rank; the rest go into the new flow's own direct set.
+        // priority rank; the rest go into the new flow's own direct set, in
+        // the rank order the walk left them in.
+        self.direct.insert(id.index(), Vec::new());
+        self.domains.insert(id.index(), Vec::new());
+        self.indirect.insert(id.index(), Vec::new());
         let mut gained: Vec<FlowId> = Vec::new();
-        let mut own = Vec::new();
         for &(g, cd) in &scratch.found {
-            let set = &self.direct[g.index()];
+            let g = up(g);
             if r_new < self.rank[g.index()] {
+                let set = &self.direct[g.index()];
                 let at = set.partition_point(|f| self.rank[f.index()] < r_new);
                 self.direct[g.index()].insert(at, id);
                 self.domains[g.index()].insert(at, cd.reversed());
                 gained.push(g);
             } else {
-                own.push((g, cd));
+                self.direct[id.index()].push(g);
+                self.domains[id.index()].push(cd);
             }
         }
-        self.push_direct(&mut own);
-        self.indirect.push(Vec::new());
         // A flow's indirect set depends on its own direct set and on the
         // direct sets of its direct interferers: recompute it for the new
         // flow, for the flows that gained it, and for their victims — their
         // lower-priority contenders, read off the overlap table.
-        let mut touched = vec![false; n_old + 1];
-        touched[id.index()] = true;
+        let mut affected = vec![id];
         for &g in &gained {
-            touched[g.index()] = true;
+            affected.push(g);
             let r_g = self.rank[g.index()];
             for link in system.route(g).iter() {
-                for &(a, _) in &self.crossings[link.index()] {
-                    if r_g < self.rank[a.index()] {
-                        touched[a.index()] = true;
-                    }
-                }
+                let on_link = self.crossings[link.index()].iter().map(|&(a, _)| a);
+                affected.extend(on_link.filter(|a| r_g < self.rank[a.index()]));
             }
         }
-        let affected: Vec<FlowId> = (0..=n_old)
-            .filter(|&a| touched[a])
-            .map(|a| FlowId::new(a as u32))
-            .collect();
+        affected.sort_unstable();
+        affected.dedup();
         for &a in &affected {
-            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch);
+            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch.ranks);
         }
         Ok(affected)
     }
@@ -626,7 +679,10 @@ impl InterferenceGraph {
     /// where the removed flow participated.
     ///
     /// `system` must be the *post-removal* system, e.g. the one returned by
-    /// [`System::without_flow`].
+    /// [`System::without_flow`]. The flows that lose the removed one are
+    /// found through the overlap table, so apart from one binary search
+    /// per link the work is proportional to them, plus, when `id` is not
+    /// the last id, one renumbering pass.
     ///
     /// Returns every remaining flow — under its **new** id, in ascending
     /// order — whose direct or indirect interference set changed.
@@ -643,66 +699,74 @@ impl InterferenceGraph {
             n_old - 1,
             "system must no longer contain the removed flow"
         );
-        let shift = |f: FlowId| {
+        let down = |f: FlowId| {
             if f > id {
                 FlowId::new(f.raw() - 1)
             } else {
                 f
             }
         };
-        // Renumbering visits every set anyway, so the same pass finds the
-        // flows that lose the removed flow — each by a binary search on its
-        // priority. Losing a direct interferer can reshape the whole
-        // indirect set (the removed flow's own direct set stops being
-        // unioned in); losing an indirect one only drops it.
+        // Under the old ids: the flows sharing a link with the removed one
+        // and ranked below it lose a direct interferer.
         let r_gone = self.rank[id.index()];
-        let mut affected: Vec<FlowId> = Vec::new();
-        for a in (0..n_old).filter(|&a| a != id.index()) {
-            let mut lost = false;
-            if let Some(at) = find(&self.direct[a], &self.rank, r_gone) {
-                self.direct[a].remove(at);
-                self.domains[a].remove(at);
-                lost = true;
+        let mut losers: Vec<FlowId> = Vec::new();
+        for on_link in &mut self.crossings {
+            let at = on_link.partition_point(|&(f, _)| f < id);
+            if on_link.get(at).is_some_and(|&(f, _)| f == id) {
+                on_link.remove(at);
+                let below = on_link.iter().map(|&(f, _)| f);
+                losers.extend(below.filter(|f| self.rank[f.index()] > r_gone));
             }
-            if let Some(at) = find(&self.indirect[a], &self.rank, r_gone) {
-                self.indirect[a].remove(at);
-                lost = true;
+        }
+        losers.sort_unstable();
+        losers.dedup();
+        // Their victims may hold it as an indirect interferer; losing one
+        // only drops it. Losing a direct interferer can reshape the whole
+        // indirect set (its own direct set stops being unioned in), so the
+        // losers' indirect sets are recomputed below.
+        let mut victims: Vec<FlowId> = Vec::new();
+        for &j in &losers {
+            let r_j = self.rank[j.index()];
+            for link in system.route(down(j)).iter() {
+                let on_link = self.crossings[link.index()].iter().map(|&(a, _)| a);
+                victims.extend(on_link.filter(|a| self.rank[a.index()] > r_j));
             }
-            for f in self.direct[a].iter_mut().chain(&mut self.indirect[a]) {
-                *f = shift(*f);
+        }
+        victims.sort_unstable();
+        victims.dedup();
+        let mut affected = losers.clone();
+        for a in victims {
+            if let Some(at) = find(&self.indirect[a.index()], &self.rank, r_gone) {
+                self.indirect[a.index()].remove(at);
+                affected.push(a);
             }
-            if lost {
-                affected.push(shift(FlowId::new(a as u32)));
-            }
+        }
+        for &a in &losers {
+            let at = find(&self.direct[a.index()], &self.rank, r_gone)
+                .expect("a victim holds its direct interferer");
+            self.direct[a.index()].remove(at);
+            self.domains[a.index()].remove(at);
         }
         // Every flow the removed one outranked moves one rank up.
-        self.rank.remove(id.index());
-        self.order.remove(r_gone as usize);
-        for f in &mut self.order {
-            *f = shift(*f);
-        }
-        for f in &self.order[r_gone as usize..] {
+        for f in &self.order[r_gone as usize + 1..] {
             self.rank[f.index()] -= 1;
         }
+        self.rank.remove(id.index());
+        self.order.remove(r_gone as usize);
         self.direct.remove(id.index());
         self.domains.remove(id.index());
         self.indirect.remove(id.index());
-        // Overlap lists are in id order: the removed flow and every flow
-        // renumbered after it form a suffix.
-        for on_link in &mut self.crossings {
-            let start = on_link.partition_point(|&(f, _)| f < id);
-            if on_link.get(start).is_some_and(|&(f, _)| f == id) {
-                on_link.remove(start);
-            }
-            for (f, _) in &mut on_link[start..] {
-                *f = shift(*f);
-            }
+        if id.index() + 1 < n_old {
+            self.renumber(id, u32::MAX);
         }
-        let mut scratch = Scratch::new(n_old - 1);
-        for &a in &affected {
-            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch);
+        let mut ranks = Vec::new();
+        for &a in &losers {
+            let a = down(a);
+            self.indirect[a.index()] = self.indirect_of(a.index(), &mut ranks);
         }
-        affected
+        affected.sort_unstable();
+        affected.dedup();
+        affected.into_iter().map(down).collect()
     }
 
     /// The contention domain `cd(i,j)`, oriented so that
@@ -815,6 +879,13 @@ impl InterferenceGraph {
             .iter()
             .map(|&(f, _)| f)
             .filter(move |&f| Some(f) != top)
+    }
+
+    /// Flow ids from highest priority to lowest: the order the direct and
+    /// indirect sets are sorted in, and the order a fixed-point solve
+    /// settles flows in.
+    pub fn priority_order(&self) -> &[FlowId] {
+        &self.order
     }
 
     /// Number of flows covered by this graph.
@@ -1174,6 +1245,19 @@ mod tests {
             Err(ModelError::NonContiguousContentionDomain { .. })
         ));
         assert_eq!(g, before);
+        // So does one inserted ahead of the existing flow, naming the pair
+        // by their ids after the insertion.
+        let mut ahead = one.clone();
+        let route = next.route(id).clone();
+        ahead
+            .insert_flow(FlowId::new(0), mk(src_b, dst_b, 1), route)
+            .unwrap();
+        assert!(matches!(
+            g.add_flow(&ahead, FlowId::new(0)),
+            Err(ModelError::NonContiguousContentionDomain { first, second })
+                if (first, second) == (FlowId::new(0), FlowId::new(1))
+        ));
+        assert_eq!(g, before);
     }
 
     /// Six flows criss-crossing a 4×4 mesh — enough contention to exercise
@@ -1244,6 +1328,44 @@ mod tests {
         let affected = g.add_flow(&full, last).unwrap();
         assert!(affected.contains(&last));
         assert_eq!(g, g_full);
+    }
+
+    /// Removing any flow and inserting it back at its own id, with its own
+    /// route, are exact inverses, and every intermediate graph equals the
+    /// one built from scratch, priority order included.
+    #[test]
+    fn insertion_at_any_id_inverts_removal() {
+        let topology = Topology::mesh(4, 4);
+        let flows = FlowSet::new(mesh_specs().into_iter().map(mesh_flow).collect()).unwrap();
+        let full = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
+        let g_full = InterferenceGraph::new(&full).unwrap();
+        assert_eq!(g_full.priority_order(), full.flows().ids_by_priority());
+        for gone in full.flows().ids() {
+            let mut sys = full.clone();
+            let (flow, route) = sys.remove_flow(gone).unwrap();
+            let mut g = g_full.clone();
+            let lost = g.remove_flow(&sys, gone);
+            let scratch = InterferenceGraph::new(&sys).unwrap();
+            assert_eq!(g, scratch, "removing {gone}");
+            assert_eq!(g.priority_order(), sys.flows().ids_by_priority());
+            sys.insert_flow(gone, flow, route).unwrap();
+            let gained = g.add_flow(&sys, gone).unwrap();
+            assert_eq!(g, g_full, "re-inserting {gone}");
+            // The flows whose sets changed are the same both ways, bar the
+            // inserted flow itself.
+            let up = |f: &FlowId| {
+                if *f >= gone {
+                    FlowId::new(f.raw() + 1)
+                } else {
+                    *f
+                }
+            };
+            let lost: Vec<FlowId> = lost.iter().map(up).collect();
+            assert!(
+                lost.iter().all(|f| gained.contains(f)),
+                "{gone}: {lost:?} ⊄ {gained:?}"
+            );
+        }
     }
 
     #[test]

@@ -286,6 +286,55 @@ impl FlowSet {
         Ok(FlowSet { flows })
     }
 
+    /// Inserts `flow` at `id`, renumbering every flow at `id` or above one
+    /// up, under the checks of [`FlowSet::new`]: the result is the set
+    /// [`FlowSet::new`] would build from the flows in their new order. The
+    /// exact inverse of [`FlowSet::remove`]. O(n), copying no flow.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidFlow`] for a malformed flow or an `id` past the
+    /// end, and [`ModelError::DuplicatePriority`] (naming both flows by
+    /// their ids after the insertion) when the priority is taken. The set
+    /// is unchanged on error.
+    pub fn insert(&mut self, id: FlowId, flow: Flow) -> Result<(), ModelError> {
+        let at = id.index();
+        if at > self.flows.len() {
+            return Err(ModelError::InvalidFlow {
+                flow: id,
+                reason: format!("no position to insert at (set has {})", self.flows.len()),
+            });
+        }
+        flow.validate(id)?;
+        if let Some(clash) = self.flows.iter().position(|f| f.priority == flow.priority) {
+            let clash = clash + usize::from(clash >= at);
+            return Err(ModelError::DuplicatePriority {
+                first: FlowId::new(clash.min(at) as u32),
+                second: FlowId::new(clash.max(at) as u32),
+                level: flow.priority.level(),
+            });
+        }
+        self.flows.insert(at, flow);
+        Ok(())
+    }
+
+    /// Removes and returns the flow `id`, renumbering every larger id one
+    /// down.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidFlow`] if `id` is out of bounds; the set
+    /// is unchanged then.
+    pub fn remove(&mut self, id: FlowId) -> Result<Flow, ModelError> {
+        if id.index() >= self.flows.len() {
+            return Err(ModelError::InvalidFlow {
+                flow: id,
+                reason: format!("no such flow to remove (set has {})", self.flows.len()),
+            });
+        }
+        Ok(self.flows.remove(id.index()))
+    }
+
     /// Number of flows n = |Γ|.
     pub fn len(&self) -> usize {
         self.flows.len()
@@ -488,5 +537,37 @@ mod tests {
             .map(|(_, f)| f.priority().level())
             .collect();
         assert_eq!(collected, vec![1, 2]);
+    }
+
+    /// In-place insertion and removal agree with [`FlowSet::new`] over the
+    /// same flows, errors included, and undo each other.
+    #[test]
+    fn insert_and_remove_match_a_rebuilt_set() {
+        let flows = vec![flow(1, 100), flow(3, 300), flow(2, 200)];
+        let full = FlowSet::new(flows.clone()).unwrap();
+        for at in 0..flows.len() {
+            let mut set = full.clone();
+            let gone = set.remove(FlowId::new(at as u32)).unwrap();
+            let mut rest = flows.clone();
+            rest.remove(at);
+            assert_eq!(set, FlowSet::new(rest.clone()).unwrap());
+            // A clashing priority names both flows by their ids after the
+            // insertion, as `FlowSet::new` over that order would.
+            for clash_at in 0..=rest.len() {
+                let mut clashing = rest.clone();
+                clashing.insert(clash_at, flow(rest[0].priority().level(), 50));
+                let mut probe = set.clone();
+                let err = probe.insert(FlowId::new(clash_at as u32), clashing[clash_at].clone());
+                assert_eq!(err.unwrap_err(), FlowSet::new(clashing).unwrap_err());
+                assert_eq!(probe, set);
+            }
+            set.insert(FlowId::new(at as u32), gone).unwrap();
+            assert_eq!(set, full);
+        }
+        let mut set = full.clone();
+        assert!(set.insert(FlowId::new(4), flow(9, 900)).is_err());
+        assert!(set.insert(FlowId::new(0), flow(9, 0)).is_err());
+        assert!(set.remove(FlowId::new(3)).is_err());
+        assert_eq!(set, full);
     }
 }

@@ -152,7 +152,24 @@ impl System {
     }
 
     /// Returns a copy of the system extended with one additional flow,
-    /// routed by `routing`, together with the [`FlowId`] it was assigned.
+    /// routed by `routing`, together with the [`FlowId`] it was assigned:
+    /// a clone plus [`System::add_flow`].
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`System::add_flow`].
+    pub fn with_added_flow(
+        &self,
+        flow: Flow,
+        routing: &dyn RoutingAlgorithm,
+    ) -> Result<(System, FlowId), ModelError> {
+        let mut copy = self.clone();
+        let id = copy.add_flow(flow, routing)?;
+        Ok((copy, id))
+    }
+
+    /// Admits one more flow, routed by `routing`, and returns the
+    /// [`FlowId`] it was assigned.
     ///
     /// The new flow is appended, so every existing flow keeps its id — the
     /// delta the incremental analysis context in `noc-analysis` exploits:
@@ -160,44 +177,71 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Propagates routing failures, [`ModelError::InvalidFlow`] /
-    /// [`ModelError::DuplicatePriority`] from flow-set revalidation, and
-    /// [`ModelError::InsufficientVirtualChannels`] when a fixed `vc(Ξ)`
-    /// cannot accommodate the extra priority level.
-    pub fn with_added_flow(
-        &self,
+    /// Propagates routing failures, plus the conditions of
+    /// [`System::insert_flow`]. The system is unchanged on error.
+    pub fn add_flow(
+        &mut self,
         flow: Flow,
         routing: &dyn RoutingAlgorithm,
-    ) -> Result<(System, FlowId), ModelError> {
+    ) -> Result<FlowId, ModelError> {
         let route = routing.route(&self.topology, flow.source(), flow.dest())?;
-        let mut flows: Vec<Flow> = self.flows.iter().map(|(_, f)| f.clone()).collect();
-        flows.push(flow);
-        let flows = FlowSet::new(flows)?;
+        let id = FlowId::new(self.routes.len() as u32);
+        self.insert_flow(id, flow, route)?;
+        Ok(id)
+    }
+
+    /// Inserts `flow`, routed over `route`, at `id`, renumbering every flow
+    /// at `id` or above one up: the exact inverse of
+    /// [`System::remove_flow`]. Costs O(n) moves and copies no other flow
+    /// or route.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InvalidFlow`] / [`ModelError::DuplicatePriority`] as
+    /// [`FlowSet::insert`] reports them, [`ModelError::BrokenRoute`] if
+    /// `route` does not run from the flow's source to its destination, and
+    /// [`ModelError::InsufficientVirtualChannels`] when a fixed `vc(Ξ)`
+    /// cannot accommodate the extra priority level. The system is unchanged
+    /// on error.
+    pub fn insert_flow(&mut self, id: FlowId, flow: Flow, route: Route) -> Result<(), ModelError> {
+        let (source, dest) = (flow.source(), flow.dest());
+        self.flows.insert(id, flow)?;
+        let joins = self.topology.link(route.first()).source() == Endpoint::Node(source)
+            && self.topology.link(route.last()).target() == Endpoint::Node(dest);
+        if !joins {
+            self.flows.remove(id).expect("just inserted");
+            return Err(ModelError::BrokenRoute {
+                detail: format!("route {route} does not run from {source} to {dest}"),
+            });
+        }
         if let Some(vcs) = self.config.virtual_channels() {
-            let required = flows.priority_levels();
+            let required = self.flows.priority_levels();
             if vcs < required {
+                self.flows.remove(id).expect("just inserted");
                 return Err(ModelError::InsufficientVirtualChannels {
                     available: vcs,
                     required,
                 });
             }
         }
-        let id = FlowId::new(self.routes.len() as u32);
-        let mut routes = self.routes.clone();
-        routes.push(route);
-        Ok((
-            System {
-                topology: self.topology.clone(),
-                config: self.config,
-                flows,
-                routes,
-                buffers: self.buffers.clone(),
-            },
-            id,
-        ))
+        self.routes.insert(id.index(), route);
+        Ok(())
     }
 
-    /// Returns a copy of the system without flow `id`.
+    /// Returns a copy of the system without flow `id`: a clone plus
+    /// [`System::remove_flow`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidFlow`] if `id` is out of bounds.
+    pub fn without_flow(&self, id: FlowId) -> Result<System, ModelError> {
+        let mut copy = self.clone();
+        copy.remove_flow(id)?;
+        Ok(copy)
+    }
+
+    /// Retires flow `id` and returns it with its route, which
+    /// [`System::insert_flow`] takes back.
     ///
     /// Flow ids are dense indices, so every flow with a larger id is
     /// renumbered one down; routes and all other structure are preserved
@@ -205,30 +249,11 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidFlow`] if `id` is out of bounds.
-    pub fn without_flow(&self, id: FlowId) -> Result<System, ModelError> {
-        if id.index() >= self.flows.len() {
-            return Err(ModelError::InvalidFlow {
-                flow: id,
-                reason: format!("no such flow to remove (set has {})", self.flows.len()),
-            });
-        }
-        let flows: Vec<Flow> = self
-            .flows
-            .iter()
-            .filter(|&(fid, _)| fid != id)
-            .map(|(_, f)| f.clone())
-            .collect();
-        let flows = FlowSet::new(flows).expect("a validated flow set stays valid after removal");
-        let mut routes = self.routes.clone();
-        routes.remove(id.index());
-        Ok(System {
-            topology: self.topology.clone(),
-            config: self.config,
-            flows,
-            routes,
-            buffers: self.buffers.clone(),
-        })
+    /// Returns [`ModelError::InvalidFlow`] if `id` is out of bounds; the
+    /// system is unchanged then.
+    pub fn remove_flow(&mut self, id: FlowId) -> Result<(Flow, Route), ModelError> {
+        let flow = self.flows.remove(id)?;
+        Ok((flow, self.routes.remove(id.index())))
     }
 
     /// Returns a copy with the explicit virtual-channel count replaced
@@ -313,14 +338,29 @@ impl System {
     /// Panics if `router` is out of bounds or `depth` is zero.
     #[must_use]
     pub fn with_router_buffer_depth(&self, router: RouterId, depth: u32) -> System {
+        let mut copy = self.clone();
+        copy.set_router_buffer_depth(router, Some(depth));
+        copy
+    }
+
+    /// Overrides (`Some`) or clears (`None`) the per-VC buffer depth of one
+    /// router in place, and returns the override it replaced. Passing that
+    /// back restores a [`BufferMap`] equal to the one before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `router` is out of bounds or `depth` is `Some(0)`.
+    pub fn set_router_buffer_depth(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
         assert!(
             router.index() < self.topology.router_count(),
             "unknown router {router}"
         );
-        assert!(depth >= 1, "buffer depth must be at least one flit");
-        let mut copy = self.clone();
-        copy.buffers.set_router_depth(router, depth);
-        copy
+        let previous = self.buffers.override_at(router);
+        match depth {
+            Some(depth) => self.buffers.set_router_depth(router, depth),
+            None => self.buffers.clear_router_depth(router),
+        }
+        previous
     }
 
     /// The per-VC buffer depth at `router`: the override if one was set,
@@ -597,6 +637,65 @@ mod tests {
         let sys = System::new(topology, NocConfig::default(), flows, &XyRouting).unwrap();
         let scaled = sys.with_scaled_periods(2, 1).unwrap();
         assert_eq!(scaled.flow(FlowId::new(0)).burst(), 3);
+    }
+
+    /// The in-place deltas undo each other exactly, and their copying
+    /// forms agree with them.
+    #[test]
+    fn in_place_deltas_invert_each_other() {
+        let topology = Topology::mesh(3, 3);
+        let mk = |src: u32, dst: u32, p: u32| {
+            Flow::builder(NodeId::new(src), NodeId::new(dst))
+                .priority(Priority::new(p))
+                .period(Cycles::new(1_000))
+                .length_flits(4)
+                .build()
+        };
+        let flows = FlowSet::new(vec![mk(0, 8, 2), mk(2, 6, 1), mk(3, 5, 3)]).unwrap();
+        let config = NocConfig::builder().virtual_channels(4).build();
+        let base = System::new(topology, config, flows, &XyRouting).unwrap();
+        let same = |a: &System, b: &System| {
+            a.flows() == b.flows()
+                && a.flows().ids().all(|id| a.route(id) == b.route(id))
+                && a.buffer_map() == b.buffer_map()
+        };
+
+        let mut sys = base.clone();
+        let (flow, route) = sys.remove_flow(FlowId::new(1)).unwrap();
+        assert!(same(&sys, &base.without_flow(FlowId::new(1)).unwrap()));
+        // A route that does not join the flow's endpoints is refused.
+        let wrong = sys.route(FlowId::new(0)).clone();
+        assert!(matches!(
+            sys.insert_flow(FlowId::new(1), flow.clone(), wrong),
+            Err(ModelError::BrokenRoute { .. })
+        ));
+        sys.insert_flow(FlowId::new(1), flow, route).unwrap();
+        assert!(same(&sys, &base));
+
+        let id = sys.add_flow(mk(1, 7, 4), &XyRouting).unwrap();
+        assert!(same(
+            &sys,
+            &base.with_added_flow(mk(1, 7, 4), &XyRouting).unwrap().0
+        ));
+        // A fifth priority level does not fit four virtual channels.
+        let before = sys.clone();
+        assert!(matches!(
+            sys.add_flow(mk(4, 5, 5), &XyRouting),
+            Err(ModelError::InsufficientVirtualChannels { .. })
+        ));
+        assert!(same(&sys, &before));
+        sys.remove_flow(id).unwrap();
+        assert!(same(&sys, &base));
+
+        let router = RouterId::new(4);
+        assert_eq!(sys.set_router_buffer_depth(router, Some(9)), None);
+        assert_eq!(
+            sys.buffer_map(),
+            base.with_router_buffer_depth(router, 9).buffer_map()
+        );
+        assert_eq!(sys.set_router_buffer_depth(router, Some(3)), Some(9));
+        assert_eq!(sys.set_router_buffer_depth(router, None), Some(3));
+        assert!(same(&sys, &base));
     }
 
     #[test]

@@ -14,13 +14,17 @@
 //! A [`QueryBatch`] pairs one [`AnalysisKind`] with a list of [`Query`]
 //! values, evaluated independently against the same *base* system:
 //!
-//! * [`Query::Admission`] — add a candidate flow, re-certify, roll back;
-//! * [`Query::Removal`] — retire an existing flow, re-certify, restore;
+//! * [`Query::Admission`] — add a candidate flow and re-certify;
+//! * [`Query::Removal`] — retire an existing flow and re-certify;
 //! * [`Query::BufferWhatIf`] — re-certify at a different buffer depth,
 //!   answered from the report the base keeps for that depth;
 //! * [`Query::RouterBufferWhatIf`] — re-certify with **one** router's
 //!   buffers resized (heterogeneous depths), served through the shard's
-//!   [`IncrementalContext::resize_buffer`] with a restore afterwards.
+//!   [`IncrementalContext::resize_buffer`].
+//!
+//! A shard serves the three mutating kinds inside an
+//! [`IncrementalContext::what_if`] scope, which undoes the delta exactly
+//! on exit, so queries stay independent and always name base-system ids.
 //!
 //! Every query answers with a [`QueryOutcome`]; the batch reports wall
 //! time and queries/second in its [`BatchReport`].
@@ -43,23 +47,29 @@
 //! * flow mutations need a *mutable* graph, so each worker thread forks one
 //!   [`IncrementalContext`] from the base (`from_context` shares the graph
 //!   copy-on-write; the shard copies it on its first addition or removal)
-//!   and then serves all its queries through add → cached re-solve →
-//!   remove undo cycles, re-solving only the flows each delta marks and
-//!   those below them whose results the delta changes.
+//!   and then serves each query as one what-if scope: the delta, a cached
+//!   re-solve of only the flows the delta marks and those below them
+//!   whose results it changes, and an exact undo. The undo applies each
+//!   delta's inverse to the shard's system and graph in place and hands
+//!   back the solve caches the shard held before the query (the base's,
+//!   shared), dropping the copies the query made, so no rollback is ever
+//!   re-solved and the next query starts from the warm base again.
 //!
-//! Before forking, on the submitting thread, the batch solves the base
-//! once for its analysis ([`AnalysisContext::warm`], under the budget a
-//! query gets), so shards fork warm: a shard's first query is a cached
-//! re-solve, not a full solve, and the full solve is paid once per base
-//! rather than once per shard per batch. If that solve fails, shards fork
-//! cold. Unless a deadline is set, it then solves each buffer depth the
+//! Before forking, on the submitting thread, the batch solves the base once
+//! for its analysis ([`AnalysisContext::warm`], under the budget a query
+//! gets), so shards fork warm: a shard's first query is a cached re-solve,
+//! not a full solve, and the full solve is paid once per base rather than
+//! once per shard per batch. If that solve fails, shards fork cold and each
+//! query solves in full: a cache first laid out inside a query's scope is
+//! dropped with it (such a query meets the budget the base's solve ran out
+//! of). Unless a deadline is set, it then solves each buffer depth the
 //! batch serves that the base does not keep yet, up to `threads` depths at
 //! once, so a depth costs one solve per base, not one per query. Under a
 //! deadline it keeps nothing new: a fill that ran out of budget would keep
 //! nothing, and its queries would spend a second budget on the same solve.
 //! Filling there rather than in the shards keeps the work, and the solver
-//! counters, independent of thread scheduling. A batch that can degrade
-//! (a deadline or a fault plan is set) also keeps the base's conservative
+//! counters, independent of thread scheduling. A batch that can degrade (a
+//! deadline or a fault plan is set) also keeps the base's conservative
 //! bound ([`AnalysisContext::warm_conservative`]), so shards fork with it
 //! too.
 //!
@@ -141,7 +151,8 @@ pub enum Query {
         flow: Flow,
     },
     /// Is the system still schedulable when the flow `id` (a base-system
-    /// id) retires? The flow is restored after the verdict.
+    /// id) retires? The shard puts the flow back, at the same id, after
+    /// the verdict.
     Removal {
         /// Base-system id of the flow to retire hypothetically.
         id: FlowId,
@@ -165,7 +176,8 @@ pub enum Query {
     /// a cheaper switch at a single mesh position. Served through the
     /// shard's [`IncrementalContext::resize_buffer`], which re-solves only
     /// the flows whose buffered-interference terms read that router; the
-    /// depth is restored afterwards, so queries stay independent.
+    /// router's previous override is put back afterwards, so queries stay
+    /// independent.
     RouterBufferWhatIf {
         /// The router whose buffers are hypothetically resized.
         router: noc_model::ids::RouterId,
@@ -525,13 +537,10 @@ fn outcome_of(
     }
 }
 
-/// Mutable per-shard serving state: an incremental context plus the
-/// base-id → current-id permutation that removal/restore cycles induce.
+/// Mutable per-shard serving state: an incremental context forked from
+/// the base, which every query leaves as it found it.
 struct Shard<'a> {
     ctx: IncrementalContext,
-    /// `map[base.index()]` = the flow's id in `ctx` right now. Removing a
-    /// flow shifts every larger id down; restoring it appends at the end.
-    map: Vec<FlowId>,
     routing: &'a (dyn RoutingAlgorithm + Sync),
     kind: AnalysisKind,
 }
@@ -542,16 +551,19 @@ impl<'a> Shard<'a> {
         routing: &'a (dyn RoutingAlgorithm + Sync),
         kind: AnalysisKind,
     ) -> Shard<'a> {
-        let n = base.len();
         metrics::CONTEXT_FORKS.incr();
         Shard {
             ctx: IncrementalContext::from_context(base),
-            map: (0..n as u32).map(FlowId::new).collect(),
             routing,
             kind,
         }
     }
 
+    /// Serves `query` inside an [`IncrementalContext::what_if`] scope, so
+    /// the shard is back at the base system after it, with the caches it
+    /// held before: base ids stay valid, and no rollback is re-solved. An
+    /// outcome is read inside the scope, so a degraded answer bounds the
+    /// what-if system.
     fn serve(
         &mut self,
         base: &AnalysisContext<'_>,
@@ -560,73 +572,40 @@ impl<'a> Shard<'a> {
     ) -> QueryOutcome {
         let _span = metrics::QUERY_LATENCY_NS.span();
         metrics::QUERIES_SERVED.incr();
+        let (routing, kind) = (self.routing, self.kind);
+        let certify = |ctx: &mut IncrementalContext| {
+            let result = ctx.analyze_with_budget(kind, budget);
+            outcome_of(result, || ctx.conservative_report())
+        };
         match query {
-            Query::Admission { flow } => match self.ctx.add_flow(flow.clone(), self.routing) {
-                Ok(id) => {
-                    let result = self.ctx.analyze_with_budget(self.kind, budget);
-                    // Interpret before rolling back: the degraded path reads
-                    // the conservative bound of the system *with* the
-                    // candidate admitted.
-                    let outcome = outcome_of(result, || self.ctx.conservative_report());
-                    self.ctx
-                        .remove_flow(id)
-                        .expect("the just-admitted flow exists");
-                    outcome
-                }
-                Err(e) => QueryOutcome::Infeasible {
-                    reason: e.to_string(),
-                },
-            },
-            Query::Removal { id } => {
-                let Some(&current) = self.map.get(id.index()) else {
-                    return QueryOutcome::Infeasible {
-                        reason: format!("no flow {id} in the base system"),
-                    };
-                };
-                let flow = self.ctx.system().flows().flow(current).clone();
+            Query::Admission { flow } => {
                 self.ctx
-                    .remove_flow(current)
-                    .expect("mapped ids stay in bounds");
-                let result = self.ctx.analyze_with_budget(self.kind, budget);
-                // Interpret before restoring (the degraded bound describes
-                // the retired-flow system); restore before returning (even
-                // a failed solve must not leak a mutated shard).
-                let outcome = outcome_of(result, || self.ctx.conservative_report());
-                // Deterministic routing reproduces the original route, so
-                // only the id changes — track it in the map.
-                let restored = self
-                    .ctx
-                    .add_flow(flow, self.routing)
-                    .expect("restoring a previously admitted flow cannot fail");
-                for m in self.map.iter_mut() {
-                    if *m > current {
-                        *m = FlowId::new(m.raw() - 1);
-                    }
-                }
-                self.map[id.index()] = restored;
-                outcome
+                    .what_if(|ctx| match ctx.add_flow(flow.clone(), routing) {
+                        Ok(_) => certify(ctx),
+                        Err(e) => QueryOutcome::Infeasible {
+                            reason: e.to_string(),
+                        },
+                    })
             }
+            Query::Removal { id } => self.ctx.what_if(|ctx| match ctx.remove_flow(*id) {
+                Ok(()) => certify(ctx),
+                Err(_) => QueryOutcome::Infeasible {
+                    reason: format!("no flow {id} in the base system"),
+                },
+            }),
             Query::BufferWhatIf { depth } => {
-                let result = base.analyze_at_buffer_depth(self.kind, *depth, budget);
+                let result = base.analyze_at_buffer_depth(kind, *depth, budget);
                 // The conservative bound reads no buffer depth: the base's
                 // is the what-if's.
                 outcome_of(result, || noc_analysis::conservative_with(base))
             }
-            Query::RouterBufferWhatIf { router, depth } => {
-                let original = self.ctx.system().buffer_depth_at(*router);
-                self.ctx.resize_buffer(*router, *depth);
-                let result = self.ctx.analyze_with_budget(self.kind, budget);
-                // Interpret before restoring: the degraded bound describes
-                // the resized system. The conservative bound reads no
-                // buffer depth, so the resize marked nothing in its cache
-                // and the degraded report re-evaluates no flow.
-                let outcome = outcome_of(result, || self.ctx.conservative_report());
-                // Restoring sets an override equal to the original depth,
-                // which is numerically identical to the base system on
-                // every analysis path.
-                self.ctx.resize_buffer(*router, original);
-                outcome
-            }
+            // The conservative bound reads no buffer depth, so the resize
+            // marks nothing in its cache and a degraded answer re-evaluates
+            // no flow.
+            Query::RouterBufferWhatIf { router, depth } => self.ctx.what_if(|ctx| {
+                ctx.resize_buffer(*router, *depth);
+                certify(ctx)
+            }),
         }
     }
 }
@@ -762,10 +741,6 @@ pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query
 /// submission order. Worker state is forked from `base` (see the
 /// [module docs](self) for the dedup structure); the base context itself is
 /// only read.
-///
-/// `routing` must be deterministic (the same `(source, dest)` always yields
-/// the same route) — true of every algorithm in `noc-model` — so that
-/// removal queries can restore the flow they retired.
 ///
 /// # Panics
 ///
@@ -970,14 +945,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn queries_match_from_scratch_analysis() {
-        let sys = base_system();
-        let base = AnalysisContext::new(&sys).unwrap();
-        let batch = sample_batch();
-        let got = run_batch(&base, &batch, &XyRouting, 2);
-        // Oracle: rebuild each what-if system from scratch.
-        for (query, outcome) in batch.queries.iter().zip(&got.outcomes) {
+    /// Each outcome of `batch` served over `sys` on `threads` equals the
+    /// verdict of its what-if system rebuilt from scratch; returns them.
+    fn assert_matches_from_scratch(
+        sys: &System,
+        batch: &QueryBatch,
+        threads: usize,
+    ) -> Vec<QueryOutcome> {
+        let base = AnalysisContext::new(sys).unwrap();
+        let got = run_batch(&base, batch, &XyRouting, threads);
+        for (i, (query, outcome)) in batch.queries.iter().zip(&got.outcomes).enumerate() {
             let expected_sys = match query {
                 Query::Admission { flow } => {
                     sys.with_added_flow(flow.clone(), &XyRouting).unwrap().0
@@ -989,8 +966,58 @@ mod tests {
                 }
             };
             let report = batch.analysis.as_analysis().analyze(&expected_sys).unwrap();
-            assert_eq!(outcome, &QueryOutcome::from_report(&report), "{query:?}");
+            let expected = QueryOutcome::from_report(&report);
+            assert_eq!(outcome, &expected, "query {i}: {query:?}");
         }
+        got.outcomes
+    }
+
+    #[test]
+    fn queries_match_from_scratch_analysis() {
+        assert_matches_from_scratch(&base_system(), &sample_batch(), 2);
+        // A removal-heavy batch on one shard: 30 removals of repeated and
+        // distinct ids, between admissions and router what-ifs, each of
+        // which must find the base ids in place after the queries before.
+        // Periods cut 16-fold load the base enough that removals of
+        // different flows answer differently.
+        let sys = noc_workload::synthetic::SyntheticSpec::paper(4, 4, 16, 2)
+            .generate(2)
+            .into_system()
+            .with_scaled_periods(1, 16)
+            .unwrap();
+        let fresh = Priority::new(sys.flows().len() as u32 + 1);
+        let template = |i: u32| sys.flow(FlowId::new(i % 16)).clone();
+        let mut queries = Vec::new();
+        for i in 0..30u32 {
+            queries.push(Query::Removal {
+                id: FlowId::new((i * 7) % 16),
+            });
+            match i % 3 {
+                0 => queries.push(Query::Admission {
+                    flow: Flow::builder(template(i).source(), template(i).dest())
+                        .priority(fresh)
+                        .period(template(i).period())
+                        .length_flits(8 + i)
+                        .build(),
+                }),
+                1 => queries.push(Query::RouterBufferWhatIf {
+                    router: RouterId::new(i % 16),
+                    depth: 2 + i % 7,
+                }),
+                _ => {}
+            }
+        }
+        let batch = QueryBatch {
+            analysis: AnalysisKind::BufferAware,
+            queries,
+        };
+        let outcomes = assert_matches_from_scratch(&sys, &batch, 1);
+        let distinct: std::collections::BTreeSet<_> =
+            outcomes.iter().map(|o| format!("{o:?}")).collect();
+        assert!(
+            distinct.len() > 2,
+            "a fixture whose removals all answer alike pins nothing: {distinct:?}"
+        );
     }
 
     #[test]

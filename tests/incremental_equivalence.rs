@@ -13,6 +13,15 @@
 //! flows carry random burst allowances, so the buffer-aware cache
 //! invalidation and the arrival-curve plumbing are both exercised on the
 //! same sequences.
+//!
+//! Before every step the sequences also run one
+//! [`IncrementalContext::what_if`] scope (an admission, a removal of a
+//! random id or a router resize, solved inside, the conservative bound
+//! too), drawn from a second
+//! stream so the delta sequences stay as they were: the scope must leave
+//! the graph, flows, routes, buffer map and zero-load latencies equal to
+//! their pre-scope state, and the answers after it must still match a
+//! from-scratch solve.
 
 use noc_mpb::prelude::*;
 use noc_mpb::workload::didactic;
@@ -88,9 +97,79 @@ fn random_candidate(
         .build()
 }
 
+/// Everything a [`IncrementalContext::what_if`] scope must put back.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    graph: InterferenceGraph,
+    flows: FlowSet,
+    routes: Vec<Route>,
+    buffers: BufferMap,
+    zero_load: Vec<Cycles>,
+}
+
+impl Snapshot {
+    fn of(ctx: &IncrementalContext) -> Snapshot {
+        let system = ctx.system();
+        Snapshot {
+            graph: ctx.graph().clone(),
+            flows: system.flows().clone(),
+            routes: system
+                .flows()
+                .ids()
+                .map(|id| system.route(id).clone())
+                .collect(),
+            buffers: system.buffer_map().clone(),
+            zero_load: system.flows().ids().map(|id| ctx.zero_load(id)).collect(),
+        }
+    }
+}
+
+/// One what-if scope on `ctx`, cycling through the three delta kinds by
+/// `step`: an admission at the unused `priority`, a removal of a random
+/// id, or a router resize, each solved inside the scope against a
+/// from-scratch solve of the what-if system. The scope must restore the
+/// pre-scope state exactly.
+fn what_if_step(
+    ctx: &mut IncrementalContext,
+    rng: &mut XorShift,
+    routing: &dyn RoutingAlgorithm,
+    cross_pairs: bool,
+    priority: Priority,
+    (label, step): (&str, usize),
+) {
+    let before = Snapshot::of(ctx);
+    let label = format!("{label} what-if");
+    ctx.what_if(|ctx| {
+        match step % 3 {
+            0 => {
+                let candidate = random_candidate(rng, ctx.system(), priority, cross_pairs);
+                ctx.add_flow(candidate, routing)
+                    .expect("addition applies cleanly");
+            }
+            1 => {
+                let id = FlowId::new(rng.below(ctx.len() as u64) as u32);
+                ctx.remove_flow(id).expect("removal applies cleanly");
+            }
+            _ => {
+                let routers = ctx.system().topology().router_count() as u64;
+                let router = RouterId::new(rng.below(routers) as u32);
+                ctx.resize_buffer(router, 1 + rng.below(16) as u32);
+            }
+        }
+        assert_matches_scratch(ctx, &label, step);
+        ctx.conservative_report();
+    });
+    assert_eq!(
+        Snapshot::of(ctx),
+        before,
+        "{label}, step {step}: state not restored"
+    );
+    assert_matches_scratch(ctx, &label, step);
+}
+
 /// Drives `steps` random deltas through one fixture, checking equivalence
-/// after every step, then drains back to the original size and checks
-/// once more.
+/// after a what-if scope before every step and after the step itself,
+/// then drains back to the original size and checks once more.
 fn exercise(
     label: &str,
     system: System,
@@ -110,9 +189,13 @@ fn exercise(
         + 1;
     let mut freed_priorities: Vec<Priority> = Vec::new();
     let mut rng = XorShift(seed | 1);
+    let mut what_if_rng = XorShift(seed.rotate_left(32) | 1);
     let mut ctx = IncrementalContext::new(system).expect("fixture is analysable");
 
     for step in 0..steps {
+        let fresh = Priority::new(next_priority);
+        let at = (label, step);
+        what_if_step(&mut ctx, &mut what_if_rng, routing, cross_pairs, fresh, at);
         let len = ctx.len();
         if rng.chance(30) {
             // Interleave a per-router buffer resize with the flow churn.
