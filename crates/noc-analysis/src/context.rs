@@ -22,17 +22,19 @@
 //! context and forks it copy-on-write: a fork shares the graph until its
 //! first flow-set delta copies it.
 //!
-//! A context can also keep one solved cache per analysis
-//! ([`AnalysisContext::warm`]) and one for the conservative bound
-//! ([`AnalysisContext::warm_conservative`], or the first
-//! [`conservative_with`](crate::conservative::conservative_with) over it):
-//! forks then start from the base's results and re-solve only what their
-//! deltas change. Serving warms its base once per batch kind, and keeps
-//! its conservative bound when a batch can degrade. Rebasing, forking and
-//! every flow delta start with no cache, so a cache always belongs to the
-//! exact system it was solved for. The conservative bound reads no buffer
-//! depth, so its cache survives a resize and is shared with a context
-//! rebased onto a buffer-only change.
+//! A context can also keep solved caches in one table of six slots: one
+//! per analysis ([`AnalysisContext::warm`]), then one for the conservative
+//! bound ([`AnalysisContext::warm_conservative`], or the first
+//! [`conservative_with`](crate::conservative::conservative_with) over it).
+//! An [`IncrementalContext`](crate::incremental::IncrementalContext) lays
+//! out its own caches at the same indices, so a fork starts from the
+//! base's results and re-solves only what its deltas change. Serving warms
+//! its base once per batch kind, and keeps its conservative bound when a
+//! batch can degrade. The reset rules go by slot: forking and every flow
+//! delta clear all six, so a cache always belongs to the exact system it
+//! was solved for. The conservative bound reads no buffer depth, so a
+//! resize clears only the five analyses' slots, and rebasing onto a
+//! buffer-only change shares the conservative slot and nothing else.
 //!
 //! Finally a context keeps up to [`KEPT_BUFFER_DEPTHS`] reports solved at
 //! homogeneous buffer depths ([`AnalysisContext::warm_buffer_depths`]), one
@@ -84,6 +86,7 @@ use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
+use crate::runner::par_map_indexed;
 
 /// Precomputed, analysis-independent structure of one [`System`]: the
 /// interference graph, the priority order and the zero-load latencies.
@@ -103,18 +106,20 @@ pub struct AnalysisContext<'sys> {
     graph: Arc<InterferenceGraph>,
     zero_load: Vec<Cycles>,
     /// One solved cache per [`AnalysisKind`], indexed by
-    /// `AnalysisKind::index`, filled by [`AnalysisContext::warm`].
-    solved: [OnceLock<Arc<SolveCache>>; AnalysisKind::ALL.len()],
-    /// The conservative bound's cache, filled by the first conservative
-    /// report or [`AnalysisContext::warm_conservative`]. Handed to the
-    /// contexts rebased onto a buffer-only change: the bound reads no
-    /// buffer depth.
-    conservative: OnceLock<Arc<SolveCache>>,
+    /// `AnalysisKind::index` and filled by [`AnalysisContext::warm`], then
+    /// the conservative bound's at [`CONSERVATIVE`], filled by the first
+    /// conservative report or [`AnalysisContext::warm_conservative`].
+    caches: [OnceLock<Arc<SolveCache>>; CONSERVATIVE + 1],
     /// Reports solved at homogeneous buffer depths, filled in slot order
     /// by [`AnalysisContext::warm_buffer_depths`], so the filled slots are
     /// a prefix.
     by_depth: [OnceLock<DepthReport>; KEPT_BUFFER_DEPTHS],
 }
+
+/// The index of the conservative bound's cache, after the five kinds', in
+/// both [`AnalysisContext`]'s and
+/// [`IncrementalContext`](crate::incremental::IncrementalContext)'s tables.
+pub(crate) const CONSERVATIVE: usize = AnalysisKind::ALL.len();
 
 /// How many buffer-depth reports an [`AnalysisContext`] keeps
 /// ([`AnalysisContext::warm_buffer_depths`]), over all analysis kinds.
@@ -159,8 +164,7 @@ impl<'sys> AnalysisContext<'sys> {
             system,
             graph,
             zero_load,
-            solved: Default::default(),
-            conservative: Default::default(),
+            caches: Default::default(),
             by_depth: Default::default(),
         }
     }
@@ -211,9 +215,9 @@ impl<'sys> AnalysisContext<'sys> {
             }
         }
         let rebased = AnalysisContext::assemble(Cow::Borrowed(target), Arc::clone(&self.graph));
-        if let Some(cache) = self.conservative.get() {
+        if let Some(cache) = self.cached(CONSERVATIVE) {
             if rebased.zero_load == self.zero_load && target.flows() == source.flows() {
-                let _ = rebased.conservative.set(Arc::clone(cache));
+                let _ = rebased.caches[CONSERVATIVE].set(Arc::clone(cache));
             }
         }
         Ok(rebased)
@@ -251,8 +255,7 @@ impl<'sys> AnalysisContext<'sys> {
             system: Cow::Owned(self.system().clone()),
             graph: Arc::clone(&self.graph),
             zero_load: self.zero_load.clone(),
-            solved: Default::default(),
-            conservative: Default::default(),
+            caches: Default::default(),
             by_depth: Default::default(),
         }
     }
@@ -273,7 +276,7 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// [`IncrementalContext`]: crate::incremental::IncrementalContext
     pub fn warm(&self, kind: AnalysisKind, budget: &Budget) -> Result<(), AnalysisError> {
-        let lock = &self.solved[kind.index()];
+        let lock = &self.caches[kind.index()];
         if lock.get().is_none() {
             let mut cache = SolveCache::all_dirty(self.len());
             Solver::new(self, kind.spec(), budget).solve_cached(&mut cache)?;
@@ -283,9 +286,11 @@ impl<'sys> AnalysisContext<'sys> {
         Ok(())
     }
 
-    /// The cache [`AnalysisContext::warm`] kept for `kind`, if any.
-    pub(crate) fn solved(&self, kind: AnalysisKind) -> Option<&Arc<SolveCache>> {
-        self.solved[kind.index()].get()
+    /// The cache kept at `index` of the table, if any: `kind.index()` for
+    /// [`AnalysisContext::warm`]'s, [`CONSERVATIVE`] for the conservative
+    /// bound's.
+    pub(crate) fn cached(&self, index: usize) -> Option<&Arc<SolveCache>> {
+        self.caches[index].get()
     }
 
     /// Evaluates the conservative bound over this context and keeps it, so
@@ -297,33 +302,31 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// [`IncrementalContext`]: crate::incremental::IncrementalContext
     pub fn warm_conservative(&self) {
-        self.conservative
-            .get_or_init(|| self.evaluate_conservative());
-    }
-
-    /// The cache [`AnalysisContext::warm_conservative`] kept, if any.
-    pub(crate) fn conservative_solved(&self) -> Option<&Arc<SolveCache>> {
-        self.conservative.get()
+        self.conservative_cache();
     }
 
     /// The conservative report over this context, from the kept cache,
     /// which the first call fills.
     pub(crate) fn conservative_report(&self) -> AnalysisReport {
-        let mut evaluated = false;
-        let cache = self.conservative.get_or_init(|| {
-            evaluated = true;
-            self.evaluate_conservative()
-        });
+        let (cache, evaluated) = self.conservative_cache();
         if !evaluated {
             metrics::CONSERVATIVE_REUSED.add(self.len() as u64);
         }
         cache.report(CONSERVATIVE_NAME)
     }
 
-    fn evaluate_conservative(&self) -> Arc<SolveCache> {
-        let mut cache = SolveCache::all_dirty(self.len());
-        conservative::evaluate(self, &mut cache);
-        Arc::new(cache)
+    /// The conservative bound's kept cache, evaluated if absent, and
+    /// whether this call evaluated it: of concurrent first callers, one
+    /// evaluates and the others wait for its cache.
+    fn conservative_cache(&self) -> (&Arc<SolveCache>, bool) {
+        let mut evaluated = false;
+        let cache = self.caches[CONSERVATIVE].get_or_init(|| {
+            evaluated = true;
+            let mut cache = SolveCache::all_dirty(self.len());
+            conservative::evaluate(self, &mut cache);
+            Arc::new(cache)
+        });
+        (cache, evaluated)
     }
 
     /// Solves `kind` over this context's system with every router buffer
@@ -333,28 +336,17 @@ impl<'sys> AnalysisContext<'sys> {
     /// lookups. Only depths that will be kept are solved: the first ones
     /// not yet kept, in order of first appearance, up to the
     /// [`KEPT_BUFFER_DEPTHS`] slots still free. Up to `threads` of them
-    /// are solved at once, and they are kept in that order, so what a call
-    /// keeps and where never depends on thread timing. Each report is kept
-    /// as a copy made on the calling thread, so a kept report pins no
-    /// allocator arena of a finished worker thread. A solve that fails
-    /// under `budget` keeps nothing, and a `budget` already exceeded keeps
-    /// nothing and counts nothing, not even a deadline hit. Returns how
-    /// many reports the call kept.
+    /// are solved at once ([`par_map_indexed`]), and they are kept in that
+    /// order, so what a call keeps and where never depends on thread
+    /// timing or count. Each report is kept as a copy made on the calling
+    /// thread, so a kept report pins no allocator arena of a finished
+    /// worker thread. A solve that fails keeps nothing. Returns how many
+    /// reports the call kept.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`, and re-raises a panic of any solve.
-    pub fn warm_buffer_depths(
-        &self,
-        kind: AnalysisKind,
-        depths: &[u32],
-        budget: &Budget,
-        threads: usize,
-    ) -> usize {
-        assert!(threads > 0, "need at least one worker thread");
-        if budget.is_exceeded() {
-            return 0;
-        }
+    pub fn warm_buffer_depths(&self, kind: AnalysisKind, depths: &[u32], threads: usize) -> usize {
         let free = self.by_depth.iter().filter(|slot| slot.get().is_none());
         let free = free.count();
         let mut todo: Vec<u32> = Vec::new();
@@ -366,37 +358,14 @@ impl<'sys> AnalysisContext<'sys> {
                 todo.push(depth);
             }
         }
-        let workers = threads.min(todo.len());
-        let todo = &todo;
-        // Worker `w` solves every `workers`-th depth, starting at the `w`-th.
-        let solve_stride = |w: usize| -> Vec<(usize, Option<AnalysisReport>)> {
-            let mine = todo.iter().enumerate().skip(w).step_by(workers);
-            mine.map(|(i, &depth)| (i, self.solve_at_buffer_depth(kind, depth, budget).ok()))
-                .collect()
-        };
-        let mut solved: Vec<(usize, Option<AnalysisReport>)> = match workers {
-            0 => Vec::new(),
-            1 => solve_stride(0),
-            _ => std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || solve_stride(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| {
-                        handle
-                            .join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    })
-                    .collect()
-            }),
-        };
-        // Kept in `todo` order, so the slot layout is thread-count invariant.
-        solved.sort_unstable_by_key(|&(i, _)| i);
+        let unlimited = Budget::unlimited();
+        let solved = par_map_indexed(todo.len(), threads, |i| {
+            self.solve_at_buffer_depth(kind, todo[i], &unlimited).ok()
+        });
         let mut kept = 0;
-        for (i, report) in solved {
+        for (&depth, report) in todo.iter().zip(solved) {
             if let Some(report) = report {
-                kept += usize::from(self.keep(kind, todo[i], report.clone()));
+                kept += usize::from(self.keep(kind, depth, report.clone()));
             }
         }
         kept
@@ -555,7 +524,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// depth, so its cache stays.
     pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
         let previous = self.system.to_mut().set_router_buffer_depth(router, depth);
-        self.solved = Default::default();
+        self.caches[..CONSERVATIVE].fill_with(OnceLock::new);
         self.by_depth = Default::default();
         previous
     }
@@ -563,8 +532,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// Drops every solved cache and buffer-depth report: they describe the
     /// flow set before a delta.
     fn forget(&mut self) {
-        self.solved = Default::default();
-        self.conservative = Default::default();
+        self.caches = Default::default();
         self.by_depth = Default::default();
     }
 
@@ -687,7 +655,9 @@ mod tests {
 
     /// Whether any kind's solved cache is kept.
     fn any_warm(ctx: &AnalysisContext<'_>) -> bool {
-        AnalysisKind::ALL.iter().any(|&k| ctx.solved(k).is_some())
+        AnalysisKind::ALL
+            .iter()
+            .any(|&k| ctx.cached(k.index()).is_some())
     }
 
     #[test]
@@ -697,8 +667,8 @@ mod tests {
         let base = AnalysisContext::new(&sys).unwrap();
         assert!(!any_warm(&base));
         base.warm(ibn, &Budget::unlimited()).unwrap();
-        assert!(base.solved(ibn).is_some());
-        assert!(base.solved(AnalysisKind::Xlwx).is_none());
+        assert!(base.cached(ibn.index()).is_some());
+        assert!(base.cached(AnalysisKind::Xlwx.index()).is_none());
 
         // Rebasing and forking start empty …
         let deeper = sys.with_buffer_depth(10);
@@ -727,7 +697,7 @@ mod tests {
         owned.warm_conservative();
         owned.resize_buffer(RouterId::new(0), Some(4));
         assert!(!any_warm(&owned));
-        assert!(owned.conservative_solved().is_some());
+        assert!(owned.cached(CONSERVATIVE).is_some());
         owned.warm(ibn, &Budget::unlimited()).unwrap();
         let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
             .priority(Priority::new(4))
@@ -736,12 +706,12 @@ mod tests {
             .build();
         owned.add_flow(extra, &XyRouting).unwrap();
         assert!(!any_warm(&owned));
-        assert!(owned.conservative_solved().is_none());
+        assert!(owned.cached(CONSERVATIVE).is_none());
         owned.warm(ibn, &Budget::unlimited()).unwrap();
         owned.warm_conservative();
         owned.remove_flow(FlowId::new(0)).unwrap();
         assert!(!any_warm(&owned));
-        assert!(owned.conservative_solved().is_none());
+        assert!(owned.cached(CONSERVATIVE).is_none());
     }
 
     /// A buffer-only rebase shares the base's conservative cache, so its
@@ -754,20 +724,20 @@ mod tests {
         let base = AnalysisContext::new(&sys).unwrap();
         base.warm_conservative();
         let warmed = conservative_with(&base);
-        let kept = base.conservative_solved().unwrap();
+        let kept = base.cached(CONSERVATIVE).unwrap();
         for target in [
             sys.with_buffer_depth(10),
             sys.with_router_buffer_depth(RouterId::new(1), 7),
         ] {
             let rebased = base.rebase(&target).unwrap();
-            assert!(Arc::ptr_eq(kept, rebased.conservative_solved().unwrap()));
+            assert!(Arc::ptr_eq(kept, rebased.cached(CONSERVATIVE).unwrap()));
             assert_eq!(conservative_with(&rebased), warmed);
             let scratch = AnalysisContext::new(&target).unwrap();
             assert_eq!(conservative_with(&scratch), warmed);
         }
         let faster = sys.with_scaled_periods(1, 4).unwrap();
         let rebased = base.rebase(&faster).unwrap();
-        assert!(rebased.conservative_solved().is_none());
+        assert!(rebased.cached(CONSERVATIVE).is_none());
         let report = conservative_with(&rebased);
         let scratch = AnalysisContext::new(&faster).unwrap();
         assert_eq!(report, conservative_with(&scratch));
@@ -782,11 +752,10 @@ mod tests {
     #[test]
     fn kept_depth_reports_never_outlive_their_system() {
         let ibn = AnalysisKind::BufferAware;
-        let unlimited = Budget::unlimited();
         let sys = noc_workload::didactic::system(2);
         let base = AnalysisContext::new(&sys).unwrap();
-        assert_eq!(base.warm_buffer_depths(ibn, &[10], &unlimited, 1), 1);
-        assert_eq!(base.warm_buffer_depths(ibn, &[10], &unlimited, 1), 0);
+        assert_eq!(base.warm_buffer_depths(ibn, &[10], 1), 1);
+        assert_eq!(base.warm_buffer_depths(ibn, &[10], 1), 0);
         assert!(base.kept_at_depth(ibn, 10).is_some());
         assert!(base.by_depth[1].get().is_none(), "a re-fill takes no slot");
         assert!(base.kept_at_depth(ibn, 2).is_none());
@@ -800,7 +769,7 @@ mod tests {
         // Every mutator drops the store.
         let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
         let fill = |ctx: &AnalysisContext<'_>| {
-            assert_eq!(ctx.warm_buffer_depths(ibn, &[6], &unlimited, 1), 1);
+            assert_eq!(ctx.warm_buffer_depths(ibn, &[6], 1), 1);
             assert!(any_depth_kept(ctx));
         };
         fill(&owned);
@@ -829,7 +798,7 @@ mod tests {
         let base = AnalysisContext::new(&sys).unwrap();
         for kind in AnalysisKind::ALL {
             for depth in [2, 10, 100] {
-                base.warm_buffer_depths(kind, &[depth], &unlimited, 1);
+                base.warm_buffer_depths(kind, &[depth], 1);
                 let target = sys.with_buffer_depth(depth);
                 let rebased = base.rebase(&target).unwrap();
                 let solved = kind.analyze_with_budget(&rebased, &unlimited).unwrap();
@@ -848,23 +817,37 @@ mod tests {
         assert_eq!(tau3(10), Some(Cycles::new(396)));
     }
 
+    /// A fill whose solve fails keeps nothing: XLWX cannot converge on a
+    /// link that a higher-priority flow saturates, at any depth.
     #[test]
     fn a_failed_buffer_depth_fill_keeps_nothing() {
+        let mk = |src: u32, p: u32, t: u64, flits: u32| {
+            Flow::builder(NodeId::new(src), NodeId::new(2))
+                .priority(Priority::new(p))
+                .period(Cycles::new(t))
+                .length_flits(flits)
+                .build()
+        };
+        let flows = FlowSet::new(vec![mk(0, 1, 19, 16), mk(1, 2, 10_000_000_000, 32)]).unwrap();
+        let saturated = System::new(
+            Topology::mesh(3, 1),
+            NocConfig::default(),
+            flows,
+            &XyRouting,
+        )
+        .unwrap();
+        let ctx = AnalysisContext::new(&saturated).unwrap();
+        assert_eq!(ctx.warm_buffer_depths(AnalysisKind::Xlwx, &[8, 9], 2), 0);
+        assert!(!any_depth_kept(&ctx));
+
+        // A spent budget fails an answer even once its depth is kept.
         let ibn = AnalysisKind::BufferAware;
         let sys = system(2);
         let ctx = AnalysisContext::new(&sys).unwrap();
         let expired = Budget::with_deadline(std::time::Duration::ZERO);
         let cancelled = Budget::unlimited();
         cancelled.cancel();
-        for spent in [&expired, &cancelled] {
-            assert_eq!(ctx.warm_buffer_depths(ibn, &[8, 9], spent, 2), 0);
-        }
-        assert!(!any_depth_kept(&ctx));
-        // A spent budget fails an answer even once its depth is kept.
-        assert_eq!(
-            ctx.warm_buffer_depths(ibn, &[8], &Budget::unlimited(), 1),
-            1
-        );
+        assert_eq!(ctx.warm_buffer_depths(ibn, &[8], 1), 1);
         for spent in [&expired, &cancelled] {
             assert!(matches!(
                 ctx.analyze_at_buffer_depth(ibn, 8, spent),
@@ -883,10 +866,10 @@ mod tests {
         let ctx = AnalysisContext::new(&sys).unwrap();
         let past = 2 + KEPT_BUFFER_DEPTHS as u32;
         for depth in 2..past {
-            assert_eq!(ctx.warm_buffer_depths(ibn, &[depth], &unlimited, 1), 1);
+            assert_eq!(ctx.warm_buffer_depths(ibn, &[depth], 1), 1);
         }
         assert!(ctx.by_depth.iter().all(|slot| slot.get().is_some()));
-        assert_eq!(ctx.warm_buffer_depths(ibn, &[past], &unlimited, 1), 0);
+        assert_eq!(ctx.warm_buffer_depths(ibn, &[past], 1), 0);
         assert!(ctx.kept_at_depth(ibn, past).is_none());
         for depth in 2..=past {
             let scratch = ibn.analyze(&sys.with_buffer_depth(depth)).unwrap();
@@ -911,10 +894,10 @@ mod tests {
             .into_iter()
             .map(|threads| {
                 let ctx = AnalysisContext::new(&sys).unwrap();
-                ctx.warm_buffer_depths(ibn, &[3], &unlimited, 1);
-                let kept = ctx.warm_buffer_depths(ibn, &depths, &unlimited, threads);
+                ctx.warm_buffer_depths(ibn, &[3], 1);
+                let kept = ctx.warm_buffer_depths(ibn, &depths, threads);
                 assert_eq!(kept, KEPT_BUFFER_DEPTHS - 1, "{threads} threads");
-                assert_eq!(ctx.warm_buffer_depths(ibn, &depths, &unlimited, threads), 0);
+                assert_eq!(ctx.warm_buffer_depths(ibn, &depths, threads), 0);
                 for depth in 2..2 + KEPT_BUFFER_DEPTHS as u32 {
                     let target = sys.with_buffer_depth(depth);
                     let rebased = ctx.rebase(&target).unwrap();
@@ -946,7 +929,7 @@ mod tests {
                 let (ctx, start) = (&ctx, &start);
                 scope.spawn(move || {
                     start.wait();
-                    ctx.warm_buffer_depths(ibn, &[depth], &Budget::unlimited(), 1)
+                    ctx.warm_buffer_depths(ibn, &[depth], 1)
                 });
             }
         });

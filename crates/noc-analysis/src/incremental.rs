@@ -10,7 +10,8 @@
 //!
 //! [`IncrementalContext`] is an owned [`AnalysisContext`] plus the last
 //! solve's results, one solve cache per analysis and one for the
-//! conservative bound, kept alive across mutations:
+//! conservative bound, kept alive across mutations in a table laid out
+//! like the base context's:
 //!
 //! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
 //!   update the context's [`InterferenceGraph`] through its delta methods
@@ -40,10 +41,10 @@
 //! copy-on-write: the fork clones the system but shares the base's graph,
 //! and copies the graph only on its first flow addition or removal. Buffer
 //! resizes never touch the graph. A fork also shares every solve cache the
-//! base was [warmed](AnalysisContext::warm) with, and the base's kept
-//! conservative bound, so its first solve re-solves only what its own
-//! deltas change. A shared cache is copied, like the graph, by the fork's
-//! first delta or solve through it.
+//! base keeps, slot for slot: the analyses it was
+//! [warmed](AnalysisContext::warm) with and its conservative bound, so its
+//! first solve re-solves only what its own deltas change. A shared cache is
+//! copied, like the graph, by the fork's first delta or solve through it.
 //!
 //! The result is bit-identical to a from-scratch
 //! [`AnalysisContext::new`] + solve —
@@ -91,7 +92,7 @@ use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
-use crate::context::AnalysisContext;
+use crate::context::{AnalysisContext, CONSERVATIVE};
 use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::metrics;
@@ -117,9 +118,6 @@ pub struct IncrementalContext {
     /// every scope.
     journal: Option<Vec<Undo>>,
 }
-
-/// The index of the conservative bound's cache, after the five kinds'.
-const CONSERVATIVE: usize = AnalysisKind::ALL.len();
 
 /// The exact inverse of one delta made inside a
 /// [`IncrementalContext::what_if`] scope.
@@ -161,19 +159,15 @@ impl IncrementalContext {
     /// all-dirty. A fork counts as warm if it shares any of the five
     /// kinds' caches.
     pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        let solved = AnalysisKind::ALL.map(|kind| ctx.solved(kind));
-        if solved.iter().any(Option::is_some) {
+        let caches: [_; CONSERVATIVE + 1] = std::array::from_fn(|i| ctx.cached(i).cloned());
+        if caches[..CONSERVATIVE].iter().any(Option::is_some) {
             metrics::FORK_WARM.incr();
         } else {
             metrics::FORK_COLD.incr();
         }
-        let conservative = ctx.conservative_solved();
         IncrementalContext {
             ctx: ctx.fork(),
-            // The five kinds' caches, then the conservative bound's.
-            caches: std::array::from_fn(|i| {
-                solved.get(i).copied().unwrap_or(conservative).cloned()
-            }),
+            caches,
             journal: None,
         }
     }

@@ -74,6 +74,7 @@
 //! | [`budget`] | cooperative solve deadlines/cancellation polled by the engine |
 //! | [`conservative`] | one evaluation of the engine's recurrence at `R := D` — the degraded-mode fallback |
 //! | [`metrics`] | solver/cache telemetry (iterations, dirty-bit hit rates) — no-ops unless `NOC_TELEMETRY=1` |
+//! | [`runner`] | deterministic thread-parallel map for sweeps, serving shards and buffer-depth fills |
 //!
 //! # Safety ordering
 //!
@@ -94,6 +95,7 @@ pub mod error;
 pub mod incremental;
 pub mod metrics;
 pub mod report;
+pub mod runner;
 
 pub use analysis::{
     all_analyses, Analysis, AnalysisKind, BufferAware, NoIndirect, ShiBurns, XiongOriginal, Xlwx,

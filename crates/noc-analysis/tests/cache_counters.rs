@@ -7,7 +7,6 @@
 
 use noc_analysis::metrics;
 use noc_analysis::prelude::*;
-use noc_model::ids::RouterId;
 use noc_workload::synthetic::SyntheticSpec;
 
 /// The counters under test, in a comparable form.
@@ -25,7 +24,6 @@ fn counters() -> [u64; 5] {
 fn forks_and_re_solves_are_counted_only_when_telemetry_is_on() {
     let kind = AnalysisKind::BufferAware;
     let sys = SyntheticSpec::paper(6, 6, 80, 2).generate(1).into_system();
-    let n = sys.flows().len() as u64;
     let base = AnalysisContext::new(&sys).unwrap();
 
     // Off: a cold fork, a warm-up and a warm fork's solve move nothing.
@@ -40,14 +38,27 @@ fn forks_and_re_solves_are_counted_only_when_telemetry_is_on() {
         .unwrap();
     assert_eq!(counters(), before);
 
+    #[cfg(feature = "telemetry")]
+    counted_when_on(&base);
+}
+
+/// On: forks count by what `base` (warmed for IBN) kept, and re-solves by
+/// whether they changed anything.
+#[cfg(feature = "telemetry")]
+fn counted_when_on(base: &AnalysisContext<'_>) {
+    use noc_model::ids::RouterId;
+
+    let kind = AnalysisKind::BufferAware;
+    let sys = base.system();
+    let n = sys.flows().len() as u64;
     noc_telemetry::set_enabled(true);
-    let cold = AnalysisContext::new(&sys).unwrap();
+    let cold = AnalysisContext::new(sys).unwrap();
     let [warm0, cold0, dirty0, clean0, same0] = counters();
     IncrementalContext::from_context(&cold);
     assert_eq!(counters(), [warm0, cold0 + 1, dirty0, clean0, same0]);
 
     // A warm fork's first solve reuses every flow.
-    let mut fork = IncrementalContext::from_context(&base);
+    let mut fork = IncrementalContext::from_context(base);
     fork.analyze(kind).unwrap();
     assert_eq!(
         counters(),

@@ -153,45 +153,19 @@ pub fn judge_set_with(
     buffer_large: u32,
     exhaustive: bool,
 ) -> SetVerdicts {
-    let schedulable = |analysis: &dyn Analysis, ctx: &AnalysisContext<'_>| {
-        analysis
-            .analyze_with(ctx)
-            .map(|r| r.is_schedulable())
-            .unwrap_or(false)
-    };
     let small_sys = ctx.system().with_buffer_depth(buffer_small);
     let small = ctx.rebased(&small_sys);
     let sb = schedulable(&ShiBurns, &small);
-    if exhaustive {
+    let (xlwx, ibn_small, ibn_large) = if exhaustive {
         let large_sys = ctx.system().with_buffer_depth(buffer_large);
         let large = ctx.rebased(&large_sys);
-        return SetVerdicts {
-            sb,
-            xlwx: schedulable(&Xlwx, &small),
-            ibn_small: schedulable(&BufferAware, &small),
-            ibn_large: schedulable(&BufferAware, &large),
-        };
-    }
-    // Lazy evaluation along the inclusion chain
-    // sched(XLWX) ⊆ sched(IBN_large) ⊆ sched(IBN_small):
-    // – an unschedulable IBN_small implies the others are unschedulable;
-    // – a schedulable XLWX implies the others are schedulable.
-    let ibn_small = schedulable(&BufferAware, &small);
-    if !ibn_small {
-        return SetVerdicts {
-            sb,
-            xlwx: false,
-            ibn_small: false,
-            ibn_large: false,
-        };
-    }
-    let xlwx = schedulable(&Xlwx, &small);
-    let ibn_large = if xlwx {
-        true
+        (
+            schedulable(&Xlwx, &small),
+            schedulable(&BufferAware, &small),
+            schedulable(&BufferAware, &large),
+        )
     } else {
-        let large_sys = ctx.system().with_buffer_depth(buffer_large);
-        let large = ctx.rebased(&large_sys);
-        schedulable(&BufferAware, &large)
+        judge_chain(&small, buffer_large)
     };
     SetVerdicts {
         sb,
@@ -199,6 +173,35 @@ pub fn judge_set_with(
         ibn_small,
         ibn_large,
     }
+}
+
+/// Whether `analysis` certifies every flow over `ctx`; a failed solve
+/// certifies nothing.
+fn schedulable(analysis: &dyn Analysis, ctx: &AnalysisContext<'_>) -> bool {
+    analysis
+        .analyze_with(ctx)
+        .map(|r| r.is_schedulable())
+        .unwrap_or(false)
+}
+
+/// The XLWX, IBN(small) and IBN(large) verdicts of the system `small`
+/// holds at the small buffer depth, evaluated lazily along the inclusion
+/// chain sched(XLWX) ⊆ sched(IBN_large) ⊆ sched(IBN_small):
+/// – an unschedulable IBN_small implies the others are unschedulable;
+/// – a schedulable XLWX implies the others are schedulable.
+///
+/// IBN(large) is solved, over `small` rebased to the large depth, only
+/// when neither shortcut decides it.
+pub(crate) fn judge_chain(small: &AnalysisContext<'_>, buffer_large: u32) -> (bool, bool, bool) {
+    if !schedulable(&BufferAware, small) {
+        return (false, false, false);
+    }
+    let xlwx = schedulable(&Xlwx, small);
+    let ibn_large = xlwx || {
+        let large_sys = small.system().with_buffer_depth(buffer_large);
+        schedulable(&BufferAware, &small.rebased(&large_sys))
+    };
+    (xlwx, true, ibn_large)
 }
 
 /// Runs the sweep.

@@ -11,6 +11,7 @@ use noc_workload::av::{av_benchmark, AvApplication};
 use noc_workload::mapping::random_mapping;
 use noc_workload::topologies::fig5_topologies;
 
+use crate::fig4::judge_chain;
 use crate::runner::{default_threads, par_map_indexed};
 use crate::table::TextTable;
 
@@ -93,29 +94,11 @@ fn judge_mapping(
         .build();
     let mapped =
         random_mapping(app, dims.width, dims.height, noc, seed).expect("mesh mapping cannot fail");
-    let system = mapped.system();
     // One context per mapping: XLWX and both IBN depths share the graph.
-    let Ok(ctx) = AnalysisContext::new(system) else {
+    let Ok(ctx) = AnalysisContext::new(mapped.system()) else {
         return (false, false, false);
     };
-    let schedulable = |analysis: &dyn Analysis, ctx: &AnalysisContext<'_>| {
-        analysis
-            .analyze_with(ctx)
-            .map(|r| r.is_schedulable())
-            .unwrap_or(false)
-    };
-    // Lazy evaluation along sched(XLWX) ⊆ sched(IBN100) ⊆ sched(IBN2).
-    let ibn_small = schedulable(&BufferAware, &ctx);
-    if !ibn_small {
-        return (false, false, false);
-    }
-    let xlwx = schedulable(&Xlwx, &ctx);
-    let ibn_large = xlwx || {
-        let large_sys = system.with_buffer_depth(config.buffer_large);
-        let large = ctx.rebased(&large_sys);
-        schedulable(&BufferAware, &large)
-    };
-    (xlwx, ibn_small, ibn_large)
+    judge_chain(&ctx, config.buffer_large)
 }
 
 /// Runs the sweep with the bundled AV benchmark.

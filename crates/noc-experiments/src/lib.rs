@@ -10,7 +10,7 @@
 //! | [`fig5`] | Figure 5: AV benchmark across 26 topologies |
 //! | [`buffer_sweep`] | §VI remark: schedulability vs buffer depth 2..100 |
 //! | [`scaling`] | extension: breakdown-factor comparison (continuous tightness) |
-//! | [`runner`] | deterministic thread-parallel map (`NOC_MPB_THREADS` workers) |
+//! | [`runner`] | deterministic thread-parallel map (`NOC_MPB_THREADS` workers), re-exported from `noc-analysis` |
 //! | [`table`], [`chart`] | text rendering of the paper's rows/series |
 //!
 //! Each experiment exposes a `Config` (with the paper's parameters as the
@@ -36,10 +36,11 @@ pub mod buffer_sweep;
 pub mod chart;
 pub mod fig4;
 pub mod fig5;
-pub mod runner;
 pub mod scaling;
 pub mod table;
 pub mod table2;
+
+pub use noc_analysis::runner;
 
 /// Convenient re-exports.
 pub mod prelude {

@@ -74,8 +74,10 @@
 //! too.
 //!
 //! Queries are sharded across threads in contiguous chunks via
-//! `par_map_indexed`; outcomes come back in submission order regardless of
-//! scheduling.
+//! [`par_map_indexed`](noc_analysis::runner::par_map_indexed), the map the
+//! buffer-depth fill and the experiment sweeps share; a batch with one
+//! shard runs on the submitting thread. Outcomes come back in submission
+//! order regardless of scheduling.
 //!
 //! # Fault tolerance
 //!
@@ -132,7 +134,7 @@ use noc_analysis::context::AnalysisContext;
 use noc_analysis::error::AnalysisError;
 use noc_analysis::incremental::IncrementalContext;
 use noc_analysis::report::AnalysisReport;
-pub use noc_experiments::runner::default_threads;
+pub use noc_analysis::runner::default_threads;
 use noc_model::flow::Flow;
 use noc_model::ids::FlowId;
 use noc_model::routing::RoutingAlgorithm;
@@ -817,9 +819,9 @@ pub fn run_batch_with(
         }
         // Likewise each homogeneous buffer depth served, once per base and
         // up to `threads` at once, so a buffer what-if is a lookup. Not
-        // under a deadline: a fill that runs out of budget keeps nothing,
-        // and its queries would then spend a second budget on the same
-        // solve.
+        // under a deadline: the fill is unbudgeted, and a budgeted one that
+        // ran out would keep nothing while its queries spent a second
+        // budget on the same solve.
         if options.deadline.is_none() {
             let depths: Vec<u32> = batch
                 .queries
@@ -830,11 +832,11 @@ pub fn run_batch_with(
                     _ => None,
                 })
                 .collect();
-            base.warm_buffer_depths(batch.analysis, &depths, &Budget::unlimited(), threads);
+            base.warm_buffer_depths(batch.analysis, &depths, threads);
         }
     }
     let per_shard: Vec<(Vec<QueryOutcome>, u128)> =
-        noc_experiments::runner::par_map_indexed(shards, shards, |s| {
+        noc_analysis::runner::par_map_indexed(shards, shards, |s| {
             let (lo, hi) = bounds[s];
             let busy = Instant::now();
             let mut shard = Shard::new(base, routing, batch.analysis);
