@@ -64,7 +64,10 @@ pub trait Analysis {
         &self,
         ctx: &AnalysisContext<'_>,
     ) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        Solver::new(ctx, self.kind().spec(), &Budget::unlimited()).solve_explained()
+        let mut explanations = Vec::with_capacity(ctx.len());
+        Solver::new(ctx, self.kind().spec(), &Budget::unlimited())
+            .solve(Some(&mut explanations))
+            .map(|_| explanations)
     }
 
     /// Runs the analysis over every flow of `system`, deriving the
@@ -222,7 +225,7 @@ impl AnalysisKind {
         ctx: &AnalysisContext<'_>,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        Solver::new(ctx, self.spec(), budget).solve()
+        Solver::new(ctx, self.spec(), budget).solve(None)
     }
 
     /// The analysis table: display name and solver configuration. The

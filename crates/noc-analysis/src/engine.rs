@@ -11,7 +11,8 @@
 //! ```
 //!
 //! solved highest-priority-first so that every `Rⱼ` referenced by the
-//! interference terms of τᵢ is already final. The conservative bound of
+//! interference terms of τᵢ is already final, and read off τⱼ's verdict:
+//! a solve records each flow's answer once. The conservative bound of
 //! [`crate::conservative`] runs the same loop with a different per-flow
 //! [`Step`]: one evaluation of the recurrence at `Rᵢ := Dᵢ`, reading every
 //! `Rⱼ` as `Dⱼ`, in place of the fixed point. The hit count comes from each
@@ -113,8 +114,8 @@ pub(crate) struct Solver<'a> {
     /// Cooperative deadline/cancellation token, polled once per flow and
     /// every [`Budget::POLL_ITERATIONS`] fixed-point iterations.
     budget: &'a Budget,
-    /// Final response times, filled highest-priority-first.
-    r: Vec<Option<u128>>,
+    /// This pass's verdicts, filled highest-priority-first: see [`Solver::r`].
+    verdicts: Vec<FlowVerdict>,
     /// `Idown(j,i)`, one slot per direct edge (j → i): laid out fresh by
     /// the from-scratch entry points, borrowed from the cache by
     /// [`Solver::solve_cached`].
@@ -123,7 +124,7 @@ pub(crate) struct Solver<'a> {
     /// (a first write always does): read by the cached solve's cutoff.
     slots_changed: bool,
     /// The direct-interference terms of the flow solved last, reused
-    /// across flows; read back only by the explain path.
+    /// across flows; read back only by an explaining [`Solver::solve`].
     terms: Vec<Term>,
 }
 
@@ -148,7 +149,7 @@ impl<'a> Solver<'a> {
             uniform_depth: (!ctx.system().has_heterogeneous_buffers())
                 .then(|| u128::from(ctx.system().config().buffer_depth())),
             budget,
-            r: vec![None; ctx.len()],
+            verdicts: vec![FlowVerdict::Tainted; ctx.len()],
             idown_memo: EdgeMemo::default(),
             slots_changed: false,
             terms: Vec::new(),
@@ -165,59 +166,52 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Runs the analysis over the whole flow set.
+    /// Runs the analysis over the whole flow set, from scratch. With an
+    /// `explain` sink, also fills it with every flow's interference
+    /// breakdown at its fixed point, in flow order.
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::ConvergenceCap`] if any flow's fixed-point
     /// iteration exhausts the safety cap, or
     /// [`AnalysisError::DeadlineExceeded`] once the budget expires.
-    pub(crate) fn solve(mut self) -> Result<AnalysisReport, AnalysisError> {
+    pub(crate) fn solve(
+        mut self,
+        mut explain: Option<&mut Vec<FlowExplanation>>,
+    ) -> Result<AnalysisReport, AnalysisError> {
         let _span = metrics::SOLVE_NS.span();
         self.idown_memo = EdgeMemo::new(self.graph);
-        // Placeholders only: the priority order covers every flow.
-        let mut verdicts = vec![FlowVerdict::Tainted; self.r.len()];
-        for &i in self.ctx.priority_order() {
-            verdicts[i.index()] = self.solve_flow(i)?.0;
-        }
-        Ok(AnalysisReport::new(self.name, verdicts))
-    }
-
-    /// Runs the analysis and returns the per-flow interference breakdowns
-    /// at the fixed points, indexed by flow.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Solver::solve`].
-    pub(crate) fn solve_explained(mut self) -> Result<Vec<FlowExplanation>, AnalysisError> {
-        let _span = metrics::SOLVE_NS.span();
-        self.idown_memo = EdgeMemo::new(self.graph);
-        let mut explanations = Vec::with_capacity(self.r.len());
         for &i in self.ctx.priority_order() {
             let (verdict, window) = self.solve_flow(i)?;
-            explanations.push(FlowExplanation {
-                flow: i,
-                zero_load: self.ctx.zero_load(i),
-                verdict,
-                terms: self.terms.iter().map(|t| t.explain(window)).collect(),
-            });
+            self.verdicts[i.index()] = verdict;
+            if let Some(sink) = explain.as_deref_mut() {
+                sink.push(FlowExplanation {
+                    flow: i,
+                    zero_load: self.ctx.zero_load(i),
+                    verdict,
+                    terms: self.terms.iter().map(|t| t.explain(window)).collect(),
+                });
+            }
         }
-        explanations.sort_unstable_by_key(|e| e.flow);
-        Ok(explanations)
+        if let Some(sink) = explain {
+            sink.sort_unstable_by_key(|e| e.flow);
+        }
+        Ok(AnalysisReport::new(self.name, self.verdicts))
     }
 
     /// Runs the analysis against `cache`, re-solving only the flows whose
     /// inputs changed since the cache was last brought up to date; every
-    /// other flow's verdict, response time and `Idown` slots are reused
-    /// verbatim, so the result is bit-identical to a full [`Solver::solve`].
+    /// other flow's verdict and `Idown` slots are reused verbatim, so the
+    /// result is bit-identical to a full [`Solver::solve`].
     ///
     /// **Read set.** With the `Idown` slots persisted in the cache, the
     /// solve of τᵢ reads exactly:
     ///
-    /// 1. for each τⱼ ∈ `S^D_i`: its response time `Rⱼ` (`None` taints
-    ///    τᵢ; otherwise `Rⱼ` sets the jitter `Rⱼ − Cⱼ` and every hit count
-    ///    `ηₖ(Rⱼ)` of `Iup(j,i)` and `Idown(j,i)`), and the slots
-    ///    `Idown(k,j)` of τⱼ's block, which τⱼ's own solve wrote;
+    /// 1. for each τⱼ ∈ `S^D_i`: its response time `Rⱼ`, read off its
+    ///    verdict (none unless schedulable, which taints τᵢ; otherwise
+    ///    `Rⱼ` sets the jitter `Rⱼ − Cⱼ` and every hit count `ηₖ(Rⱼ)` of
+    ///    `Iup(j,i)` and `Idown(j,i)`), and the slots `Idown(k,j)` of
+    ///    τⱼ's block, which τⱼ's own solve wrote;
     /// 2. its own structure — `Cᵢ`, σᵢ, `Dᵢ`, `S^D_i`, the domains
     ///    `cd(i,j)` and the partitions `S^I_i ∩ S^D_j` into sides — and
     ///    the buffer depths on those domains (Eq. 6), plus the arrival
@@ -235,14 +229,15 @@ impl<'a> Solver<'a> {
     ///
     /// So, in priority order — every member of `S^D_i` outranks τᵢ and is
     /// settled first — τᵢ is re-solved iff a delta marked it or some
-    /// τⱼ ∈ `S^D_i` changed its response time, its verdict or a slot of
-    /// its block in this pass. Any other flow has all its inputs equal to
-    /// those of the solve that filled its cache entry, so that entry is
-    /// the solve's result. By induction down the priority order, every
-    /// published `R` and slot equals a full solve's. (Each slot of τⱼ's
-    /// block is the per-hit charge of one term of τⱼ's own recurrence, so
-    /// for a schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test
-    /// costs one comparison per edge and does not lean on that.)
+    /// τⱼ ∈ `S^D_i` changed its verdict or a slot of its block in this
+    /// pass (`Rⱼ` is a function of the verdict, so it needs no test of
+    /// its own). Any other flow has all its inputs equal to those of the
+    /// solve that filled its cache entry, so that entry is the solve's
+    /// result. By induction down the priority order, every published
+    /// verdict and slot equals a full solve's. (Each slot of τⱼ's block
+    /// is the per-hit charge of one term of τⱼ's own recurrence, so for a
+    /// schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test costs
+    /// one comparison per edge and does not lean on that.)
     ///
     /// Under [`Step::AtDeadline`] the same proof holds with every `Rⱼ`
     /// read as the constant `Dⱼ`: τᵢ's evaluation reads its own structure
@@ -250,8 +245,9 @@ impl<'a> Solver<'a> {
     /// the slots of τⱼ's block, so it is re-evaluated iff a delta marked
     /// it or some τⱼ ∈ `S^D_i` changed its slots or its verdict.
     ///
-    /// On return the cache is clean (all dirty bits cleared) and holds the
-    /// verdicts of the report.
+    /// The pass fills the solver's own verdicts, so the cache's change
+    /// only once it succeeds; then the cache is clean (all dirty bits
+    /// cleared) and holds the verdicts of the report.
     ///
     /// # Errors
     ///
@@ -270,7 +266,7 @@ impl<'a> Solver<'a> {
         let _span = fixed_point.then(|| metrics::SOLVE_NS.span());
         let order = self.ctx.priority_order();
         assert_eq!(
-            cache.r.len(),
+            cache.verdicts.len(),
             order.len(),
             "solve cache does not match the flow set"
         );
@@ -297,10 +293,10 @@ impl<'a> Solver<'a> {
                     .iter()
                     .any(|&j| cache.dirty[j.index()]);
             if !wake {
-                // Unchanged inputs: republish the cached response time for
+                // Unchanged inputs: republish the cached verdict for
                 // lower-priority flows to read.
                 clean_reused += 1;
-                self.r[at] = cache.r[at];
+                self.verdicts[at] = cache.verdicts[at];
                 continue;
             }
             dirty_solved += 1;
@@ -313,13 +309,12 @@ impl<'a> Solver<'a> {
                 Step::FixedPoint => self.solve_flow(i).inspect_err(|_| cache.poison())?.0,
                 Step::AtDeadline => self.evaluate_at_deadline(i),
             };
-            let changed =
-                self.slots_changed || self.r[at] != cache.r[at] || verdict != cache.verdicts[at];
+            let changed = self.slots_changed || verdict != cache.verdicts[at];
             unchanged += u64::from(!changed);
-            cache.verdicts[at] = verdict;
+            self.verdicts[at] = verdict;
             cache.dirty[at] = changed;
         }
-        cache.r = self.r;
+        cache.verdicts = self.verdicts;
         cache.memo = self.idown_memo;
         cache.dirty.fill(false);
         if !fixed_point {
@@ -345,14 +340,12 @@ impl<'a> Solver<'a> {
         Ok(cache.report(self.name))
     }
 
-    /// One evaluation of τᵢ's recurrence at `Rᵢ := Dᵢ`, every higher-priority
-    /// flow having published its deadline as its `R`: τᵢ is schedulable,
-    /// with that value as its bound, iff the value is at most `Dᵢ`.
-    /// Publishes `Dᵢ` for lower-priority flows to read and rewrites τᵢ's
-    /// memo block, like [`Solver::solve_flow`].
+    /// One evaluation of τᵢ's recurrence at `Rᵢ := Dᵢ`, every `Rⱼ` read as
+    /// `Dⱼ`: τᵢ is schedulable, with that value as its bound, iff the value
+    /// is at most `Dᵢ`. Rewrites τᵢ's memo block, like
+    /// [`Solver::solve_flow`].
     fn evaluate_at_deadline(&mut self, i: FlowId) -> FlowVerdict {
         let d_i = u128::from(self.system.flow(i).deadline().as_u64());
-        self.r[i.index()] = Some(d_i);
         self.idown_memo.open(i);
         self.slots_changed = false;
         let mut bound = self.base(i);
@@ -376,10 +369,21 @@ impl<'a> Solver<'a> {
         u128::from(self.ctx.zero_load(k).as_u64())
     }
 
+    /// `Rⱼ` of a flow settled in this pass: under [`Step::FixedPoint`] the
+    /// bound its verdict records (none unless schedulable, which taints the
+    /// reader; at most `Dⱼ`, so never clamped), under [`Step::AtDeadline`] `Dⱼ`.
+    fn r(&self, j: FlowId) -> Option<u128> {
+        let as_wide = |c: Cycles| u128::from(c.as_u64());
+        match self.step {
+            Step::FixedPoint => self.verdicts[j.index()].response_time().map(as_wide),
+            Step::AtDeadline => Some(as_wide(self.system.flow(j).deadline())),
+        }
+    }
+
     /// Computes the verdict for one flow, every higher-priority flow having
-    /// been solved already, and publishes its response time. Also returns
-    /// the window the explanation terms are evaluated at (the last
-    /// iterate), leaving those terms in `self.terms` (empty when tainted).
+    /// been solved already. Also returns the window the explanation terms
+    /// are evaluated at (the last iterate), leaving those terms in
+    /// `self.terms` (empty when tainted).
     ///
     /// # Errors
     ///
@@ -407,7 +411,7 @@ impl<'a> Solver<'a> {
         self.idown_memo.open(i);
         self.slots_changed = false;
         // Taint: a failed direct interferer leaves τᵢ without a valid bound.
-        if direct.iter().any(|&j| self.r[j.index()].is_none()) {
+        if direct.iter().any(|&j| self.r(j).is_none()) {
             return Ok((FlowVerdict::Tainted, 0));
         }
         for (edge, &j) in direct.iter().enumerate() {
@@ -443,7 +447,6 @@ impl<'a> Solver<'a> {
             }
             if next == r {
                 metrics::SOLVER_ITERATIONS.add(iterations);
-                self.r[i.index()] = Some(r);
                 let response_time = clamp_cycles(r);
                 return Ok((FlowVerdict::Schedulable { response_time }, r));
             }
@@ -502,13 +505,13 @@ impl<'a> Solver<'a> {
             JitterModel::None => 0,
             // J^I_j = Rⱼ − Cⱼ iff τⱼ suffers interference from S^I_i.
             JitterModel::InterferenceJitter if pass.indirect => {
-                let r_j = self.r[j.index()].expect("solved before use");
+                let r_j = self.r(j).expect("solved before use");
                 r_j.saturating_sub(self.c(j))
             }
             JitterModel::InterferenceJitter => 0,
             JitterModel::UpstreamInterference => pass.upstream,
             JitterModel::Dominating => {
-                let r_j = self.r[j.index()].expect("solved before use");
+                let r_j = self.r(j).expect("solved before use");
                 r_j.saturating_sub(self.c(j)).saturating_add(pass.upstream)
             }
         };
@@ -524,7 +527,7 @@ impl<'a> Solver<'a> {
     /// indirect interferers of τᵢ, charged as hit-count × Cₖ.
     fn edge_pass(&mut self, i: FlowId, j: FlowId, edge: usize, want_upstream: bool) -> EdgePass {
         let graph = self.graph;
-        let r_j = self.r[j.index()].expect("solved before use");
+        let r_j = self.r(j).expect("solved before use");
         // Ignoring downstream interference charges nothing and writes no
         // slot.
         let charged = self.downstream != DownstreamModel::Ignore;
@@ -790,9 +793,10 @@ impl Term {
 }
 
 /// Memoised solve state of **one** analysis, or of the conservative bound,
-/// over an evolving flow set: the response times (deadlines, for the
-/// bound), verdicts and `Idown` slots of the last solve plus a per-flow
-/// dirty bit.
+/// over an evolving flow set: the verdicts and `Idown` slots of the last
+/// solve plus a per-flow dirty bit. The verdicts are the only record of
+/// the response times: a re-solve reads a clean flow's `Rⱼ` off its
+/// verdict (or, for the bound, reads `Dⱼ`).
 ///
 /// Held per analysis kind, plus one for the conservative bound, by the
 /// incremental context and, once solved, by a warmed [`AnalysisContext`],
@@ -802,9 +806,6 @@ impl Term {
 /// all-dirty, so the first solve through it is exactly a full solve.
 #[derive(Debug, Clone)]
 pub(crate) struct SolveCache {
-    /// Final response times of the last solve (`None` for flows without a
-    /// valid bound), indexed by flow.
-    r: Vec<Option<u128>>,
     /// Verdicts of the last solve, indexed by flow.
     verdicts: Vec<FlowVerdict>,
     /// Flows whose inputs a delta changed since the last solve.
@@ -820,7 +821,6 @@ impl SolveCache {
     /// A cache for `n` flows with every flow marked dirty.
     pub(crate) fn all_dirty(n: usize) -> SolveCache {
         SolveCache {
-            r: vec![None; n],
             // Placeholders only: dirty flows are re-solved before any read.
             verdicts: vec![FlowVerdict::Tainted; n],
             dirty: vec![true; n],
@@ -833,8 +833,7 @@ impl SolveCache {
     /// Appends state for a newly added flow (dense id = old length),
     /// marked dirty; `graph` is the graph after the addition.
     pub(crate) fn push_flow(&mut self, graph: &InterferenceGraph) {
-        let n = self.r.len();
-        self.r.push(None);
+        let n = self.verdicts.len();
         self.verdicts.push(FlowVerdict::Tainted);
         self.dirty.push(true);
         self.memo.relayout(graph, |x| (x < n).then_some(x));
@@ -844,7 +843,6 @@ impl SolveCache {
     /// flows above it is the same `Vec::remove` shift. `graph` is the
     /// graph after the removal.
     pub(crate) fn remove_flow(&mut self, index: usize, graph: &InterferenceGraph) {
-        self.r.remove(index);
         self.verdicts.remove(index);
         self.dirty.remove(index);
         self.memo
@@ -860,7 +858,7 @@ impl SolveCache {
         graph: &InterferenceGraph,
     ) -> &'c mut SolveCache {
         if Arc::get_mut(cache).is_none() {
-            let flows = graph.len().max(cache.r.len());
+            let flows = graph.len().max(cache.verdicts.len());
             // A memo that was never laid out stays empty.
             let slots = if cache.memo.is_laid_out() {
                 edge_count(graph).max(cache.memo.values.len())
@@ -868,7 +866,6 @@ impl SolveCache {
                 0
             };
             *cache = Arc::new(SolveCache {
-                r: copy_with_room(&cache.r, flows),
                 verdicts: copy_with_room(&cache.verdicts, flows),
                 dirty: copy_with_room(&cache.dirty, flows),
                 memo: EdgeMemo {

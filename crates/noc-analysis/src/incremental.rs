@@ -21,9 +21,9 @@
 //! * those flows are marked dirty in every solve cache; the next
 //!   [`IncrementalContext::analyze`] walks the priority order and re-solves
 //!   a flow iff it is marked or a member of its `S^D` — all strictly
-//!   higher priority — changed its response time, verdict or `Idown`
-//!   slots in this pass. Every other flow keeps its cached result, so the
-//!   re-solve stops where results stop changing;
+//!   higher priority — changed its verdict (which records its `R`) or
+//!   `Idown` slots in this pass. Every other flow keeps its cached
+//!   result, so the re-solve stops where results stop changing;
 //! * [`IncrementalContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
@@ -1136,6 +1136,53 @@ mod tests {
             dirty[i.index()] |= sets.into_iter().any(|j| dirty[j.index()]);
         }
         dirty.iter().filter(|&&d| d).count()
+    }
+
+    /// A cached re-solve reads each interferer's `Rⱼ` off its verdict. An
+    /// admission that pushes a direct interferer past its deadline taints
+    /// that interferer's victim in the fork's re-solve, and the removal
+    /// that undoes it lifts the taint; both equal a from-scratch solve.
+    #[test]
+    fn a_missed_interferer_taints_its_victim_in_a_cached_re_solve() {
+        // τ0 runs 0 → 3 and directly interferes with τ1 (1 → 3); the
+        // admitted τ2 (0 → 1, top priority, 2000 flits) hits τ0 alone.
+        let system = mesh_system(&[(0, 3, 2, 1000), (1, 3, 3, 2000)]);
+        let hog = Flow::builder(NodeId::new(0), NodeId::new(1))
+            .priority(Priority::new(1))
+            .period(Cycles::new(5000))
+            .length_flits(2000)
+            .build();
+        let (interferer, victim) = (FlowId::new(0), FlowId::new(1));
+        let mut fork = warm_fork(&system);
+        for kind in AnalysisKind::ALL {
+            let report = fork.analyze(kind).unwrap();
+            assert!(report.is_schedulable(), "{}: {report:?}", kind.name());
+        }
+        let hog_id = fork.add_flow(hog, &XyRouting).unwrap();
+        let scratch_system = fork.system().clone();
+        let scratch = AnalysisContext::new(&scratch_system).unwrap();
+        for kind in AnalysisKind::ALL {
+            let report = fork.analyze(kind).unwrap();
+            let label = kind.name();
+            assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
+            assert!(report.verdict(hog_id).is_schedulable(), "{label}");
+            assert!(
+                matches!(report.verdict(interferer), FlowVerdict::DeadlineMiss { .. }),
+                "{label}: {:?}",
+                report.verdict(interferer)
+            );
+            assert_eq!(report.verdict(victim), FlowVerdict::Tainted, "{label}");
+            let resolved = &fork.cache(kind.index()).unwrap().resolved;
+            assert!(resolved.contains(&victim), "{label}: {resolved:?}");
+        }
+        fork.remove_flow(hog_id).unwrap();
+        let fresh = AnalysisContext::new(&system).unwrap();
+        for kind in AnalysisKind::ALL {
+            let report = fork.analyze(kind).unwrap();
+            let label = kind.name();
+            assert_eq!(report, kind.analyze_with(&fresh).unwrap(), "{label}");
+            assert!(report.is_schedulable(), "{label}: {report:?}");
+        }
     }
 
     #[test]

@@ -145,3 +145,37 @@ proptest! {
         }
     }
 }
+
+/// Every schedulable bound is at most its flow's deadline on bursty,
+/// heterogeneous-buffer and near-saturated fabrics as well. The solver
+/// reads a settled flow's `Rⱼ` back off its verdict, a `u64` cycle count,
+/// which loses nothing only because `Rⱼ ≤ Dⱼ`.
+#[test]
+fn schedulable_bounds_never_exceed_deadlines_on_stressed_fabrics() {
+    let mut tightest = 0.0f64;
+    for seed in 0..48u64 {
+        let mut spec = SyntheticSpec::paper(4, 4, 6 + (seed as usize % 20), 2);
+        let saturate = |spec: &mut SyntheticSpec| spec.period_range = (1_000, 20_000);
+        match seed % 4 {
+            0 => spec = spec.with_burst_range(0, 3),
+            1 => spec = spec.with_buffer_depth_range(2, 16),
+            2 => saturate(&mut spec),
+            _ => {
+                spec = spec.with_burst_range(0, 2).with_buffer_depth_range(2, 8);
+                saturate(&mut spec);
+            }
+        }
+        let sys = spec.generate(seed).into_system();
+        for kind in AnalysisKind::ALL {
+            for (id, v) in kind.analyze(&sys).unwrap().iter() {
+                if let Some(r) = v.response_time() {
+                    let d = sys.flow(id).deadline();
+                    assert!(r <= d, "seed {seed}, {}: {id} R={r} > D={d}", kind.name());
+                    tightest = tightest.max(r.as_u64() as f64 / d.as_u64() as f64);
+                }
+            }
+        }
+    }
+    // The near-saturated fabrics bring some bound close to its deadline.
+    assert!(tightest > 0.9, "tightest R/D was {tightest}");
+}

@@ -5,21 +5,15 @@
 //! cargo run --release -p noc-experiments --bin fig4
 //! ```
 //!
-//! Environment:
+//! Environment (a count that is malformed or 0 exits with status 2):
 //! * `NOC_MPB_SETS` — flow sets per point (default 100, the paper's value);
 //! * `NOC_MPB_THREADS` — worker threads (default: available parallelism);
 //! * `NOC_MPB_CSV_DIR` — if set, also writes `fig4a.csv` / `fig4b.csv`.
 
 use noc_experiments::chart::{render_curves, Series};
+use noc_experiments::env::env_count;
 use noc_experiments::prelude::*;
 use noc_experiments::table::TextTable;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn to_csv(results: &noc_experiments::fig4::Fig4Results) -> String {
     let mut t = TextTable::new(vec!["n_flows", "sb", "xlwx", "ibn2", "ibn100"]);
@@ -36,8 +30,8 @@ fn to_csv(results: &noc_experiments::fig4::Fig4Results) -> String {
 }
 
 fn main() {
-    let sets = env_usize("NOC_MPB_SETS", 100);
-    let threads = env_usize("NOC_MPB_THREADS", default_threads());
+    let sets = env_count("NOC_MPB_SETS", 100);
+    let threads = env_count("NOC_MPB_THREADS", default_threads());
     let csv_dir = std::env::var("NOC_MPB_CSV_DIR").ok();
 
     for (label, mut cfg, csv_name) in [

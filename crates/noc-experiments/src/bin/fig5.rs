@@ -5,26 +5,20 @@
 //! cargo run --release -p noc-experiments --bin fig5
 //! ```
 //!
-//! Environment:
+//! Environment (a count that is malformed or 0 exits with status 2):
 //! * `NOC_MPB_MAPPINGS` — mappings per topology (default 100);
 //! * `NOC_MPB_THREADS` — worker threads;
 //! * `NOC_MPB_CSV_DIR` — if set, also writes `fig5.csv`.
 
 use noc_experiments::chart::{render_curves, Series};
+use noc_experiments::env::env_count;
 use noc_experiments::prelude::*;
 use noc_experiments::table::TextTable;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let mut cfg = Fig5Config::paper();
-    cfg.mappings_per_topology = env_usize("NOC_MPB_MAPPINGS", 100);
-    cfg.threads = env_usize("NOC_MPB_THREADS", default_threads());
+    cfg.mappings_per_topology = env_count("NOC_MPB_MAPPINGS", 100);
+    cfg.threads = env_count("NOC_MPB_THREADS", default_threads());
     eprintln!(
         "fig5: {} topologies x {} mappings, {} threads ...",
         cfg.topologies.len(),

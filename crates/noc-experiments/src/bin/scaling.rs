@@ -6,25 +6,19 @@
 //! cargo run --release -p noc-experiments --bin scaling
 //! ```
 //!
-//! Environment:
+//! Environment (a count that is malformed or 0 exits with status 2):
 //! * `NOC_MPB_SETS` — flow sets (default 50);
 //! * `NOC_MPB_FLOWS` — flows per set (default 160);
 //! * `NOC_MPB_THREADS` — worker threads.
 
+use noc_experiments::env::env_count;
 use noc_experiments::prelude::*;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn main() {
     let mut cfg = ScalingConfig::paper();
-    cfg.sets = env_usize("NOC_MPB_SETS", cfg.sets);
-    cfg.n_flows = env_usize("NOC_MPB_FLOWS", cfg.n_flows);
-    cfg.threads = env_usize("NOC_MPB_THREADS", default_threads());
+    cfg.sets = env_count("NOC_MPB_SETS", cfg.sets);
+    cfg.n_flows = env_count("NOC_MPB_FLOWS", cfg.n_flows);
+    cfg.threads = env_count("NOC_MPB_THREADS", default_threads());
     eprintln!(
         "breakdown scaling: {} sets of {} flows on {}x{} ...",
         cfg.sets, cfg.n_flows, cfg.mesh_width, cfg.mesh_height

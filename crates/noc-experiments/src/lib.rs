@@ -12,6 +12,7 @@
 //! | [`scaling`] | extension: breakdown-factor comparison (continuous tightness) |
 //! | [`runner`] | deterministic thread-parallel map (`NOC_MPB_THREADS` workers), re-exported from `noc-analysis` |
 //! | [`table`], [`chart`] | text rendering of the paper's rows/series |
+//! | [`mod@env`] | the `NOC_MPB_*` counts the binaries read; a malformed one is an error |
 //!
 //! Each experiment exposes a `Config` (with the paper's parameters as the
 //! default constructor and a `reduced()` scaler for quick runs), a `run`
@@ -34,6 +35,7 @@
 
 pub mod buffer_sweep;
 pub mod chart;
+pub mod env;
 pub mod fig4;
 pub mod fig5;
 pub mod scaling;

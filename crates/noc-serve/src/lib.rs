@@ -105,7 +105,7 @@
 //! * **Isolation and retry** — each serve attempt runs inside
 //!   `catch_unwind`; a panicking worker poisons only its own shard, which
 //!   is re-forked from the shared base, and the query is retried with
-//!   bounded backoff ([`ServeOptions::max_retries`]) before surfacing as
+//!   bounded backoff ([`MAX_RETRIES`]) before surfacing as
 //!   [`ServeError::Panicked`].
 //! * **Load shedding** — with [`ServeOptions::max_pending`] set, queries
 //!   beyond the bound answer [`QueryOutcome::Shed`] without being served
@@ -382,10 +382,11 @@ impl BatchReport {
     }
 }
 
-/// Serving policy for [`run_batch_with`]: deadlines, shedding, retries and
-/// fault injection. [`ServeOptions::default`] disables all four, making
-/// [`run_batch_with`] bit-identical to [`run_batch`].
-#[derive(Debug, Clone, Copy)]
+/// Serving policy for [`run_batch_with`]: deadlines, shedding and fault
+/// injection. [`ServeOptions::default`] disables all three, making
+/// [`run_batch_with`] bit-identical to [`run_batch`]. A caught worker panic
+/// is retried up to [`MAX_RETRIES`] times under every policy.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions {
     /// Per-query wall-clock solve budget. `None` (default) solves under an
     /// [`unlimited`](Budget::unlimited) budget, which only a fault-injected
@@ -395,24 +396,14 @@ pub struct ServeOptions {
     /// are shed as [`QueryOutcome::Shed`] without being served. `None`
     /// (default) serves everything.
     pub max_pending: Option<usize>,
-    /// Retries after a caught worker panic (the shard is re-forked before
-    /// each retry, with bounded doubling backoff). Default 2.
-    pub max_retries: u32,
     /// Deterministic fault injection plan; `None` (default) injects
     /// nothing.
     pub faults: Option<FaultPlan>,
 }
 
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            deadline: None,
-            max_pending: None,
-            max_retries: 2,
-            faults: None,
-        }
-    }
-}
+/// Retries after a caught worker panic: the shard is re-forked before each
+/// retry, with bounded doubling backoff.
+pub const MAX_RETRIES: u32 = 2;
 
 impl ServeOptions {
     /// Reads the serving policy from the environment:
@@ -440,7 +431,6 @@ impl ServeOptions {
             deadline: parse_u64("NOC_SERVE_DEADLINE_MS")?.map(Duration::from_millis),
             max_pending: parse_u64("NOC_SERVE_MAX_PENDING")?.map(|n| n as usize),
             faults: FaultPlan::try_from_env()?,
-            ..ServeOptions::default()
         })
     }
 
@@ -681,7 +671,7 @@ fn serve_isolated(
                 // shared base rather than trusting poisoned state.
                 metrics::SHARD_REBUILDS.incr();
                 *shard = Shard::new(base, shard.routing, shard.kind);
-                if attempt < options.max_retries {
+                if attempt < MAX_RETRIES {
                     metrics::RETRIES.incr();
                     std::thread::sleep(backoff(attempt));
                     attempt += 1;
@@ -1284,7 +1274,6 @@ mod tests {
             .expect("some seed injects a persistent panic");
         let options = ServeOptions {
             faults: Some(plan),
-            max_retries: 1,
             ..ServeOptions::default()
         };
         let report = run_batch_with(&base, &batch, &XyRouting, 2, &options);

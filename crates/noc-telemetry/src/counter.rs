@@ -15,7 +15,6 @@ use crate::snapshot::{register, Metric};
 pub struct Counter {
     name: &'static str,
     value: AtomicU64,
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -36,13 +35,8 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        #[cfg(feature = "enabled")]
-        {
-            self.ensure_registered();
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
+        self.ensure_registered();
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one; a no-op unless [`crate::enabled`].
@@ -65,7 +59,6 @@ impl Counter {
         self.value.store(0, Ordering::Relaxed);
     }
 
-    #[cfg(feature = "enabled")]
     #[inline]
     fn ensure_registered(&'static self) {
         if !self.registered.load(Ordering::Relaxed)
@@ -93,7 +86,6 @@ impl fmt::Debug for Counter {
 pub struct MaxGauge {
     name: &'static str,
     value: AtomicU64,
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -114,20 +106,15 @@ impl MaxGauge {
         if !crate::enabled() {
             return;
         }
-        #[cfg(feature = "enabled")]
+        if !self.registered.load(Ordering::Relaxed)
+            && self
+                .registered
+                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
         {
-            if !self.registered.load(Ordering::Relaxed)
-                && self
-                    .registered
-                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                register(Metric::Gauge(self));
-            }
-            self.value.fetch_max(v, Ordering::Relaxed);
+            register(Metric::Gauge(self));
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        self.value.fetch_max(v, Ordering::Relaxed);
     }
 
     /// The highest recorded value (0 if never recorded).

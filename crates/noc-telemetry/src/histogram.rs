@@ -24,7 +24,6 @@ pub struct Histogram {
     sum: AtomicU64,
     max: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
     registered: AtomicBool,
 }
 
@@ -50,23 +49,18 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        #[cfg(feature = "enabled")]
+        if !self.registered.load(Ordering::Relaxed)
+            && self
+                .registered
+                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
         {
-            if !self.registered.load(Ordering::Relaxed)
-                && self
-                    .registered
-                    .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                register(Metric::Histogram(self));
-            }
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(ns, Ordering::Relaxed);
-            self.max.fetch_max(ns, Ordering::Relaxed);
-            self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+            register(Metric::Histogram(self));
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = ns;
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(ns, Ordering::Relaxed);
+        self.max.fetch_max(ns, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Starts a span whose elapsed wall-clock time is recorded into this
@@ -159,7 +153,6 @@ impl fmt::Debug for Histogram {
 }
 
 /// Bucket index of an observation: `floor(log2(ns))`, clamped.
-#[cfg(feature = "enabled")]
 #[inline]
 fn bucket_of(ns: u64) -> usize {
     (63 - (ns | 1).leading_zeros() as usize).min(BUCKETS - 1)

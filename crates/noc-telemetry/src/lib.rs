@@ -138,7 +138,7 @@ pub fn set_enabled(on: bool) {
 
 /// Serialises tests that flip the process-global gate. Poisoning is
 /// irrelevant — the lock guards no data.
-#[cfg(test)]
+#[cfg(all(test, feature = "enabled"))]
 pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
     static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())

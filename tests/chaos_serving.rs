@@ -218,7 +218,6 @@ fn deadlines_and_shedding_compose_under_chaos() {
         deadline: Some(std::time::Duration::ZERO),
         max_pending: Some(16),
         faults: Some(FaultPlan::new(0xC4A0_0005, 0.5)),
-        ..ServeOptions::default()
     };
     let report = run_batch_with(&base, &batch, &table, 3, &options);
     assert_eq!(report.outcomes.len(), batch.queries.len());
