@@ -31,14 +31,23 @@
 //! analysis at several buffer depths) pays for that structure exactly once.
 //! [`Solver::new`] is its only constructor; the incremental layer passes the
 //! context it owns, and unbudgeted callers pass [`Budget::unlimited`].
+//!
+//! A [`SolveCache`] keeps a solve's verdicts and `Idown` slots across
+//! flow-set deltas, and [`Solver::solve_cached`] re-solves only what
+//! changed, at two grains: a flow is re-solved only if a delta marked it
+//! or a direct interferer changed in the pass, and under XLWX and IBN a
+//! re-solved flow recomputes only the edge terms whose inputs changed,
+//! reading the others back from its memo block. Both are bit-identical
+//! to a from-scratch [`Solver::solve`]; the proof is on `solve_cached`.
 
 use std::sync::Arc;
 
 use noc_model::arrival::{ArrivalCurve, LeakyBucket};
 use noc_model::contention::{InterferenceGraph, Side};
-use noc_model::ids::FlowId;
+use noc_model::ids::{FlowId, RouterId};
 use noc_model::system::System;
 use noc_model::time::Cycles;
+use noc_model::topology::Endpoint;
 
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
@@ -182,7 +191,7 @@ impl<'a> Solver<'a> {
         let _span = metrics::SOLVE_NS.span();
         self.idown_memo = EdgeMemo::new(self.graph);
         for &i in self.ctx.priority_order() {
-            let (verdict, window) = self.solve_flow(i)?;
+            let (verdict, window) = self.solve_flow(i, |_, _| false)?;
             self.verdicts[i.index()] = verdict;
             if let Some(sink) = explain.as_deref_mut() {
                 sink.push(FlowExplanation {
@@ -239,6 +248,33 @@ impl<'a> Solver<'a> {
     /// schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test costs
     /// one comparison per edge and does not lean on that.)
     ///
+    /// **Edges.** The same argument holds one edge at a time. The term of
+    /// the edge (j → i) reads `Rⱼ`, τⱼ's block, the structure of the edge
+    /// (`cd(i,j)` and the sides of `S^I_i ∩ S^D_j`) and `bi(i,j)`, nothing
+    /// else of (1) or (2). Under XLWX and IBN, whose window jitter is
+    /// `Rⱼ − Cⱼ` iff `S^I_i ∩ S^D_j` is non-empty, the term is therefore a
+    /// function of `Rⱼ`, the slot `Idown(j,i)` and that *indirect* bit,
+    /// which [`Solver::edge_pass`] stores beside the slot. The edge's
+    /// structure changes only through an addition or removal that changes
+    /// `S^D_i`, `S^I_i` or `S^D_j`, and each marks τᵢ [`Mark::Whole`].
+    /// `bi(i,j)` changes only when a router that a link of `cd(i,j)`
+    /// enters is resized, which marks τᵢ [`Mark::Buffers`] and records the
+    /// router in [`SolveCache::resized`]. (A resize can also switch the
+    /// system between uniform and mixed depths, and Eq. 6 then counts an
+    /// ejection link differently. But a domain holding τᵢ's ejection link
+    /// ends τⱼ's route too, so τⱼ has no downstream member and
+    /// `Idown(j,i) = 0` whatever `bi` reads.) So a re-solved τᵢ that is
+    /// not marked `Whole` and whose block is valid *keeps* the slot and
+    /// bit of every edge whose τⱼ did not change in this pass, except,
+    /// when τᵢ is marked `Buffers`, the edges whose domain enters a
+    /// resized router. Those inputs all equal the ones τᵢ's last solve
+    /// wrote the slot from, so the kept term equals a recomputed one, and
+    /// the fixed-point iteration over the same terms yields the same
+    /// verdict in the same number of iterations. Only the other edges are
+    /// recomputed. SB, `XiongOriginal` and the bound below keep the full
+    /// pass: SB writes no slot, and the other two widen the window by
+    /// `Iup(j,i)`, which a kept edge would need stored as well.
+    ///
     /// Under [`Step::AtDeadline`] the same proof holds with every `Rⱼ`
     /// read as the constant `Dⱼ`: τᵢ's evaluation reads its own structure
     /// (no buffer depth: the XLWX charge has no Eq. 8 cap), each `Dⱼ` and
@@ -246,8 +282,8 @@ impl<'a> Solver<'a> {
     /// it or some τⱼ ∈ `S^D_i` changed its slots or its verdict.
     ///
     /// The pass fills the solver's own verdicts, so the cache's change
-    /// only once it succeeds; then the cache is clean (all dirty bits
-    /// cleared) and holds the verdicts of the report.
+    /// only once it succeeds; then the cache is clean (every mark and
+    /// recorded router cleared) and holds the verdicts of the report.
     ///
     /// # Errors
     ///
@@ -279,19 +315,29 @@ impl<'a> Solver<'a> {
             self.idown_memo = EdgeMemo::new(self.graph);
         }
         #[cfg(test)]
-        cache.resolved.clear();
+        {
+            cache.resolved.clear();
+            cache.edges.clear();
+        }
+        // XLWX and IBN re-solve edge by edge (see "Edges" above).
+        let by_edge = fixed_point
+            && self.downstream != DownstreamModel::Ignore
+            && self.jitter == JitterModel::InterferenceJitter;
+        let (system, graph) = (self.system, self.graph);
         let (mut dirty_solved, mut clean_reused, mut unchanged) = (0u64, 0u64, 0u64);
+        let (mut edges_reused, mut edges_recomputed) = (0u64, 0u64);
         for &i in order {
             let at = i.index();
-            // Until τᵢ's turn its dirty bit says whether a delta marked it;
-            // from then on, whether it changed in this pass. So for τᵢ the
-            // bits of `S^D_i`, all settled, read as "changed".
-            let wake = cache.dirty[at]
-                || self
-                    .graph
+            // Until τᵢ's turn its mark says what a delta changed; from then
+            // on, whether it changed in this pass (`Whole`) or not
+            // (`Clean`). So for τᵢ the marks of `S^D_i`, all settled, read
+            // as "changed".
+            let mark = cache.marks[at];
+            let wake = mark != Mark::Clean
+                || graph
                     .direct_set(i)
                     .iter()
-                    .any(|&j| cache.dirty[j.index()]);
+                    .any(|&j| cache.marks[j.index()] != Mark::Clean);
             if !wake {
                 // Unchanged inputs: republish the cached verdict for
                 // lower-priority flows to read.
@@ -303,20 +349,45 @@ impl<'a> Solver<'a> {
             #[cfg(test)]
             cache.resolved.push(i);
             let verdict = match self.step {
-                // On error half the flows are solved and half are stale;
-                // the only consistent cache state is "everything needs a
-                // re-solve".
-                Step::FixedPoint => self.solve_flow(i).inspect_err(|_| cache.poison())?.0,
+                Step::FixedPoint => {
+                    let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
+                    let (marks, resized) = (&cache.marks, &cache.resized);
+                    let keep = |edge: usize, j: FlowId| {
+                        partial
+                            && marks[j.index()] == Mark::Clean
+                            && !(mark == Mark::Buffers
+                                && domain_enters(system, graph, i, edge, resized))
+                    };
+                    // On error half the flows are solved and half are
+                    // stale; the only consistent cache state is
+                    // "everything needs a re-solve".
+                    let verdict = self.solve_flow(i, keep).inspect_err(|_| cache.poison())?.0;
+                    let kept = self.terms.iter().filter(|t| t.kept).count() as u64;
+                    edges_reused += kept;
+                    edges_recomputed += self.terms.len() as u64 - kept;
+                    #[cfg(test)]
+                    cache
+                        .edges
+                        .extend(self.terms.iter().enumerate().map(|(edge, t)| EdgeUse {
+                            victim: i,
+                            edge,
+                            kept: t.kept,
+                            jitter: t.extra_jitter,
+                            downstream: t.downstream,
+                        }));
+                    verdict
+                }
                 Step::AtDeadline => self.evaluate_at_deadline(i),
             };
             let changed = self.slots_changed || verdict != cache.verdicts[at];
             unchanged += u64::from(!changed);
             self.verdicts[at] = verdict;
-            cache.dirty[at] = changed;
+            cache.marks[at] = if changed { Mark::Whole } else { Mark::Clean };
         }
         cache.verdicts = self.verdicts;
         cache.memo = self.idown_memo;
-        cache.dirty.fill(false);
+        cache.marks.fill(Mark::Clean);
+        cache.resized.clear();
         if !fixed_point {
             metrics::CONSERVATIVE_EVALUATED.add(dirty_solved);
             metrics::CONSERVATIVE_REUSED.add(clean_reused);
@@ -325,6 +396,8 @@ impl<'a> Solver<'a> {
         metrics::CACHE_DIRTY_SOLVED.add(dirty_solved);
         metrics::CACHE_CLEAN_REUSED.add(clean_reused);
         metrics::CACHE_UNCHANGED_RESOLVES.add(unchanged);
+        metrics::CACHE_EDGES_REUSED.add(edges_reused);
+        metrics::CACHE_EDGES_RECOMPUTED.add(edges_recomputed);
         // Argument construction allocates, so gate the emission itself.
         if noc_telemetry::enabled() {
             noc_telemetry::events::emit(
@@ -334,6 +407,8 @@ impl<'a> Solver<'a> {
                     ("dirty_solved", dirty_solved.into()),
                     ("clean_reused", clean_reused.into()),
                     ("unchanged_resolves", unchanged.into()),
+                    ("edges_reused", edges_reused.into()),
+                    ("edges_recomputed", edges_recomputed.into()),
                 ],
             );
         }
@@ -383,14 +458,20 @@ impl<'a> Solver<'a> {
     /// Computes the verdict for one flow, every higher-priority flow having
     /// been solved already. Also returns the window the explanation terms
     /// are evaluated at (the last iterate), leaving those terms in
-    /// `self.terms` (empty when tainted).
+    /// `self.terms` (empty when tainted). `keep(edge, j)` says whether the
+    /// term of τⱼ, the `edge`-th member of `S^D_i`, is read back from τᵢ's
+    /// valid memo block instead of recomputed ([`Solver::solve_cached`]).
     ///
     /// # Errors
     ///
     /// Returns [`AnalysisError::ConvergenceCap`] if the fixed-point
     /// iteration exhausts [`MAX_ITERATIONS`], and
     /// [`AnalysisError::DeadlineExceeded`] once the budget expires.
-    fn solve_flow(&mut self, i: FlowId) -> Result<(FlowVerdict, u128), AnalysisError> {
+    fn solve_flow(
+        &mut self,
+        i: FlowId,
+        keep: impl Fn(usize, FlowId) -> bool,
+    ) -> Result<(FlowVerdict, u128), AnalysisError> {
         // Per-flow budget poll: catches an expired budget even when every
         // individual fixed point converges in a handful of iterations, and
         // makes a pre-cancelled budget abort deterministically at the first
@@ -415,7 +496,11 @@ impl<'a> Solver<'a> {
             return Ok((FlowVerdict::Tainted, 0));
         }
         for (edge, &j) in direct.iter().enumerate() {
-            let term = self.term(i, j, edge);
+            let term = if keep(edge, j) {
+                self.kept_term(i, j, edge)
+            } else {
+                self.term(i, j, edge)
+            };
             self.terms.push(term);
         }
         self.idown_memo.seal(i);
@@ -475,12 +560,26 @@ impl<'a> Solver<'a> {
     /// τⱼ must have a response time to read.
     fn term(&mut self, i: FlowId, j: FlowId, edge: usize) -> Term {
         let (extra_jitter, downstream) = self.edge_terms(i, j, edge);
+        self.make_term(j, extra_jitter, downstream, false)
+    }
+
+    /// [`Solver::term`] read back from τᵢ's memo block, which τᵢ's last
+    /// solve wrote: `Idown(j,i)` from the slot, and the jitter `Rⱼ − Cⱼ`
+    /// iff the indirect bit beside it is set. Only for the kinds whose
+    /// window jitter is that interference jitter.
+    fn kept_term(&self, i: FlowId, j: FlowId, edge: usize) -> Term {
+        let (downstream, indirect) = self.idown_memo.slot(i, edge);
+        self.make_term(j, self.interference_jitter(j, indirect), downstream, true)
+    }
+
+    fn make_term(&self, j: FlowId, extra_jitter: u128, downstream: u128, kept: bool) -> Term {
         Term {
             interferer: j,
             curve: self.system.flow(j).arrival_curve(),
             extra_jitter,
             charge: self.c(j).saturating_add(downstream),
             downstream,
+            kept,
         }
     }
 
@@ -504,18 +603,22 @@ impl<'a> Solver<'a> {
         let jitter = match self.jitter {
             JitterModel::None => 0,
             // J^I_j = Rⱼ − Cⱼ iff τⱼ suffers interference from S^I_i.
-            JitterModel::InterferenceJitter if pass.indirect => {
-                let r_j = self.r(j).expect("solved before use");
-                r_j.saturating_sub(self.c(j))
-            }
-            JitterModel::InterferenceJitter => 0,
+            JitterModel::InterferenceJitter => self.interference_jitter(j, pass.indirect),
             JitterModel::UpstreamInterference => pass.upstream,
-            JitterModel::Dominating => {
-                let r_j = self.r(j).expect("solved before use");
-                r_j.saturating_sub(self.c(j)).saturating_add(pass.upstream)
-            }
+            JitterModel::Dominating => self
+                .interference_jitter(j, true)
+                .saturating_add(pass.upstream),
         };
         (jitter, pass.downstream)
+    }
+
+    /// `J^I_j = Rⱼ − Cⱼ` if `indirect`, else 0.
+    fn interference_jitter(&self, j: FlowId, indirect: bool) -> u128 {
+        if !indirect {
+            return 0;
+        }
+        let r_j = self.r(j).expect("solved before use");
+        r_j.saturating_sub(self.c(j))
     }
 
     /// One pass over `S^I_i ∩ S^D_j`, τⱼ the `edge`-th member of `S^D_i`:
@@ -573,7 +676,7 @@ impl<'a> Solver<'a> {
                 Some(_) if !upstream_members => capped,
                 _ => uncapped,
             };
-            self.slots_changed |= self.idown_memo.set(i, edge, pass.downstream);
+            self.slots_changed |= self.idown_memo.set(i, edge, pass.downstream, pass.indirect);
         }
         pass
     }
@@ -623,14 +726,18 @@ struct EdgePass {
 /// Per-direct-edge memo of `Idown(j,i)`. Every key of the `Idown`
 /// recursion — `(j, i)` and each recursive `(k, j)` — is a direct edge
 /// (j → i), `j ∈ S^D_i`, so a flat array replaces a pair-keyed map: the
-/// edges into victim τᵢ take one block of slots, in `S^D_i` order.
+/// edges into victim τᵢ take one block of slots, in `S^D_i` order. Beside
+/// each slot sits the edge's *indirect* bit (`S^I_i ∩ S^D_j` is
+/// non-empty), which sets the window jitter of a term a cached re-solve
+/// keeps ([`Solver::solve_cached`]).
 ///
 /// Only τᵢ's own solve writes its block, in edge order, and nothing else
 /// is written meanwhile, so a victim's first solve appends its block at
 /// the end; later solves rewrite it in place. The storage has room for
 /// every edge of the graph, so a solve never reallocates it, and a delta
-/// compacts it in place ([`EdgeMemo::relayout`]). A tainted victim writes
-/// nothing, so a solve fills slots only for flows with a bound.
+/// compacts it while copying it ([`EdgeMemo::relaid_out`]). A tainted
+/// victim writes nothing, so a solve fills slots only for flows with a
+/// bound.
 ///
 /// A block is *valid* from the end of its victim's solve until the victim
 /// is solved again or a delta changes its `S^D`. Solving highest priority
@@ -643,6 +750,8 @@ pub(crate) struct EdgeMemo {
     /// solve appends it. No blocks at all until the memo is laid out.
     blocks: Vec<Block>,
     values: Vec<u128>,
+    /// The indirect bit of each slot of `values`.
+    indirect: Vec<bool>,
 }
 
 /// The number of direct edges of `graph`: one memo slot each.
@@ -665,9 +774,11 @@ impl EdgeMemo {
     /// A memo over the direct edges of `graph`, with room for all of them
     /// and no block written.
     pub(crate) fn new(graph: &InterferenceGraph) -> EdgeMemo {
+        let edges = edge_count(graph);
         EdgeMemo {
             blocks: vec![Block::default(); graph.len()],
-            values: Vec::with_capacity(edge_count(graph)),
+            values: Vec::with_capacity(edges),
+            indirect: Vec::with_capacity(edges),
         }
     }
 
@@ -676,18 +787,22 @@ impl EdgeMemo {
         !self.blocks.is_empty()
     }
 
-    /// Compacts the memo over `graph` after a flow addition or removal:
+    /// This memo carried across a flow addition or removal, compacted
+    /// while it is copied: `graph` is the graph after the delta, and
     /// `old(x)` names the pre-delta id of the flow now at `x`, if any. A
     /// valid block whose length still matches `|S^D_x|` keeps its values
     /// and validity — a delta adds or removes one flow, so an unchanged
     /// `|S^D_x|` means an unchanged `S^D_x`, in the same order. The other
-    /// victims lose their blocks. A memo that was never laid out stays so.
-    ///
-    /// The kept blocks slide down inside the same storage, in the order
-    /// they already sit in, so no second copy of the memo is held.
-    fn relayout(&mut self, graph: &InterferenceGraph, old: impl Fn(usize) -> Option<usize>) {
+    /// victims lose their blocks. The kept blocks are copied in the order
+    /// they sit in, into storage with room for every edge of `graph`. A
+    /// memo that was never laid out stays so.
+    fn relaid_out(
+        &self,
+        graph: &InterferenceGraph,
+        old: impl Fn(usize) -> Option<usize>,
+    ) -> EdgeMemo {
         if !self.is_laid_out() {
-            return;
+            return EdgeMemo::default();
         }
         let n = graph.len();
         let mut kept: Vec<(usize, Block)> = (0..n)
@@ -698,16 +813,22 @@ impl EdgeMemo {
             })
             .collect();
         kept.sort_unstable_by_key(|(_, b)| b.start);
-        let mut blocks = vec![Block::default(); n];
-        let mut end = 0;
+        let mut memo = EdgeMemo::new(graph);
         for (x, b) in kept {
-            self.values.copy_within(b.start..b.start + b.len, end);
-            blocks[x] = Block { start: end, ..b };
-            end += b.len;
+            let slots = b.start..b.start + b.len;
+            memo.blocks[x] = Block {
+                start: memo.values.len(),
+                ..b
+            };
+            memo.values.extend_from_slice(&self.values[slots.clone()]);
+            memo.indirect.extend_from_slice(&self.indirect[slots]);
         }
-        self.blocks = blocks;
-        self.values.truncate(end);
-        self.values.reserve_exact(edge_count(graph) - end);
+        memo
+    }
+
+    /// Whether `victim`'s block holds the values of its last solve.
+    fn is_valid(&self, victim: FlowId) -> bool {
+        self.blocks[victim.index()].valid
     }
 
     /// The value of the `edge`-th direct edge into `victim`, whose block
@@ -721,6 +842,15 @@ impl EdgeMemo {
         self.values[b.start + edge]
     }
 
+    /// The value and indirect bit of the `edge`-th direct edge into
+    /// `victim`, as its last solve wrote them: read while the victim is
+    /// re-solved, so its block may be open.
+    fn slot(&self, victim: FlowId, edge: usize) -> (u128, bool) {
+        let b = self.blocks[victim.index()];
+        debug_assert!(edge < b.len, "Idown slot into {victim} never written");
+        (self.values[b.start + edge], self.indirect[b.start + edge])
+    }
+
     /// Starts rewriting `victim`'s block: it is invalid until
     /// [`EdgeMemo::seal`].
     fn open(&mut self, victim: FlowId) {
@@ -728,11 +858,13 @@ impl EdgeMemo {
     }
 
     /// Writes the `edge`-th direct edge into `victim`, the victim being
-    /// solved; `true` if that changed the slot (a first write always
-    /// does).
-    fn set(&mut self, victim: FlowId, edge: usize, value: u128) -> bool {
+    /// solved; `true` if that changed the slot's value (a first write
+    /// always does). The indirect bit is read only by the victim's own
+    /// re-solve, so it takes no part in the test.
+    fn set(&mut self, victim: FlowId, edge: usize, value: u128, indirect: bool) -> bool {
         let b = &mut self.blocks[victim.index()];
         if edge < b.len {
+            self.indirect[b.start + edge] = indirect;
             return std::mem::replace(&mut self.values[b.start + edge], value) != value;
         }
         // The victim's first solve: its block grows at the end, in edge
@@ -743,6 +875,7 @@ impl EdgeMemo {
         debug_assert_eq!(b.start + edge, self.values.len());
         b.len += 1;
         self.values.push(value);
+        self.indirect.push(indirect);
         true
     }
 
@@ -750,6 +883,23 @@ impl EdgeMemo {
     fn seal(&mut self, victim: FlowId) {
         self.blocks[victim.index()].valid = true;
     }
+}
+
+/// Whether the domain `cd(i,j)` of τⱼ, the `edge`-th member of `S^D_i`,
+/// has a link into one of `routers`: the edges whose `bi(i,j)` (Eq. 6) a
+/// resize of those routers changes.
+fn domain_enters(
+    system: &System,
+    graph: &InterferenceGraph,
+    i: FlowId,
+    edge: usize,
+    routers: &[RouterId],
+) -> bool {
+    let topology = system.topology();
+    graph.direct_domains(i)[edge]
+        .links(system.route(i))
+        .iter()
+        .any(|&l| matches!(topology.link(l).target(), Endpoint::Router(r) if routers.contains(&r)))
 }
 
 /// One direct interferer's precomputed contribution to the recurrence of
@@ -766,6 +916,8 @@ struct Term {
     charge: u128,
     /// The Idown(j,i) part of the charge, kept for explanations.
     downstream: u128,
+    /// Read back from the memo rather than recomputed.
+    kept: bool,
 }
 
 impl Term {
@@ -792,29 +944,86 @@ impl Term {
     }
 }
 
+/// What a delta changed about one flow's inputs since the last solve.
+/// Ordered, so that two marks combine by `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Mark {
+    /// Nothing.
+    Clean,
+    /// Only the depths of routers in [`SolveCache::resized`]: a re-solve
+    /// recomputes only the edges whose domains enter one of them, and
+    /// those whose interferer changed.
+    Buffers,
+    /// Its structure, or everything (a fresh or poisoned cache): a
+    /// re-solve recomputes every edge.
+    Whole,
+}
+
+/// The flow-set change a delta carries a cache across
+/// ([`SolveCache::carry`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FlowDelta {
+    /// A flow appended at the next dense id.
+    Added,
+    /// The flow at this index removed, and every id above it moved down.
+    Removed(usize),
+}
+
+impl FlowDelta {
+    /// The pre-delta index of the flow at `x` of `n` after the delta, if
+    /// it existed before.
+    fn old(self, x: usize, n: usize) -> Option<usize> {
+        match self {
+            FlowDelta::Added => (x + 1 < n).then_some(x),
+            FlowDelta::Removed(index) => Some(x + usize::from(x >= index)),
+        }
+    }
+}
+
 /// Memoised solve state of **one** analysis, or of the conservative bound,
 /// over an evolving flow set: the verdicts and `Idown` slots of the last
-/// solve plus a per-flow dirty bit. The verdicts are the only record of
+/// solve plus a per-flow [`Mark`]. The verdicts are the only record of
 /// the response times: a re-solve reads a clean flow's `Rⱼ` off its
 /// verdict (or, for the bound, reads `Dⱼ`).
 ///
 /// Held per analysis kind, plus one for the conservative bound, by the
 /// incremental context and, once solved, by a warmed [`AnalysisContext`],
 /// behind an [`Arc`] that a base shares with its forks until a fork's
-/// first delta or solve [unshares](SolveCache::unshare) it; consumed and
+/// first delta or solve copies it: an addition or removal
+/// [carries](SolveCache::carry) it across in the same copy; consumed and
 /// refreshed by [`Solver::solve_cached`]. A freshly created cache is
 /// all-dirty, so the first solve through it is exactly a full solve.
 #[derive(Debug, Clone)]
 pub(crate) struct SolveCache {
     /// Verdicts of the last solve, indexed by flow.
     verdicts: Vec<FlowVerdict>,
-    /// Flows whose inputs a delta changed since the last solve.
-    dirty: Vec<bool>,
+    /// What the deltas since the last solve changed, per flow.
+    marks: Vec<Mark>,
+    /// The routers resized since the last solve, for the flows marked
+    /// [`Mark::Buffers`].
+    resized: Vec<RouterId>,
     /// The `Idown` slots of the last solve; laid out by the first solve.
     memo: EdgeMemo,
     /// The flows the last solve re-solved, in solve order.
     #[cfg(test)]
     pub(crate) resolved: Vec<FlowId>,
+    /// The edges of the flows the last solve took through the fixed
+    /// point, in solve order.
+    #[cfg(test)]
+    pub(crate) edges: Vec<EdgeUse>,
+}
+
+/// One edge term of a re-solved flow, as the last cached solve used it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EdgeUse {
+    pub(crate) victim: FlowId,
+    /// The interferer's position in `S^D` of the victim.
+    pub(crate) edge: usize,
+    /// Read back from the memo rather than recomputed.
+    pub(crate) kept: bool,
+    pub(crate) jitter: u128,
+    pub(crate) downstream: u128,
 }
 
 impl SolveCache {
@@ -823,60 +1032,46 @@ impl SolveCache {
         SolveCache {
             // Placeholders only: dirty flows are re-solved before any read.
             verdicts: vec![FlowVerdict::Tainted; n],
-            dirty: vec![true; n],
+            marks: vec![Mark::Whole; n],
+            resized: Vec::new(),
             memo: EdgeMemo::default(),
             #[cfg(test)]
             resolved: Vec::new(),
+            #[cfg(test)]
+            edges: Vec::new(),
         }
     }
 
-    /// Appends state for a newly added flow (dense id = old length),
-    /// marked dirty; `graph` is the graph after the addition.
-    pub(crate) fn push_flow(&mut self, graph: &InterferenceGraph) {
-        let n = self.verdicts.len();
-        self.verdicts.push(FlowVerdict::Tainted);
-        self.dirty.push(true);
-        self.memo.relayout(graph, |x| (x < n).then_some(x));
-    }
-
-    /// Drops the state of the flow at `index`; the dense renumbering of the
-    /// flows above it is the same `Vec::remove` shift. `graph` is the
-    /// graph after the removal.
-    pub(crate) fn remove_flow(&mut self, index: usize, graph: &InterferenceGraph) {
-        self.verdicts.remove(index);
-        self.dirty.remove(index);
-        self.memo
-            .relayout(graph, |x| Some(x + usize::from(x >= index)));
-    }
-
-    /// `cache`, owned: a cache still shared with a base or another fork is
-    /// first copied, with room for the flows and direct edges of `graph`,
-    /// the graph after the delta about to be applied, so that applying it
-    /// reallocates nothing.
-    pub(crate) fn unshare<'c>(
-        cache: &'c mut Arc<SolveCache>,
+    /// Carries `cache` across a flow addition or removal, in one copy: the
+    /// state of each remaining flow moves to its new id, an added flow
+    /// starts dirty, the memo is compacted ([`EdgeMemo::relaid_out`]), and
+    /// the `affected` flows are marked [`Mark::Whole`]. `graph` is the
+    /// graph after the delta. A shared cache is left to its other holders
+    /// untouched.
+    pub(crate) fn carry(
+        cache: &mut Arc<SolveCache>,
         graph: &InterferenceGraph,
-    ) -> &'c mut SolveCache {
-        if Arc::get_mut(cache).is_none() {
-            let flows = graph.len().max(cache.verdicts.len());
-            // A memo that was never laid out stays empty.
-            let slots = if cache.memo.is_laid_out() {
-                edge_count(graph).max(cache.memo.values.len())
-            } else {
-                0
-            };
-            *cache = Arc::new(SolveCache {
-                verdicts: copy_with_room(&cache.verdicts, flows),
-                dirty: copy_with_room(&cache.dirty, flows),
-                memo: EdgeMemo {
-                    blocks: cache.memo.blocks.clone(),
-                    values: copy_with_room(&cache.memo.values, slots),
-                },
-                #[cfg(test)]
-                resolved: Vec::new(),
-            });
-        }
-        Arc::get_mut(cache).expect("just unshared")
+        delta: FlowDelta,
+        affected: &[FlowId],
+    ) {
+        let n = graph.len();
+        let old = |x: usize| delta.old(x, n);
+        let moved = |x: usize| old(x).map(|o| (cache.verdicts[o], cache.marks[o]));
+        let (verdicts, marks) = (0..n)
+            .map(|x| moved(x).unwrap_or((FlowVerdict::Tainted, Mark::Whole)))
+            .unzip();
+        let mut carried = SolveCache {
+            verdicts,
+            marks,
+            resized: cache.resized.clone(),
+            memo: cache.memo.relaid_out(graph, old),
+            #[cfg(test)]
+            resolved: Vec::new(),
+            #[cfg(test)]
+            edges: Vec::new(),
+        };
+        carried.mark_dirty(affected);
+        *cache = Arc::new(carried);
     }
 
     /// The `Idown` slots of `victim`'s last solve, if its block is valid.
@@ -887,9 +1082,23 @@ impl SolveCache {
     }
 
     /// Marks the inputs of `flows` as changed.
-    pub(crate) fn mark_dirty(&mut self, flows: &[FlowId]) {
+    fn mark_dirty(&mut self, flows: &[FlowId]) {
         for f in flows {
-            self.dirty[f.index()] = true;
+            self.marks[f.index()] = Mark::Whole;
+        }
+    }
+
+    /// Records that `router` was resized, and marks `flows`, the victims
+    /// of the domains with a link into it, as changed only in the edges
+    /// whose domains enter a resized router (unless a delta marked them
+    /// changed in full).
+    pub(crate) fn mark_resized(&mut self, flows: &[FlowId], router: RouterId) {
+        for f in flows {
+            let mark = &mut self.marks[f.index()];
+            *mark = (*mark).max(Mark::Buffers);
+        }
+        if !self.resized.contains(&router) {
+            self.resized.push(router);
         }
     }
 
@@ -902,16 +1111,10 @@ impl SolveCache {
     /// Marks every flow dirty and drops the memo — the recovery state
     /// after an aborted cached solve left the cache half-refreshed.
     pub(crate) fn poison(&mut self) {
-        self.dirty.fill(true);
+        self.marks.fill(Mark::Whole);
+        self.resized.clear();
         self.memo = EdgeMemo::default();
     }
-}
-
-/// A copy of `v` with capacity for `room` elements.
-fn copy_with_room<T: Clone>(v: &[T], room: usize) -> Vec<T> {
-    let mut copy = Vec::with_capacity(room);
-    copy.extend_from_slice(v);
-    copy
 }
 
 fn clamp_cycles(v: u128) -> Cycles {

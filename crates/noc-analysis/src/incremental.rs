@@ -23,7 +23,9 @@
 //!   a flow iff it is marked or a member of its `S^D` — all strictly
 //!   higher priority — changed its verdict (which records its `R`) or
 //!   `Idown` slots in this pass. Every other flow keeps its cached
-//!   result, so the re-solve stops where results stop changing;
+//!   result, so the re-solve stops where results stop changing. Under
+//!   XLWX and IBN a re-solved flow also keeps the edge terms whose inputs
+//!   did not change, and recomputes only the others;
 //! * [`IncrementalContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
@@ -93,7 +95,7 @@ use noc_model::time::Cycles;
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::{AnalysisContext, CONSERVATIVE};
-use crate::engine::{SolveCache, Solver};
+use crate::engine::{FlowDelta, SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
@@ -197,9 +199,7 @@ impl IncrementalContext {
     ) -> Result<FlowId, AnalysisError> {
         let (id, affected) = self.ctx.add_flow(flow, routing)?;
         for cache in self.caches.iter_mut().flatten() {
-            let cache = SolveCache::unshare(cache, self.ctx.graph());
-            cache.push_flow(self.ctx.graph());
-            cache.mark_dirty(&affected);
+            SolveCache::carry(cache, self.ctx.graph(), FlowDelta::Added, &affected);
         }
         record_delta(&affected);
         self.log(Undo::Added(id));
@@ -214,10 +214,9 @@ impl IncrementalContext {
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
         let (affected, flow, route) = self.ctx.remove_flow(id)?;
+        let delta = FlowDelta::Removed(id.index());
         for cache in self.caches.iter_mut().flatten() {
-            let cache = SolveCache::unshare(cache, self.ctx.graph());
-            cache.remove_flow(id.index(), self.ctx.graph());
-            cache.mark_dirty(&affected);
+            SolveCache::carry(cache, self.ctx.graph(), delta, &affected);
         }
         record_delta(&affected);
         self.log(Undo::Removed { id, flow, route });
@@ -236,7 +235,10 @@ impl IncrementalContext {
     /// rewrites. So marking every *victim* `x` whose `cd(x, y)` contains a
     /// link into `router` suffices: the cached solve re-solves the marked
     /// flows and, down the priority order, every flow one of whose direct
-    /// interferers then changed its bound or slots. Bit-identity to a
+    /// interferers then changed its bound or slots. The victims are marked
+    /// *buffer-only* and the router is recorded in the cache, so a victim
+    /// whose inputs are otherwise unchanged recomputes only the edges
+    /// whose domain enters a resized router. Bit-identity to a
     /// from-scratch solve is pinned by `tests/incremental_equivalence.rs`.
     /// The conservative bound reads no buffer depth, so its cache is not
     /// marked either.
@@ -250,7 +252,7 @@ impl IncrementalContext {
         let affected = self.buffer_dependents(router);
         let previous = self.ctx.resize_buffer(router, Some(depth));
         if let Some(cache) = &mut self.caches[AnalysisKind::BufferAware.index()] {
-            Arc::make_mut(cache).mark_dirty(&affected);
+            Arc::make_mut(cache).mark_resized(&affected, router);
         }
         record_delta(&affected);
         self.log(Undo::Resized { router, previous });
@@ -903,9 +905,11 @@ mod tests {
     /// Drives random deltas through a fork of a warmed base. After every
     /// step, each kind's report equals a from-scratch solve; every flow
     /// the cutoff skipped has the from-scratch explanation it had before
-    /// the delta; every persisted `Idown` block holds the from-scratch
-    /// downstream terms; and the conservative report equals the bound over
-    /// a fresh context and the reference evaluator.
+    /// the delta; every edge term a re-solved flow kept or recomputed has
+    /// the from-scratch window jitter and `Idown`; every persisted `Idown`
+    /// block holds the from-scratch downstream terms; and the conservative
+    /// report equals the bound over a fresh context and the reference
+    /// evaluator.
     fn cutoff_oracle(system: System, seed: u64) {
         let min_len = system.flows().len() / 2;
         let mut next_priority = system
@@ -918,7 +922,7 @@ mod tests {
         let mut rng = XorShift(seed | 1);
         let mut before = explanations(&AnalysisContext::new(&system).unwrap());
         let mut ctx = warm_fork(&system);
-        let (mut skipped_total, mut conservative_skipped) = (0, 0);
+        let (mut skipped_total, mut conservative_skipped, mut kept_total) = (0, 0, 0);
         for step in 0..oracle_steps() {
             let removed = random_delta(&mut ctx, &mut rng, &mut freed, &mut next_priority, min_len);
             // Pre-delta id → post-delta id, and back.
@@ -938,6 +942,14 @@ mod tests {
                 let label = format!("step {step}, {}", kind.name());
                 assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
                 let cache = ctx.cache(kind.index()).unwrap();
+                let clamp = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
+                for e in &cache.edges {
+                    let term = &now[kind.index()][e.victim.index()].terms[e.edge];
+                    let what = format!("{label}: edge {} of {}", e.edge, e.victim);
+                    assert_eq!(clamp(e.jitter), term.window_jitter.as_u64(), "{what}");
+                    assert_eq!(clamp(e.downstream), term.downstream_term.as_u64(), "{what}");
+                    kept_total += usize::from(e.kept);
+                }
                 let mut resolved = vec![false; ctx.len()];
                 for i in &cache.resolved {
                     resolved[i.index()] = true;
@@ -980,6 +992,7 @@ mod tests {
             before = now;
         }
         assert!(skipped_total > 0, "the cutoff never skipped a flow");
+        assert!(kept_total > 0, "no re-solved flow kept an edge term");
         assert!(
             conservative_skipped > 0,
             "the conservative cutoff never skipped a flow"
@@ -1039,6 +1052,65 @@ mod tests {
             let evaluated = assert_conservative_matches_scratch(&mut fork, &label);
             assert_eq!(evaluated, 0, "{label}");
         }
+    }
+
+    /// After a router resize, a re-solved flow recomputes exactly the
+    /// edges whose interferer changed in the pass, plus, for a victim the
+    /// resize marked, the edges whose contention domain enters the router;
+    /// every other edge term is read back from its memo block. On the
+    /// deep fixture each resize also turns uniform depths mixed.
+    #[test]
+    fn a_resize_recomputes_only_the_edges_into_the_router() {
+        for system in [bursty_hetero_fixture(), deep_fixture()] {
+            resize_recomputes_only_the_edges_into_the_router(&system);
+        }
+    }
+
+    fn resize_recomputes_only_the_edges_into_the_router(system: &System) {
+        let ibn = AnalysisKind::BufferAware;
+        let mut fork = warm_fork(system);
+        let topology = system.topology();
+        let enters = |ctx: &IncrementalContext, x: FlowId, edge: usize, router: RouterId| {
+            let cd = ctx.graph().direct_domains(x)[edge];
+            cd.links(ctx.system().route(x))
+                .iter()
+                .any(|&l| topology.link(l).target() == Endpoint::Router(router))
+        };
+        let (mut kept, mut into_router) = (0, 0);
+        for router in topology.router_ids() {
+            let depth = fork.system().buffer_depth_at(router) + 3;
+            let before = fork.analyze(ibn).unwrap();
+            let slots_before: Vec<Option<Vec<u128>>> = (0..fork.len())
+                .map(|x| {
+                    let cache = fork.cache(ibn.index()).unwrap();
+                    cache.slots(FlowId::new(x as u32)).map(<[u128]>::to_vec)
+                })
+                .collect();
+            let marked = fork.buffer_dependents(router);
+            fork.what_if(|ctx| {
+                ctx.resize_buffer(router, depth);
+                let after = ctx.analyze(ibn).unwrap();
+                let cache = ctx.cache(ibn.index()).unwrap();
+                let changed = |j: FlowId| {
+                    before.verdict(j) != after.verdict(j)
+                        || slots_before[j.index()].as_deref() != cache.slots(j)
+                };
+                for e in &cache.edges {
+                    let x = e.victim;
+                    let j = ctx.graph().direct_set(x)[e.edge];
+                    let own = marked.contains(&x) && enters(ctx, x, e.edge, router);
+                    let recompute = slots_before[x.index()].is_none() || changed(j) || own;
+                    assert_eq!(e.kept, !recompute, "{router}: edge {} of {x}", e.edge);
+                    kept += usize::from(e.kept);
+                    into_router += usize::from(own && !changed(j));
+                }
+            });
+        }
+        assert!(kept > 0, "no edge term was kept");
+        assert!(
+            into_router > 0,
+            "no edge was recomputed for the router alone"
+        );
     }
 
     // --- What-if scopes ---------------------------------------------

@@ -65,6 +65,19 @@ pub static INCREMENTAL_FLOWS_DIRTIED: Counter = Counter::new("analysis.increment
 /// could still save.
 pub static CACHE_UNCHANGED_RESOLVES: Counter = Counter::new("analysis.cache.unchanged_resolves");
 
+/// Edge terms that a cached solve's re-solved flows read back from the
+/// `Idown` memo instead of recomputing: edges whose interferer did not
+/// change, into XLWX and IBN victims that no flow addition or removal
+/// marked (see `Solver::solve_cached`).
+pub static CACHE_EDGES_REUSED: Counter = Counter::new("analysis.cache.edges_reused");
+
+/// Edge terms that a cached solve's re-solved, untainted flows
+/// recomputed: every edge of SB, `NoIndirect` and `XiongOriginal`
+/// victims and of victims an addition or removal marked, and otherwise
+/// the edges whose interferer changed or whose domain enters a resized
+/// router.
+pub static CACHE_EDGES_RECOMPUTED: Counter = Counter::new("analysis.cache.edges_recomputed");
+
 /// Incremental contexts forked from an [`AnalysisContext`] holding at least
 /// one solved cache, so their first solve re-solves only what changed.
 ///
