@@ -97,8 +97,7 @@ pub trait Analysis {
 /// The five analyses of this crate: the only implementor of [`Analysis`].
 ///
 /// A kind is a plain `Copy` value, so it also keys the per-analysis solve
-/// caches of [`IncrementalContext`](crate::incremental::IncrementalContext)
-/// and ships a choice of analysis across threads in a query batch. The
+/// caches of an [`AnalysisContext`] and ships a choice of analysis across threads in a query batch. The
 /// variants are re-exported under their own names, so `ShiBurns.analyze(&sys)`
 /// and `&Xlwx as &dyn Analysis` name an analysis directly.
 ///

@@ -86,15 +86,15 @@
 //! slots or its verdict in this pass, and every other flow keeps its
 //! cached bound. Consequences:
 //!
-//! * [`IncrementalContext::conservative_report`] keeps its own cache:
-//!   flow additions and removals mark it, buffer resizes do not;
 //! * an [`AnalysisContext`] keeps the bound once computed
-//!   ([`AnalysisContext::warm_conservative`]), forks copy it, and a
-//!   context [rebased](AnalysisContext::rebase) onto a buffer-only change
-//!   (same flows, same zero-load latencies) shares it, so
-//!   [`conservative_with`] over either is a lookup.
-//!
-//! [`IncrementalContext::conservative_report`]: crate::incremental::IncrementalContext::conservative_report
+//!   ([`AnalysisContext::warm_conservative`]) in its cache table: flow
+//!   additions and removals mark it, buffer resizes do not, and
+//!   [`AnalysisContext::conservative_report`] brings it up to date;
+//! * forks share it, and a context [rebased](AnalysisContext::rebase)
+//!   onto a buffer-only change (same flows, same zero-load latencies)
+//!   shares it, so [`conservative_with`] over either is a lookup. A
+//!   lookup never serves a cache that a delta has marked since its last
+//!   evaluation: it re-evaluates a private copy.
 
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
@@ -114,7 +114,7 @@ pub const CONSERVATIVE_NAME: &str = "Conservative";
 /// or over a context rebased onto a buffer-only change, is a lookup.
 pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
     metrics::CONSERVATIVE_SOLVES.incr();
-    ctx.conservative_report()
+    ctx.conservative_lookup()
 }
 
 /// Brings `cache` up to date with the conservative bound over `ctx`,

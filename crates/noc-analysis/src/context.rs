@@ -1,4 +1,5 @@
-//! The analysis context: one system plus its precomputed derived structure.
+//! The analysis context: one system plus its precomputed derived structure
+//! and the answers kept over it.
 //!
 //! Every analysis of this crate consumes the same derived structure of a
 //! [`System`]: the [`InterferenceGraph`] (direct/indirect interference sets,
@@ -12,29 +13,30 @@
 //! [`AnalysisContext`] computes everything once and lets every analysis
 //! borrow it via [`Analysis::analyze_with`]. It is the only holder of that
 //! structure in the crate: it keeps its system either borrowed (the
-//! [`AnalysisContext::new`] form) or owned, and its graph behind an [`Arc`].
+//! [`AnalysisContext::new`] form) or owned ([`AnalysisContext::owned`],
+//! [`AnalysisContext::from_context`]), and its graph behind an [`Arc`].
 //! Derived systems that keep the interference structure intact — different
 //! buffer depths ([`System::with_buffer_depth`]), scaled periods
 //! ([`System::with_scaled_periods`]) — share the graph through
 //! [`AnalysisContext::rebase`], which revalidates cheaply and clones only
-//! the [`Arc`] handle. The incremental layer
-//! ([`IncrementalContext`](crate::incremental::IncrementalContext)) owns one
-//! context and forks it copy-on-write: a fork shares the graph until its
-//! first flow-set delta copies it.
+//! the [`Arc`] handle. The same context also takes flow-set deltas in
+//! place (the [`incremental`](crate::incremental) half of its API).
 //!
-//! A context can also keep solved caches in one table of six slots: one
-//! per analysis ([`AnalysisContext::warm`]), then one for the conservative
-//! bound ([`AnalysisContext::warm_conservative`], or the first
-//! [`conservative_with`](crate::conservative::conservative_with) over it).
-//! An [`IncrementalContext`](crate::incremental::IncrementalContext) lays
-//! out its own caches at the same indices, so a fork starts from the
-//! base's results and re-solves only what its deltas change. Serving warms
-//! its base once per batch kind, and keeps its conservative bound when a
-//! batch can degrade. The reset rules go by slot: forking and every flow
-//! delta clear all six, so a cache always belongs to the exact system it
-//! was solved for. The conservative bound reads no buffer depth, so a
-//! resize clears only the five analyses' slots, and rebasing onto a
-//! buffer-only change shares the conservative slot and nothing else.
+//! A context keeps solved caches in one table of six slots: one per
+//! analysis ([`AnalysisContext::warm`], or its first
+//! [`AnalysisContext::analyze`] of that kind), then one for the
+//! conservative bound ([`AnalysisContext::warm_conservative`], or its first
+//! conservative report). [`AnalysisContext::from_context`] forks a context
+//! copy-on-write: the fork shares the graph and every kept cache until its
+//! first delta or solve through it copies that one, so it re-solves only
+//! what its own deltas change. Serving warms its base once per batch kind,
+//! and keeps its conservative bound when a batch can degrade. A delta
+//! carries every kept cache across and marks the flows whose inputs it
+//! changed; the next `&mut` solve re-solves only those. A `&self` reader
+//! never serves a marked cache's verdicts: it brings a private copy up to
+//! date instead. The conservative bound reads no buffer depth, so a resize
+//! marks nothing in its cache, and rebasing onto a buffer-only change
+//! shares the conservative slot and nothing else.
 //!
 //! Finally a context keeps up to [`KEPT_BUFFER_DEPTHS`] reports solved at
 //! homogeneous buffer depths ([`AnalysisContext::warm_buffer_depths`]), one
@@ -43,8 +45,9 @@
 //! system, the analysis and the depth, so
 //! [`AnalysisContext::analyze_at_buffer_depth`] reads it back instead of
 //! rebasing and solving again. Serving fills these once per base, for the
-//! depths its batches without a deadline ask about. Like the solved caches, they are dropped
-//! by every mutator and not carried over by rebasing or forking.
+//! depths its batches without a deadline ask about. Unlike the solved
+//! caches, they are dropped by every delta and not carried over by rebasing
+//! or forking.
 //!
 //! ```
 //! use noc_model::prelude::*;
@@ -75,50 +78,57 @@ use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
 use noc_model::route::Route;
-use noc_model::routing::RoutingAlgorithm;
 use noc_model::system::System;
 use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::conservative::{self, CONSERVATIVE_NAME};
-use crate::engine::{SolveCache, Solver};
+use crate::engine::{FlowDelta, SolveCache, Solver};
 use crate::error::AnalysisError;
+use crate::incremental::Undo;
 use crate::metrics;
 use crate::report::AnalysisReport;
 use crate::runner::par_map_indexed;
 
 /// Precomputed, analysis-independent structure of one [`System`]: the
-/// interference graph, the priority order and the zero-load latencies.
+/// interference graph, the priority order and the zero-load latencies,
+/// plus the solved caches and buffer-depth reports kept over it.
 ///
 /// Cheap to hand out by reference; every analysis in this crate accepts one
 /// through [`Analysis::analyze_with`](crate::analysis::Analysis::analyze_with).
 /// The plain [`Analysis::analyze`](crate::analysis::Analysis::analyze)
 /// convenience builds a fresh context internally, so the two paths are
 /// equivalent by construction (asserted bit-for-bit by the
-/// `context_equivalence` integration test).
+/// `context_equivalence` integration test). Flow additions, removals and
+/// buffer resizes update it in place (see [`crate::incremental`]).
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'sys> {
     /// Borrowed for contexts built by [`AnalysisContext::new`] or
-    /// [`AnalysisContext::rebase`]; owned by the incremental layer.
+    /// [`AnalysisContext::rebase`] until their first delta; owned otherwise.
     system: Cow<'sys, System>,
     /// Shared by rebased contexts and forks; copied on the first delta.
     graph: Arc<InterferenceGraph>,
     zero_load: Vec<Cycles>,
     /// One solved cache per [`AnalysisKind`], indexed by
-    /// `AnalysisKind::index` and filled by [`AnalysisContext::warm`], then
-    /// the conservative bound's at [`CONSERVATIVE`], filled by the first
-    /// conservative report or [`AnalysisContext::warm_conservative`].
-    caches: [OnceLock<Arc<SolveCache>>; CONSERVATIVE + 1],
+    /// `AnalysisKind::index`, then the conservative bound's at
+    /// [`CONSERVATIVE`]. Empty until warmed or first solved through; an
+    /// absent cache is all-dirty, so deltas skip it and a context that
+    /// serves one kind holds one cache. Shared with forks; a delta carries
+    /// it across, a `&mut` solve brings it up to date.
+    pub(crate) caches: [OnceLock<Arc<SolveCache>>; CONSERVATIVE + 1],
     /// Reports solved at homogeneous buffer depths, filled in slot order
     /// by [`AnalysisContext::warm_buffer_depths`], so the filled slots are
     /// a prefix.
-    by_depth: [OnceLock<DepthReport>; KEPT_BUFFER_DEPTHS],
+    pub(crate) by_depth: [OnceLock<DepthReport>; KEPT_BUFFER_DEPTHS],
+    /// What undoes each delta made in the innermost open
+    /// [`AnalysisContext::what_if`] scope, oldest first; `None` outside
+    /// every scope.
+    pub(crate) journal: Option<Vec<Undo>>,
 }
 
 /// The index of the conservative bound's cache, after the five kinds', in
-/// both [`AnalysisContext`]'s and
-/// [`IncrementalContext`](crate::incremental::IncrementalContext)'s tables.
+/// the table of an [`AnalysisContext`].
 pub(crate) const CONSERVATIVE: usize = AnalysisKind::ALL.len();
 
 /// How many buffer-depth reports an [`AnalysisContext`] keeps
@@ -130,10 +140,52 @@ pub const KEPT_BUFFER_DEPTHS: usize = 16;
 
 /// One report [`AnalysisContext::warm_buffer_depths`] kept.
 #[derive(Debug, Clone)]
-struct DepthReport {
+pub(crate) struct DepthReport {
     kind: AnalysisKind,
     depth: u32,
     report: AnalysisReport,
+}
+
+impl AnalysisContext<'static> {
+    /// [`AnalysisContext::new`], taking ownership of `system`: the form
+    /// that outlives its caller's system, as an admission controller's
+    /// live context does.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`AnalysisContext::new`].
+    pub fn owned(system: System) -> Result<AnalysisContext<'static>, AnalysisError> {
+        AnalysisContext::build(Cow::Owned(system))
+    }
+
+    /// Forks an owned context off `ctx`: the system is cloned and the
+    /// interference graph shared, so the fork pays for a graph copy only
+    /// on its first flow addition or removal — the cheap way to give each
+    /// thread mutable state over one shared base context. Every solved
+    /// cache `ctx` keeps (its [warmed](AnalysisContext::warm) analyses and
+    /// its [conservative bound](AnalysisContext::warm_conservative)) is
+    /// shared the same way, one [`Arc`] clone per slot, so the fork's first
+    /// solve re-solves only what its own deltas change. Buffer-depth
+    /// reports are not shared. A fork counts as warm if it shares any of
+    /// the five kinds' caches.
+    pub fn from_context(ctx: &AnalysisContext<'_>) -> AnalysisContext<'static> {
+        let warm = ctx.caches[..CONSERVATIVE]
+            .iter()
+            .any(|slot| slot.get().is_some());
+        if warm {
+            metrics::FORK_WARM.incr();
+        } else {
+            metrics::FORK_COLD.incr();
+        }
+        AnalysisContext {
+            system: Cow::Owned(ctx.system().clone()),
+            graph: Arc::clone(&ctx.graph),
+            zero_load: ctx.zero_load.clone(),
+            caches: ctx.caches.clone(),
+            by_depth: Default::default(),
+            journal: None,
+        }
+    }
 }
 
 impl<'sys> AnalysisContext<'sys> {
@@ -148,8 +200,7 @@ impl<'sys> AnalysisContext<'sys> {
         Self::build(Cow::Borrowed(system))
     }
 
-    /// [`AnalysisContext::new`] over a borrowed or owned system.
-    pub(crate) fn build(system: Cow<'sys, System>) -> Result<AnalysisContext<'sys>, AnalysisError> {
+    fn build(system: Cow<'sys, System>) -> Result<AnalysisContext<'sys>, AnalysisError> {
         let graph = Arc::new(InterferenceGraph::new(&system)?);
         Ok(Self::assemble(system, graph))
     }
@@ -166,6 +217,7 @@ impl<'sys> AnalysisContext<'sys> {
             zero_load,
             caches: Default::default(),
             by_depth: Default::default(),
+            journal: None,
         }
     }
 
@@ -245,25 +297,11 @@ impl<'sys> AnalysisContext<'sys> {
         }
     }
 
-    /// An owned copy of this context that shares its interference graph:
-    /// the system is cloned, the graph is one [`Arc`] clone until a delta
-    /// on either side copies it. The copy holds no solved cache and no
-    /// buffer-depth report; the incremental layer takes shared handles to
-    /// the caches it wants.
-    pub(crate) fn fork(&self) -> AnalysisContext<'static> {
-        AnalysisContext {
-            system: Cow::Owned(self.system().clone()),
-            graph: Arc::clone(&self.graph),
-            zero_load: self.zero_load.clone(),
-            caches: Default::default(),
-            by_depth: Default::default(),
-        }
-    }
-
     /// Solves `kind` over this context under `budget` and keeps the
-    /// result, so that every [`IncrementalContext`] forked from it
-    /// afterwards starts from this solve instead of all-dirty. Does nothing
-    /// if `kind` is already kept.
+    /// result, so that every context [forked](AnalysisContext::from_context)
+    /// from it afterwards starts from this solve instead of all-dirty. Does
+    /// nothing if `kind` is already kept, even if a delta has marked it
+    /// since: forks solve through the marks.
     ///
     /// The result is the same as without warming: a fork's cached solve is
     /// bit-identical to a full solve either way. Only the cost moves — the
@@ -273,8 +311,6 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// The conditions of [`AnalysisKind::analyze_with_budget`]; nothing is
     /// kept then, and forks start all-dirty as before.
-    ///
-    /// [`IncrementalContext`]: crate::incremental::IncrementalContext
     pub fn warm(&self, kind: AnalysisKind, budget: &Budget) -> Result<(), AnalysisError> {
         let lock = &self.caches[kind.index()];
         if lock.get().is_none() {
@@ -287,28 +323,31 @@ impl<'sys> AnalysisContext<'sys> {
     }
 
     /// The cache kept at `index` of the table, if any: `kind.index()` for
-    /// [`AnalysisContext::warm`]'s, [`CONSERVATIVE`] for the conservative
-    /// bound's.
+    /// an analysis kind's, [`CONSERVATIVE`] for the conservative bound's.
     pub(crate) fn cached(&self, index: usize) -> Option<&Arc<SolveCache>> {
         self.caches[index].get()
     }
 
     /// Evaluates the conservative bound over this context and keeps it, so
-    /// that every [`IncrementalContext`] forked from it afterwards
-    /// re-evaluates only the flows its deltas reach, and every conservative
-    /// report over it, or over a context rebased onto a buffer-only change,
-    /// is a lookup. Does nothing if the bound is already kept. Counts as no
+    /// that every context [forked](AnalysisContext::from_context) from it
+    /// afterwards re-evaluates only the flows its deltas reach, and every
+    /// conservative report over it, or over a context rebased onto a
+    /// buffer-only change, is a lookup. Does nothing if the bound is
+    /// already kept, even if a delta has marked it since. Counts as no
     /// `analysis.conservative.solves`: no report is served.
-    ///
-    /// [`IncrementalContext`]: crate::incremental::IncrementalContext
     pub fn warm_conservative(&self) {
         self.conservative_cache();
     }
 
     /// The conservative report over this context, from the kept cache,
-    /// which the first call fills.
-    pub(crate) fn conservative_report(&self) -> AnalysisReport {
+    /// which the first call fills. A kept cache that a delta has marked
+    /// since is not served: a private copy of it is brought up to date,
+    /// and the kept one is left for the next `&mut` report.
+    pub(crate) fn conservative_lookup(&self) -> AnalysisReport {
         let (cache, evaluated) = self.conservative_cache();
+        if !cache.is_clean() {
+            return conservative::evaluate(self, &mut SolveCache::clone(cache));
+        }
         if !evaluated {
             metrics::CONSERVATIVE_REUSED.add(self.len() as u64);
         }
@@ -461,24 +500,11 @@ impl<'sys> AnalysisContext<'sys> {
         }
     }
 
-    /// Admits `flow`, routed by `routing`, and returns its new dense id
-    /// plus the flows whose interference sets changed. The context is
-    /// unchanged on error.
-    pub(crate) fn add_flow(
-        &mut self,
-        flow: Flow,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Result<(FlowId, Vec<FlowId>), AnalysisError> {
-        let system = self.system();
-        let route = routing.route(system.topology(), flow.source(), flow.dest())?;
-        let id = FlowId::new(self.len() as u32);
-        Ok((id, self.insert_flow(id, flow, route)?))
-    }
-
     /// Inserts `flow`, routed over `route`, at `id`, renumbering every flow
-    /// at `id` or above one up, in place, and returns the flows whose
-    /// interference sets changed: the exact inverse of
-    /// [`AnalysisContext::remove_flow`]. The context is unchanged on error.
+    /// at `id` or above one up, in place, carries every kept cache across
+    /// and returns the flows whose interference sets changed: the exact
+    /// inverse of [`AnalysisContext::retire_flow`]. The context is
+    /// unchanged on error.
     pub(crate) fn insert_flow(
         &mut self,
         id: FlowId,
@@ -496,15 +522,16 @@ impl<'sys> AnalysisContext<'sys> {
         };
         self.zero_load
             .insert(id.index(), system.zero_load_latency(id));
-        self.forget();
+        self.carry(FlowDelta::Inserted(id.index()), &affected);
         Ok(affected)
     }
 
     /// Retires the flow `id` in place, renumbering every larger id one
-    /// down, and returns the flows whose interference sets changed, then
-    /// the flow and its route, which [`AnalysisContext::insert_flow`] takes
-    /// back. The context is unchanged on error.
-    pub(crate) fn remove_flow(
+    /// down, carries every kept cache across and returns the flows whose
+    /// interference sets changed, then the flow and its route, which
+    /// [`AnalysisContext::insert_flow`] takes back. The context is
+    /// unchanged on error.
+    pub(crate) fn retire_flow(
         &mut self,
         id: FlowId,
     ) -> Result<(Vec<FlowId>, Flow, Route), AnalysisError> {
@@ -512,28 +539,28 @@ impl<'sys> AnalysisContext<'sys> {
         let (flow, route) = system.remove_flow(id)?;
         let affected = Arc::make_mut(&mut self.graph).remove_flow(system, id);
         self.zero_load.remove(id.index());
-        self.forget();
+        self.carry(FlowDelta::Removed(id.index()), &affected);
         Ok((affected, flow, route))
+    }
+
+    /// Carries every kept cache across `delta`, marking the `affected`
+    /// flows, and drops the buffer-depth reports: they describe the flow
+    /// set before it.
+    fn carry(&mut self, delta: FlowDelta, affected: &[FlowId]) {
+        for cache in self.caches.iter_mut().filter_map(OnceLock::get_mut) {
+            SolveCache::carry(cache, &self.graph, delta, affected);
+        }
+        self.by_depth = Default::default();
     }
 
     /// Overrides (`Some`) or clears (`None`) the per-VC buffer depth of
     /// `router` in place and returns the override it replaced (see
     /// [`System::set_router_buffer_depth`]). Nothing derived depends on
-    /// buffer depths, so only the system (and any solved cache or
-    /// buffer-depth report) changes. The conservative bound reads no buffer
-    /// depth, so its cache stays.
-    pub(crate) fn resize_buffer(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
-        let previous = self.system.to_mut().set_router_buffer_depth(router, depth);
-        self.caches[..CONSERVATIVE].fill_with(OnceLock::new);
+    /// buffer depths, so only the system changes, and the buffer-depth
+    /// reports are dropped; marking the solved caches is the caller's.
+    pub(crate) fn set_router_depth(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
         self.by_depth = Default::default();
-        previous
-    }
-
-    /// Drops every solved cache and buffer-depth report: they describe the
-    /// flow set before a delta.
-    fn forget(&mut self) {
-        self.caches = Default::default();
-        self.by_depth = Default::default();
+        self.system.to_mut().set_router_buffer_depth(router, depth)
     }
 
     /// The system this context was built for (or last rebased onto).
@@ -660,58 +687,130 @@ mod tests {
             .any(|&k| ctx.cached(k.index()).is_some())
     }
 
+    /// A kept cache answers for its context's system: rebasing starts
+    /// empty, a fork shares the base's caches, and every delta carries
+    /// them to the new system, marked where their inputs changed, so that
+    /// the next solve through them answers for it.
     #[test]
     fn warm_caches_never_outlive_their_system() {
         let ibn = AnalysisKind::BufferAware;
+        let unlimited = Budget::unlimited();
         let sys = noc_workload::didactic::system(2);
         let base = AnalysisContext::new(&sys).unwrap();
         assert!(!any_warm(&base));
-        base.warm(ibn, &Budget::unlimited()).unwrap();
+        base.warm(ibn, &unlimited).unwrap();
         assert!(base.cached(ibn.index()).is_some());
         assert!(base.cached(AnalysisKind::Xlwx.index()).is_none());
 
-        // Rebasing and forking start empty …
+        // Rebasing starts empty, and forking shares the base's caches …
         let deeper = sys.with_buffer_depth(10);
         let rebased = base.rebase(&deeper).unwrap();
         assert!(!any_warm(&rebased));
-        assert!(!any_warm(&base.fork()));
+        let fork = AnalysisContext::from_context(&base);
+        let shared = fork.cached(ibn.index()).unwrap();
+        assert!(Arc::ptr_eq(shared, base.cached(ibn.index()).unwrap()));
 
         // … and a rebased context answers for its own depth, never from
         // the base's cache: the didactic τ₃ bound grows from 348 to 396.
-        let mut at_ten = crate::incremental::IncrementalContext::from_context(&rebased);
-        let shallow = ibn
-            .analyze_with_budget(&base, &Budget::unlimited())
-            .unwrap();
+        let mut at_ten = AnalysisContext::from_context(&rebased);
+        let shallow = ibn.analyze_with_budget(&base, &unlimited).unwrap();
         let deep = at_ten.analyze(ibn).unwrap();
-        assert_eq!(
-            deep,
-            ibn.analyze_with_budget(&rebased, &Budget::unlimited())
-                .unwrap()
-        );
+        assert_eq!(deep, ibn.analyze_with_budget(&rebased, &unlimited).unwrap());
         assert_ne!(deep, shallow);
 
-        // Every mutator drops whatever the context kept, except that a
-        // resize keeps the conservative bound, which reads no buffer depth.
-        let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
-        owned.warm(ibn, &Budget::unlimited()).unwrap();
+        // Every delta carries what the context kept and marks it, except
+        // that a resize leaves the conservative bound, which reads no
+        // buffer depth, as it was (router 2 is entered by a domain).
+        let mut owned = AnalysisContext::owned(system(2)).unwrap();
+        owned.warm(ibn, &unlimited).unwrap();
         owned.warm_conservative();
-        owned.resize_buffer(RouterId::new(0), Some(4));
-        assert!(!any_warm(&owned));
-        assert!(owned.cached(CONSERVATIVE).is_some());
-        owned.warm(ibn, &Budget::unlimited()).unwrap();
+        let bound = Arc::clone(owned.cached(CONSERVATIVE).unwrap());
+        owned.resize_buffer(RouterId::new(2), 4);
+        assert!(!owned.cached(ibn.index()).unwrap().is_clean());
+        assert!(Arc::ptr_eq(owned.cached(CONSERVATIVE).unwrap(), &bound));
+        answers_for_its_system(&mut owned);
         let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
             .priority(Priority::new(4))
             .period(Cycles::new(2_000))
             .length_flits(4)
             .build();
         owned.add_flow(extra, &XyRouting).unwrap();
-        assert!(!any_warm(&owned));
-        assert!(owned.cached(CONSERVATIVE).is_none());
-        owned.warm(ibn, &Budget::unlimited()).unwrap();
-        owned.warm_conservative();
+        assert!(!owned.cached(ibn.index()).unwrap().is_clean());
+        assert!(!owned.cached(CONSERVATIVE).unwrap().is_clean());
+        answers_for_its_system(&mut owned);
         owned.remove_flow(FlowId::new(0)).unwrap();
-        assert!(!any_warm(&owned));
-        assert!(owned.cached(CONSERVATIVE).is_none());
+        assert!(!owned.cached(ibn.index()).unwrap().is_clean());
+        assert!(!owned.cached(CONSERVATIVE).unwrap().is_clean());
+        answers_for_its_system(&mut owned);
+    }
+
+    /// The buffer-aware and conservative solves through `ctx`'s kept
+    /// caches equal a fresh context's, and leave the caches clean.
+    fn answers_for_its_system(ctx: &mut AnalysisContext<'_>) {
+        use crate::conservative::conservative_with;
+        let ibn = AnalysisKind::BufferAware;
+        let sys = ctx.system().clone();
+        let scratch = AnalysisContext::new(&sys).unwrap();
+        let expected = ibn.analyze_with_budget(&scratch, &Budget::unlimited());
+        assert_eq!(ctx.analyze(ibn).unwrap(), expected.unwrap());
+        assert_eq!(ctx.conservative_report(), conservative_with(&scratch));
+        for index in [ibn.index(), CONSERVATIVE] {
+            assert!(ctx.cached(index).unwrap().is_clean());
+        }
+    }
+
+    /// A context warmed and then mutated through the public API holds
+    /// carried caches whose marks are pending until its next `&mut`
+    /// solve. Every `&self` reader still answers for the current system:
+    /// the conservative lookup, the lookup of a rebased context that
+    /// shares the conservative slot, a fork of the context after a warm,
+    /// and the plain analyses. Serving the marked conservative cache as
+    /// it stood returned stale bounds for 4 of the 19 flows left after
+    /// the first removal here.
+    #[test]
+    fn a_mutated_context_serves_no_stale_verdict() {
+        let spec = noc_workload::synthetic::SyntheticSpec::paper(4, 4, 20, 2);
+        let sys = spec.generate(3).into_system();
+        let mut ctx = AnalysisContext::new(&sys).unwrap();
+        for kind in AnalysisKind::ALL {
+            ctx.warm(kind, &Budget::unlimited()).unwrap();
+        }
+        ctx.warm_conservative();
+        ctx.remove_flow(FlowId::new(0)).unwrap();
+        serves_its_system(&ctx, "removal");
+        ctx.resize_buffer(RouterId::new(5), 7);
+        serves_its_system(&ctx, "resize");
+        let template = sys.flow(FlowId::new(3)).clone();
+        let lowest = sys.flows().iter().map(|(_, f)| f.priority().level());
+        let candidate = Flow::builder(template.source(), template.dest())
+            .priority(Priority::new(lowest.max().unwrap() + 1))
+            .period(template.period())
+            .length_flits(24)
+            .build();
+        ctx.add_flow(candidate, &XyRouting).unwrap();
+        serves_its_system(&ctx, "addition");
+    }
+
+    /// Every `&self` reader of `ctx` equals a fresh context over its system.
+    fn serves_its_system(ctx: &AnalysisContext<'_>, label: &str) {
+        use crate::conservative::conservative_with;
+        let unlimited = Budget::unlimited();
+        let sys = ctx.system().clone();
+        let scratch = AnalysisContext::new(&sys).unwrap();
+        let bound = conservative_with(&scratch);
+        assert_eq!(conservative_with(ctx), bound, "{label}: conservative");
+        let target = sys.with_router_buffer_depth(RouterId::new(1), 7);
+        let rebased = ctx.rebase(&target).unwrap();
+        assert!(rebased.cached(CONSERVATIVE).is_some(), "{label}");
+        assert_eq!(conservative_with(&rebased), bound, "{label}: rebased");
+        for kind in AnalysisKind::ALL {
+            let expected = kind.analyze_with(&scratch).unwrap();
+            let label = format!("{label}, {}", kind.name());
+            assert_eq!(kind.analyze_with(ctx).unwrap(), expected, "{label}");
+            ctx.warm(kind, &unlimited).unwrap();
+            let mut fork = AnalysisContext::from_context(ctx);
+            assert_eq!(fork.analyze(kind).unwrap(), expected, "{label}: fork");
+        }
     }
 
     /// A buffer-only rebase shares the base's conservative cache, so its
@@ -764,16 +863,16 @@ mod tests {
         // Rebasing and forking start empty.
         let deeper = sys.with_buffer_depth(10);
         assert!(!any_depth_kept(&base.rebase(&deeper).unwrap()));
-        assert!(!any_depth_kept(&base.fork()));
+        assert!(!any_depth_kept(&AnalysisContext::from_context(&base)));
 
-        // Every mutator drops the store.
-        let mut owned = AnalysisContext::new(&system(2)).unwrap().fork();
+        // Every delta drops the store.
+        let mut owned = AnalysisContext::owned(system(2)).unwrap();
         let fill = |ctx: &AnalysisContext<'_>| {
             assert_eq!(ctx.warm_buffer_depths(ibn, &[6], 1), 1);
             assert!(any_depth_kept(ctx));
         };
         fill(&owned);
-        owned.resize_buffer(RouterId::new(0), Some(4));
+        owned.resize_buffer(RouterId::new(0), 4);
         assert!(!any_depth_kept(&owned));
         fill(&owned);
         let extra = Flow::builder(NodeId::new(0), NodeId::new(2))
@@ -955,7 +1054,7 @@ mod tests {
         // A later warm with budget to spare fills the lock, and the kept
         // cache reproduces the full solve.
         ctx.warm(ibn, &Budget::unlimited()).unwrap();
-        let mut fork = crate::incremental::IncrementalContext::from_context(&ctx);
+        let mut fork = AnalysisContext::from_context(&ctx);
         assert_eq!(
             fork.analyze(ibn).unwrap(),
             ibn.analyze_with_budget(&ctx, &Budget::unlimited()).unwrap()

@@ -963,18 +963,18 @@ enum Mark {
 /// ([`SolveCache::carry`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FlowDelta {
-    /// A flow appended at the next dense id.
-    Added,
+    /// A flow inserted at this index, and every id at or above it moved up.
+    Inserted(usize),
     /// The flow at this index removed, and every id above it moved down.
     Removed(usize),
 }
 
 impl FlowDelta {
-    /// The pre-delta index of the flow at `x` of `n` after the delta, if
-    /// it existed before.
-    fn old(self, x: usize, n: usize) -> Option<usize> {
+    /// The pre-delta index of the flow at `x` after the delta, if it
+    /// existed before.
+    fn old(self, x: usize) -> Option<usize> {
         match self {
-            FlowDelta::Added => (x + 1 < n).then_some(x),
+            FlowDelta::Inserted(index) => (x != index).then(|| x - usize::from(x > index)),
             FlowDelta::Removed(index) => Some(x + usize::from(x >= index)),
         }
     }
@@ -986,11 +986,11 @@ impl FlowDelta {
 /// the response times: a re-solve reads a clean flow's `Rⱼ` off its
 /// verdict (or, for the bound, reads `Dⱼ`).
 ///
-/// Held per analysis kind, plus one for the conservative bound, by the
-/// incremental context and, once solved, by a warmed [`AnalysisContext`],
-/// behind an [`Arc`] that a base shares with its forks until a fork's
-/// first delta or solve copies it: an addition or removal
-/// [carries](SolveCache::carry) it across in the same copy; consumed and
+/// Held per analysis kind, plus one for the conservative bound, in the
+/// table of an [`AnalysisContext`], behind an [`Arc`] that a base shares
+/// with its forks until a fork's first delta or solve copies it: an
+/// addition or removal [carries](SolveCache::carry) it across in the same
+/// copy, a resize [marks](SolveCache::mark_resized) it; consumed and
 /// refreshed by [`Solver::solve_cached`]. A freshly created cache is
 /// all-dirty, so the first solve through it is exactly a full solve.
 #[derive(Debug, Clone)]
@@ -1055,7 +1055,7 @@ impl SolveCache {
         affected: &[FlowId],
     ) {
         let n = graph.len();
-        let old = |x: usize| delta.old(x, n);
+        let old = |x: usize| delta.old(x);
         let moved = |x: usize| old(x).map(|o| (cache.verdicts[o], cache.marks[o]));
         let (verdicts, marks) = (0..n)
             .map(|x| moved(x).unwrap_or((FlowVerdict::Tainted, Mark::Whole)))
@@ -1102,9 +1102,17 @@ impl SolveCache {
         }
     }
 
+    /// Whether no delta marked a flow since the last solve, so that the
+    /// verdicts are the current flow set's: the test every `&self` reader
+    /// of a kept cache makes before it serves them.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.marks.iter().all(|&mark| mark == Mark::Clean)
+    }
+
     /// The verdicts of the last solve, as a report named `name`. Only
     /// meaningful for a clean cache.
     pub(crate) fn report(&self, name: &'static str) -> AnalysisReport {
+        debug_assert!(self.is_clean(), "a report read past pending marks");
         AnalysisReport::new(name, self.verdicts.clone())
     }
 

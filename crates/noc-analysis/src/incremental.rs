@@ -1,52 +1,41 @@
-//! Incrementally maintained analysis state for admission-control workloads.
+//! The delta half of [`AnalysisContext`], for admission-control workloads.
 //!
-//! An [`AnalysisContext`] is the right tool
-//! when the flow set is fixed: build once, analyse many times. Admission
-//! control inverts that pattern — the flow set itself changes (a flow asks
-//! to join, a flow retires) and after every change the *whole* system must
-//! be re-certified. Rebuilding the interference graph and re-solving every
-//! flow per change wastes nearly all of that work: a single flow only
-//! touches the interference neighbourhood its route overlaps.
+//! A context is the right tool when the flow set is fixed: build once,
+//! analyse many times. Admission control inverts that pattern — the flow
+//! set itself changes (a flow asks to join, a flow retires) and after every
+//! change the *whole* system must be re-certified. Rebuilding the
+//! interference graph and re-solving every flow per change wastes nearly
+//! all of that work: a single flow only touches the interference
+//! neighbourhood its route overlaps. So a context also changes in place,
+//! and keeps the solve caches of its table across each change:
 //!
-//! [`IncrementalContext`] is an owned [`AnalysisContext`] plus the last
-//! solve's results, one solve cache per analysis and one for the
-//! conservative bound, kept alive across mutations in a table laid out
-//! like the base context's:
-//!
-//! * [`IncrementalContext::add_flow`] / [`IncrementalContext::remove_flow`]
+//! * [`AnalysisContext::add_flow`] / [`AnalysisContext::remove_flow`]
 //!   update the context's [`InterferenceGraph`] through its delta methods
 //!   ([`InterferenceGraph::add_flow`] / [`InterferenceGraph::remove_flow`]),
 //!   which recompute only the affected neighbourhood and report exactly
 //!   which flows' interference sets changed;
-//! * those flows are marked dirty in every solve cache; the next
-//!   [`IncrementalContext::analyze`] walks the priority order and re-solves
+//! * those flows are marked dirty in every kept cache; the next
+//!   [`AnalysisContext::analyze`] walks the priority order and re-solves
 //!   a flow iff it is marked or a member of its `S^D` — all strictly
 //!   higher priority — changed its verdict (which records its `R`) or
 //!   `Idown` slots in this pass. Every other flow keeps its cached
 //!   result, so the re-solve stops where results stop changing. Under
 //!   XLWX and IBN a re-solved flow also keeps the edge terms whose inputs
 //!   did not change, and recomputes only the others;
-//! * [`IncrementalContext::conservative_report`] runs the conservative
+//! * [`AnalysisContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
 //!   nothing in its cache (see [`crate::conservative`]);
-//! * [`IncrementalContext::what_if`] scopes a hypothetical: the deltas
+//! * [`AnalysisContext::what_if`] scopes a hypothetical: the deltas
 //!   made inside it are journaled and undone on exit by their exact
 //!   inverses, and the solve caches are handed back as they were on entry,
 //!   so nothing is re-solved for the rollback.
 //!
 //! The deltas work in place: an addition or removal moves O(n) ids and
 //! copies no other flow, route or interference set, and a resize
-//! touches one router.
-//!
-//! [`IncrementalContext::from_context`] forks a shared base context
-//! copy-on-write: the fork clones the system but shares the base's graph,
-//! and copies the graph only on its first flow addition or removal. Buffer
-//! resizes never touch the graph. A fork also shares every solve cache the
-//! base keeps, slot for slot: the analyses it was
-//! [warmed](AnalysisContext::warm) with and its conservative bound, so its
-//! first solve re-solves only what its own deltas change. A shared cache is
-//! copied, like the graph, by the fork's first delta or solve through it.
+//! touches one router. A fork ([`AnalysisContext::from_context`]) copies
+//! the shared graph on its first addition or removal; a resize never
+//! touches the graph.
 //!
 //! The result is bit-identical to a from-scratch
 //! [`AnalysisContext::new`] + solve —
@@ -61,7 +50,7 @@
 //! # let flows = FlowSet::new(vec![Flow::builder(NodeId::new(0), NodeId::new(2))
 //! #     .priority(Priority::new(1)).period(Cycles::new(1_000)).length_flits(16).build()])?;
 //! # let system = System::new(topology, NocConfig::default(), flows, &XyRouting)?;
-//! let mut ctx = IncrementalContext::new(system)?;
+//! let mut ctx = AnalysisContext::owned(system)?;
 //! let before = ctx.analyze(AnalysisKind::BufferAware)?;
 //!
 //! // Admission what-if: add the candidate and re-analyse; the scope
@@ -80,51 +69,35 @@
 //! # assert!(admitted);
 //! # Ok::<(), noc_analysis::error::AnalysisError>(())
 //! ```
+//!
+//! [`InterferenceGraph`]: noc_model::contention::InterferenceGraph
+//! [`InterferenceGraph::add_flow`]: noc_model::contention::InterferenceGraph::add_flow
+//! [`InterferenceGraph::remove_flow`]: noc_model::contention::InterferenceGraph::remove_flow
 
-use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use noc_model::contention::InterferenceGraph;
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
 use noc_model::route::Route;
 use noc_model::routing::RoutingAlgorithm;
-use noc_model::system::System;
-use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::{AnalysisContext, CONSERVATIVE};
-use crate::engine::{FlowDelta, SolveCache, Solver};
+use crate::engine::{SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
 
-/// An owned [`AnalysisContext`] plus per-analysis solve caches, maintained
-/// incrementally under flow additions, removals and buffer resizes.
-///
-/// See the [module docs](self) for the admission-control pattern it serves
-/// and for how forks share the base graph.
-#[derive(Debug, Clone)]
-pub struct IncrementalContext {
-    ctx: AnalysisContext<'static>,
-    /// One solve cache per [`AnalysisKind`], indexed by `AnalysisKind::index`,
-    /// then the conservative bound's at [`CONSERVATIVE`]. `None` until the
-    /// first solve through it, unless shared with a warmed base: an absent
-    /// cache is all-dirty, so deltas skip it and a context that serves one
-    /// kind holds one cache. A shared cache is copied by its first delta or
-    /// solve, never by the fork.
-    caches: [Option<Arc<SolveCache>>; CONSERVATIVE + 1],
-    /// What undoes each delta made in the innermost open
-    /// [`IncrementalContext::what_if`] scope, oldest first; `None` outside
-    /// every scope.
-    journal: Option<Vec<Undo>>,
-}
+/// An owned [`AnalysisContext`], the form an admission controller keeps,
+/// under the name callers of the incremental API still use; new code
+/// names [`AnalysisContext`].
+pub type IncrementalContext = AnalysisContext<'static>;
 
-/// The exact inverse of one delta made inside a
-/// [`IncrementalContext::what_if`] scope.
+/// The exact inverse of one delta made inside an
+/// [`AnalysisContext::what_if`] scope.
 #[derive(Debug, Clone)]
-enum Undo {
+pub(crate) enum Undo {
     /// Remove the flow an addition appended.
     Added(FlowId),
     /// Insert a removed flow back at its own id, with its own route.
@@ -140,67 +113,29 @@ enum Undo {
     },
 }
 
-impl IncrementalContext {
-    /// Builds the full derived structure for `system`, taking ownership.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalysisError::Model`] if the system violates the
-    /// contiguous contention-domain assumption.
-    pub fn new(system: System) -> Result<IncrementalContext, AnalysisError> {
-        AnalysisContext::build(Cow::Owned(system)).map(Self::with_context)
-    }
-
-    /// Forks an incremental context off an existing [`AnalysisContext`]:
-    /// the system is cloned and the interference graph shared, so the fork
-    /// pays for a graph copy only on its first flow addition or removal —
-    /// the cheap way to give each thread mutable state over one shared base
-    /// context. The solve caches `ctx` was [warmed](AnalysisContext::warm)
-    /// with are shared copy-on-write, and so is its conservative bound's
-    /// ([`AnalysisContext::warm_conservative`]); the others start
-    /// all-dirty. A fork counts as warm if it shares any of the five
-    /// kinds' caches.
-    pub fn from_context(ctx: &AnalysisContext<'_>) -> IncrementalContext {
-        let caches: [_; CONSERVATIVE + 1] = std::array::from_fn(|i| ctx.cached(i).cloned());
-        if caches[..CONSERVATIVE].iter().any(Option::is_some) {
-            metrics::FORK_WARM.incr();
-        } else {
-            metrics::FORK_COLD.incr();
-        }
-        IncrementalContext {
-            ctx: ctx.fork(),
-            caches,
-            journal: None,
-        }
-    }
-
-    fn with_context(ctx: AnalysisContext<'static>) -> IncrementalContext {
-        IncrementalContext {
-            ctx,
-            caches: Default::default(),
-            journal: None,
-        }
-    }
-
+impl<'sys> AnalysisContext<'sys> {
     /// Admits `flow`, routed by `routing`, and returns its new dense id.
     ///
     /// Only the interference neighbourhood the new route overlaps is
     /// recomputed, and only the flows in it are marked for re-solving.
+    /// A borrowed system is copied first.
     ///
     /// # Errors
     ///
     /// Propagates routing and validation failures from
     /// [`System::add_flow`] and contiguity violations from
     /// [`InterferenceGraph::add_flow`]; the context is unchanged on error.
+    ///
+    /// [`System::add_flow`]: noc_model::system::System::add_flow
+    /// [`InterferenceGraph::add_flow`]: noc_model::contention::InterferenceGraph::add_flow
     pub fn add_flow(
         &mut self,
         flow: Flow,
         routing: &dyn RoutingAlgorithm,
     ) -> Result<FlowId, AnalysisError> {
-        let (id, affected) = self.ctx.add_flow(flow, routing)?;
-        for cache in self.caches.iter_mut().flatten() {
-            SolveCache::carry(cache, self.ctx.graph(), FlowDelta::Added, &affected);
-        }
+        let route = routing.route(self.system().topology(), flow.source(), flow.dest())?;
+        let id = FlowId::new(self.len() as u32);
+        let affected = self.insert_flow(id, flow, route)?;
         record_delta(&affected);
         self.log(Undo::Added(id));
         Ok(id)
@@ -213,11 +148,7 @@ impl IncrementalContext {
     /// Returns [`AnalysisError::Model`] if `id` is out of bounds; the
     /// context is unchanged in that case.
     pub fn remove_flow(&mut self, id: FlowId) -> Result<(), AnalysisError> {
-        let (affected, flow, route) = self.ctx.remove_flow(id)?;
-        let delta = FlowDelta::Removed(id.index());
-        for cache in self.caches.iter_mut().flatten() {
-            SolveCache::carry(cache, self.ctx.graph(), delta, &affected);
-        }
+        let (affected, flow, route) = self.retire_flow(id)?;
         record_delta(&affected);
         self.log(Undo::Removed { id, flow, route });
         Ok(())
@@ -248,17 +179,19 @@ impl IncrementalContext {
     /// Panics if `router` is out of bounds or `depth` is zero (mirroring
     /// [`System::with_router_buffer_depth`]); serving layers validate
     /// queries before applying them.
+    ///
+    /// [`System::with_router_buffer_depth`]: noc_model::system::System::with_router_buffer_depth
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
         let affected = self.buffer_dependents(router);
-        let previous = self.ctx.resize_buffer(router, Some(depth));
-        if let Some(cache) = &mut self.caches[AnalysisKind::BufferAware.index()] {
+        let previous = self.set_router_depth(router, Some(depth));
+        if let Some(cache) = self.caches[AnalysisKind::BufferAware.index()].get_mut() {
             Arc::make_mut(cache).mark_resized(&affected, router);
         }
         record_delta(&affected);
         self.log(Undo::Resized { router, previous });
     }
 
-    /// Journals `undo` if a [`IncrementalContext::what_if`] scope is open.
+    /// Journals `undo` if a [`AnalysisContext::what_if`] scope is open.
     fn log(&mut self, undo: Undo) {
         if let Some(journal) = &mut self.journal {
             journal.push(undo);
@@ -274,38 +207,41 @@ impl IncrementalContext {
     /// own id with its own route, and a resized router gets its previous
     /// override back. The system, its [`BufferMap`] and the interference
     /// graph then compare equal to their entry state, so flow ids are
-    /// stable across scopes. The solve caches are handed back as the
-    /// [`Arc`] handles held on entry: the copies the scope's deltas and
-    /// solves made of them copy-on-write are dropped, so no rollback is
-    /// re-solved or re-evaluated, and a cache first laid out inside the
-    /// scope is dropped with it. A context that serves every query in a
-    /// scope should therefore hold its caches before the first one (a
-    /// [warmed](AnalysisContext::warm) base shares them with its forks).
+    /// stable across scopes (a borrowed system stays a copy). The table
+    /// of solve caches and the buffer-depth reports are handed back as
+    /// held on entry: the copies the scope's deltas and solves made of
+    /// them are dropped before the inverses run, so no rollback carries a
+    /// cache and none is re-solved or re-evaluated, and a cache first laid
+    /// out inside the scope is dropped with it. A context that serves
+    /// every query in a scope should therefore hold its caches before the
+    /// first one (a [warmed](AnalysisContext::warm) base shares them with
+    /// its forks).
     ///
     /// Scopes nest: an inner scope undoes only its own deltas. If `f`
     /// panics, the context is left mid-scope and should be dropped.
     ///
     /// [`BufferMap`]: noc_model::config::BufferMap
-    pub fn what_if<T>(&mut self, f: impl FnOnce(&mut IncrementalContext) -> T) -> T {
-        let caches = self.caches.clone();
+    pub fn what_if<T>(&mut self, f: impl FnOnce(&mut AnalysisContext<'sys>) -> T) -> T {
+        let (caches, by_depth) = (self.caches.clone(), self.by_depth.clone());
         let outer = self.journal.replace(Vec::new());
         let out = f(self);
         let journal = std::mem::replace(&mut self.journal, outer);
+        self.caches = Default::default();
         for undo in journal.expect("the scope's journal").into_iter().rev() {
             match undo {
                 Undo::Added(id) => {
-                    self.ctx.remove_flow(id).expect("an added flow stays");
+                    self.retire_flow(id).expect("an added flow stays");
                 }
                 Undo::Removed { id, flow, route } => {
-                    let back = self.ctx.insert_flow(id, flow, route);
+                    let back = self.insert_flow(id, flow, route);
                     back.expect("a removed flow fits back where it was");
                 }
                 Undo::Resized { router, previous } => {
-                    self.ctx.resize_buffer(router, previous);
+                    self.set_router_depth(router, previous);
                 }
             }
         }
-        self.caches = caches;
+        (self.caches, self.by_depth) = (caches, by_depth);
         out
     }
 
@@ -315,9 +251,8 @@ impl IncrementalContext {
     /// link-overlap table for the router's input links, so the cost is
     /// proportional to the flows routed through them.
     fn buffer_dependents(&self, router: RouterId) -> Vec<FlowId> {
-        let graph = self.ctx.graph();
+        let graph = self.graph();
         let mut out: Vec<FlowId> = self
-            .ctx
             .system()
             .topology()
             .input_links(router)
@@ -335,8 +270,8 @@ impl IncrementalContext {
     /// changed their results in this pass.
     ///
     /// Bit-identical to `kind` analysed from scratch over
-    /// [`IncrementalContext::system`]; the same call as
-    /// [`IncrementalContext::analyze_with_budget`] under an
+    /// [`AnalysisContext::system`]; the same call as
+    /// [`AnalysisContext::analyze_with_budget`] under an
     /// [`unlimited`](Budget::unlimited) budget.
     ///
     /// # Errors
@@ -349,7 +284,7 @@ impl IncrementalContext {
         self.analyze_with_budget(kind, &Budget::unlimited())
     }
 
-    /// [`IncrementalContext::analyze`] under a cooperative [`Budget`]: the
+    /// [`AnalysisContext::analyze`] under a cooperative [`Budget`]: the
     /// solver polls the budget and aborts once it is exceeded, so serving
     /// layers can bound the wall-clock cost of a single query.
     ///
@@ -357,7 +292,7 @@ impl IncrementalContext {
     ///
     /// [`AnalysisError::DeadlineExceeded`] when the budget expires
     /// mid-solve, or is already exceeded at the call, plus the conditions
-    /// of [`IncrementalContext::analyze`]. An error raised mid-solve marks
+    /// of [`AnalysisContext::analyze`]. An error raised mid-solve marks
     /// this kind's cache all-dirty, so a later call (with a fresh budget)
     /// recovers with a full solve — pinned by the `incremental_equivalence`
     /// integration test; a budget already exceeded fails before the cache
@@ -368,14 +303,15 @@ impl IncrementalContext {
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
         // Before the cache: a spent budget lays out or copies nothing.
-        self.ctx.check_budget(budget)?;
-        let (ctx, cache) = self.with_cache(kind.index());
-        Solver::new(ctx, kind.spec(), budget).solve_cached(cache)
+        self.check_budget(budget)?;
+        self.solve_through(kind.index(), |ctx, cache| {
+            Solver::new(ctx, kind.spec(), budget).solve_cached(cache)
+        })
     }
 
     /// The cheap, non-iterative conservative bound over the current flow
     /// set — the degraded-mode answer when
-    /// [`IncrementalContext::analyze_with_budget`] runs out of budget (see
+    /// [`AnalysisContext::analyze_with_budget`] runs out of budget (see
     /// [`crate::conservative`] for the bound and its soundness argument).
     ///
     /// Total (never fails) and bit-identical to
@@ -385,56 +321,29 @@ impl IncrementalContext {
     /// flow addition or removal marked it or a direct interferer changed
     /// its slots or verdict in this pass. Buffer resizes mark nothing, and
     /// the five kinds' caches are neither read nor touched. The cache is
-    /// copied from a [warmed](AnalysisContext::warm_conservative) base, or
-    /// laid out by the first call.
+    /// [kept](AnalysisContext::warm_conservative) already, or laid out by
+    /// the first call.
     pub fn conservative_report(&mut self) -> AnalysisReport {
         metrics::CONSERVATIVE_SOLVES.incr();
-        let (ctx, cache) = self.with_cache(CONSERVATIVE);
-        crate::conservative::evaluate(ctx, cache)
+        self.solve_through(CONSERVATIVE, crate::conservative::evaluate)
     }
 
-    /// The context and the cache at `index`, laid out all-dirty if absent.
-    fn with_cache(&mut self, index: usize) -> (&AnalysisContext<'static>, &mut SolveCache) {
-        let n = self.ctx.len();
-        let cache = self.caches[index].get_or_insert_with(|| Arc::new(SolveCache::all_dirty(n)));
-        (&self.ctx, Arc::make_mut(cache))
-    }
-
-    /// The cache at `index`, if a solve has laid it out (or a warmed base
-    /// shared it).
-    #[cfg(test)]
-    fn cache(&self, index: usize) -> Option<&SolveCache> {
-        self.caches[index].as_deref()
-    }
-
-    /// The current system.
-    pub fn system(&self) -> &System {
-        self.ctx.system()
-    }
-
-    /// The incrementally maintained interference graph.
-    pub fn graph(&self) -> &InterferenceGraph {
-        self.ctx.graph()
-    }
-
-    /// The zero-load latency Cᵢ (Equation 1) of `id`, as the context
-    /// keeps it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of bounds.
-    pub fn zero_load(&self, id: FlowId) -> Cycles {
-        self.ctx.zero_load(id)
-    }
-
-    /// Number of flows currently covered.
-    pub fn len(&self) -> usize {
-        self.ctx.len()
-    }
-
-    /// `true` for an empty flow set.
-    pub fn is_empty(&self) -> bool {
-        self.ctx.is_empty()
+    /// Runs `solve` over this context and the cache at `index`, laid out
+    /// all-dirty if absent. The slot's handle is taken out for the solve,
+    /// so a cache this context alone holds is updated in place and a
+    /// shared one is copied once, and put back after it, poisoned if the
+    /// solve failed.
+    fn solve_through<T>(
+        &mut self,
+        index: usize,
+        solve: impl FnOnce(&Self, &mut SolveCache) -> T,
+    ) -> T {
+        let mut cache = self.caches[index]
+            .take()
+            .unwrap_or_else(|| Arc::new(SolveCache::all_dirty(self.len())));
+        let out = solve(self, Arc::make_mut(&mut cache));
+        self.caches[index] = OnceLock::from(cache);
+        out
     }
 }
 
@@ -482,7 +391,7 @@ mod tests {
 
     /// Every kind's incremental report must equal the from-scratch trait
     /// path over the same system.
-    fn assert_matches_scratch(ctx: &mut IncrementalContext) {
+    fn assert_matches_scratch(ctx: &mut AnalysisContext<'_>) {
         let sys = ctx.system().clone();
         let scratch = AnalysisContext::new(&sys).unwrap();
         for (kind, analysis) in AnalysisKind::ALL
@@ -506,7 +415,7 @@ mod tests {
 
     #[test]
     fn additions_match_from_scratch_solves() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..1])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..1])).unwrap();
         for &spec in &SPECS[1..] {
             let id = ctx.add_flow(mesh_flow(spec), &XyRouting).unwrap();
             assert_eq!(id.index() + 1, ctx.len());
@@ -516,7 +425,7 @@ mod tests {
 
     #[test]
     fn removals_match_from_scratch_solves() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         for victim in [2u32, 0, 2] {
             ctx.remove_flow(FlowId::new(victim)).unwrap();
             assert_matches_scratch(&mut ctx);
@@ -525,7 +434,7 @@ mod tests {
 
     #[test]
     fn admission_roundtrip_restores_reports() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..4])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..4])).unwrap();
         let before: Vec<AnalysisReport> = AnalysisKind::ALL
             .iter()
             .map(|&k| ctx.analyze(k).unwrap())
@@ -540,7 +449,7 @@ mod tests {
 
     #[test]
     fn additions_and_removals_take_dense_ids() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..2])).unwrap();
         let id = ctx.add_flow(mesh_flow(SPECS[2]), &XyRouting).unwrap();
         assert_eq!(id, FlowId::new(2));
         ctx.remove_flow(FlowId::new(1)).unwrap();
@@ -556,14 +465,14 @@ mod tests {
         let ibn = AnalysisKind::BufferAware;
         let sys = mesh_system(&SPECS[..5]);
         let base = AnalysisContext::new(&sys).unwrap();
-        let mut fork = IncrementalContext::from_context(&base);
+        let mut fork = AnalysisContext::from_context(&base);
         let spent = Budget::with_deadline(std::time::Duration::ZERO);
         assert!(matches!(
             fork.analyze_with_budget(ibn, &spent),
             Err(AnalysisError::DeadlineExceeded { iterations: 0, .. })
         ));
         fork.add_flow(mesh_flow(SPECS[5]), &XyRouting).unwrap();
-        assert!(fork.cache(ibn.index()).is_none());
+        assert!(fork.cached(ibn.index()).is_none());
         assert_matches_scratch(&mut fork);
     }
 
@@ -571,8 +480,8 @@ mod tests {
     fn from_context_matches_new() {
         let sys = mesh_system(&SPECS);
         let base = AnalysisContext::new(&sys).unwrap();
-        let mut forked = IncrementalContext::from_context(&base);
-        let mut fresh = IncrementalContext::new(sys.clone()).unwrap();
+        let mut forked = AnalysisContext::from_context(&base);
+        let mut fresh = AnalysisContext::owned(sys.clone()).unwrap();
         for &kind in &AnalysisKind::ALL {
             assert_eq!(forked.analyze(kind).unwrap(), fresh.analyze(kind).unwrap());
         }
@@ -585,7 +494,7 @@ mod tests {
                 .collect()
         };
         let before = reports(&base);
-        let mut sibling = IncrementalContext::from_context(&base);
+        let mut sibling = AnalysisContext::from_context(&base);
         assert!(std::ptr::eq(forked.graph(), base.graph()));
         assert!(std::ptr::eq(sibling.graph(), base.graph()));
         // … a resize leaves the graph shared …
@@ -613,11 +522,11 @@ mod tests {
 
     #[test]
     fn budgeted_analysis_matches_unbudgeted_and_recovers() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         let clean = ctx.analyze(AnalysisKind::BufferAware).unwrap();
 
         // An unlimited budget is bit-identical to no budget.
-        let mut unbudgeted = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut unbudgeted = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         assert_eq!(
             unbudgeted
                 .analyze_with_budget(AnalysisKind::BufferAware, &Budget::unlimited())
@@ -626,7 +535,7 @@ mod tests {
         );
 
         // A pre-expired budget aborts with the structured deadline error …
-        let mut starved = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut starved = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         let err = starved
             .analyze_with_budget(
                 AnalysisKind::BufferAware,
@@ -654,7 +563,7 @@ mod tests {
 
     #[test]
     fn buffer_resizes_match_from_scratch_solves() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         // Warm every cache first so a lazy dirty rule would be caught.
         assert_matches_scratch(&mut ctx);
         for (router, depth) in [(5u32, 8u32), (0, 1), (5, 2), (10, 64)] {
@@ -666,7 +575,7 @@ mod tests {
 
     #[test]
     fn resize_roundtrip_restores_reports() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         let before: Vec<AnalysisReport> = AnalysisKind::ALL
             .iter()
             .map(|&k| ctx.analyze(k).unwrap())
@@ -683,7 +592,7 @@ mod tests {
 
     #[test]
     fn resize_sets_the_router_depth() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..3])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..3])).unwrap();
         ctx.resize_buffer(RouterId::new(4), 16);
         assert_eq!(ctx.system().buffer_depth_at(RouterId::new(4)), 16);
         assert_matches_scratch(&mut ctx);
@@ -692,7 +601,7 @@ mod tests {
     /// The full scan `buffer_dependents` replaced: every flow with a
     /// direct interferer whose contention domain holds a link into
     /// `router`.
-    fn scanned_dependents(ctx: &IncrementalContext, router: RouterId) -> Vec<FlowId> {
+    fn scanned_dependents(ctx: &AnalysisContext<'_>, router: RouterId) -> Vec<FlowId> {
         let (system, graph) = (ctx.system(), ctx.graph());
         let topology = system.topology();
         system
@@ -718,8 +627,8 @@ mod tests {
             .with_burst_range(0, 2)
             .generate(5)
             .into_system();
-        let mut ctx = IncrementalContext::new(sys).unwrap();
-        let check = |ctx: &IncrementalContext| {
+        let mut ctx = AnalysisContext::owned(sys).unwrap();
+        let check = |ctx: &AnalysisContext<'_>| {
             for router in ctx.system().topology().router_ids() {
                 let found = ctx.buffer_dependents(router);
                 assert_eq!(found, scanned_dependents(ctx, router), "{router}");
@@ -748,13 +657,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer depth")]
     fn zero_depth_resize_panics() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..2])).unwrap();
         ctx.resize_buffer(RouterId::new(0), 0);
     }
 
     #[test]
     fn out_of_bounds_removal_is_rejected() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS[..2])).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..2])).unwrap();
         assert!(ctx.remove_flow(FlowId::new(9)).is_err());
         assert_eq!(ctx.len(), 2);
     }
@@ -804,19 +713,19 @@ mod tests {
 
     /// A fork of a context over `system` warmed for every kind and for
     /// the conservative bound.
-    fn warm_fork(system: &System) -> IncrementalContext {
+    fn warm_fork(system: &System) -> AnalysisContext<'static> {
         let base = AnalysisContext::new(system).unwrap();
         for kind in AnalysisKind::ALL {
             base.warm(kind, &Budget::unlimited()).unwrap();
         }
         base.warm_conservative();
-        IncrementalContext::from_context(&base)
+        AnalysisContext::from_context(&base)
     }
 
     /// The fork's conservative report equals the bound over a fresh
     /// context and the independent reference evaluator; returns how many
     /// flows the report re-evaluated.
-    fn assert_conservative_matches_scratch(ctx: &mut IncrementalContext, label: &str) -> usize {
+    fn assert_conservative_matches_scratch(ctx: &mut AnalysisContext<'_>, label: &str) -> usize {
         let report = ctx.conservative_report();
         let system = ctx.system().clone();
         let scratch = AnalysisContext::new(&system).unwrap();
@@ -830,7 +739,7 @@ mod tests {
             crate::conservative::reference::conservative_with(&scratch),
             "{label}: conservative reference"
         );
-        ctx.cache(CONSERVATIVE).unwrap().resolved.len()
+        ctx.cached(CONSERVATIVE).unwrap().resolved.len()
     }
 
     /// From-scratch explanations over `ctx`, per kind, indexed by flow.
@@ -855,7 +764,7 @@ mod tests {
     /// can land mid-order), a removal, or a router resize. Returns the
     /// removed id, if any.
     fn random_delta(
-        ctx: &mut IncrementalContext,
+        ctx: &mut AnalysisContext<'_>,
         rng: &mut XorShift,
         freed: &mut Vec<Priority>,
         next_priority: &mut u32,
@@ -941,7 +850,7 @@ mod tests {
                 let report = ctx.analyze(kind).unwrap();
                 let label = format!("step {step}, {}", kind.name());
                 assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
-                let cache = ctx.cache(kind.index()).unwrap();
+                let cache = ctx.cached(kind.index()).unwrap();
                 let clamp = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
                 for e in &cache.edges {
                     let term = &now[kind.index()][e.victim.index()].terms[e.edge];
@@ -1020,7 +929,7 @@ mod tests {
             let report = fork.analyze(kind).unwrap();
             assert_eq!(report, kind.analyze_with(&scratch).unwrap());
             assert_eq!(
-                fork.cache(kind.index()).unwrap().resolved,
+                fork.cached(kind.index()).unwrap().resolved,
                 [],
                 "{}",
                 kind.name()
@@ -1070,7 +979,7 @@ mod tests {
         let ibn = AnalysisKind::BufferAware;
         let mut fork = warm_fork(system);
         let topology = system.topology();
-        let enters = |ctx: &IncrementalContext, x: FlowId, edge: usize, router: RouterId| {
+        let enters = |ctx: &AnalysisContext<'_>, x: FlowId, edge: usize, router: RouterId| {
             let cd = ctx.graph().direct_domains(x)[edge];
             cd.links(ctx.system().route(x))
                 .iter()
@@ -1082,7 +991,7 @@ mod tests {
             let before = fork.analyze(ibn).unwrap();
             let slots_before: Vec<Option<Vec<u128>>> = (0..fork.len())
                 .map(|x| {
-                    let cache = fork.cache(ibn.index()).unwrap();
+                    let cache = fork.cached(ibn.index()).unwrap();
                     cache.slots(FlowId::new(x as u32)).map(<[u128]>::to_vec)
                 })
                 .collect();
@@ -1090,7 +999,7 @@ mod tests {
             fork.what_if(|ctx| {
                 ctx.resize_buffer(router, depth);
                 let after = ctx.analyze(ibn).unwrap();
-                let cache = ctx.cache(ibn.index()).unwrap();
+                let cache = ctx.cached(ibn.index()).unwrap();
                 let changed = |j: FlowId| {
                     before.verdict(j) != after.verdict(j)
                         || slots_before[j.index()].as_deref() != cache.slots(j)
@@ -1125,13 +1034,15 @@ mod tests {
         base.warm(AnalysisKind::BufferAware, &Budget::unlimited())
             .unwrap();
         base.warm_conservative();
-        let mut fork = IncrementalContext::from_context(&base);
+        let mut fork = AnalysisContext::from_context(&base);
         // XLWX is laid out here, outside any scope; IBN and the
         // conservative bound stay shared with the base, and the other
         // kinds are first laid out inside the scopes.
         fork.analyze(AnalysisKind::Xlwx).unwrap();
         let xlwx = AnalysisKind::Xlwx.index();
-        let handles = |ctx: &IncrementalContext| ctx.caches.clone();
+        let handles = |ctx: &AnalysisContext<'_>| -> Vec<Option<Arc<SolveCache>>> {
+            ctx.caches.iter().map(|slot| slot.get().cloned()).collect()
+        };
         let same = |a: &[Option<Arc<SolveCache>>], b: &[Option<Arc<SolveCache>>]| {
             a.iter().zip(b).all(|pair| match pair {
                 (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -1157,13 +1068,13 @@ mod tests {
             });
             assert!(same(&handles(&fork), &before), "step {step}");
             assert!(
-                fork.cache(AnalysisKind::ShiBurns.index()).is_none(),
+                fork.cached(AnalysisKind::ShiBurns.index()).is_none(),
                 "step {step}"
             );
             assert!(fork.journal.is_none());
             assert_eq!(fork.graph(), &graph, "step {step}");
         }
-        assert!(fork.cache(xlwx).is_some());
+        assert!(fork.cached(xlwx).is_some());
         assert_matches_scratch(&mut fork);
     }
 
@@ -1171,7 +1082,7 @@ mod tests {
     /// outer one the rest.
     #[test]
     fn nested_what_ifs_undo_their_own_deltas() {
-        let mut ctx = IncrementalContext::new(mesh_system(&SPECS)).unwrap();
+        let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
         let router = RouterId::new(5);
         ctx.resize_buffer(router, 6);
         let (flows, buffers) = (
@@ -1193,6 +1104,77 @@ mod tests {
         assert_eq!(ctx.system().flows(), &flows);
         assert_eq!(ctx.system().buffer_map(), &buffers);
         assert_matches_scratch(&mut ctx);
+    }
+
+    /// A what-if on a borrowed context copies the system on its first
+    /// delta and hands back all it held on entry: the same cache handles,
+    /// the kept buffer-depth report and the graph, so the answers after
+    /// it are the base system's again.
+    #[test]
+    fn a_what_if_on_a_borrowed_context_puts_everything_back() {
+        let (ibn, unlimited) = (AnalysisKind::BufferAware, Budget::unlimited());
+        let system = mesh_system(&SPECS);
+        let mut ctx = AnalysisContext::new(&system).unwrap();
+        ctx.warm(ibn, &unlimited).unwrap();
+        ctx.warm_conservative();
+        assert_eq!(ctx.warm_buffer_depths(ibn, &[6], 1), 1);
+        let kept = Arc::clone(ctx.cached(ibn.index()).unwrap());
+        let at_six = ctx.analyze_at_buffer_depth(ibn, 6, &unlimited).unwrap();
+        ctx.what_if(|ctx| {
+            ctx.remove_flow(FlowId::new(1)).unwrap();
+            ctx.resize_buffer(RouterId::new(5), 9);
+            ctx.add_flow(mesh_flow((3, 12, 7, 4000)), &XyRouting)
+                .unwrap();
+            assert!(ctx.by_depth[0].get().is_none(), "a delta drops the store");
+            assert_matches_scratch(ctx);
+        });
+        assert!(ctx.journal.is_none());
+        assert!(Arc::ptr_eq(ctx.cached(ibn.index()).unwrap(), &kept));
+        assert_eq!(ctx.system().flows(), system.flows());
+        assert_eq!(ctx.system().buffer_map(), system.buffer_map());
+        let scratch = AnalysisContext::new(&system).unwrap();
+        assert_eq!(ctx.graph(), scratch.graph());
+        assert!(ctx.by_depth[0].get().is_some());
+        assert_eq!(
+            ctx.analyze_at_buffer_depth(ibn, 6, &unlimited).unwrap(),
+            at_six
+        );
+        assert_eq!(
+            crate::conservative::conservative_with(&ctx),
+            crate::conservative::conservative_with(&scratch)
+        );
+        assert_matches_scratch(&mut ctx);
+    }
+
+    /// A delta outside any scope carries every kept cache across, an
+    /// insertion in the middle of the id order too: the next solve
+    /// re-solves the inserted flow and what it reaches, not the whole set,
+    /// and answers for the new system.
+    #[test]
+    fn caches_carry_across_a_mid_order_insertion() {
+        let system = deep_fixture();
+        let mut ctx = warm_fork(&system);
+        let gone = FlowId::new(40);
+        ctx.remove_flow(gone).unwrap();
+        for kind in AnalysisKind::ALL {
+            ctx.analyze(kind).unwrap();
+        }
+        ctx.conservative_report();
+        let (flow, route) = (system.flow(gone).clone(), system.route(gone).clone());
+        ctx.insert_flow(gone, flow, route).unwrap();
+        let scratch = AnalysisContext::new(&system).unwrap();
+        assert_eq!(ctx.system().flows(), system.flows());
+        assert_eq!(ctx.graph(), scratch.graph());
+        for kind in AnalysisKind::ALL {
+            let label = kind.name();
+            let report = ctx.analyze(kind).unwrap();
+            assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
+            let resolved = &ctx.cached(kind.index()).unwrap().resolved;
+            assert!(resolved.contains(&gone), "{label}");
+            assert!(resolved.len() < ctx.len(), "{label}: re-solved every flow");
+        }
+        let evaluated = assert_conservative_matches_scratch(&mut ctx, "insertion");
+        assert!(evaluated < ctx.len(), "re-evaluated every flow");
     }
 
     /// The propagation rule the cutoff replaced: the `affected` flows plus,
@@ -1244,7 +1226,7 @@ mod tests {
                 report.verdict(interferer)
             );
             assert_eq!(report.verdict(victim), FlowVerdict::Tainted, "{label}");
-            let resolved = &fork.cache(kind.index()).unwrap().resolved;
+            let resolved = &fork.cached(kind.index()).unwrap().resolved;
             assert!(resolved.contains(&victim), "{label}: {resolved:?}");
         }
         fork.remove_flow(hog_id).unwrap();
@@ -1270,7 +1252,7 @@ mod tests {
         let scratch = AnalysisContext::new(&after).unwrap();
         assert_eq!(report, BufferAware.analyze_with(&scratch).unwrap());
         let resolved = fork
-            .cache(AnalysisKind::BufferAware.index())
+            .cached(AnalysisKind::BufferAware.index())
             .unwrap()
             .resolved
             .len();

@@ -58,8 +58,11 @@
 //! systems (other buffer depths, scaled periods) share the graph through
 //! [`AnalysisContext::rebase`]. The
 //! experiment harnesses in `noc-experiments` rely on this throughout.
-//! [`IncrementalContext`] owns one such context plus per-analysis solve
-//! caches, and forks it copy-on-write for flow-set what-ifs.
+//! The same context keeps per-analysis solve caches and takes flow-set
+//! deltas in place ([`AnalysisContext::add_flow`],
+//! [`AnalysisContext::what_if`]), carrying its caches across them;
+//! [`AnalysisContext::from_context`] forks it copy-on-write, one fork per
+//! serving thread.
 //!
 //! # Module map (code ↔ paper)
 //!
@@ -67,8 +70,8 @@
 //! |---|---|
 //! | [`analysis`] | the five analyses: SB \[11\], Eq. 4 \[12\], Eq. 5/XLWX \[13\], **IBN** (Eq. 6–8, this paper) |
 //! | `engine` (private) | Equation 5 skeleton: the fixed-point recurrence `Rᵢ = Cᵢ + Σ ⌈(Rᵢ+Jⱼ+jitterⱼ)/Tⱼ⌉·(Cⱼ+Idown(j,i))`, Eq. 2 `Iup`, Eq. 3 `Idown`, Eq. 6 `bi(i,j)`, Eq. 8 condition |
-//! | [`context`] | precomputed §III structure shared across analyses (graph from [`noc_model::contention`]) |
-//! | [`incremental`] | an owned context plus per-analysis solve caches, updated by flow-set deltas |
+//! | [`context`] | precomputed §III structure shared across analyses (graph from [`noc_model::contention`]), plus the solve caches kept over it |
+//! | [`incremental`] | flow-set deltas and what-if scopes on a context, which carry its solve caches |
 //! | [`report`] | per-flow verdicts/bounds — the `R_*` columns of Table II |
 //! | [`error`] | model-assumption violations surfaced to callers |
 //! | [`budget`] | cooperative solve deadlines/cancellation polled by the engine |

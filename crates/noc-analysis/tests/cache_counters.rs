@@ -33,11 +33,9 @@ fn forks_and_re_solves_are_counted_only_when_telemetry_is_on() {
     // after a resize move nothing.
     noc_telemetry::set_enabled(false);
     let before = counters();
-    IncrementalContext::from_context(&base)
-        .analyze(kind)
-        .unwrap();
+    AnalysisContext::from_context(&base).analyze(kind).unwrap();
     base.warm(kind, &Budget::unlimited()).unwrap();
-    let mut fork = IncrementalContext::from_context(&base);
+    let mut fork = AnalysisContext::from_context(&base);
     fork.analyze(kind).unwrap();
     fork.resize_buffer(noc_model::ids::RouterId::new(7), 5);
     fork.analyze(kind).unwrap();
@@ -61,14 +59,14 @@ fn counted_when_on(base: &AnalysisContext<'_>) {
     noc_telemetry::set_enabled(true);
     let cold = AnalysisContext::new(sys).unwrap();
     let [warm0, cold0, dirty0, clean0, same0, kept0, redo0] = counters();
-    IncrementalContext::from_context(&cold);
+    AnalysisContext::from_context(&cold);
     assert_eq!(
         counters(),
         [warm0, cold0 + 1, dirty0, clean0, same0, kept0, redo0]
     );
 
     // A warm fork's first solve reuses every flow.
-    let mut fork = IncrementalContext::from_context(base);
+    let mut fork = AnalysisContext::from_context(base);
     fork.analyze(kind).unwrap();
     assert_eq!(
         counters(),

@@ -84,7 +84,7 @@ fn a_conservative_pass_counts_only_as_a_conservative_solve() {
 
     // A warm fork's report re-evaluates nothing, nor does one after a
     // router resize; an admission re-evaluates at least the new flow.
-    let mut fork = IncrementalContext::from_context(&base);
+    let mut fork = AnalysisContext::from_context(&base);
     assert_eq!(
         moved(|| drop(fork.conservative_report())),
         counted([1, 0, n])

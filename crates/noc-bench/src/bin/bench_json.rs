@@ -1,5 +1,5 @@
 //! Bench-to-JSON binary: runs the `sim_throughput`, `table2`,
-//! `context_reuse` and `admission_serving` fixtures through the shared
+//! `batch_sweep` and `hetero_analysis` fixtures through the shared
 //! [`noc_bench::suites`] bodies and writes a machine-readable
 //! `BENCH_sim.json`, so performance claims in this repo always come with
 //! checked-in numbers. Every run also appends one line to
@@ -20,7 +20,7 @@
 //!
 //! Each measured fixture becomes one line in the output's `results` array:
 //! fixture label, cycles simulated per iteration (0 for the analysis-side
-//! `context_reuse` group) and mean wall-clock nanoseconds per iteration.
+//! `hetero_analysis` group) and mean wall-clock nanoseconds per iteration.
 //! Compare runs through the history log. The writer is deliberately ad-hoc
 //! line-oriented JSON so the repo needs no serde.
 
@@ -54,14 +54,11 @@ fn main() {
     suites::bench_sim_throughput(&mut c, &sim_fixtures);
     suites::bench_table2_sweep(&mut c);
     suites::bench_batch_sweep(&mut c);
-    suites::bench_context_reuse(&mut c, &suites::context_fixtures(production));
-    let (adm_label, adm_system) = suites::admission_fixture(production);
-    suites::bench_admission_serving(&mut c, adm_label, &adm_system);
     let (het_label, het_system) = suites::hetero_fixture(production);
     suites::bench_hetero_analysis(&mut c, het_label, &het_system);
 
-    // Cycles simulated per iteration, by bench label. Analysis-side groups
-    // (context_reuse) simulate nothing and report 0.
+    // Cycles simulated per iteration, by bench label. The analysis-side
+    // group (hetero_analysis) simulates nothing and reports 0.
     let mut cycles: BTreeMap<String, u64> = BTreeMap::new();
     for f in &sim_fixtures {
         cycles.insert(format!("sim_throughput/{}", f.name), f.cycles);

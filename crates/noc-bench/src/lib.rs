@@ -16,7 +16,6 @@
 //! | `breakdown_scaling` | the breakdown-factor binary search |
 //! | `sim_throughput` | cycle-accurate simulator throughput (Figure 1 router) |
 //! | `ablation_analyses`, `ablation_priorities` | analysis/priority-policy ablations |
-//! | `context_reuse` | shared `AnalysisContext` vs per-call derivation, up to [`production_system`] scale (16×16, thousands of flows) |
 //! | `hetero_analysis` | buffer-aware analysis and per-router what-if serving over the [`heterogeneous_system`] fixture (per-router depths, bursty release) |
 
 use noc_model::prelude::*;
@@ -43,10 +42,7 @@ pub fn dense_sim_system(seed: u64) -> System {
 /// Production-scale fixture: the paper's §VI workload on a **16×16 mesh**
 /// with `n_flows` flows (thousands are fine — the north-star scale target).
 ///
-/// Deriving the interference structure dominates at this size, which is
-/// exactly what the shared `AnalysisContext` amortises; the
-/// `context_reuse` bench target measures that path against per-analysis
-/// re-derivation.
+/// The full-mode `sim_throughput` suite simulates it with 2000 flows.
 pub fn production_system(n_flows: usize, buffer: u32, seed: u64) -> System {
     bench_system(16, n_flows, buffer, seed)
 }
@@ -96,7 +92,7 @@ mod tests {
         assert_eq!(sys.topology().router_count(), 256);
         assert_eq!(sys.flows().len(), 1_500);
         // The precomputed interference structure must be buildable at this
-        // scale (this is the cached path the context bench exercises).
+        // scale.
         let graph = noc_model::contention::InterferenceGraph::new(&sys).unwrap();
         assert_eq!(graph.len(), 1_500);
     }

@@ -15,7 +15,7 @@ use noc_sim::prelude::*;
 use noc_workload::didactic;
 use std::hint::black_box;
 
-use crate::{bench_system, dense_sim_system, production_system};
+use crate::{dense_sim_system, production_system};
 
 /// One simulator-throughput fixture: a system plus the horizon to simulate.
 #[derive(Debug)]
@@ -103,19 +103,6 @@ pub fn bench_table2_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fixtures of the `context_reuse` group: `(label, system)`.
-pub fn context_fixtures(production: bool) -> Vec<(&'static str, System)> {
-    let mut fixtures = vec![
-        ("4x4_160", bench_system(4, 160, 2, 0xC0DE)),
-        ("8x8_520", bench_system(8, 520, 2, 0xC0DE)),
-    ];
-    if production {
-        fixtures.push(("16x16_1000", production_system(1_000, 2, 0xC0DE)));
-        fixtures.push(("16x16_2000", production_system(2_000, 2, 0xC0DE)));
-    }
-    fixtures
-}
-
 /// Bench group `batch_sweep`: the shared-layout batch simulation path
 /// ([`BatchSimulator`]) against per-plan `Simulator` construction, on the
 /// didactic critical-instant sweep.
@@ -152,51 +139,6 @@ pub fn bench_batch_sweep(c: &mut Criterion) {
         })
     });
     group.finish();
-}
-
-/// Bench group `context_reuse`: per-call derivation vs one shared
-/// [`AnalysisContext`] vs the isolated context build.
-pub fn bench_context_reuse(c: &mut Criterion, fixtures: &[(&'static str, System)]) {
-    let mut group = c.benchmark_group("context_reuse");
-    for (label, system) in fixtures {
-        group.bench_with_input(BenchmarkId::new("direct", label), system, |b, sys| {
-            b.iter(|| {
-                for analysis in all_analyses() {
-                    black_box(analysis.analyze(black_box(sys)).unwrap());
-                }
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("shared-context", label),
-            system,
-            |b, sys| {
-                b.iter(|| {
-                    let ctx = AnalysisContext::new(black_box(sys)).unwrap();
-                    for analysis in all_analyses() {
-                        black_box(analysis.analyze_with(&ctx).unwrap());
-                    }
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("context-build", label),
-            system,
-            |b, sys| b.iter(|| black_box(AnalysisContext::new(black_box(sys)).unwrap())),
-        );
-    }
-    group.finish();
-}
-
-/// Fixture of the `admission_serving` group: `(label, system)`.
-///
-/// The production fixture is the north-star admission-control scale (16×16
-/// mesh, 1000 flows); fast mode drops to the 8×8 mid-size workload.
-pub fn admission_fixture(production: bool) -> (&'static str, System) {
-    if production {
-        ("16x16_1000", production_system(1_000, 2, 0xC0DE))
-    } else {
-        ("8x8_520", bench_system(8, 520, 2, 0xC0DE))
-    }
 }
 
 /// Fixture of the `hetero_analysis` group: `(label, system)`.
@@ -244,59 +186,5 @@ pub fn bench_hetero_analysis(c: &mut Criterion, label: &str, system: &System) {
         system,
         |b, _| b.iter(|| black_box(noc_serve::run_batch(&base, &batch, &XyRouting, 2))),
     );
-    group.finish();
-}
-
-/// Bench group `admission_serving`: a single-flow admission what-if served
-/// by a full rebuild (derive graph + solve from scratch) against the
-/// incremental dirty-bit path (delta-update the graph, re-solve only the
-/// affected neighbourhood), plus batched query throughput at increasing
-/// worker-thread counts via [`noc_serve::run_batch`].
-pub fn bench_admission_serving(c: &mut Criterion, label: &str, system: &System) {
-    let mut group = c.benchmark_group("admission_serving");
-    let template = system.flows().flow(FlowId::new(0));
-    let candidate = Flow::builder(template.source(), template.dest())
-        .priority(Priority::new(system.flows().len() as u32 + 1))
-        .period(template.period())
-        .length_flits(16)
-        .build();
-
-    group.bench_with_input(BenchmarkId::new("full-rebuild", label), system, |b, sys| {
-        b.iter(|| {
-            let (grown, _) = sys.with_added_flow(candidate.clone(), &XyRouting).unwrap();
-            let ctx = AnalysisContext::new(&grown).unwrap();
-            black_box(BufferAware.analyze_with(&ctx).unwrap())
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("incremental", label), system, |b, sys| {
-        let mut ctx = IncrementalContext::new(sys.clone()).unwrap();
-        // Warm the solve cache: the first analyze pays the full solve that
-        // every later delta amortises, exactly like a live server.
-        black_box(ctx.analyze(AnalysisKind::BufferAware).unwrap());
-        b.iter(|| {
-            let id = ctx.add_flow(candidate.clone(), &XyRouting).unwrap();
-            let report = ctx.analyze(AnalysisKind::BufferAware).unwrap();
-            ctx.remove_flow(id).expect("undoing a fresh admission");
-            black_box(report)
-        })
-    });
-
-    let base = AnalysisContext::new(system).expect("bench fixture is analysable");
-    let batch = noc_serve::QueryBatch {
-        analysis: AnalysisKind::BufferAware,
-        queries: noc_serve::sample_queries(system, 64),
-    };
-    let mut thread_counts = vec![1, 2, noc_serve::default_threads()];
-    thread_counts.sort_unstable();
-    thread_counts.dedup();
-    for threads in thread_counts {
-        group.bench_with_input(
-            BenchmarkId::new(format!("batch-qps-{threads}t"), label),
-            &threads,
-            |b, &threads| {
-                b.iter(|| black_box(noc_serve::run_batch(&base, &batch, &XyRouting, threads)))
-            },
-        );
-    }
     group.finish();
 }

@@ -20,10 +20,10 @@
 //!   answered from the report the base keeps for that depth;
 //! * [`Query::RouterBufferWhatIf`] — re-certify with **one** router's
 //!   buffers resized (heterogeneous depths), served through the shard's
-//!   [`IncrementalContext::resize_buffer`].
+//!   [`AnalysisContext::resize_buffer`].
 //!
 //! A shard serves the three mutating kinds inside an
-//! [`IncrementalContext::what_if`] scope, which undoes the delta exactly
+//! [`AnalysisContext::what_if`] scope, which undoes the delta exactly
 //! on exit, so queries stay independent and always name base-system ids.
 //!
 //! Every query answers with a [`QueryOutcome`]; the batch reports wall
@@ -44,16 +44,17 @@
 //!   [`AnalysisContext::analyze_at_buffer_depth`]: a lookup, with no
 //!   system clone and no rebase. Past the cap, a depth is solved over a
 //!   rebased context that shares the graph and keeps nothing;
-//! * flow mutations need a *mutable* graph, so each worker thread forks one
-//!   [`IncrementalContext`] from the base (`from_context` shares the graph
-//!   copy-on-write; the shard copies it on its first addition or removal)
-//!   and then serves each query as one what-if scope: the delta, a cached
-//!   re-solve of only the flows the delta marks and those below them
-//!   whose results it changes, and an exact undo. The undo applies each
-//!   delta's inverse to the shard's system and graph in place and hands
-//!   back the solve caches the shard held before the query (the base's,
-//!   shared), dropping the copies the query made, so no rollback is ever
-//!   re-solved and the next query starts from the warm base again.
+//! * flow mutations need a *mutable* graph, so each worker thread forks an
+//!   owned context off the base ([`AnalysisContext::from_context`] shares
+//!   the graph and the base's cache table copy-on-write; the shard copies
+//!   the graph on its first addition or removal) and then serves each
+//!   query as one what-if scope: the delta, a cached re-solve of only the
+//!   flows the delta marks and those below them whose results it changes,
+//!   and an exact undo. The undo applies each delta's inverse to the
+//!   shard's system and graph in place and refills the shard's table with
+//!   the caches it held before the query (the base's, shared), dropping
+//!   the copies the query made, so no rollback is ever re-solved and the
+//!   next query starts from the warm base again.
 //!
 //! Before forking, on the submitting thread, the batch solves the base once
 //! for its analysis ([`AnalysisContext::warm`], under the budget a query
@@ -132,7 +133,6 @@ use noc_analysis::analysis::AnalysisKind;
 use noc_analysis::budget::Budget;
 use noc_analysis::context::AnalysisContext;
 use noc_analysis::error::AnalysisError;
-use noc_analysis::incremental::IncrementalContext;
 use noc_analysis::report::AnalysisReport;
 pub use noc_analysis::runner::default_threads;
 use noc_model::flow::Flow;
@@ -176,7 +176,7 @@ pub enum Query {
     /// to `depth` flits, all other routers keeping their base depth? The
     /// heterogeneous counterpart of [`Query::BufferWhatIf`] — e.g. scoring
     /// a cheaper switch at a single mesh position. Served through the
-    /// shard's [`IncrementalContext::resize_buffer`], which re-solves only
+    /// shard's [`AnalysisContext::resize_buffer`], which re-solves only
     /// the flows whose buffered-interference terms read that router; the
     /// router's previous override is put back afterwards, so queries stay
     /// independent.
@@ -529,10 +529,10 @@ fn outcome_of(
     }
 }
 
-/// Mutable per-shard serving state: an incremental context forked from
+/// Mutable per-shard serving state: an owned context forked from
 /// the base, which every query leaves as it found it.
 struct Shard<'a> {
-    ctx: IncrementalContext,
+    ctx: AnalysisContext<'static>,
     routing: &'a (dyn RoutingAlgorithm + Sync),
     kind: AnalysisKind,
 }
@@ -545,13 +545,13 @@ impl<'a> Shard<'a> {
     ) -> Shard<'a> {
         metrics::CONTEXT_FORKS.incr();
         Shard {
-            ctx: IncrementalContext::from_context(base),
+            ctx: AnalysisContext::from_context(base),
             routing,
             kind,
         }
     }
 
-    /// Serves `query` inside an [`IncrementalContext::what_if`] scope, so
+    /// Serves `query` inside an [`AnalysisContext::what_if`] scope, so
     /// the shard is back at the base system after it, with the caches it
     /// held before: base ids stay valid, and no rollback is re-solved. An
     /// outcome is read inside the scope, so a degraded answer bounds the
@@ -565,7 +565,7 @@ impl<'a> Shard<'a> {
         let _span = metrics::QUERY_LATENCY_NS.span();
         metrics::QUERIES_SERVED.incr();
         let (routing, kind) = (self.routing, self.kind);
-        let certify = |ctx: &mut IncrementalContext| {
+        let certify = |ctx: &mut AnalysisContext<'_>| {
             let result = ctx.analyze_with_budget(kind, budget);
             outcome_of(result, || ctx.conservative_report())
         };
@@ -689,16 +689,24 @@ fn serve_isolated(
 }
 
 /// A deterministic sample query mix for demos and benchmarks: admissions
-/// (templated on existing source/dest pairs with a fresh priority),
-/// removals, homogeneous buffer what-ifs, and single-router buffer
-/// what-ifs, in a 2:1:1:1 ratio. Buffer depths are drawn from 2–8, inside
-/// the `buf ≥ 2` domain the simulator validates the bounds in.
+/// (templated on existing source/dest pairs with a fresh priority, one
+/// level below the lowest in use), removals, homogeneous buffer what-ifs,
+/// and single-router buffer what-ifs, in a 2:1:1:1 ratio. A system with no
+/// flows has nothing to template or remove, so it gets the two buffer
+/// kinds in turn. Buffer depths are drawn from 2–8, inside the `buf ≥ 2`
+/// domain the simulator validates the bounds in.
 pub fn sample_queries(system: &noc_model::system::System, n: usize) -> Vec<Query> {
     let ids: Vec<FlowId> = system.flows().ids().collect();
     let routers = system.topology().router_count();
-    let fresh_priority = noc_model::ids::Priority::new(ids.len() as u32 + 1);
+    let lowest = system.flows().iter().map(|(_, f)| f.priority().level());
+    let fresh_priority = noc_model::ids::Priority::new(lowest.max().unwrap_or(0) + 1);
+    let kinds = if ids.is_empty() {
+        [3, 4].as_slice()
+    } else {
+        &[0, 1, 2, 3, 4]
+    };
     (0..n)
-        .map(|i| match i % 5 {
+        .map(|i| match kinds[i % kinds.len()] {
             2 => Query::Removal {
                 id: ids[i % ids.len()],
             },
@@ -934,6 +942,65 @@ mod tests {
         for threads in [2, 4] {
             let sharded = run_batch(&base, &batch, &XyRouting, threads);
             assert_eq!(sharded.outcomes, solo.outcomes, "threads={threads}");
+        }
+    }
+
+    /// `n` sampled queries of `system`, served on two threads: no outcome
+    /// may fail validation.
+    fn served_samples(system: &System, n: usize) -> Vec<Query> {
+        let queries = sample_queries(system, n);
+        let batch = QueryBatch {
+            analysis: AnalysisKind::BufferAware,
+            queries: queries.clone(),
+        };
+        let base = AnalysisContext::new(system).unwrap();
+        for outcome in run_batch(&base, &batch, &XyRouting, 2).outcomes {
+            assert!(
+                !matches!(outcome, QueryOutcome::Failed { .. }),
+                "{outcome:?}"
+            );
+        }
+        queries
+    }
+
+    /// A sampled admission takes the level below the lowest priority in
+    /// use: `len + 1` on a dense set, and still unused once the top flow
+    /// retired (levels 2–4, where `len + 1` is taken).
+    #[test]
+    fn sampled_admissions_take_an_unused_priority() {
+        let levels = |queries: &[Query]| -> Vec<u32> {
+            let admissions = queries.iter().filter_map(|q| match q {
+                Query::Admission { flow } => Some(flow.priority().level()),
+                _ => None,
+            });
+            admissions.collect()
+        };
+        let dense = base_system();
+        assert_eq!(levels(&served_samples(&dense, 10)), [5; 4]);
+        let sparse = dense.without_flow(FlowId::new(0)).unwrap();
+        assert_eq!(levels(&served_samples(&sparse, 10)), [5; 4]);
+    }
+
+    /// A system with no flows samples the two buffer what-if kinds in
+    /// turn, and serves them.
+    #[test]
+    fn an_empty_system_samples_buffer_what_ifs() {
+        let flows = FlowSet::new(Vec::new()).unwrap();
+        let empty = System::new(
+            Topology::mesh(4, 4),
+            NocConfig::default(),
+            flows,
+            &XyRouting,
+        )
+        .unwrap();
+        let queries = served_samples(&empty, 6);
+        assert_eq!(queries.len(), 6);
+        for (i, query) in queries.iter().enumerate() {
+            match query {
+                Query::BufferWhatIf { .. } => assert_eq!(i % 2, 0),
+                Query::RouterBufferWhatIf { .. } => assert_eq!(i % 2, 1),
+                other => panic!("{other:?} sampled from no flows"),
+            }
         }
     }
 

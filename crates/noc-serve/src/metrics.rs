@@ -17,7 +17,7 @@ pub static QUERIES_SERVED: Counter = Counter::new("serve.queries");
 /// Batches evaluated via [`run_batch`](crate::run_batch).
 pub static BATCHES: Counter = Counter::new("serve.batches");
 
-/// Per-thread [`IncrementalContext`](noc_analysis::incremental::IncrementalContext)
+/// Per-thread [`AnalysisContext::from_context`](noc_analysis::context::AnalysisContext::from_context)
 /// forks off the shared base context (one per shard per batch).
 pub static CONTEXT_FORKS: Counter = Counter::new("serve.context_forks");
 

@@ -1,21 +1,21 @@
-//! Regression guard for the incremental delta path: an
-//! [`IncrementalContext`] driven through randomized add/remove/resize
+//! Regression guard for the incremental delta path: an owned
+//! [`AnalysisContext`] driven through randomized add/remove/resize
 //! sequences must report **bit-identically** — for all five
-//! analyses — to a fresh [`AnalysisContext`] derived from scratch over the
+//! analyses — to a fresh context derived from scratch over the
 //! same mutated system after every single step.
 //!
 //! The sequences deliberately recycle priorities freed by removals, so
 //! additions land in the *middle* of the priority order (not just at the
 //! bottom), exercising dirty-bit propagation through both the direct and
 //! indirect interference sets of flows above and below the insertion
-//! point. Interleaved [`IncrementalContext::resize_buffer`] steps retarget random
+//! point. Interleaved [`AnalysisContext::resize_buffer`] steps retarget random
 //! routers at random depths (including depth 1 and back), and candidate
 //! flows carry random burst allowances, so the buffer-aware cache
 //! invalidation and the arrival-curve plumbing are both exercised on the
 //! same sequences.
 //!
 //! Before every step the sequences also run one
-//! [`IncrementalContext::what_if`] scope (an admission, a removal of a
+//! [`AnalysisContext::what_if`] scope (an admission, a removal of a
 //! random id or a router resize, solved inside, the conservative bound
 //! too), drawn from a second
 //! stream so the delta sequences stay as they were: the scope must leave
@@ -51,7 +51,7 @@ impl XorShift {
 }
 
 /// Every analysis kind, incremental vs from-scratch, after one delta.
-fn assert_matches_scratch(ctx: &mut IncrementalContext, label: &str, step: usize) {
+fn assert_matches_scratch(ctx: &mut AnalysisContext<'_>, label: &str, step: usize) {
     let system = ctx.system().clone();
     let scratch = AnalysisContext::new(&system).expect("mutated system stays analysable");
     for kind in AnalysisKind::ALL {
@@ -97,7 +97,7 @@ fn random_candidate(
         .build()
 }
 
-/// Everything a [`IncrementalContext::what_if`] scope must put back.
+/// Everything a [`AnalysisContext::what_if`] scope must put back.
 #[derive(Debug, PartialEq)]
 struct Snapshot {
     graph: InterferenceGraph,
@@ -108,7 +108,7 @@ struct Snapshot {
 }
 
 impl Snapshot {
-    fn of(ctx: &IncrementalContext) -> Snapshot {
+    fn of(ctx: &AnalysisContext<'_>) -> Snapshot {
         let system = ctx.system();
         Snapshot {
             graph: ctx.graph().clone(),
@@ -130,7 +130,7 @@ impl Snapshot {
 /// from-scratch solve of the what-if system. The scope must restore the
 /// pre-scope state exactly.
 fn what_if_step(
-    ctx: &mut IncrementalContext,
+    ctx: &mut AnalysisContext<'_>,
     rng: &mut XorShift,
     routing: &dyn RoutingAlgorithm,
     cross_pairs: bool,
@@ -190,7 +190,7 @@ fn exercise(
     let mut freed_priorities: Vec<Priority> = Vec::new();
     let mut rng = XorShift(seed | 1);
     let mut what_if_rng = XorShift(seed.rotate_left(32) | 1);
-    let mut ctx = IncrementalContext::new(system).expect("fixture is analysable");
+    let mut ctx = AnalysisContext::owned(system).expect("fixture is analysable");
 
     for step in 0..steps {
         let fresh = Priority::new(next_priority);
@@ -247,7 +247,7 @@ fn convergence_cap_failure_recovers_to_scratch_equivalence() {
     let flows = FlowSet::new(vec![victim]).expect("single victim flow is valid");
     let system =
         System::new(topology, NocConfig::default(), flows, &XyRouting).expect("3x1 mesh builds");
-    let mut ctx = IncrementalContext::new(system).expect("victim-only system is analysable");
+    let mut ctx = AnalysisContext::owned(system).expect("victim-only system is analysable");
     let clean: Vec<AnalysisReport> = AnalysisKind::ALL
         .iter()
         .map(|&k| ctx.analyze(k).expect("victim-only system converges"))

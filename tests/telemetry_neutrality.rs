@@ -38,7 +38,7 @@ fn run_workload() -> (
         .collect();
 
     // Incremental solves through an admission round-trip.
-    let mut inc = IncrementalContext::new(serve_system.clone()).expect("analysable");
+    let mut inc = AnalysisContext::owned(serve_system.clone()).expect("analysable");
     let before = inc.analyze(AnalysisKind::BufferAware).expect("converges");
     let template = serve_system.flows().flow(FlowId::new(0));
     let candidate = Flow::builder(template.source(), template.dest())
