@@ -327,6 +327,39 @@ mod tests {
     }
 
     #[test]
+    fn analyses_agree_when_every_second_hop_interferer_is_direct() {
+        // A chain into node 3: τ0 (P1) 1→3, τ1 (P2) 2→3, τ2 (P3) 0→3.
+        // S^D_2 = {τ0, τ1} ⊇ S^D_1 = {τ0}, so S^I_2 is empty and no analysis
+        // charges τ1's interference jitter R₁ − C₁ > 0 when bounding τ2;
+        // τ1's period is short enough that the jitter would cost a hit.
+        let mk = |src: u32, p: u32, t: u64| {
+            Flow::builder(NodeId::new(src), NodeId::new(3))
+                .priority(Priority::new(p))
+                .period(Cycles::new(t))
+                .length_flits(32)
+                .build()
+        };
+        let flows = FlowSet::new(vec![mk(1, 1, 1_000), mk(2, 2, 120), mk(0, 3, 1_000)]).unwrap();
+        let sys = System::new(
+            Topology::mesh(4, 1),
+            NocConfig::default(),
+            flows,
+            &XyRouting,
+        )
+        .unwrap();
+        let sb = ShiBurns.analyze(&sys).unwrap();
+        let xlwx = Xlwx.analyze(&sys).unwrap();
+        let ibn = BufferAware.analyze(&sys).unwrap();
+        assert!(sb.is_schedulable());
+        let mid = FlowId::new(1);
+        assert!(sb.response_time(mid) > Some(sys.zero_load_latency(mid)));
+        for id in sys.flows().ids() {
+            assert_eq!(sb.response_time(id), xlwx.response_time(id));
+            assert_eq!(ibn.response_time(id), xlwx.response_time(id));
+        }
+    }
+
+    #[test]
     fn analyses_usable_as_trait_objects() {
         let sys = tiny_system();
         let list = all_analyses();

@@ -109,6 +109,8 @@ pub struct AnalysisContext<'sys> {
     system: Cow<'sys, System>,
     /// Shared by rebased contexts and forks; copied on the first delta.
     graph: Arc<InterferenceGraph>,
+    /// Cᵢ of every flow, stored so the solver's hot path reads it instead
+    /// of recomputing Equation 1 (`System::zero_load_latency`) per read.
     zero_load: Vec<Cycles>,
     /// One solved cache per [`AnalysisKind`], indexed by
     /// `AnalysisKind::index`, then the conservative bound's at
@@ -568,8 +570,9 @@ impl<'sys> AnalysisContext<'sys> {
         &self.system
     }
 
-    /// The precomputed interference graph (§III): direct/indirect sets,
-    /// contention domains, up/down partitions.
+    /// The precomputed interference graph (§III): direct sets and
+    /// contention domains, from which it derives indirect sets and up/down
+    /// partitions.
     pub fn graph(&self) -> &InterferenceGraph {
         &self.graph
     }

@@ -589,7 +589,7 @@ impl<'a> Solver<'a> {
         let pass = match (self.downstream, self.jitter) {
             (DownstreamModel::Ignore, JitterModel::None) => return (0, 0),
             (DownstreamModel::Ignore, JitterModel::InterferenceJitter) => EdgePass {
-                indirect: self.graph.has_indirect_via(i, j),
+                indirect: !self.graph.partition_indirect(i, j).is_empty(),
                 ..EdgePass::default()
             },
             (_, jitter) => {

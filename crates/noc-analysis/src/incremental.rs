@@ -1186,7 +1186,8 @@ mod tests {
             dirty[a.index()] = true;
         }
         for i in system.flows().ids_by_priority() {
-            let sets = graph.direct_set(i).iter().chain(graph.indirect_set(i));
+            let indirect = graph.indirect_set(i);
+            let sets = graph.direct_set(i).iter().chain(&indirect);
             dirty[i.index()] |= sets.into_iter().any(|j| dirty[j.index()]);
         }
         dirty.iter().filter(|&&d| d).count()

@@ -12,36 +12,38 @@
 //!   and the **downstream** set `S^downj_Ii` (τₖ hits τⱼ after it), by
 //!   comparing link order along `routeⱼ`.
 //!
-//! [`InterferenceGraph`] precomputes all of this for a [`System`] and is the
-//! single entry point used by every analysis in `noc-analysis`, which wraps
-//! it in its shared `AnalysisContext` so one construction serves every
-//! analysis and every compatible system variant. The graph is flat: it
-//! hashes nothing, and no query allocates.
+//! [`InterferenceGraph`] precomputes the direct sets and their domains for a
+//! [`System`] and is the single entry point used by every analysis in
+//! `noc-analysis`, which wraps it in its shared `AnalysisContext` so one
+//! construction serves every analysis and every compatible system variant.
+//! The graph is flat: it hashes nothing, it stores only `S^D` and the
+//! domains, and no query on a solver's path allocates.
 //!
 //! * A [`ContentionDomain`] is a `Copy` pair of route spans. Contiguity is
 //!   validated on construction, so the shared links are one run on each
 //!   route; they are read off `routeᵢ` when needed
 //!   ([`ContentionDomain::links`]) and never stored.
 //! * Each flow keeps `S^D_i` sorted from highest priority to lowest, with
-//!   the domain `cd(i,j)` of every member beside it, and `S^I_i` in the same
-//!   order. Priorities are unique, so every contending pair is a direct
-//!   edge of exactly one of its two flows, and a pair lookup is one binary
-//!   search by priority.
-//! * For a direct interferer `j ∈ S^D_i`, `S^I_i ∩ S^D_j` is
-//!   `S^D_j ∖ S^D_i`, a merge of two short lists in that shared order:
-//!   [`InterferenceGraph::partition_indirect`] walks it once, classifying
-//!   each member up- or downstream and naming its edge in `S^D_j`, so
-//!   solvers can memoise per-edge values in a flat slot array and read the
-//!   [`InterferenceGraph::has_indirect_via`] bit off the same pass.
+//!   the domain `cd(i,j)` of every member beside it. Priorities are unique,
+//!   so every contending pair is a direct edge of exactly one of its two
+//!   flows, and a pair lookup is one binary search by priority.
+//! * `S^I_i` is derived from the direct sets, never stored. The analyses
+//!   only read it through a direct interferer `j ∈ S^D_i`, and there
+//!   `S^I_i ∩ S^D_j` is `S^D_j ∖ S^D_i`, a merge of two short lists in their
+//!   shared order: [`InterferenceGraph::partition_indirect`] walks it once,
+//!   classifying each member up- or downstream and naming its edge in
+//!   `S^D_j`, so solvers can memoise per-edge values in a flat slot array.
+//!   [`InterferenceGraph::indirect_set`] collects the whole set, for
+//!   inspection and tests; it allocates.
 //! * A link-overlap table lists the flows crossing each link, in id order,
 //!   with the link's position on their routes. Construction, the deltas and
 //!   [`InterferenceGraph::victims_on_link`] read it, so they scale with real
 //!   contention rather than with n².
 //!
 //! [`InterferenceGraph::add_flow`] and [`InterferenceGraph::remove_flow`]
-//! keep flow ids dense and recompute only the neighbourhood a delta
-//! touches; after any sequence of deltas the graph equals the one built
-//! from scratch for the final system. An addition may insert at any id, so
+//! keep flow ids dense and touch only the direct sets a delta changes;
+//! after any sequence of deltas the graph equals the one built from
+//! scratch for the final system. An addition may insert at any id, so
 //! removing a flow and adding it back at its own id restores the graph
 //! exactly.
 //!
@@ -242,7 +244,9 @@ impl<'g> UpDownPartition<'g> {
         self.iter().filter(move |m| m.side == side).map(|m| m.flow)
     }
 
-    /// `true` if `S^I_i ∩ S^D_j` is empty.
+    /// `true` if `S^I_i ∩ S^D_j` is empty: τⱼ then suffers no interference
+    /// from a member of `S^I_i`, and the analyses charge no interference
+    /// jitter `J^I_j = R_j − C_j` for τⱼ when bounding τᵢ.
     pub fn is_empty(&self) -> bool {
         self.iter().next().is_none()
     }
@@ -317,8 +321,8 @@ impl Iterator for Members<'_> {
 }
 
 /// Reusable scratch space of graph construction and deltas. Every buffer
-/// grows on demand, to the size one route or one indirect set needs, and is
-/// back to its idle state between uses.
+/// grows on demand, to the size one route's walk needs, and is back to its
+/// idle state between uses.
 #[derive(Default)]
 struct Scratch {
     /// The partners met so far and their domains, oriented from the walker.
@@ -327,8 +331,6 @@ struct Scratch {
     /// current one, in id order, each with its place in `found`.
     on_prev: Vec<(FlowId, u32)>,
     on_link: Vec<(FlowId, u32)>,
-    /// Bitset over priority ranks: the indirect set under construction.
-    ranks: Vec<u64>,
 }
 
 /// Position of the flow of priority rank `r` in `set`, sorted from highest
@@ -337,8 +339,9 @@ fn find(set: &[FlowId], rank: &[u32], r: u32) -> Option<usize> {
     set.binary_search_by(|f| rank[f.index()].cmp(&r)).ok()
 }
 
-/// Precomputed interference structure of a [`System`]: contention domains
-/// for every interfering pair plus the direct/indirect sets of every flow.
+/// Precomputed interference structure of a [`System`]: the direct set of
+/// every flow, with the contention domain of each member. Indirect sets are
+/// derived from these on demand.
 ///
 /// # Examples
 ///
@@ -366,7 +369,7 @@ fn find(set: &[FlowId], rank: &[u32], r: u32) -> Option<usize> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceGraph {
     /// Every flow's priority rank, 0 for the highest priority: the order of
-    /// the direct and indirect sets.
+    /// the direct sets.
     rank: Vec<u32>,
     /// The flows by rank, highest priority first.
     order: Vec<FlowId>,
@@ -374,8 +377,6 @@ pub struct InterferenceGraph {
     direct: Vec<Vec<FlowId>>,
     /// `cd(i,j)` for the member `j` at the same position of `direct[i]`.
     domains: Vec<Vec<ContentionDomain>>,
-    /// `S^I_i`, highest priority first.
-    indirect: Vec<Vec<FlowId>>,
     /// Link-overlap table: the flows crossing each link, in id order, with
     /// the link's position on their route.
     crossings: Vec<Vec<(FlowId, u32)>>,
@@ -405,7 +406,6 @@ impl InterferenceGraph {
             order,
             direct: Vec::with_capacity(n),
             domains: Vec::with_capacity(n),
-            indirect: Vec::new(),
             crossings: Vec::new(),
         };
         // Sized first, so each overlap list is allocated once.
@@ -439,9 +439,6 @@ impl InterferenceGraph {
         if let Some((first, second)) = fault {
             return Err(ModelError::NonContiguousContentionDomain { first, second });
         }
-        graph.indirect = (0..n)
-            .map(|a| graph.indirect_of(a, &mut scratch.ranks))
-            .collect();
         Ok(graph)
     }
 
@@ -508,46 +505,14 @@ impl InterferenceGraph {
         broken.map_or(Ok(()), Err)
     }
 
-    /// Computes `S^I_a` from the direct sets: members of `S^D_j` for any
-    /// `j ∈ S^D_a` that are neither τa itself nor already direct. Members
-    /// are marked in a bitset over priority ranks and read back in rank
-    /// order, so the set comes out sorted. Every member outranks τa, so the
-    /// bitset grows to τa's rank at most.
-    fn indirect_of(&self, a: usize, ranks: &mut Vec<u64>) -> Vec<FlowId> {
-        let words = (self.rank[a] as usize).div_ceil(64);
-        if ranks.len() < words {
-            ranks.resize(words, 0);
-        }
-        let direct = &self.direct[a];
-        for &j in direct {
-            for &k in &self.direct[j.index()] {
-                let r = self.rank[k.index()] as usize;
-                ranks[r / 64] |= 1 << (r % 64);
-            }
-        }
-        // τa itself is never marked: its direct interferers outrank it.
-        for &j in direct {
-            let r = self.rank[j.index()] as usize;
-            ranks[r / 64] &= !(1 << (r % 64));
-        }
-        let mut set = Vec::new();
-        for (w, word) in ranks[..words].iter_mut().enumerate() {
-            while *word != 0 {
-                set.push(self.order[w * 64 + word.trailing_zeros() as usize]);
-                *word &= *word - 1;
-            }
-        }
-        set
-    }
-
     /// Adds `step` (wrapping, so `u32::MAX` subtracts one) to every flow
-    /// id the graph stores at or above `from`. The sets are in rank
+    /// id the graph stores at or above `from`. The direct sets are in rank
     /// order, so every id is compared; the add is branch-free.
     fn renumber(&mut self, from: FlowId, step: u32) {
         let shift = |f: &mut FlowId| {
             *f = FlowId::new(f.raw().wrapping_add(step * u32::from(*f >= from)));
         };
-        for set in self.direct.iter_mut().chain(&mut self.indirect) {
+        for set in &mut self.direct {
             set.iter_mut().for_each(shift);
         }
         self.order.iter_mut().for_each(shift);
@@ -559,8 +524,8 @@ impl InterferenceGraph {
     }
 
     /// Inserts the (already routed) flow `id` of `system` into the graph,
-    /// renumbering every flow at `id` or above one up, and recomputes only
-    /// the neighbourhood the new flow touches: the exact inverse of
+    /// renumbering every flow at `id` or above one up, and touches only the
+    /// direct sets the new flow joins: the exact inverse of
     /// [`InterferenceGraph::remove_flow`].
     ///
     /// `system` must be the *post-insertion* system, e.g. the one
@@ -638,7 +603,6 @@ impl InterferenceGraph {
         // the rank order the walk left them in.
         self.direct.insert(id.index(), Vec::new());
         self.domains.insert(id.index(), Vec::new());
-        self.indirect.insert(id.index(), Vec::new());
         let mut gained: Vec<FlowId> = Vec::new();
         for &(g, cd) in &scratch.found {
             let g = up(g);
@@ -654,9 +618,10 @@ impl InterferenceGraph {
             }
         }
         // A flow's indirect set depends on its own direct set and on the
-        // direct sets of its direct interferers: recompute it for the new
-        // flow, for the flows that gained it, and for their victims — their
-        // lower-priority contenders, read off the overlap table.
+        // direct sets of its direct interferers, so the sets that may change
+        // are the new flow's, those of the flows that gained it, and those
+        // of their victims — their lower-priority contenders, read off the
+        // overlap table.
         let mut affected = vec![id];
         for &g in &gained {
             affected.push(g);
@@ -668,21 +633,18 @@ impl InterferenceGraph {
         }
         affected.sort_unstable();
         affected.dedup();
-        for &a in &affected {
-            self.indirect[a.index()] = self.indirect_of(a.index(), &mut scratch.ranks);
-        }
         Ok(affected)
     }
 
     /// Removes flow `id` from the graph, renumbering every larger id one
-    /// down (flow ids are dense indices) and recomputing indirect sets only
-    /// where the removed flow participated.
+    /// down (flow ids are dense indices) and dropping it from the direct
+    /// sets that held it.
     ///
     /// `system` must be the *post-removal* system, e.g. the one returned by
-    /// [`System::without_flow`]. The flows that lose the removed one are
-    /// found through the overlap table, so apart from one binary search
-    /// per link the work is proportional to them, plus, when `id` is not
-    /// the last id, one renumbering pass.
+    /// [`System::without_flow`]. The flows that lose the removed one, and
+    /// their victims, are found through the overlap table, so apart from
+    /// one binary search per link the work is proportional to them, plus,
+    /// when `id` is not the last id, one renumbering pass.
     ///
     /// Returns every remaining flow — under its **new** id, in ascending
     /// order — whose direct or indirect interference set changed.
@@ -720,25 +682,15 @@ impl InterferenceGraph {
         }
         losers.sort_unstable();
         losers.dedup();
-        // Their victims may hold it as an indirect interferer; losing one
-        // only drops it. Losing a direct interferer can reshape the whole
-        // indirect set (its own direct set stops being unioned in), so the
-        // losers' indirect sets are recomputed below.
-        let mut victims: Vec<FlowId> = Vec::new();
+        // Their victims reach the removed flow through a loser, so it was in
+        // each victim's S^D (the victim is a loser too) or in its S^I:
+        // either way the victim's sets change.
+        let mut affected = losers.clone();
         for &j in &losers {
             let r_j = self.rank[j.index()];
             for link in system.route(down(j)).iter() {
                 let on_link = self.crossings[link.index()].iter().map(|&(a, _)| a);
-                victims.extend(on_link.filter(|a| self.rank[a.index()] > r_j));
-            }
-        }
-        victims.sort_unstable();
-        victims.dedup();
-        let mut affected = losers.clone();
-        for a in victims {
-            if let Some(at) = find(&self.indirect[a.index()], &self.rank, r_gone) {
-                self.indirect[a.index()].remove(at);
-                affected.push(a);
+                affected.extend(on_link.filter(|a| self.rank[a.index()] > r_j));
             }
         }
         for &a in &losers {
@@ -755,14 +707,8 @@ impl InterferenceGraph {
         self.order.remove(r_gone as usize);
         self.direct.remove(id.index());
         self.domains.remove(id.index());
-        self.indirect.remove(id.index());
         if id.index() + 1 < n_old {
             self.renumber(id, u32::MAX);
-        }
-        let mut ranks = Vec::new();
-        for &a in &losers {
-            let a = down(a);
-            self.indirect[a.index()] = self.indirect_of(a.index(), &mut ranks);
         }
         affected.sort_unstable();
         affected.dedup();
@@ -818,25 +764,26 @@ impl InterferenceGraph {
     }
 
     /// The indirect interference set `S^I_i`, sorted from highest priority
-    /// to lowest.
+    /// to lowest: the members of `S^D_j` for any `j ∈ S^D_i` that are not
+    /// in `S^D_i` (τᵢ, outranked by all of them, is in none).
+    ///
+    /// Derived on each call, so it allocates; the analyses read `S^I_i`
+    /// only through [`InterferenceGraph::partition_indirect`].
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn indirect_set(&self, i: FlowId) -> &[FlowId] {
-        &self.indirect[i.index()]
-    }
-
-    /// `true` if τⱼ suffers interference from a member of `S^I_i` — the
-    /// condition under which the analyses charge τⱼ's interference jitter
-    /// `J^I_j = R_j − C_j` when bounding τᵢ. For `j ∈ S^D_i` this is
-    /// `!partition_indirect(i, j).is_empty()`, which the solvers read off
-    /// their one pass over the edge.
-    pub fn has_indirect_via(&self, i: FlowId, j: FlowId) -> bool {
-        let indirect = &self.indirect[i.index()];
-        self.direct[j.index()]
+    pub fn indirect_set(&self, i: FlowId) -> Vec<FlowId> {
+        let direct = &self.direct[i.index()];
+        let mut set: Vec<FlowId> = direct
             .iter()
-            .any(|k| find(indirect, &self.rank, self.rank[k.index()]).is_some())
+            .flat_map(|j| &self.direct[j.index()])
+            .copied()
+            .filter(|k| find(direct, &self.rank, self.rank[k.index()]).is_none())
+            .collect();
+        set.sort_unstable_by_key(|k| self.rank[k.index()]);
+        set.dedup();
+        set
     }
 
     /// Partitions `S^I_i ∩ S^D_j` into the upstream set `S^upj_Ii` and the
@@ -881,8 +828,8 @@ impl InterferenceGraph {
             .filter(move |&f| Some(f) != top)
     }
 
-    /// Flow ids from highest priority to lowest: the order the direct and
-    /// indirect sets are sorted in, and the order a fixed-point solve
+    /// Flow ids from highest priority to lowest: the order the interference
+    /// sets are sorted in, and the order a fixed-point solve
     /// settles flows in.
     pub fn priority_order(&self) -> &[FlowId] {
         &self.order
@@ -1107,7 +1054,7 @@ mod tests {
         let (t1, t2, t3) = (FlowId::new(0), FlowId::new(1), FlowId::new(2));
         // τ3 is directly interfered with by τ2 only; τ1 is indirect.
         assert_eq!(g.direct_set(t3), &[t2]);
-        assert_eq!(g.indirect_set(t3), &[t1]);
+        assert_eq!(g.indirect_set(t3), [t1]);
         // τ2 is directly interfered with by τ1.
         assert_eq!(g.direct_set(t2), &[t1]);
         assert!(g.indirect_set(t2).is_empty());
@@ -1118,8 +1065,8 @@ mod tests {
         assert_eq!(part.downstream().collect::<Vec<_>>(), vec![t1]);
         assert!(part.upstream().next().is_none());
         // τ2 suffers indirect-relevant interference relative to τ3:
-        assert!(g.has_indirect_via(t3, t2));
-        assert!(!g.has_indirect_via(t2, t1));
+        assert!(!g.partition_indirect(t3, t2).is_empty());
+        assert!(g.partition_indirect(t2, t1).is_empty());
     }
 
     #[test]
@@ -1144,7 +1091,7 @@ mod tests {
         let g = InterferenceGraph::new(&sys).unwrap();
         let (low, mid, hi) = (FlowId::new(0), FlowId::new(1), FlowId::new(2));
         assert_eq!(g.direct_set(low), &[mid]);
-        assert_eq!(g.indirect_set(low), &[hi]);
+        assert_eq!(g.indirect_set(low), [hi]);
         let part = g.partition_indirect(low, mid);
         assert_eq!(part.upstream().collect::<Vec<_>>(), vec![hi]);
         assert!(part.downstream().next().is_none());

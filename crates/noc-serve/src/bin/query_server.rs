@@ -26,7 +26,8 @@
 //!
 //! * `fixture` — `didactic` (default), `8x8`, or `16x16`
 //! * `n_queries` — number of queries in the batch (default 64)
-//! * `threads` — worker threads (default: available parallelism, ≤ 16)
+//! * `threads` — worker threads, at least 1 (default: available
+//!   parallelism, ≤ 16)
 
 use std::env;
 use std::error::Error;
@@ -87,6 +88,9 @@ fn run() -> Result<(), Box<dyn Error>> {
         Some(s) => s.parse()?,
         None => default_threads(),
     };
+    if threads == 0 {
+        return Err("threads must be at least 1".into());
+    }
     let options = ServeOptions::try_from_env()?;
     if options.faults.is_some() {
         quiet_injected_panics();
@@ -196,15 +200,15 @@ fn write_metrics_dump(
 /// One-line JSON error record, so downstream tooling parsing stdout never
 /// sees a half-written throughput record or a bare panic trace.
 fn emit_error_record(e: &dyn Error) {
-    let detail: String = e
-        .to_string()
-        .chars()
-        .map(|c| match c {
-            '"' => '\'',
-            '\n' | '\r' => ' ',
-            c => c,
-        })
-        .collect();
+    let mut detail = String::new();
+    for c in e.to_string().chars() {
+        match c {
+            '"' => detail.push_str("\\\""),
+            '\\' => detail.push_str("\\\\"),
+            c if c < ' ' => detail.push_str(&format!("\\u{:04x}", c as u32)),
+            c => detail.push(c),
+        }
+    }
     println!("{{\"schema\": \"noc-serve/error/v1\", \"error\": \"{detail}\"}}");
 }
 

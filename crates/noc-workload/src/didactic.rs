@@ -321,7 +321,7 @@ mod tests {
         let f = DidacticFlows::ids();
         let g = InterferenceGraph::new(&sys).unwrap();
         assert_eq!(g.direct_set(f.tau3), &[f.tau2]);
-        assert_eq!(g.indirect_set(f.tau3), &[f.tau1]);
+        assert_eq!(g.indirect_set(f.tau3), [f.tau1]);
         assert_eq!(g.contention_len(f.tau3, f.tau2), 3);
         let part = g.partition_indirect(f.tau3, f.tau2);
         assert_eq!(part.downstream().collect::<Vec<_>>(), vec![f.tau1]);
@@ -343,7 +343,7 @@ mod tests {
         let g = InterferenceGraph::new(&sys).unwrap();
         // τi is directly interfered with by τj only; τk is indirect.
         assert_eq!(g.direct_set(f.tau_i), &[f.tau_j]);
-        assert_eq!(g.indirect_set(f.tau_i), &[f.tau_k]);
+        assert_eq!(g.indirect_set(f.tau_i), [f.tau_k]);
         assert!(!g.contend(f.tau_i, f.tau_k));
         // τk hits τj downstream of cd(i,j): the MPB trigger of Figure 2.
         let part = g.partition_indirect(f.tau_i, f.tau_j);
