@@ -1,26 +1,25 @@
-//! Shared fixtures for the criterion benchmark harness.
+//! The `bench_json` ledger: the fixtures behind `BENCH_sim.json` and the
+//! one timing loop that times them.
 //!
-//! Each bench target regenerates one of the paper's tables/figures at
-//! reduced scale (printed once, before timing) and then measures the
-//! runtime of the underlying computation. Scale the printed series up to
-//! the paper's full parameters with the experiment binaries in
-//! `noc-experiments` (`cargo run --release -p noc-experiments --bin …`).
+//! The experiment binaries in `noc-experiments` print the paper's tables
+//! and figures at any scale; this crate only times the kernels the ledger
+//! records, with min/median/max per fixture.
 //!
-//! # Bench-target map (code ↔ paper)
+//! # Ledger map (code ↔ paper)
 //!
-//! | Target | Measures |
+//! | Group | Measures |
 //! |---|---|
-//! | `table2` | the §V didactic experiment (Tables I–II) |
-//! | `fig4`, `fig5`, `buffer_sweep` | the §VI sweeps behind Figures 4–5 and the buffer-depth remark |
-//! | `analysis_scaling` | SB/XLWX/IBN runtime vs flow count (Eq. 5 fixed point) |
-//! | `breakdown_scaling` | the breakdown-factor binary search |
 //! | `sim_throughput` | cycle-accurate simulator throughput (Figure 1 router) |
-//! | `ablation_analyses`, `ablation_priorities` | analysis/priority-policy ablations |
+//! | `table2` | the critical-instant sweep behind Table II's `R^sim` columns |
+//! | `batch_sweep` | that sweep through [`BatchSimulator`](noc_sim::prelude::BatchSimulator)'s shared layout against one `Simulator` per plan |
 //! | `hetero_analysis` | buffer-aware analysis and per-router what-if serving over the [`heterogeneous_system`] fixture (per-router depths, bursty release) |
+//!
+//! [`suites`] holds the groups, [`sampler`] the timing loop.
 
 use noc_model::prelude::*;
 use noc_workload::synthetic::SyntheticSpec;
 
+pub mod sampler;
 pub mod suites;
 
 /// A deterministic synthetic system for performance measurements.

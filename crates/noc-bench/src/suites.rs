@@ -1,26 +1,35 @@
-//! Reusable benchmark bodies shared by the `cargo bench` targets and the
-//! `bench_json` bench-to-JSON binary.
+//! The four groups of the `bench_json` ledger, timed by a [`Sampler`].
 //!
-//! The perf-trajectory policy of this repo is that speed claims must come
-//! with numbers: the same closures that `cargo bench` times are run here
-//! under a [`criterion::Criterion`] carrying a measurement sink (the shim's
-//! machine-readable hook), so `BENCH_sim.json` and the console benches can
-//! never drift apart.
+//! Each group returns one [`Row`] per fixture: its label, the cycles it
+//! simulates per iteration and the sampled [`Stats`]. The label and the
+//! cycles are set together, next to the body that is timed, so a row can
+//! never carry another fixture's cycles.
 
-use criterion::{BenchmarkId, Criterion};
 use noc_analysis::prelude::*;
 use noc_experiments::table2::{self, SweepMode};
 use noc_model::prelude::*;
 use noc_sim::prelude::*;
 use noc_workload::didactic;
-use std::hint::black_box;
 
+use crate::sampler::{Sampler, Stats};
 use crate::{dense_sim_system, production_system};
+
+/// One timed fixture of the ledger.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Fixture label as it appears in `BENCH_sim.json` (`group/fixture`).
+    pub label: String,
+    /// Cycles simulated per iteration; 0 for the analysis-side
+    /// `hetero_analysis` group.
+    pub cycles: u64,
+    /// The sampled timings.
+    pub stats: Stats,
+}
 
 /// One simulator-throughput fixture: a system plus the horizon to simulate.
 #[derive(Debug)]
 pub struct SimFixture {
-    /// Fixture label as it appears in bench output and `BENCH_sim.json`.
+    /// Fixture label within the `sim_throughput` group.
     pub name: String,
     /// The system to simulate.
     pub system: System,
@@ -58,87 +67,99 @@ pub fn sim_fixtures(production: bool) -> Vec<SimFixture> {
     fixtures
 }
 
-/// Bench group `sim_throughput`: one synchronous-release run per fixture.
-pub fn bench_sim_throughput(c: &mut Criterion, fixtures: &[SimFixture]) {
-    let mut group = c.benchmark_group("sim_throughput");
-    for fixture in fixtures {
-        group.throughput(criterion::Throughput::Elements(fixture.cycles));
-        group.bench_function(fixture.name.as_str(), |b| {
-            b.iter(|| {
+/// Every group of the ledger, in `BENCH_sim.json` order; `production`
+/// adds the 16×16 fixtures.
+pub fn ledger(sampler: &Sampler, production: bool) -> Vec<Row> {
+    let mut rows = sim_throughput(sampler, &sim_fixtures(production));
+    rows.push(table2_sweep(sampler));
+    rows.extend(batch_sweep(sampler));
+    let (label, system) = hetero_fixture(production);
+    rows.extend(hetero_analysis(sampler, label, &system));
+    rows
+}
+
+/// Group `sim_throughput`: one synchronous-release run per fixture.
+pub fn sim_throughput(sampler: &Sampler, fixtures: &[SimFixture]) -> Vec<Row> {
+    fixtures
+        .iter()
+        .map(|fixture| Row {
+            label: format!("sim_throughput/{}", fixture.name),
+            cycles: fixture.cycles,
+            stats: sampler.run(|| {
                 let mut sim =
                     Simulator::new(&fixture.system, ReleasePlan::synchronous(&fixture.system));
                 sim.run_until(Cycles::new(fixture.cycles));
-                black_box(sim.now())
-            })
-        });
-    }
-    group.finish();
+                sim.now()
+            }),
+        })
+        .collect()
 }
 
-/// Label of the Table II sweep fixture in bench output and JSON.
-pub const TABLE2_SWEEP_LABEL: &str = "table2/critical-sweep-b2b10";
-
-/// Total cycles simulated by one [`bench_table2_sweep`] iteration (both
-/// buffer depths, all critical-instant candidates, 18k cycles each).
-pub fn table2_sweep_cycles() -> u64 {
+/// Cycles one buffer depth of the Table II sweep simulates: every
+/// critical-instant candidate of τ1, 18k cycles each.
+fn critical_sweep_cycles() -> u64 {
     let sys = didactic::system(2);
-    let f = noc_workload::didactic::DidacticFlows::ids();
+    let f = didactic::DidacticFlows::ids();
     let period = sys.flow(f.tau1).period();
-    let sims = critical_offset_candidates(&sys, f.tau1, period).len() as u64;
-    2 * sims * 18_000
+    critical_offset_candidates(&sys, f.tau1, period).len() as u64 * 18_000
 }
 
-/// Bench group `table2`: the didactic experiment's simulation columns — the
+/// Group `table2`: the didactic experiment's simulation columns — the
 /// pruned critical-instant offset sweep at both buffer depths (the kernel
 /// behind `R^sim(b=10)` / `R^sim(b=2)` of Table II).
-pub fn bench_table2_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2");
-    group.bench_function("critical-sweep-b2b10", |b| {
-        b.iter(|| {
+pub fn table2_sweep(sampler: &Sampler) -> Row {
+    Row {
+        label: "table2/critical-sweep-b2b10".to_string(),
+        cycles: 2 * critical_sweep_cycles(),
+        stats: sampler.run(|| {
             let b10 = table2::simulate_worst(10, SweepMode::Critical);
             let b2 = table2::simulate_worst(2, SweepMode::Critical);
-            black_box((b10.worst, b2.worst))
-        })
-    });
-    group.finish();
+            (b10.worst, b2.worst)
+        }),
+    }
 }
 
-/// Bench group `batch_sweep`: the shared-layout batch simulation path
-/// ([`BatchSimulator`]) against per-plan `Simulator` construction, on the
-/// didactic critical-instant sweep.
-pub fn bench_batch_sweep(c: &mut Criterion) {
+/// Group `batch_sweep`: the shared-layout batch simulation path
+/// ([`BatchSimulator`]) against per-plan `Simulator` construction, on one
+/// buffer depth of the didactic critical-instant sweep.
+pub fn batch_sweep(sampler: &Sampler) -> Vec<Row> {
     let sys = didactic::system(2);
-    let f = noc_workload::didactic::DidacticFlows::ids();
+    let f = didactic::DidacticFlows::ids();
     let period = sys.flow(f.tau1).period();
     let horizon = Cycles::new(18_000);
-    let mut group = c.benchmark_group("batch_sweep");
-    group.bench_function("didactic/per-plan-simulators", |b| {
-        b.iter(|| {
-            let mut worst = Cycles::ZERO;
-            for plan in critical_offset_sweep(&sys, f.tau1, period) {
-                let mut sim = Simulator::new(&sys, plan);
-                sim.run_until(horizon);
-                if let Some(w) = sim.flow_stats(f.tau3).worst_latency() {
-                    worst = worst.max(w);
+    let cycles = critical_sweep_cycles();
+    vec![
+        Row {
+            label: "batch_sweep/didactic/per-plan-simulators".to_string(),
+            cycles,
+            stats: sampler.run(|| {
+                let mut worst = Cycles::ZERO;
+                for plan in critical_offset_sweep(&sys, f.tau1, period) {
+                    let mut sim = Simulator::new(&sys, plan);
+                    sim.run_until(horizon);
+                    if let Some(w) = sim.flow_stats(f.tau3).worst_latency() {
+                        worst = worst.max(w);
+                    }
                 }
-            }
-            black_box(worst)
-        })
-    });
-    group.bench_function("didactic/batch-shared-layout", |b| {
-        b.iter(|| {
-            let mut batch = BatchSimulator::new(&sys);
-            let mut worst = Cycles::ZERO;
-            for plan in critical_offset_sweep(&sys, f.tau1, period) {
-                let stats = batch.run(&plan, horizon);
-                if let Some(w) = stats[f.tau3.index()].worst_latency() {
-                    worst = worst.max(w);
+                worst
+            }),
+        },
+        Row {
+            label: "batch_sweep/didactic/batch-shared-layout".to_string(),
+            cycles,
+            stats: sampler.run(|| {
+                let mut batch = BatchSimulator::new(&sys);
+                let mut worst = Cycles::ZERO;
+                for plan in critical_offset_sweep(&sys, f.tau1, period) {
+                    let stats = batch.run(&plan, horizon);
+                    if let Some(w) = stats[f.tau3.index()].worst_latency() {
+                        worst = worst.max(w);
+                    }
                 }
-            }
-            black_box(worst)
-        })
-    });
-    group.finish();
+                worst
+            }),
+        },
+    ]
 }
 
 /// Fixture of the `hetero_analysis` group: `(label, system)`.
@@ -160,16 +181,14 @@ pub fn hetero_fixture(production: bool) -> (&'static str, System) {
     }
 }
 
-/// Bench group `hetero_analysis`: the buffer-aware analysis over a
+/// Group `hetero_analysis`: the buffer-aware analysis over a
 /// heterogeneous-depth bursty workload — the slow (per-router) path of
 /// Equation 6 — plus a batch of per-router buffer what-if queries served
 /// through the incremental resize path.
-pub fn bench_hetero_analysis(c: &mut Criterion, label: &str, system: &System) {
-    let mut group = c.benchmark_group("hetero_analysis");
-    group.bench_with_input(BenchmarkId::new("buffer-aware", label), system, |b, sys| {
-        let ctx = AnalysisContext::new(sys).unwrap();
-        b.iter(|| black_box(BufferAware.analyze_with(&ctx).unwrap()))
-    });
+pub fn hetero_analysis(sampler: &Sampler, label: &str, system: &System) -> Vec<Row> {
+    // Two contexts, so that the analysis' solves do not warm the base the
+    // what-if batch is served from.
+    let ctx = AnalysisContext::new(system).expect("bench fixture is analysable");
     let base = AnalysisContext::new(system).expect("bench fixture is analysable");
     let routers = system.topology().router_count();
     let batch = noc_serve::QueryBatch {
@@ -181,10 +200,74 @@ pub fn bench_hetero_analysis(c: &mut Criterion, label: &str, system: &System) {
             })
             .collect(),
     };
-    group.bench_with_input(
-        BenchmarkId::new("router-what-if-batch", label),
-        system,
-        |b, _| b.iter(|| black_box(noc_serve::run_batch(&base, &batch, &XyRouting, 2))),
-    );
-    group.finish();
+    vec![
+        Row {
+            label: format!("hetero_analysis/buffer-aware/{label}"),
+            cycles: 0,
+            stats: sampler.run(|| BufferAware.analyze_with(&ctx).unwrap()),
+        },
+        Row {
+            label: format!("hetero_analysis/router-what-if-batch/{label}"),
+            cycles: 0,
+            stats: sampler.run(|| noc_serve::run_batch(&base, &batch, &XyRouting, 2)),
+        },
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// The fast ledger keeps its labels, and every simulator-side row
+    /// carries the non-zero cycles of its own fixture.
+    #[test]
+    fn fast_ledger_rows_carry_their_own_fixture_cycles() {
+        let sampler = Sampler {
+            samples: 1,
+            budget: Duration::ZERO,
+        };
+        let rows = ledger(&sampler, false);
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "sim_throughput/didactic-6r/10000-cycles",
+                "sim_throughput/dense-4x4/10000-cycles",
+                "table2/critical-sweep-b2b10",
+                "batch_sweep/didactic/per-plan-simulators",
+                "batch_sweep/didactic/batch-shared-layout",
+                "hetero_analysis/buffer-aware/8x8_260_hetero",
+                "hetero_analysis/router-what-if-batch/8x8_260_hetero",
+            ]
+        );
+
+        // One buffer depth of the sweep, counted plan by plan.
+        let sys = didactic::system(2);
+        let f = didactic::DidacticFlows::ids();
+        let plans = critical_offset_sweep(&sys, f.tau1, sys.flow(f.tau1).period()).len() as u64;
+        let sweep = plans * 18_000;
+        for row in &rows {
+            let expected = match row.label.split('/').next().unwrap() {
+                // The horizon the label names.
+                "sim_throughput" => row
+                    .label
+                    .strip_suffix("-cycles")
+                    .and_then(|l| l.rsplit('/').next())
+                    .unwrap()
+                    .parse()
+                    .unwrap(),
+                "table2" => 2 * sweep,
+                "batch_sweep" => sweep,
+                _ => 0,
+            };
+            assert_eq!(row.cycles, expected, "{}", row.label);
+            assert_eq!(
+                row.cycles > 0,
+                !row.label.starts_with("hetero_analysis/"),
+                "{}",
+                row.label
+            );
+        }
+    }
 }

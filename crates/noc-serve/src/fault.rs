@@ -111,10 +111,20 @@ impl FaultPlan {
             .map_err(|e| format!("invalid NOC_FAULT_SEED {seed:?}: {e}"))?;
         let rate = match rate {
             None => 0.1,
-            Some(s) => s
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| format!("invalid NOC_FAULT_RATE {s:?}: {e}"))?,
+            Some(s) => {
+                let rate = s
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|e| format!("invalid NOC_FAULT_RATE {s:?}: {e}"))?;
+                // `parse` accepts "nan" and "inf"; a NaN rate would map to a
+                // zero threshold and silently turn injection off.
+                if !(0.0..=1.0).contains(&rate) {
+                    return Err(format!(
+                        "invalid NOC_FAULT_RATE {s:?}: must be within 0.0..=1.0"
+                    ));
+                }
+                rate
+            }
         };
         Ok(Some(FaultPlan::new(seed, rate)))
     }
@@ -265,6 +275,17 @@ mod tests {
             .contains("NOC_FAULT_RATE"));
         // A malformed rate never silently falls back on the strict path.
         assert!(FaultPlan::plan_from(Some("42"), Some("")).is_err());
+        // Parsable but out of range: NaN would zero the threshold, and 1.5
+        // would be clamped without a word.
+        for rate in ["nan", "NaN", "1.5", "-0.1", "inf"] {
+            assert!(FaultPlan::plan_from(Some("42"), Some(rate))
+                .unwrap_err()
+                .contains("NOC_FAULT_RATE"));
+        }
+        assert_eq!(
+            FaultPlan::plan_from(Some("42"), Some("1")),
+            Ok(Some(FaultPlan::new(42, 1.0)))
+        );
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! `query_server` turns bad arguments into one valid JSON error record on
-//! stdout and exit code 1: no panic, no backtrace, no broken escape.
+//! `query_server` turns bad arguments and malformed environment variables
+//! into one valid JSON error record on stdout and exit code 1: no panic, no
+//! backtrace, no broken escape.
 
 use std::process::Command;
 
-/// Runs `query_server` with `args` and returns its exit code and the
-/// stdout lines carrying an error record.
-fn run(args: &[&str]) -> (Option<i32>, Vec<String>) {
+/// Runs `query_server` with `args` and the environment variables `vars`,
+/// and returns its exit code and the stdout lines carrying an error record.
+fn run(args: &[&str], vars: &[(&str, &str)]) -> (Option<i32>, Vec<String>) {
     let out = Command::new(env!("CARGO_BIN_EXE_query_server"))
         .args(args)
         .env_remove("NOC_TELEMETRY")
+        .env_remove("NOC_FAULT_SEED")
+        .env_remove("NOC_FAULT_RATE")
+        .envs(vars.iter().copied())
         .output()
         .expect("query_server starts");
     let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
@@ -52,8 +56,8 @@ fn json_string(s: &str) -> Option<(String, &str)> {
 
 /// Asserts one error record, exit code 1, and returns the decoded
 /// `error` field of the record.
-fn error_detail(args: &[&str]) -> String {
-    let (code, records) = run(args);
+fn error_detail(args: &[&str], vars: &[(&str, &str)]) -> String {
+    let (code, records) = run(args, vars);
     assert_eq!(code, Some(1), "{args:?}: exit code");
     assert_eq!(records.len(), 1, "{args:?}: error records {records:?}");
     let line = &records[0];
@@ -68,12 +72,21 @@ fn error_detail(args: &[&str]) -> String {
 
 #[test]
 fn zero_threads_is_an_error_record() {
-    let detail = error_detail(&["didactic", "8", "0"]);
+    let detail = error_detail(&["didactic", "8", "0"], &[]);
     assert!(detail.contains("threads"), "{detail}");
 }
 
 #[test]
 fn quotes_and_backslashes_are_escaped() {
-    let detail = error_detail(&[r#"x"y"#]);
+    let detail = error_detail(&[r#"x"y"#], &[]);
     assert!(detail.contains(r#""x\"y""#), "{detail}");
+}
+
+#[test]
+fn nan_fault_rate_is_an_error_record() {
+    let detail = error_detail(
+        &["didactic", "8", "1"],
+        &[("NOC_FAULT_SEED", "1"), ("NOC_FAULT_RATE", "nan")],
+    );
+    assert!(detail.contains("NOC_FAULT_RATE"), "{detail}");
 }
