@@ -70,9 +70,8 @@
 //! # Cached evaluation
 //!
 //! The bound runs through the solver's cached loop, the one incremental
-//! solves use, with every `Rⱼ` fixed at `Dⱼ`, so it costs O(what a delta
-//! changes), not O(n). τᵢ's evaluation
-//! reads exactly:
+//! solves use, with every `Rⱼ` fixed at `Dⱼ`, so over a kept cache it
+//! costs O(what a delta changes), not O(n). τᵢ's evaluation reads exactly:
 //!
 //! * its own structure — `Cᵢ`, σᵢ, `Dᵢ`, `S^D_i`, the partitions of
 //!   `S^I_i ∩ S^D_j` — which every flow addition or removal marks where it
@@ -84,17 +83,18 @@
 //! cached solve's read-set proof holds verbatim with `Rⱼ ≡ Dⱼ`: τᵢ is
 //! re-evaluated iff a delta marked it or some τⱼ ∈ `S^D_i` changed its
 //! slots or its verdict in this pass, and every other flow keeps its
-//! cached bound. Consequences:
+//! cached bound.
 //!
-//! * an [`AnalysisContext`] keeps the bound once computed
-//!   ([`AnalysisContext::warm_conservative`]) in its cache table: flow
-//!   additions and removals mark it, buffer resizes do not, and
-//!   [`AnalysisContext::conservative_report`] brings it up to date;
-//! * forks share it, and a context [rebased](AnalysisContext::rebase)
-//!   onto a buffer-only change (same flows, same zero-load latencies)
-//!   shares it, so [`conservative_with`] over either is a lookup. A
-//!   lookup never serves a cache that a delta has marked since its last
-//!   evaluation: it re-evaluates a private copy.
+//! The bound follows the analyses' rule for kept state: [`conservative_with`]
+//! is a pure from-scratch evaluation, like
+//! [`AnalysisKind::analyze_with_budget`](crate::analysis::AnalysisKind::analyze_with_budget),
+//! and only [`AnalysisContext::warm_conservative`] and
+//! [`AnalysisContext::conservative_report`] touch the cache an
+//! [`AnalysisContext`] keeps for it. Flow additions and removals mark that
+//! cache, buffer resizes do not, and forks share it: a warm fork's report,
+//! or one after a resize, reads it back without a copy.
+
+use std::sync::Arc;
 
 use crate::budget::Budget;
 use crate::context::AnalysisContext;
@@ -109,18 +109,18 @@ pub const CONSERVATIVE_NAME: &str = "Conservative";
 ///
 /// One evaluation of the recurrence per flow and total: no fixed-point
 /// iteration, no failure mode. See the [module docs](self) for the bound
-/// and its soundness argument. The context keeps the result
-/// ([`AnalysisContext::warm_conservative`]), so a second report over it,
-/// or over a context rebased onto a buffer-only change, is a lookup.
+/// and its soundness argument. Evaluated from scratch: neither read nor
+/// kept by `ctx` ([`AnalysisContext::conservative_report`] is the cached
+/// form).
 pub fn conservative_with(ctx: &AnalysisContext<'_>) -> AnalysisReport {
     metrics::CONSERVATIVE_SOLVES.incr();
-    ctx.conservative_lookup()
+    evaluate(ctx, &mut Arc::new(SolveCache::all_dirty(ctx.len())))
 }
 
 /// Brings `cache` up to date with the conservative bound over `ctx`,
 /// re-evaluating only the flows the cached read set says changed, and
 /// returns the report.
-pub(crate) fn evaluate(ctx: &AnalysisContext<'_>, cache: &mut SolveCache) -> AnalysisReport {
+pub(crate) fn evaluate(ctx: &AnalysisContext<'_>, cache: &mut Arc<SolveCache>) -> AnalysisReport {
     // Never exceeded: the evaluation has no loop to abort.
     let budget = Budget::unlimited();
     let spec = (

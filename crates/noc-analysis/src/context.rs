@@ -32,11 +32,17 @@
 //! what its own deltas change. Serving warms its base once per batch kind,
 //! and keeps its conservative bound when a batch can degrade. A delta
 //! carries every kept cache across and marks the flows whose inputs it
-//! changed; the next `&mut` solve re-solves only those. A `&self` reader
-//! never serves a marked cache's verdicts: it brings a private copy up to
-//! date instead. The conservative bound reads no buffer depth, so a resize
-//! marks nothing in its cache, and rebasing onto a buffer-only change
-//! shares the conservative slot and nothing else.
+//! changed; the next `&mut` solve re-solves only those, and reads a cache
+//! with no marks back in place, without a copy. The conservative bound
+//! reads no buffer depth, so a resize marks nothing in its cache.
+//!
+//! Kept caches have one writer and one reader: only `warm`,
+//! `warm_conservative` and deltas write them, and only the `&mut` solves
+//! ([`AnalysisContext::analyze`], [`AnalysisContext::conservative_report`])
+//! read them. Every `&self` answer is from scratch
+//! ([`AnalysisKind::analyze_with_budget`],
+//! [`conservative_with`](crate::conservative::conservative_with)), and
+//! [`AnalysisContext::rebase`] carries no cache over.
 //!
 //! Finally a context keeps up to [`KEPT_BUFFER_DEPTHS`] reports solved at
 //! homogeneous buffer depths ([`AnalysisContext::warm_buffer_depths`]), one
@@ -83,7 +89,7 @@ use noc_model::time::Cycles;
 
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
-use crate::conservative::{self, CONSERVATIVE_NAME};
+use crate::conservative;
 use crate::engine::{FlowDelta, SolveCache, Solver};
 use crate::error::AnalysisError;
 use crate::incremental::Undo;
@@ -231,10 +237,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// new system, so config changes (buffer depth,
     /// link/routing latency) and timing changes (periods, deadlines,
     /// jitters) are picked up correctly. Solved caches and buffer-depth
-    /// reports are not carried over: they describe the old system. The
-    /// conservative bound's kept cache is shared (one [`Arc`] clone) when
-    /// only buffer depths changed, that is when every flow and zero-load
-    /// latency is the same: the bound reads nothing else.
+    /// reports are not carried over: they describe the old system.
     ///
     /// Typical sources of compatible systems are
     /// [`System::with_buffer_depth`], [`System::with_router_buffer_depth`]
@@ -268,13 +271,10 @@ impl<'sys> AnalysisContext<'sys> {
                 });
             }
         }
-        let rebased = AnalysisContext::assemble(Cow::Borrowed(target), Arc::clone(&self.graph));
-        if let Some(cache) = self.cached(CONSERVATIVE) {
-            if rebased.zero_load == self.zero_load && target.flows() == source.flows() {
-                let _ = rebased.caches[CONSERVATIVE].set(Arc::clone(cache));
-            }
-        }
-        Ok(rebased)
+        Ok(AnalysisContext::assemble(
+            Cow::Borrowed(target),
+            Arc::clone(&self.graph),
+        ))
     }
 
     /// [`AnalysisContext::rebase`] for targets known to preserve the
@@ -316,58 +316,33 @@ impl<'sys> AnalysisContext<'sys> {
     pub fn warm(&self, kind: AnalysisKind, budget: &Budget) -> Result<(), AnalysisError> {
         let lock = &self.caches[kind.index()];
         if lock.get().is_none() {
-            let mut cache = SolveCache::all_dirty(self.len());
+            let mut cache = Arc::new(SolveCache::all_dirty(self.len()));
             Solver::new(self, kind.spec(), budget).solve_cached(&mut cache)?;
             // A concurrent warm may have won the race with the same result.
-            let _ = lock.set(Arc::new(cache));
+            let _ = lock.set(cache);
         }
         Ok(())
     }
 
     /// The cache kept at `index` of the table, if any: `kind.index()` for
     /// an analysis kind's, [`CONSERVATIVE`] for the conservative bound's.
+    #[cfg(test)]
     pub(crate) fn cached(&self, index: usize) -> Option<&Arc<SolveCache>> {
         self.caches[index].get()
     }
 
     /// Evaluates the conservative bound over this context and keeps it, so
     /// that every context [forked](AnalysisContext::from_context) from it
-    /// afterwards re-evaluates only the flows its deltas reach, and every
-    /// conservative report over it, or over a context rebased onto a
-    /// buffer-only change, is a lookup. Does nothing if the bound is
-    /// already kept, even if a delta has marked it since. Counts as no
+    /// afterwards re-evaluates only the flows its deltas reach. Does
+    /// nothing if the bound is already kept, even if a delta has marked it
+    /// since; of concurrent first callers, one evaluates. Counts as no
     /// `analysis.conservative.solves`: no report is served.
     pub fn warm_conservative(&self) {
-        self.conservative_cache();
-    }
-
-    /// The conservative report over this context, from the kept cache,
-    /// which the first call fills. A kept cache that a delta has marked
-    /// since is not served: a private copy of it is brought up to date,
-    /// and the kept one is left for the next `&mut` report.
-    pub(crate) fn conservative_lookup(&self) -> AnalysisReport {
-        let (cache, evaluated) = self.conservative_cache();
-        if !cache.is_clean() {
-            return conservative::evaluate(self, &mut SolveCache::clone(cache));
-        }
-        if !evaluated {
-            metrics::CONSERVATIVE_REUSED.add(self.len() as u64);
-        }
-        cache.report(CONSERVATIVE_NAME)
-    }
-
-    /// The conservative bound's kept cache, evaluated if absent, and
-    /// whether this call evaluated it: of concurrent first callers, one
-    /// evaluates and the others wait for its cache.
-    fn conservative_cache(&self) -> (&Arc<SolveCache>, bool) {
-        let mut evaluated = false;
-        let cache = self.caches[CONSERVATIVE].get_or_init(|| {
-            evaluated = true;
-            let mut cache = SolveCache::all_dirty(self.len());
+        self.caches[CONSERVATIVE].get_or_init(|| {
+            let mut cache = Arc::new(SolveCache::all_dirty(self.len()));
             conservative::evaluate(self, &mut cache);
-            Arc::new(cache)
+            cache
         });
-        (cache, evaluated)
     }
 
     /// Solves `kind` over this context's system with every router buffer
@@ -764,12 +739,12 @@ mod tests {
 
     /// A context warmed and then mutated through the public API holds
     /// carried caches whose marks are pending until its next `&mut`
-    /// solve. Every `&self` reader still answers for the current system:
-    /// the conservative lookup, the lookup of a rebased context that
-    /// shares the conservative slot, a fork of the context after a warm,
-    /// and the plain analyses. Serving the marked conservative cache as
-    /// it stood returned stale bounds for 4 of the 19 flows left after
-    /// the first removal here.
+    /// solve. Every `&self` reader still answers for the current system,
+    /// from scratch: the conservative bound, the bound over a rebased
+    /// context, a fork of the context after a warm, and the plain
+    /// analyses. Serving the marked conservative cache as it stood
+    /// returned stale bounds for 4 of the 19 flows left after the first
+    /// removal here.
     #[test]
     fn a_mutated_context_serves_no_stale_verdict() {
         let spec = noc_workload::synthetic::SyntheticSpec::paper(4, 4, 20, 2);
@@ -794,17 +769,21 @@ mod tests {
         serves_its_system(&ctx, "addition");
     }
 
-    /// Every `&self` reader of `ctx` equals a fresh context over its system.
+    /// Every `&self` reader of `ctx` equals a fresh context over its system,
+    /// and the conservative one leaves the kept, still marked, bound as it
+    /// was.
     fn serves_its_system(ctx: &AnalysisContext<'_>, label: &str) {
         use crate::conservative::conservative_with;
         let unlimited = Budget::unlimited();
         let sys = ctx.system().clone();
         let scratch = AnalysisContext::new(&sys).unwrap();
         let bound = conservative_with(&scratch);
+        let kept = Arc::clone(ctx.cached(CONSERVATIVE).unwrap());
+        assert!(!kept.is_clean(), "{label}: the kept bound is marked");
         assert_eq!(conservative_with(ctx), bound, "{label}: conservative");
+        assert!(Arc::ptr_eq(ctx.cached(CONSERVATIVE).unwrap(), &kept));
         let target = sys.with_router_buffer_depth(RouterId::new(1), 7);
         let rebased = ctx.rebase(&target).unwrap();
-        assert!(rebased.cached(CONSERVATIVE).is_some(), "{label}");
         assert_eq!(conservative_with(&rebased), bound, "{label}: rebased");
         for kind in AnalysisKind::ALL {
             let expected = kind.analyze_with(&scratch).unwrap();
@@ -816,30 +795,45 @@ mod tests {
         }
     }
 
-    /// A buffer-only rebase shares the base's conservative cache, so its
-    /// report is a lookup; a period rescale does not, and answers for its
-    /// own system.
+    /// The from-scratch bound neither reads nor fills the context's table.
     #[test]
-    fn rebase_shares_the_conservative_cache_only_across_buffer_changes() {
+    fn conservative_with_keeps_nothing() {
+        use crate::conservative::conservative_with;
+        let sys = noc_workload::didactic::system(2);
+        let ctx = AnalysisContext::new(&sys).unwrap();
+        let first = conservative_with(&ctx);
+        assert!(ctx.cached(CONSERVATIVE).is_none());
+        assert_eq!(conservative_with(&ctx), first);
+        assert!(ctx.cached(CONSERVATIVE).is_none());
+    }
+
+    /// A rebase keeps no cache, whatever the base kept and whatever
+    /// changed, and the bound over it answers for its own system: the same
+    /// as the base's across buffer changes, which the bound does not read,
+    /// and a different one after a period rescale.
+    #[test]
+    fn a_rebase_keeps_no_cache() {
         use crate::conservative::conservative_with;
         let sys = noc_workload::didactic::system(2);
         let base = AnalysisContext::new(&sys).unwrap();
+        base.warm(AnalysisKind::BufferAware, &Budget::unlimited())
+            .unwrap();
         base.warm_conservative();
         let warmed = conservative_with(&base);
-        let kept = base.cached(CONSERVATIVE).unwrap();
+        let keeps_none = |ctx: &AnalysisContext<'_>| ctx.caches.iter().all(|s| s.get().is_none());
         for target in [
             sys.with_buffer_depth(10),
             sys.with_router_buffer_depth(RouterId::new(1), 7),
         ] {
             let rebased = base.rebase(&target).unwrap();
-            assert!(Arc::ptr_eq(kept, rebased.cached(CONSERVATIVE).unwrap()));
+            assert!(keeps_none(&rebased));
             assert_eq!(conservative_with(&rebased), warmed);
             let scratch = AnalysisContext::new(&target).unwrap();
             assert_eq!(conservative_with(&scratch), warmed);
         }
         let faster = sys.with_scaled_periods(1, 4).unwrap();
         let rebased = base.rebase(&faster).unwrap();
-        assert!(rebased.cached(CONSERVATIVE).is_none());
+        assert!(keeps_none(&rebased));
         let report = conservative_with(&rebased);
         let scratch = AnalysisContext::new(&faster).unwrap();
         assert_eq!(report, conservative_with(&scratch));

@@ -285,6 +285,12 @@ impl<'a> Solver<'a> {
     /// only once it succeeds; then the cache is clean (every mark and
     /// recorded router cleared) and holds the verdicts of the report.
     ///
+    /// A cache that is [clean](SolveCache::is_clean) going in would re-solve
+    /// nothing and come out as it went in, so it is read back in place:
+    /// its report, with the metrics of a pass that reused every flow, and
+    /// no copy of a cache shared with other holders. Any other cache is
+    /// copied first if shared ([`Arc::make_mut`]).
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Solver::solve`]; an error raised by a re-solved
@@ -296,7 +302,7 @@ impl<'a> Solver<'a> {
     /// Panics if `cache` was sized for a different number of flows.
     pub(crate) fn solve_cached(
         mut self,
-        cache: &mut SolveCache,
+        cache: &mut Arc<SolveCache>,
     ) -> Result<AnalysisReport, AnalysisError> {
         let fixed_point = self.step == Step::FixedPoint;
         let _span = fixed_point.then(|| metrics::SOLVE_NS.span());
@@ -310,84 +316,89 @@ impl<'a> Solver<'a> {
         // outcome never depends on what ran on this context earlier. No
         // work has been done yet, so the cache stays valid (no poison).
         self.ctx.check_budget(self.budget)?;
-        self.idown_memo = std::mem::take(&mut cache.memo);
-        if !self.idown_memo.is_laid_out() {
-            self.idown_memo = EdgeMemo::new(self.graph);
-        }
-        #[cfg(test)]
-        {
-            cache.resolved.clear();
-            cache.edges.clear();
-        }
-        // XLWX and IBN re-solve edge by edge (see "Edges" above).
-        let by_edge = fixed_point
-            && self.downstream != DownstreamModel::Ignore
-            && self.jitter == JitterModel::InterferenceJitter;
-        let (system, graph) = (self.system, self.graph);
         let (mut dirty_solved, mut clean_reused, mut unchanged) = (0u64, 0u64, 0u64);
         let (mut edges_reused, mut edges_recomputed) = (0u64, 0u64);
-        for &i in order {
-            let at = i.index();
-            // Until τᵢ's turn its mark says what a delta changed; from then
-            // on, whether it changed in this pass (`Whole`) or not
-            // (`Clean`). So for τᵢ the marks of `S^D_i`, all settled, read
-            // as "changed".
-            let mark = cache.marks[at];
-            let wake = mark != Mark::Clean
-                || graph
-                    .direct_set(i)
-                    .iter()
-                    .any(|&j| cache.marks[j.index()] != Mark::Clean);
-            if !wake {
-                // Unchanged inputs: republish the cached verdict for
-                // lower-priority flows to read.
-                clean_reused += 1;
-                self.verdicts[at] = cache.verdicts[at];
-                continue;
+        if cache.is_clean() {
+            clean_reused = order.len() as u64;
+        } else {
+            let cache = Arc::make_mut(cache);
+            self.idown_memo = std::mem::take(&mut cache.memo);
+            if !self.idown_memo.is_laid_out() {
+                self.idown_memo = EdgeMemo::new(self.graph);
             }
-            dirty_solved += 1;
             #[cfg(test)]
-            cache.resolved.push(i);
-            let verdict = match self.step {
-                Step::FixedPoint => {
-                    let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
-                    let (marks, resized) = (&cache.marks, &cache.resized);
-                    let keep = |edge: usize, j: FlowId| {
-                        partial
-                            && marks[j.index()] == Mark::Clean
-                            && !(mark == Mark::Buffers
-                                && domain_enters(system, graph, i, edge, resized))
-                    };
-                    // On error half the flows are solved and half are
-                    // stale; the only consistent cache state is
-                    // "everything needs a re-solve".
-                    let verdict = self.solve_flow(i, keep).inspect_err(|_| cache.poison())?.0;
-                    let kept = self.terms.iter().filter(|t| t.kept).count() as u64;
-                    edges_reused += kept;
-                    edges_recomputed += self.terms.len() as u64 - kept;
-                    #[cfg(test)]
-                    cache
-                        .edges
-                        .extend(self.terms.iter().enumerate().map(|(edge, t)| EdgeUse {
-                            victim: i,
-                            edge,
-                            kept: t.kept,
-                            jitter: t.extra_jitter,
-                            downstream: t.downstream,
-                        }));
-                    verdict
+            {
+                cache.resolved.clear();
+                cache.edges.clear();
+            }
+            // XLWX and IBN re-solve edge by edge (see "Edges" above).
+            let by_edge = fixed_point
+                && self.downstream != DownstreamModel::Ignore
+                && self.jitter == JitterModel::InterferenceJitter;
+            let (system, graph) = (self.system, self.graph);
+            for &i in order {
+                let at = i.index();
+                // Until τᵢ's turn its mark says what a delta changed; from
+                // then on, whether it changed in this pass (`Whole`) or not
+                // (`Clean`). So for τᵢ the marks of `S^D_i`, all settled,
+                // read as "changed".
+                let mark = cache.marks[at];
+                let wake = mark != Mark::Clean
+                    || graph
+                        .direct_set(i)
+                        .iter()
+                        .any(|&j| cache.marks[j.index()] != Mark::Clean);
+                if !wake {
+                    // Unchanged inputs: republish the cached verdict for
+                    // lower-priority flows to read.
+                    clean_reused += 1;
+                    self.verdicts[at] = cache.verdicts[at];
+                    continue;
                 }
-                Step::AtDeadline => self.evaluate_at_deadline(i),
-            };
-            let changed = self.slots_changed || verdict != cache.verdicts[at];
-            unchanged += u64::from(!changed);
-            self.verdicts[at] = verdict;
-            cache.marks[at] = if changed { Mark::Whole } else { Mark::Clean };
+                dirty_solved += 1;
+                #[cfg(test)]
+                cache.resolved.push(i);
+                let verdict = match self.step {
+                    Step::FixedPoint => {
+                        let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
+                        let (marks, resized) = (&cache.marks, &cache.resized);
+                        let keep = |edge: usize, j: FlowId| {
+                            partial
+                                && marks[j.index()] == Mark::Clean
+                                && !(mark == Mark::Buffers
+                                    && domain_enters(system, graph, i, edge, resized))
+                        };
+                        // On error half the flows are solved and half are
+                        // stale; the only consistent cache state is
+                        // "everything needs a re-solve".
+                        let verdict = self.solve_flow(i, keep).inspect_err(|_| cache.poison())?.0;
+                        let kept = self.terms.iter().filter(|t| t.kept).count() as u64;
+                        edges_reused += kept;
+                        edges_recomputed += self.terms.len() as u64 - kept;
+                        #[cfg(test)]
+                        cache
+                            .edges
+                            .extend(self.terms.iter().enumerate().map(|(edge, t)| EdgeUse {
+                                victim: i,
+                                edge,
+                                kept: t.kept,
+                                jitter: t.extra_jitter,
+                                downstream: t.downstream,
+                            }));
+                        verdict
+                    }
+                    Step::AtDeadline => self.evaluate_at_deadline(i),
+                };
+                let changed = self.slots_changed || verdict != cache.verdicts[at];
+                unchanged += u64::from(!changed);
+                self.verdicts[at] = verdict;
+                cache.marks[at] = if changed { Mark::Whole } else { Mark::Clean };
+            }
+            cache.verdicts = self.verdicts;
+            cache.memo = self.idown_memo;
+            cache.marks.fill(Mark::Clean);
+            cache.resized.clear();
         }
-        cache.verdicts = self.verdicts;
-        cache.memo = self.idown_memo;
-        cache.marks.fill(Mark::Clean);
-        cache.resized.clear();
         if !fixed_point {
             metrics::CONSERVATIVE_EVALUATED.add(dirty_solved);
             metrics::CONSERVATIVE_REUSED.add(clean_reused);
@@ -1102,11 +1113,11 @@ impl SolveCache {
         }
     }
 
-    /// Whether no delta marked a flow since the last solve, so that the
-    /// verdicts are the current flow set's: the test every `&self` reader
-    /// of a kept cache makes before it serves them.
+    /// Whether no delta marked a flow or resized a router since the last
+    /// solve, so that the verdicts are the current flow set's and a pass
+    /// through the cache would leave it as it is.
     pub(crate) fn is_clean(&self) -> bool {
-        self.marks.iter().all(|&mark| mark == Mark::Clean)
+        self.resized.is_empty() && self.marks.iter().all(|&mark| mark == Mark::Clean)
     }
 
     /// The verdicts of the last solve, as a report named `name`. Only

@@ -21,7 +21,9 @@
 //!   `Idown` slots in this pass. Every other flow keeps its cached
 //!   result, so the re-solve stops where results stop changing. Under
 //!   XLWX and IBN a re-solved flow also keeps the edge terms whose inputs
-//!   did not change, and recomputes only the others;
+//!   did not change, and recomputes only the others. A cache that no
+//!   delta marked is read back as it stands, without the copy a cache
+//!   shared with the base would otherwise need;
 //! * [`AnalysisContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
@@ -315,33 +317,35 @@ impl<'sys> AnalysisContext<'sys> {
     /// [`crate::conservative`] for the bound and its soundness argument).
     ///
     /// Total (never fails) and bit-identical to
-    /// [`conservative_with`](crate::conservative::conservative_with) over a
-    /// fresh context. It runs through its own solve cache, by the cached
-    /// read set of [`crate::conservative`]: a flow is re-evaluated iff a
-    /// flow addition or removal marked it or a direct interferer changed
-    /// its slots or verdict in this pass. Buffer resizes mark nothing, and
-    /// the five kinds' caches are neither read nor touched. The cache is
-    /// [kept](AnalysisContext::warm_conservative) already, or laid out by
-    /// the first call.
+    /// [`conservative_with`](crate::conservative::conservative_with), which
+    /// evaluates from scratch. It runs through its own solve cache, by the
+    /// cached read set of [`crate::conservative`]: a flow is re-evaluated
+    /// iff a flow addition or removal marked it or a direct interferer
+    /// changed its slots or verdict in this pass. Buffer resizes mark
+    /// nothing, so a cache with no pending addition or removal is read back
+    /// without a copy, and the five kinds' caches are neither read nor
+    /// touched. The cache is [kept](AnalysisContext::warm_conservative)
+    /// already, or laid out by the first call.
     pub fn conservative_report(&mut self) -> AnalysisReport {
         metrics::CONSERVATIVE_SOLVES.incr();
         self.solve_through(CONSERVATIVE, crate::conservative::evaluate)
     }
 
     /// Runs `solve` over this context and the cache at `index`, laid out
-    /// all-dirty if absent. The slot's handle is taken out for the solve,
-    /// so a cache this context alone holds is updated in place and a
-    /// shared one is copied once, and put back after it, poisoned if the
-    /// solve failed.
+    /// all-dirty if absent. The slot's handle is taken out for the solve
+    /// and put back after it, poisoned if the solve failed, so the solve
+    /// updates a cache this context alone holds in place, reads a clean
+    /// one back without a copy, and copies a shared one that it must
+    /// update ([`Solver::solve_cached`]).
     fn solve_through<T>(
         &mut self,
         index: usize,
-        solve: impl FnOnce(&Self, &mut SolveCache) -> T,
+        solve: impl FnOnce(&Self, &mut Arc<SolveCache>) -> T,
     ) -> T {
         let mut cache = self.caches[index]
             .take()
             .unwrap_or_else(|| Arc::new(SolveCache::all_dirty(self.len())));
-        let out = solve(self, Arc::make_mut(&mut cache));
+        let out = solve(self, &mut cache);
         self.caches[index] = OnceLock::from(cache);
         out
     }
@@ -711,22 +715,51 @@ mod tests {
             .into_system()
     }
 
-    /// A fork of a context over `system` warmed for every kind and for
-    /// the conservative bound.
-    fn warm_fork(system: &System) -> AnalysisContext<'static> {
+    /// A context over `system` warmed for every kind and for the
+    /// conservative bound.
+    fn warm_base(system: &System) -> AnalysisContext<'_> {
         let base = AnalysisContext::new(system).unwrap();
         for kind in AnalysisKind::ALL {
             base.warm(kind, &Budget::unlimited()).unwrap();
         }
         base.warm_conservative();
-        AnalysisContext::from_context(&base)
+        base
+    }
+
+    /// A fork of [`warm_base`].
+    fn warm_fork(system: &System) -> AnalysisContext<'static> {
+        AnalysisContext::from_context(&warm_base(system))
+    }
+
+    /// Whether `ctx` and `base` hold the very same cache at `index`.
+    fn shares(ctx: &AnalysisContext<'_>, base: &AnalysisContext<'_>, index: usize) -> bool {
+        Arc::ptr_eq(ctx.cached(index).unwrap(), base.cached(index).unwrap())
+    }
+
+    /// Runs `solve`, a pass through the cache at `index`, and returns its
+    /// result with the flows and edge terms the pass re-solved: none if no
+    /// delta marked the cache, since the pass then reads it back as it
+    /// stands.
+    fn traced<T>(
+        ctx: &mut AnalysisContext<'_>,
+        index: usize,
+        solve: impl FnOnce(&mut AnalysisContext<'_>) -> T,
+    ) -> (T, Vec<FlowId>, Vec<crate::engine::EdgeUse>) {
+        let clean = ctx.cached(index).is_some_and(|cache| cache.is_clean());
+        let out = solve(ctx);
+        let cache = ctx.cached(index).unwrap();
+        if clean {
+            (out, Vec::new(), Vec::new())
+        } else {
+            (out, cache.resolved.clone(), cache.edges.clone())
+        }
     }
 
     /// The fork's conservative report equals the bound over a fresh
     /// context and the independent reference evaluator; returns how many
     /// flows the report re-evaluated.
     fn assert_conservative_matches_scratch(ctx: &mut AnalysisContext<'_>, label: &str) -> usize {
-        let report = ctx.conservative_report();
+        let (report, resolved, _) = traced(ctx, CONSERVATIVE, |ctx| ctx.conservative_report());
         let system = ctx.system().clone();
         let scratch = AnalysisContext::new(&system).unwrap();
         assert_eq!(
@@ -739,7 +772,7 @@ mod tests {
             crate::conservative::reference::conservative_with(&scratch),
             "{label}: conservative reference"
         );
-        ctx.cached(CONSERVATIVE).unwrap().resolved.len()
+        resolved.len()
     }
 
     /// From-scratch explanations over `ctx`, per kind, indexed by flow.
@@ -847,12 +880,13 @@ mod tests {
             let scratch = AnalysisContext::new(&system).unwrap();
             let now = explanations(&scratch);
             for kind in AnalysisKind::ALL {
-                let report = ctx.analyze(kind).unwrap();
+                let (report, resolved_flows, edges) =
+                    traced(&mut ctx, kind.index(), |ctx| ctx.analyze(kind).unwrap());
                 let label = format!("step {step}, {}", kind.name());
                 assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
                 let cache = ctx.cached(kind.index()).unwrap();
                 let clamp = |v: u128| u64::try_from(v).unwrap_or(u64::MAX);
-                for e in &cache.edges {
+                for e in &edges {
                     let term = &now[kind.index()][e.victim.index()].terms[e.edge];
                     let what = format!("{label}: edge {} of {}", e.edge, e.victim);
                     assert_eq!(clamp(e.jitter), term.window_jitter.as_u64(), "{what}");
@@ -860,7 +894,7 @@ mod tests {
                     kept_total += usize::from(e.kept);
                 }
                 let mut resolved = vec![false; ctx.len()];
-                for i in &cache.resolved {
+                for i in &resolved_flows {
                     resolved[i.index()] = true;
                 }
                 for (x, expected) in now[kind.index()].iter().enumerate() {
@@ -920,46 +954,56 @@ mod tests {
         cutoff_oracle(system, 0xC0FF_0002);
     }
 
+    /// A solve with no marks pending reads the base's cache back as it
+    /// stands: the fork's slot is still the base's, with no copy.
     #[test]
     fn a_warm_fork_re_solves_nothing_without_a_delta() {
         let system = deep_fixture();
-        let mut fork = warm_fork(&system);
-        let scratch = AnalysisContext::new(&system).unwrap();
+        let base = warm_base(&system);
+        let mut fork = AnalysisContext::from_context(&base);
         for kind in AnalysisKind::ALL {
             let report = fork.analyze(kind).unwrap();
-            assert_eq!(report, kind.analyze_with(&scratch).unwrap());
-            assert_eq!(
-                fork.cached(kind.index()).unwrap().resolved,
-                [],
-                "{}",
-                kind.name()
-            );
+            assert_eq!(report, kind.analyze_with(&base).unwrap());
+            assert!(shares(&fork, &base, kind.index()), "{}", kind.name());
         }
     }
 
     #[test]
     fn conservative_cutoff_re_evaluates_nothing_on_a_warm_fork() {
-        let mut fork = warm_fork(&deep_fixture());
+        let system = deep_fixture();
+        let base = warm_base(&system);
+        let mut fork = AnalysisContext::from_context(&base);
         for round in 0..2 {
             let evaluated = assert_conservative_matches_scratch(&mut fork, "warm fork");
             assert_eq!(evaluated, 0, "round {round}");
+            assert!(shares(&fork, &base, CONSERVATIVE), "round {round}");
         }
     }
 
     /// The conservative bound reads no buffer depth: a router resize marks
-    /// nothing in its cache, and the report re-evaluates no flow.
+    /// nothing in its cache, and the report, in a what-if scope or out of
+    /// one, re-evaluates no flow and copies nothing.
     #[test]
     fn conservative_cutoff_re_evaluates_nothing_after_a_router_resize() {
         let system = bursty_hetero_fixture();
-        let mut fork = warm_fork(&system);
+        let base = warm_base(&system);
+        let mut fork = AnalysisContext::from_context(&base);
         let routers = system.topology().router_count() as u64;
         let mut rng = XorShift(0xC0FF_0003);
         for step in 0..oracle_steps() {
             let router = RouterId::new(rng.below(routers) as u32);
-            fork.resize_buffer(router, 2 + rng.below(15) as u32);
+            let depth = 2 + rng.below(15) as u32;
             let label = format!("step {step}, {router}");
+            fork.what_if(|ctx| {
+                ctx.resize_buffer(router, depth);
+                let evaluated = assert_conservative_matches_scratch(ctx, &label);
+                assert_eq!(evaluated, 0, "{label}");
+                assert!(shares(ctx, &base, CONSERVATIVE), "{label}: copied");
+            });
+            fork.resize_buffer(router, depth);
             let evaluated = assert_conservative_matches_scratch(&mut fork, &label);
             assert_eq!(evaluated, 0, "{label}");
+            assert!(shares(&fork, &base, CONSERVATIVE), "{label}: copied");
         }
     }
 

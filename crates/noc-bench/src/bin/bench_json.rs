@@ -116,19 +116,9 @@ fn append_history(path: &str, mode: &str, rows: &[Row]) {
     }
 }
 
-/// Minimal JSON string escaping (labels only contain benign characters, but
-/// be correct anyway).
+/// `s` as a JSON string.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    noc_telemetry::events::push_json_str(&mut out, s);
     out
 }

@@ -49,8 +49,9 @@ pub fn production_system(n_flows: usize, buffer: u32, seed: u64) -> System {
 /// Heterogeneous fixture: the §VI workload with per-router buffer depths
 /// drawn from `2..=8` flits and bursty sources (σ ≤ 2) — the generalised
 /// release/buffer axes the buffer-aware analysis is sensitive to. At
-/// `mesh = 16` this is the north-star heterogeneous scenario recorded in
-/// `BENCH_history.jsonl` by `bench_json`.
+/// `mesh = 16`, with 700 flows and periods ×4
+/// ([`suites::hetero_fixture`]), this is the north-star heterogeneous
+/// scenario recorded in `BENCH_history.jsonl` by `bench_json`.
 pub fn heterogeneous_system(mesh: u16, n_flows: usize, seed: u64) -> System {
     SyntheticSpec::paper(mesh, mesh, n_flows, 2)
         .with_buffer_depth_range(2, 8)

@@ -200,16 +200,10 @@ fn write_metrics_dump(
 /// One-line JSON error record, so downstream tooling parsing stdout never
 /// sees a half-written throughput record or a bare panic trace.
 fn emit_error_record(e: &dyn Error) {
-    let mut detail = String::new();
-    for c in e.to_string().chars() {
-        match c {
-            '"' => detail.push_str("\\\""),
-            '\\' => detail.push_str("\\\\"),
-            c if c < ' ' => detail.push_str(&format!("\\u{:04x}", c as u32)),
-            c => detail.push(c),
-        }
-    }
-    println!("{{\"schema\": \"noc-serve/error/v1\", \"error\": \"{detail}\"}}");
+    let mut line = String::from("{\"schema\": \"noc-serve/error/v1\", \"error\": ");
+    noc_telemetry::events::push_json_str(&mut line, &e.to_string());
+    line.push('}');
+    println!("{line}");
 }
 
 fn main() {

@@ -98,11 +98,14 @@
 //!   bound of [`noc_analysis::conservative`] — never optimistic, pinned by
 //!   the `chaos_serving` integration test. The bound is cached like an
 //!   exact solve: a degraded admission or removal re-evaluates only the
-//!   flows its delta reaches, a router what-if re-evaluates none (the
-//!   bound reads no buffer depth), and a homogeneous buffer what-if reads
-//!   the base's kept bound directly. An exceeded budget degrades a buffer
-//!   what-if even when its depth's report is kept, so the outcome never
-//!   depends on what earlier batches happened to keep.
+//!   flows its delta reaches, and a router or homogeneous buffer what-if
+//!   re-evaluates none (the bound reads no buffer depth). Every degraded
+//!   answer comes from the shard's
+//!   [`AnalysisContext::conservative_report`], which reads a bound no
+//!   delta marked (the base's, shared) back without a copy. An exceeded
+//!   budget degrades a buffer what-if even when its depth's report is
+//!   kept, so the outcome never depends on what earlier batches happened
+//!   to keep.
 //! * **Isolation and retry** — each serve attempt runs inside
 //!   `catch_unwind`; a panicking worker poisons only its own shard, which
 //!   is re-forked from the shared base, and the query is retried with
@@ -587,9 +590,9 @@ impl<'a> Shard<'a> {
             }),
             Query::BufferWhatIf { depth } => {
                 let result = base.analyze_at_buffer_depth(kind, *depth, budget);
-                // The conservative bound reads no buffer depth: the base's
-                // is the what-if's.
-                outcome_of(result, || noc_analysis::conservative_with(base))
+                // The conservative bound reads no buffer depth: the
+                // shard's, which is the base's, is the what-if's.
+                outcome_of(result, || self.ctx.conservative_report())
             }
             // The conservative bound reads no buffer depth, so the resize
             // marks nothing in its cache and a degraded answer re-evaluates

@@ -137,8 +137,10 @@ pub fn dropped() -> u64 {
     DROPPED.get()
 }
 
-/// Minimal JSON string escaping.
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string: quoted, with `"`, `\` and
+/// control characters escaped. The one JSON string escaper of the
+/// workspace's hand-written JSON writers.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
