@@ -80,7 +80,7 @@
 use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
-use noc_model::contention::InterferenceGraph;
+use noc_model::contention::{GraphDelta, InterferenceGraph};
 use noc_model::flow::Flow;
 use noc_model::ids::{FlowId, RouterId};
 use noc_model::route::Route;
@@ -312,10 +312,12 @@ impl<'sys> AnalysisContext<'sys> {
     /// # Errors
     ///
     /// The conditions of [`AnalysisKind::analyze_with_budget`]; nothing is
-    /// kept then, and forks start all-dirty as before.
+    /// kept then, and forks start all-dirty as before. A budget already
+    /// exceeded fails before anything is laid out.
     pub fn warm(&self, kind: AnalysisKind, budget: &Budget) -> Result<(), AnalysisError> {
         let lock = &self.caches[kind.index()];
         if lock.get().is_none() {
+            self.check_budget(budget)?;
             let mut cache = Arc::new(SolveCache::all_dirty(self.len()));
             Solver::new(self, kind.spec(), budget).solve_cached(&mut cache)?;
             // A concurrent warm may have won the race with the same result.
@@ -490,8 +492,8 @@ impl<'sys> AnalysisContext<'sys> {
     ) -> Result<Vec<FlowId>, AnalysisError> {
         let system = self.system.to_mut();
         system.insert_flow(id, flow, route)?;
-        let affected = match Arc::make_mut(&mut self.graph).add_flow(system, id) {
-            Ok(affected) => affected,
+        let changed = match Arc::make_mut(&mut self.graph).add_flow(system, id) {
+            Ok(changed) => changed,
             Err(e) => {
                 system.remove_flow(id).expect("just inserted");
                 return Err(e.into());
@@ -499,8 +501,8 @@ impl<'sys> AnalysisContext<'sys> {
         };
         self.zero_load
             .insert(id.index(), system.zero_load_latency(id));
-        self.carry(FlowDelta::Inserted(id.index()), &affected);
-        Ok(affected)
+        self.carry(FlowDelta::Inserted(id.index()), &changed);
+        Ok(changed.affected)
     }
 
     /// Retires the flow `id` in place, renumbering every larger id one
@@ -514,18 +516,18 @@ impl<'sys> AnalysisContext<'sys> {
     ) -> Result<(Vec<FlowId>, Flow, Route), AnalysisError> {
         let system = self.system.to_mut();
         let (flow, route) = system.remove_flow(id)?;
-        let affected = Arc::make_mut(&mut self.graph).remove_flow(system, id);
+        let changed = Arc::make_mut(&mut self.graph).remove_flow(system, id);
         self.zero_load.remove(id.index());
-        self.carry(FlowDelta::Removed(id.index()), &affected);
-        Ok((affected, flow, route))
+        self.carry(FlowDelta::Removed(id.index()), &changed);
+        Ok((changed.affected, flow, route))
     }
 
-    /// Carries every kept cache across `delta`, marking the `affected`
-    /// flows, and drops the buffer-depth reports: they describe the flow
-    /// set before it.
-    fn carry(&mut self, delta: FlowDelta, affected: &[FlowId]) {
+    /// Carries every kept cache across `delta`, marking the flows it
+    /// `changed` ([`SolveCache::carry`]), and drops the buffer-depth
+    /// reports: they describe the flow set before it.
+    fn carry(&mut self, delta: FlowDelta, changed: &GraphDelta) {
         for cache in self.caches.iter_mut().filter_map(OnceLock::get_mut) {
-            SolveCache::carry(cache, &self.graph, delta, affected);
+            SolveCache::carry(cache, &self.graph, delta, changed);
         }
         self.by_depth = Default::default();
     }

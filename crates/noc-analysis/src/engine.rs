@@ -43,7 +43,7 @@
 use std::sync::Arc;
 
 use noc_model::arrival::{ArrivalCurve, LeakyBucket};
-use noc_model::contention::{InterferenceGraph, Side};
+use noc_model::contention::{GraphDelta, InterferenceGraph, Side};
 use noc_model::ids::{FlowId, RouterId};
 use noc_model::system::System;
 use noc_model::time::Cycles;
@@ -246,7 +246,10 @@ impl<'a> Solver<'a> {
     /// verdict and slot equals a full solve's. (Each slot of τⱼ's block
     /// is the per-hit charge of one term of τⱼ's own recurrence, so for a
     /// schedulable τⱼ a changed slot also moves `Rⱼ`; the slot test costs
-    /// one comparison per edge and does not lean on that.)
+    /// one comparison per edge and does not lean on that.) The carry cuts
+    /// a delta's slot out of each reshaped block or opens it, so a slot is
+    /// compared with the old value of the same edge; only flows that
+    /// recompute their edge from τⱼ (see below) read an opened slot.
     ///
     /// **Edges.** The same argument holds one edge at a time. The term of
     /// the edge (j → i) reads `Rⱼ`, τⱼ's block, the structure of the edge
@@ -254,24 +257,55 @@ impl<'a> Solver<'a> {
     /// else of (1) or (2). Under XLWX and IBN, whose window jitter is
     /// `Rⱼ − Cⱼ` iff `S^I_i ∩ S^D_j` is non-empty, the term is therefore a
     /// function of `Rⱼ`, the slot `Idown(j,i)` and that *indirect* bit,
-    /// which [`Solver::edge_pass`] stores beside the slot. The edge's
-    /// structure changes only through an addition or removal that changes
-    /// `S^D_i`, `S^I_i` or `S^D_j`, and each marks τᵢ [`Mark::Whole`].
+    /// which [`Solver::edge_pass`] stores beside the slot.
+    ///
+    /// The edge's structure changes only through an addition or removal
+    /// of some τₖ. Routes fix `cd(i,j)` and the side of every member, and
+    /// `S^I_i ∩ S^D_j = S^D_j ∖ S^D_i`, so the partition changes iff τₖ
+    /// entered or left `S^D_j` but not `S^D_i`: iff τⱼ is *reshaped*
+    /// ([`GraphDelta::reshaped`]) and τᵢ is not. τᵢ is then a victim of a
+    /// reshaped flow, which the delta marks. On a
+    /// [clean](SolveCache::is_clean) cache it marks its flows
+    /// [`Mark::Partitions`] and records the reshaped flows and the added
+    /// one ([`SolveCache::reshaped`], [`SolveCache::added`]); the carry
+    /// cuts τₖ's slot out of each reshaped block, or opens it, so every
+    /// other slot stays with its edge. A delta onto a cache with marks
+    /// pending falls back: it marks its flows, and those an earlier delta
+    /// marked `Partitions`, [`Mark::Whole`], so the record and the
+    /// `Partitions` marks always describe exactly one delta. An added flow,
+    /// whose edges are all new, is marked `Whole`.
     /// `bi(i,j)` changes only when a router that a link of `cd(i,j)`
-    /// enters is resized, which marks τᵢ [`Mark::Buffers`] and records the
-    /// router in [`SolveCache::resized`]. (A resize can also switch the
-    /// system between uniform and mixed depths, and Eq. 6 then counts an
-    /// ejection link differently. But a domain holding τᵢ's ejection link
-    /// ends τⱼ's route too, so τⱼ has no downstream member and
-    /// `Idown(j,i) = 0` whatever `bi` reads.) So a re-solved τᵢ that is
-    /// not marked `Whole` and whose block is valid *keeps* the slot and
-    /// bit of every edge whose τⱼ did not change in this pass, except,
-    /// when τᵢ is marked `Buffers`, the edges whose domain enters a
-    /// resized router. Those inputs all equal the ones τᵢ's last solve
-    /// wrote the slot from, so the kept term equals a recomputed one, and
-    /// the fixed-point iteration over the same terms yields the same
-    /// verdict in the same number of iterations. Only the other edges are
-    /// recomputed. SB, `XiongOriginal` and the bound below keep the full
+    /// enters is resized, which marks τᵢ at least [`Mark::Buffers`] and
+    /// records the router in [`SolveCache::resized`]. (A resize can also
+    /// switch the system between uniform and mixed depths, and Eq. 6 then
+    /// counts an ejection link differently. But a domain holding τᵢ's
+    /// ejection link ends τⱼ's route too, so τⱼ has no downstream member
+    /// and `Idown(j,i) = 0` whatever `bi` reads.) So a re-solved τᵢ that
+    /// is not marked `Whole` and whose block is valid *keeps* the slot
+    /// and bit of every edge whose τⱼ did not change in this pass, except
+    /// the edges from a reshaped τⱼ when τᵢ is not reshaped, the edge from
+    /// the added flow (its opened slot), and, when τᵢ is marked, the edges
+    /// whose domain enters a resized router. Those inputs all equal the
+    /// ones τᵢ's last solve wrote the slot from, so the kept term equals a
+    /// recomputed one, and the fixed-point iteration over the same terms
+    /// yields the same verdict in the same number of iterations. Only the
+    /// other edges are recomputed.
+    ///
+    /// With one flow delta per solve, the first two exceptions never
+    /// decide a kept term, so no test of one delta can show them. A
+    /// removal only lowers, and an addition only raises, every term any
+    /// recurrence reads (the Eq. 8 cap and the indirect bit switch the
+    /// same way). A reshaped τⱼ also lost or gained a whole term, worth at
+    /// least Cₖ in every window, and a pointwise strictly smaller (larger)
+    /// monotone recurrence has a strictly smaller (larger) least fixed
+    /// point. So a reshaped τⱼ that has a bound after the delta has
+    /// changed its verdict; one that has none taints each victim before
+    /// it reads an edge. An added flow is clean in the pass only if it
+    /// comes out tainted, as its placeholder verdict reads, and then so is
+    /// each of its victims. Two deltas can undo each other's change to
+    /// `Rⱼ` and not to a partition, which is why they fall back.
+    ///
+    /// SB, `XiongOriginal` and the bound below keep the full
     /// pass: SB writes no slot, and the other two widen the window by
     /// `Iup(j,i)`, which a kept edge would need stored as well.
     ///
@@ -362,10 +396,14 @@ impl<'a> Solver<'a> {
                     Step::FixedPoint => {
                         let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
                         let (marks, resized) = (&cache.marks, &cache.resized);
+                        let (reshaped, added) = (&cache.reshaped, cache.added);
+                        let reshaped_i = reshaped.binary_search(&i).is_ok();
                         let keep = |edge: usize, j: FlowId| {
                             partial
                                 && marks[j.index()] == Mark::Clean
-                                && !(mark == Mark::Buffers
+                                && Some(j) != added
+                                && (reshaped_i || reshaped.binary_search(&j).is_err())
+                                && !(mark != Mark::Clean
                                     && domain_enters(system, graph, i, edge, resized))
                         };
                         // On error half the flows are solved and half are
@@ -398,6 +436,8 @@ impl<'a> Solver<'a> {
             cache.memo = self.idown_memo;
             cache.marks.fill(Mark::Clean);
             cache.resized.clear();
+            cache.reshaped.clear();
+            cache.added = None;
         }
         if !fixed_point {
             metrics::CONSERVATIVE_EVALUATED.add(dirty_solved);
@@ -744,14 +784,18 @@ struct EdgePass {
 ///
 /// Only τᵢ's own solve writes its block, in edge order, and nothing else
 /// is written meanwhile, so a victim's first solve appends its block at
-/// the end; later solves rewrite it in place. The storage has room for
-/// every edge of the graph, so a solve never reallocates it, and a delta
-/// compacts it while copying it ([`EdgeMemo::relaid_out`]). A tainted
-/// victim writes nothing, so a solve fills slots only for flows with a
-/// bound.
+/// the end; later solves rewrite it in place. The storage is laid out
+/// with room for every edge of the graph. A delta copies it, cutting out
+/// or opening the delta's slot in each block whose `S^D` lost or gained
+/// the delta's flow, with room for the slots that delta adds
+/// ([`EdgeMemo::relaid_out`]); so a solve reallocates it only for the
+/// first block of a flow that had none before the delta. A tainted victim
+/// writes nothing, so a solve fills slots only for flows with a bound.
 ///
 /// A block is *valid* from the end of its victim's solve until the victim
-/// is solved again or a delta changes its `S^D`. Solving highest priority
+/// is solved again; a delta keeps every valid block that has one slot per
+/// member of its victim's `S^D`, and a slot it opens holds a placeholder
+/// until the victim's re-solve writes it. Solving highest priority
 /// first, every block a solve reads — that of a schedulable τⱼ ∈ `S^D_i`
 /// — is valid. A solve cache keeps the memo across solves, so a clean
 /// flow's slots need no recomputation.
@@ -798,43 +842,107 @@ impl EdgeMemo {
         !self.blocks.is_empty()
     }
 
-    /// This memo carried across a flow addition or removal, compacted
-    /// while it is copied: `graph` is the graph after the delta, and
-    /// `old(x)` names the pre-delta id of the flow now at `x`, if any. A
-    /// valid block whose length still matches `|S^D_x|` keeps its values
-    /// and validity — a delta adds or removes one flow, so an unchanged
-    /// `|S^D_x|` means an unchanged `S^D_x`, in the same order. The other
-    /// victims lose their blocks. The kept blocks are copied in the order
-    /// they sit in, into storage with room for every edge of `graph`. A
-    /// memo that was never laid out stays so.
+    /// This memo carried across a flow addition or removal: `graph` is
+    /// the graph after `delta`, and `reshaped` the flows whose `S^D` the
+    /// delta reshaped, with the position of its flow there
+    /// ([`GraphDelta::reshaped`]). A valid block with one slot per member
+    /// of its victim's `S^D` before the delta is kept, under its flow's
+    /// new id; the other blocks are dropped (invalid ones, and the empty
+    /// blocks of kinds that write no slot). A kept reshaped block has the
+    /// delta's slot cut out (a removal) or opened (an addition, with a
+    /// placeholder value and indirect bit that the victim's re-solve must
+    /// recompute), so each kept block has one slot per member of its
+    /// victim's `S^D` after the delta, in `S^D` order.
+    ///
+    /// The storage is copied whole, with each block where it was: the
+    /// slots of dropped blocks, a cut slot and the old place of an opened
+    /// block (which moves to the end) are left unused. Only when unused
+    /// slots would outnumber the kept ones are the kept blocks compacted
+    /// instead. Either way the copy has room for the blocks it moves and
+    /// the added flow's first block. A memo that was never laid out stays
+    /// so.
     fn relaid_out(
         &self,
         graph: &InterferenceGraph,
-        old: impl Fn(usize) -> Option<usize>,
+        delta: FlowDelta,
+        reshaped: &[(FlowId, usize)],
     ) -> EdgeMemo {
         if !self.is_laid_out() {
             return EdgeMemo::default();
         }
-        let n = graph.len();
-        let mut kept: Vec<(usize, Block)> = (0..n)
-            .filter_map(|x| {
-                let b = self.blocks[old(x)?];
-                let same = b.valid && b.len == graph.direct_set(FlowId::new(x as u32)).len();
-                same.then_some((x, b))
+        let position = |x: usize| {
+            let r = reshaped.binary_search_by_key(&x, |&(f, _)| f.index());
+            r.ok().map(|r| reshaped[r].1)
+        };
+        let mut blocks: Vec<Block> = (0..graph.len())
+            .map(|x| {
+                let Some(old) = delta.old(x) else {
+                    return Block::default();
+                };
+                let (b, len) = (
+                    self.blocks[old],
+                    graph.direct_set(FlowId::new(x as u32)).len(),
+                );
+                let was = match (delta, position(x)) {
+                    (_, None) => len,
+                    (FlowDelta::Removed(_), Some(_)) => len + 1,
+                    (FlowDelta::Inserted(_), Some(_)) => len - 1,
+                };
+                if b.valid && b.len == was {
+                    b
+                } else {
+                    Block::default()
+                }
             })
             .collect();
-        kept.sort_unstable_by_key(|(_, b)| b.start);
-        let mut memo = EdgeMemo::new(graph);
-        for (x, b) in kept {
-            let slots = b.start..b.start + b.len;
-            memo.blocks[x] = Block {
-                start: memo.values.len(),
-                ..b
-            };
-            memo.values.extend_from_slice(&self.values[slots.clone()]);
-            memo.indirect.extend_from_slice(&self.indirect[slots]);
+        let kept: usize = blocks.iter().map(|b| b.len).sum();
+        let compact = self.values.len() > 2 * kept;
+        let growth = match delta {
+            FlowDelta::Inserted(at) => {
+                let opened = reshaped.iter().map(|&(x, _)| blocks[x.index()].len + 1);
+                opened.sum::<usize>() + graph.direct_set(FlowId::new(at as u32)).len()
+            }
+            FlowDelta::Removed(_) => 0,
+        };
+        let room = if compact { kept } else { self.values.len() } + growth;
+        let (mut values, mut indirect) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        if compact {
+            for b in blocks.iter_mut().filter(|b| b.valid) {
+                let slots = b.start..b.start + b.len;
+                b.start = values.len();
+                values.extend_from_slice(&self.values[slots.clone()]);
+                indirect.extend_from_slice(&self.indirect[slots]);
+            }
+        } else {
+            values.extend_from_slice(&self.values);
+            indirect.extend_from_slice(&self.indirect);
         }
-        memo
+        for &(x, at) in reshaped {
+            let b = &mut blocks[x.index()];
+            if !b.valid {
+                continue;
+            }
+            let (start, end) = (b.start, b.start + b.len);
+            if let FlowDelta::Removed(_) = delta {
+                values.copy_within(start + at + 1..end, start + at);
+                indirect.copy_within(start + at + 1..end, start + at);
+                b.len -= 1;
+            } else {
+                b.start = values.len();
+                b.len += 1;
+                values.extend_from_within(start..start + at);
+                values.push(0);
+                values.extend_from_within(start + at..end);
+                indirect.extend_from_within(start..start + at);
+                indirect.push(false);
+                indirect.extend_from_within(start + at..end);
+            }
+        }
+        EdgeMemo {
+            blocks,
+            values,
+            indirect,
+        }
     }
 
     /// Whether `victim`'s block holds the values of its last solve.
@@ -907,10 +1015,11 @@ fn domain_enters(
     routers: &[RouterId],
 ) -> bool {
     let topology = system.topology();
-    graph.direct_domains(i)[edge]
-        .links(system.route(i))
-        .iter()
-        .any(|&l| matches!(topology.link(l).target(), Endpoint::Router(r) if routers.contains(&r)))
+    !routers.is_empty()
+        && graph.direct_domains(i)[edge]
+            .links(system.route(i))
+            .iter()
+            .any(|&l| matches!(topology.link(l).target(), Endpoint::Router(r) if routers.contains(&r)))
 }
 
 /// One direct interferer's precomputed contribution to the recurrence of
@@ -965,8 +1074,15 @@ enum Mark {
     /// recomputes only the edges whose domains enter one of them, and
     /// those whose interferer changed.
     Buffers,
-    /// Its structure, or everything (a fresh or poisoned cache): a
-    /// re-solve recomputes every edge.
+    /// Its interference sets, through the one flow addition or removal
+    /// since the last solve, and possibly the depths of routers in
+    /// [`SolveCache::resized`]: a re-solve also recomputes the edges whose
+    /// partition that delta changed (τⱼ in [`SolveCache::reshaped`], τᵢ
+    /// not) and the edge from [`SolveCache::added`].
+    Partitions,
+    /// Everything (an added flow, a fresh or poisoned cache, or a flow
+    /// whose interference sets more than one delta changed): a re-solve
+    /// recomputes every edge.
     Whole,
 }
 
@@ -1011,8 +1127,15 @@ pub(crate) struct SolveCache {
     /// What the deltas since the last solve changed, per flow.
     marks: Vec<Mark>,
     /// The routers resized since the last solve, for the flows marked
-    /// [`Mark::Buffers`].
+    /// [`Mark::Buffers`] or [`Mark::Partitions`].
     resized: Vec<RouterId>,
+    /// For the flows marked [`Mark::Partitions`]: the flows whose `S^D`
+    /// the delta since the last solve reshaped (gained or lost one
+    /// member), in ascending id order. Empty unless such marks are pending.
+    reshaped: Vec<FlowId>,
+    /// For the flows marked [`Mark::Partitions`]: the flow that delta
+    /// added, whose slot in each reshaped block is a placeholder.
+    added: Option<FlowId>,
     /// The `Idown` slots of the last solve; laid out by the first solve.
     memo: EdgeMemo,
     /// The flows the last solve re-solved, in solve order.
@@ -1045,6 +1168,8 @@ impl SolveCache {
             verdicts: vec![FlowVerdict::Tainted; n],
             marks: vec![Mark::Whole; n],
             resized: Vec::new(),
+            reshaped: Vec::new(),
+            added: None,
             memo: EdgeMemo::default(),
             #[cfg(test)]
             resolved: Vec::new(),
@@ -1055,34 +1180,57 @@ impl SolveCache {
 
     /// Carries `cache` across a flow addition or removal, in one copy: the
     /// state of each remaining flow moves to its new id, an added flow
-    /// starts dirty, the memo is compacted ([`EdgeMemo::relaid_out`]), and
-    /// the `affected` flows are marked [`Mark::Whole`]. `graph` is the
-    /// graph after the delta. A shared cache is left to its other holders
-    /// untouched.
+    /// starts dirty, and the memo is copied, each reshaped block with the
+    /// delta's slot cut out or opened ([`EdgeMemo::relaid_out`]).
+    /// `graph` is the graph after the delta and `changed` what the delta
+    /// changed in it.
+    ///
+    /// On a [clean](SolveCache::is_clean) cache the `changed.affected`
+    /// flows are marked [`Mark::Partitions`] and the reshaped flows and the
+    /// added one recorded, which is exact for this one delta. A cache with
+    /// marks pending falls back: the affected flows, and those a previous
+    /// delta marked `Partitions`, are marked [`Mark::Whole`]. A shared
+    /// cache is left to its other holders untouched.
     pub(crate) fn carry(
         cache: &mut Arc<SolveCache>,
         graph: &InterferenceGraph,
         delta: FlowDelta,
-        affected: &[FlowId],
+        changed: &GraphDelta,
     ) {
-        let n = graph.len();
-        let old = |x: usize| delta.old(x);
-        let moved = |x: usize| old(x).map(|o| (cache.verdicts[o], cache.marks[o]));
-        let (verdicts, marks) = (0..n)
-            .map(|x| moved(x).unwrap_or((FlowVerdict::Tainted, Mark::Whole)))
+        let exact = cache.is_clean();
+        let (verdicts, mut marks): (Vec<_>, Vec<_>) = (0..graph.len())
+            .map(|x| match delta.old(x) {
+                // The marks of an earlier delta's partitions go whole.
+                Some(o) if cache.marks[o] == Mark::Partitions => (cache.verdicts[o], Mark::Whole),
+                Some(o) => (cache.verdicts[o], cache.marks[o]),
+                None => (FlowVerdict::Tainted, Mark::Whole),
+            })
             .unzip();
-        let mut carried = SolveCache {
+        let mark = if exact { Mark::Partitions } else { Mark::Whole };
+        for f in &changed.affected {
+            marks[f.index()] = marks[f.index()].max(mark);
+        }
+        let (reshaped, added) = if exact {
+            let added = match delta {
+                FlowDelta::Inserted(at) => Some(FlowId::new(at as u32)),
+                FlowDelta::Removed(_) => None,
+            };
+            (changed.reshaped.iter().map(|&(f, _)| f).collect(), added)
+        } else {
+            (Vec::new(), None)
+        };
+        *cache = Arc::new(SolveCache {
             verdicts,
             marks,
             resized: cache.resized.clone(),
-            memo: cache.memo.relaid_out(graph, old),
+            reshaped,
+            added,
+            memo: cache.memo.relaid_out(graph, delta, &changed.reshaped),
             #[cfg(test)]
             resolved: Vec::new(),
             #[cfg(test)]
             edges: Vec::new(),
-        };
-        carried.mark_dirty(affected);
-        *cache = Arc::new(carried);
+        });
     }
 
     /// The `Idown` slots of `victim`'s last solve, if its block is valid.
@@ -1092,17 +1240,10 @@ impl SolveCache {
         b.valid.then(|| &self.memo.values[b.start..b.start + b.len])
     }
 
-    /// Marks the inputs of `flows` as changed.
-    fn mark_dirty(&mut self, flows: &[FlowId]) {
-        for f in flows {
-            self.marks[f.index()] = Mark::Whole;
-        }
-    }
-
     /// Records that `router` was resized, and marks `flows`, the victims
     /// of the domains with a link into it, as changed only in the edges
-    /// whose domains enter a resized router (unless a delta marked them
-    /// changed in full).
+    /// whose domains enter a resized router (unless a flow delta marked
+    /// them: a re-solve then also checks the recorded routers).
     pub(crate) fn mark_resized(&mut self, flows: &[FlowId], router: RouterId) {
         for f in flows {
             let mark = &mut self.marks[f.index()];
@@ -1132,6 +1273,8 @@ impl SolveCache {
     pub(crate) fn poison(&mut self) {
         self.marks.fill(Mark::Whole);
         self.resized.clear();
+        self.reshaped.clear();
+        self.added = None;
         self.memo = EdgeMemo::default();
     }
 }

@@ -13,17 +13,24 @@
 //!   update the context's [`InterferenceGraph`] through its delta methods
 //!   ([`InterferenceGraph::add_flow`] / [`InterferenceGraph::remove_flow`]),
 //!   which recompute only the affected neighbourhood and report exactly
-//!   which flows' interference sets changed;
-//! * those flows are marked dirty in every kept cache; the next
-//!   [`AnalysisContext::analyze`] walks the priority order and re-solves
-//!   a flow iff it is marked or a member of its `S^D` — all strictly
-//!   higher priority — changed its verdict (which records its `R`) or
-//!   `Idown` slots in this pass. Every other flow keeps its cached
-//!   result, so the re-solve stops where results stop changing. Under
-//!   XLWX and IBN a re-solved flow also keeps the edge terms whose inputs
-//!   did not change, and recomputes only the others. A cache that no
-//!   delta marked is read back as it stands, without the copy a cache
-//!   shared with the base would otherwise need;
+//!   which flows' interference sets changed, and which flows' direct sets
+//!   gained or lost the delta's flow (the *reshaped* ones);
+//! * those flows are marked dirty in every kept cache, whose memo keeps
+//!   every block, with the delta's slot cut out of or opened in each
+//!   reshaped one; the next [`AnalysisContext::analyze`] walks the
+//!   priority order and re-solves a flow iff it is marked or a member of
+//!   its `S^D` — all strictly higher priority — changed its verdict
+//!   (which records its `R`) or `Idown` slots in this pass. Every other
+//!   flow keeps its cached result, so the re-solve stops where results
+//!   stop changing. Under XLWX and IBN a re-solved flow also keeps the
+//!   edge terms whose inputs did not change: those from an interferer
+//!   that did not change in the pass, unless the delta changed the edge's
+//!   partition `S^I_i ∩ S^D_j` (the interferer is reshaped and the victim
+//!   is not) or the edge is new. This is exact for one delta per solve,
+//!   which is what a [`what_if`](AnalysisContext::what_if) scope makes; a
+//!   delta onto a cache with marks pending marks its flows to recompute
+//!   every edge. A cache that no delta marked is read back as it stands,
+//!   without the copy a cache shared with the base would otherwise need;
 //! * [`AnalysisContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
 //!   it re-evaluates only what the deltas reach; buffer resizes mark
@@ -436,6 +443,32 @@ mod tests {
         }
     }
 
+    /// Two flow deltas between solves: τⱼ (0→3) loses τ_g (2→3), which
+    /// hits it downstream of its domain with τᵢ (0→1), and gains τ_g'
+    /// (0→1) at the same priority, whose term in τⱼ's recurrence is the
+    /// same. So τⱼ comes out of the pass unchanged, while `Idown(j,i)`
+    /// drops to zero and τᵢ, which gained τ_g' too, must recompute the
+    /// edge from τⱼ: the first delta changed its partition, which the
+    /// second's marks alone would not say.
+    #[test]
+    fn a_second_flow_delta_before_a_solve_keeps_no_stale_partition() {
+        let (g, j, i) = ((2, 3, 1, 1000), (0, 3, 2, 1000), (0, 1, 3, 1000));
+        let mut ctx = AnalysisContext::owned(mesh_system(&[g, j, i])).unwrap();
+        let before: Vec<AnalysisReport> = AnalysisKind::ALL
+            .iter()
+            .map(|&k| ctx.analyze(k).unwrap())
+            .collect();
+        ctx.remove_flow(FlowId::new(0)).unwrap();
+        ctx.add_flow(mesh_flow((0, 1, 1, 1000)), &XyRouting)
+            .unwrap();
+        assert_matches_scratch(&mut ctx);
+        let ibn = &before[AnalysisKind::BufferAware.index()];
+        let after = ctx.analyze(AnalysisKind::BufferAware).unwrap();
+        let verdict = |r: &AnalysisReport, x: u32| r.verdict(FlowId::new(x));
+        assert_eq!(verdict(&after, 0), verdict(ibn, 1), "τⱼ changed");
+        assert_ne!(verdict(&after, 1), verdict(ibn, 2), "τᵢ did not");
+    }
+
     #[test]
     fn admission_roundtrip_restores_reports() {
         let mut ctx = AnalysisContext::owned(mesh_system(&SPECS[..4])).unwrap();
@@ -844,8 +877,10 @@ mod tests {
         }
     }
 
-    /// Drives random deltas through a fork of a warmed base. After every
-    /// step, each kind's report equals a from-scratch solve; every flow
+    /// Drives random deltas through a fork of a warmed base, one per even
+    /// step and one to three per odd step, so that a delta can meet the
+    /// marks of an earlier one still pending. After every step, each
+    /// kind's report equals a from-scratch solve; every flow
     /// the cutoff skipped has the from-scratch explanation it had before
     /// the delta; every edge term a re-solved flow kept or recomputed has
     /// the from-scratch window jitter and `Idown`; every persisted `Idown`
@@ -866,16 +901,22 @@ mod tests {
         let mut ctx = warm_fork(&system);
         let (mut skipped_total, mut conservative_skipped, mut kept_total) = (0, 0, 0);
         for step in 0..oracle_steps() {
-            let removed = random_delta(&mut ctx, &mut rng, &mut freed, &mut next_priority, min_len);
-            // Pre-delta id → post-delta id, and back.
-            let forward = |f: FlowId| match removed {
-                Some(r) if f > r => FlowId::new(f.raw() - 1),
-                _ => f,
-            };
-            let backward = |x: usize| match removed {
-                Some(r) if x >= r.index() => Some(x + 1),
-                _ => (x < before[0].len()).then_some(x),
-            };
+            // Odd steps stack one to three deltas before the solve.
+            let deltas = if step % 2 == 1 { 1 + rng.below(3) } else { 1 };
+            // Each pre-step flow's id after the deltas, if it is still in.
+            let mut moved: Vec<Option<usize>> = (0..before[0].len()).map(Some).collect();
+            for _ in 0..deltas {
+                let removed =
+                    random_delta(&mut ctx, &mut rng, &mut freed, &mut next_priority, min_len);
+                if let Some(r) = removed.map(FlowId::index) {
+                    for m in &mut moved {
+                        *m = m.filter(|&c| c != r).map(|c| c - usize::from(c > r));
+                    }
+                }
+            }
+            // Pre-step id → post-step id, and back.
+            let forward = |f: FlowId| FlowId::new(moved[f.index()].expect("still in") as u32);
+            let backward = |x: usize| moved.iter().position(|&m| m == Some(x));
             let system = ctx.system().clone();
             let scratch = AnalysisContext::new(&system).unwrap();
             let now = explanations(&scratch);
@@ -1291,7 +1332,7 @@ mod tests {
         // The highest-priority flow: its removal reaches deepest.
         let gone = system.flows().ids_by_priority()[0];
         let after = system.without_flow(gone).unwrap();
-        let affected = fork.graph().clone().remove_flow(&after, gone);
+        let affected = fork.graph().clone().remove_flow(&after, gone).affected;
         fork.remove_flow(gone).unwrap();
         let report = fork.analyze(AnalysisKind::BufferAware).unwrap();
         let scratch = AnalysisContext::new(&after).unwrap();

@@ -1,6 +1,7 @@
 //! The buffer-depth counters: a kept report counts once when filled, each
 //! answer counts as served from the store or solved unkept, and a spent
-//! budget counts as neither. With telemetry off, none of them moves.
+//! budget counts as neither, but as one deadline hit, as it does for a
+//! warm-up. With telemetry off, none of them moves.
 //!
 //! One test in its own process, because the telemetry gate and the
 //! counters are process-global state.
@@ -61,6 +62,9 @@ fn counted_when_on(kind: AnalysisKind, sys: &noc_model::system::System) {
     cancelled.cancel();
     assert!(base.analyze_at_buffer_depth(kind, 4, &cancelled).is_err());
     assert_eq!(counters(), [filled + 1, served + 2, unkept + 1, hits + 1]);
+    // So does a warm-up, once, before it lays anything out.
+    assert!(base.warm(kind, &cancelled).is_err());
+    assert_eq!(counters(), [filled + 1, served + 2, unkept + 1, hits + 2]);
 
     // A full store fills nothing more, and its later depths solve unkept.
     let depths: Vec<u32> = (5..4 + KEPT_BUFFER_DEPTHS as u32).collect();

@@ -12,7 +12,7 @@
 //! | `sim_throughput` | cycle-accurate simulator throughput (Figure 1 router) |
 //! | `table2` | the critical-instant sweep behind Table II's `R^sim` columns |
 //! | `batch_sweep` | that sweep through [`BatchSimulator`](noc_sim::prelude::BatchSimulator)'s shared layout against one `Simulator` per plan |
-//! | `hetero_analysis` | buffer-aware analysis and per-router what-if serving over the [`heterogeneous_system`] fixture (per-router depths, bursty release) |
+//! | `hetero_analysis` | buffer-aware analysis, and per-router resize and flow removal what-if serving, over the [`heterogeneous_system`] fixture (per-router depths, bursty release) |
 //!
 //! [`suites`] holds the groups, [`sampler`] the timing loop.
 

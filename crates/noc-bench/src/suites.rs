@@ -189,23 +189,34 @@ pub fn hetero_fixture(production: bool) -> (&'static str, System) {
 
 /// Group `hetero_analysis`: the buffer-aware analysis over a
 /// heterogeneous-depth bursty workload — the slow (per-router) path of
-/// Equation 6 — plus a batch of per-router buffer what-if queries served
-/// through the incremental resize path.
+/// Equation 6 — plus two batches of what-if queries served through the
+/// incremental path: per-router buffer resizes, and flow removals.
 pub fn hetero_analysis(sampler: &Sampler, label: &str, system: &System) -> Vec<Row> {
     // Two contexts, so that the analysis' solves do not warm the base the
-    // what-if batch is served from.
+    // what-if batches are served from.
     let ctx = AnalysisContext::new(system).expect("bench fixture is analysable");
     let base = AnalysisContext::new(system).expect("bench fixture is analysable");
-    let routers = system.topology().router_count();
-    let batch = noc_serve::QueryBatch {
+    let batch = |queries| noc_serve::QueryBatch {
         analysis: AnalysisKind::BufferAware,
-        queries: (0..32usize)
+        queries,
+    };
+    let routers = system.topology().router_count();
+    let resizes = batch(
+        (0..32usize)
             .map(|i| noc_serve::Query::RouterBufferWhatIf {
                 router: RouterId::new((i * 7 % routers) as u32),
                 depth: 2 + (i % 7) as u32,
             })
             .collect(),
-    };
+    );
+    let flows = system.flows().len();
+    let removals = batch(
+        (0..32usize)
+            .map(|i| noc_serve::Query::Removal {
+                id: FlowId::new((i * 37 % flows) as u32),
+            })
+            .collect(),
+    );
     vec![
         Row {
             label: format!("hetero_analysis/buffer-aware/{label}"),
@@ -215,7 +226,12 @@ pub fn hetero_analysis(sampler: &Sampler, label: &str, system: &System) -> Vec<R
         Row {
             label: format!("hetero_analysis/router-what-if-batch/{label}"),
             cycles: 0,
-            stats: sampler.run(|| noc_serve::run_batch(&base, &batch, &XyRouting, 2)),
+            stats: sampler.run(|| noc_serve::run_batch(&base, &resizes, &XyRouting, 2)),
+        },
+        Row {
+            label: format!("hetero_analysis/removal-what-if-batch/{label}"),
+            cycles: 0,
+            stats: sampler.run(|| noc_serve::run_batch(&base, &removals, &XyRouting, 2)),
         },
     ]
 }
@@ -258,6 +274,7 @@ mod tests {
                 "batch_sweep/didactic/batch-shared-layout",
                 "hetero_analysis/buffer-aware/8x8_260_hetero",
                 "hetero_analysis/router-what-if-batch/8x8_260_hetero",
+                "hetero_analysis/removal-what-if-batch/8x8_260_hetero",
             ]
         );
 

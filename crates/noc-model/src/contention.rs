@@ -45,7 +45,10 @@
 //! after any sequence of deltas the graph equals the one built from
 //! scratch for the final system. An addition may insert at any id, so
 //! removing a flow and adding it back at its own id restores the graph
-//! exactly.
+//! exactly. Each returns a [`GraphDelta`]: the flows whose interference
+//! sets changed, and among them the flows whose direct set gained or lost
+//! the delta's flow, with its position there, which names exactly the
+//! direct edges whose partition `S^I_i ∩ S^D_j` changed.
 //!
 //! [`System`]: crate::system::System
 
@@ -339,6 +342,25 @@ fn find(set: &[FlowId], rank: &[u32], r: u32) -> Option<usize> {
     set.binary_search_by(|f| rank[f.index()].cmp(&r)).ok()
 }
 
+/// What one flow addition or removal changed in an [`InterferenceGraph`]
+/// ([`InterferenceGraph::add_flow`], [`InterferenceGraph::remove_flow`]),
+/// every flow named by its id after the delta.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GraphDelta {
+    /// Every flow whose direct or indirect interference set changed, the
+    /// added flow included, in ascending id order: the set an incremental
+    /// solver must mark dirty.
+    pub affected: Vec<FlowId>,
+    /// The *reshaped* flows, those whose direct set gained or lost the
+    /// delta's flow, in ascending id order, each with that flow's position
+    /// in its direct set: after an addition, or before a removal. They are
+    /// members of `affected`, and every other member but an added flow is a
+    /// victim of one of them. The partition `S^I_i ∩ S^D_j = S^D_j ∖ S^D_i`
+    /// of a direct edge (j → i) between two flows present before and after
+    /// the delta changed iff τⱼ is reshaped and τᵢ is not.
+    pub reshaped: Vec<(FlowId, usize)>,
+}
+
 /// Precomputed interference structure of a [`System`]: the direct set of
 /// every flow, with the contention domain of each member. Indirect sets are
 /// derived from these on demand.
@@ -537,8 +559,8 @@ impl InterferenceGraph {
     /// `id` is not the last id, one renumbering pass.
     ///
     /// Returns every flow whose direct or indirect interference set may
-    /// have changed, `id` included — the set an incremental solver must
-    /// mark dirty — in ascending id order.
+    /// have changed, `id` included, and the flows whose direct set gained
+    /// `id`, each with its position there (see [`GraphDelta`]).
     ///
     /// # Errors
     ///
@@ -550,7 +572,7 @@ impl InterferenceGraph {
     ///
     /// Panics if `id` is past the flow count or `system` does not have
     /// exactly one more flow than the graph covers.
-    pub fn add_flow(&mut self, system: &System, id: FlowId) -> Result<Vec<FlowId>, ModelError> {
+    pub fn add_flow(&mut self, system: &System, id: FlowId) -> Result<GraphDelta, ModelError> {
         let n_old = self.len();
         assert!(
             id.index() <= n_old,
@@ -603,7 +625,7 @@ impl InterferenceGraph {
         // the rank order the walk left them in.
         self.direct.insert(id.index(), Vec::new());
         self.domains.insert(id.index(), Vec::new());
-        let mut gained: Vec<FlowId> = Vec::new();
+        let mut gained: Vec<(FlowId, usize)> = Vec::new();
         for &(g, cd) in &scratch.found {
             let g = up(g);
             if r_new < self.rank[g.index()] {
@@ -611,7 +633,7 @@ impl InterferenceGraph {
                 let at = set.partition_point(|f| self.rank[f.index()] < r_new);
                 self.direct[g.index()].insert(at, id);
                 self.domains[g.index()].insert(at, cd.reversed());
-                gained.push(g);
+                gained.push((g, at));
             } else {
                 self.direct[id.index()].push(g);
                 self.domains[id.index()].push(cd);
@@ -623,7 +645,7 @@ impl InterferenceGraph {
         // of their victims — their lower-priority contenders, read off the
         // overlap table.
         let mut affected = vec![id];
-        for &g in &gained {
+        for &(g, _) in &gained {
             affected.push(g);
             let r_g = self.rank[g.index()];
             for link in system.route(g).iter() {
@@ -633,7 +655,11 @@ impl InterferenceGraph {
         }
         affected.sort_unstable();
         affected.dedup();
-        Ok(affected)
+        gained.sort_unstable();
+        Ok(GraphDelta {
+            affected,
+            reshaped: gained,
+        })
     }
 
     /// Removes flow `id` from the graph, renumbering every larger id one
@@ -647,13 +673,15 @@ impl InterferenceGraph {
     /// when `id` is not the last id, one renumbering pass.
     ///
     /// Returns every remaining flow — under its **new** id, in ascending
-    /// order — whose direct or indirect interference set changed.
+    /// order — whose direct or indirect interference set changed, and the
+    /// flows whose direct set held `id`, each with the position it had
+    /// there (see [`GraphDelta`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds or `system` does not have exactly
     /// one flow fewer than the graph covers.
-    pub fn remove_flow(&mut self, system: &System, id: FlowId) -> Vec<FlowId> {
+    pub fn remove_flow(&mut self, system: &System, id: FlowId) -> GraphDelta {
         let n_old = self.len();
         assert!(id.index() < n_old, "no such flow to remove");
         assert_eq!(
@@ -693,11 +721,13 @@ impl InterferenceGraph {
                 affected.extend(on_link.filter(|a| self.rank[a.index()] > r_j));
             }
         }
+        let mut reshaped = Vec::with_capacity(losers.len());
         for &a in &losers {
             let at = find(&self.direct[a.index()], &self.rank, r_gone)
                 .expect("a victim holds its direct interferer");
             self.direct[a.index()].remove(at);
             self.domains[a.index()].remove(at);
+            reshaped.push((down(a), at));
         }
         // Every flow the removed one outranked moves one rank up.
         for f in &self.order[r_gone as usize + 1..] {
@@ -712,7 +742,10 @@ impl InterferenceGraph {
         }
         affected.sort_unstable();
         affected.dedup();
-        affected.into_iter().map(down).collect()
+        GraphDelta {
+            affected: affected.into_iter().map(down).collect(),
+            reshaped,
+        }
     }
 
     /// The contention domain `cd(i,j)`, oriented so that
@@ -1237,8 +1270,8 @@ mod tests {
         let mut g = InterferenceGraph::new(&sys).unwrap();
         for &spec in &specs[1..] {
             let (next, id) = sys.with_added_flow(mesh_flow(spec), &XyRouting).unwrap();
-            let affected = g.add_flow(&next, id).unwrap();
-            assert!(affected.contains(&id));
+            let delta = g.add_flow(&next, id).unwrap();
+            assert!(delta.affected.contains(&id));
             sys = next;
             assert_eq!(g, InterferenceGraph::new(&sys).unwrap());
         }
@@ -1272,8 +1305,8 @@ mod tests {
         let mut g = g_full.clone();
         g.remove_flow(&smaller, last);
         assert_eq!(g, InterferenceGraph::new(&smaller).unwrap());
-        let affected = g.add_flow(&full, last).unwrap();
-        assert!(affected.contains(&last));
+        let delta = g.add_flow(&full, last).unwrap();
+        assert!(delta.affected.contains(&last));
         assert_eq!(g, g_full);
     }
 
@@ -1299,19 +1332,24 @@ mod tests {
             let gained = g.add_flow(&sys, gone).unwrap();
             assert_eq!(g, g_full, "re-inserting {gone}");
             // The flows whose sets changed are the same both ways, bar the
-            // inserted flow itself.
-            let up = |f: &FlowId| {
-                if *f >= gone {
+            // inserted flow itself, and so are the reshaped flows and the
+            // positions of `gone` in their direct sets.
+            let up = |f: FlowId| {
+                if f >= gone {
                     FlowId::new(f.raw() + 1)
                 } else {
-                    *f
+                    f
                 }
             };
-            let lost: Vec<FlowId> = lost.iter().map(up).collect();
+            let affected: Vec<FlowId> = lost.affected.iter().copied().map(up).collect();
             assert!(
-                lost.iter().all(|f| gained.contains(f)),
-                "{gone}: {lost:?} ⊄ {gained:?}"
+                affected.iter().all(|f| gained.affected.contains(f)),
+                "{gone}: {affected:?} ⊄ {:?}",
+                gained.affected
             );
+            let reshaped: Vec<(FlowId, usize)> =
+                lost.reshaped.iter().map(|&(f, at)| (up(f), at)).collect();
+            assert_eq!(reshaped, gained.reshaped, "{gone}");
         }
     }
 

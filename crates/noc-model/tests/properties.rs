@@ -357,7 +357,10 @@ proptest! {
 
     /// Every graph accessor agrees with the oracle after each delta of a
     /// random admission/removal sequence, the graph equals a from-scratch
-    /// build, and each delta reports exactly the flows its definition names.
+    /// build, and each delta reports exactly the flows its definition names:
+    /// the affected flows, and the reshaped ones with the delta's flow's
+    /// position in their brute-force `S^D` before a removal or after an
+    /// addition.
     #[test]
     fn graph_matches_oracle_under_deltas((w, h, raw) in mesh_and_flows(), ops in deltas()) {
         let Some(mut system) = build_system(w, h, &raw) else { return Ok(()); };
@@ -365,11 +368,12 @@ proptest! {
         let nodes = u32::from(w) * u32::from(h);
         for (kind, a, b, p) in ops {
             let n = system.flows().len();
-            let affected = if kind == 0 && n > 1 {
+            let delta = if kind == 0 && n > 1 {
                 let id = FlowId::new(a % n as u32);
                 let before = Oracle::new(&system);
                 let next = system.without_flow(id).unwrap();
-                let affected = graph.remove_flow(&next, id);
+                let delta = graph.remove_flow(&next, id);
+                let down = |x: FlowId| if x > id { FlowId::new(x.raw() - 1) } else { x };
                 // Flows that held the removed one, under their new ids.
                 let expected: Vec<FlowId> = system
                     .flows()
@@ -378,11 +382,21 @@ proptest! {
                         before.direct[x.index()].contains(&id)
                             || before.indirect[x.index()].contains(&id)
                     })
-                    .map(|x| if x > id { FlowId::new(x.raw() - 1) } else { x })
+                    .map(down)
                     .collect();
-                prop_assert_eq!(&affected, &expected);
+                prop_assert_eq!(&delta.affected, &expected);
+                // Flows whose S^D held it, with its place there before.
+                let reshaped: Vec<(FlowId, usize)> = system
+                    .flows()
+                    .ids()
+                    .filter_map(|x| {
+                        let at = before.direct[x.index()].iter().position(|&j| j == id)?;
+                        Some((down(x), at))
+                    })
+                    .collect();
+                prop_assert_eq!(&delta.reshaped, &reshaped);
                 system = next;
-                affected
+                delta
             } else {
                 let (src, dst) = (a % nodes, b % nodes);
                 if src == dst {
@@ -395,7 +409,7 @@ proptest! {
                     .build();
                 // A drawn priority may already be taken; skip that draw.
                 let Ok((next, id)) = system.with_added_flow(flow, &XyRouting) else { continue };
-                let affected = graph.add_flow(&next, id).unwrap();
+                let delta = graph.add_flow(&next, id).unwrap();
                 // The new flow, the flows whose direct set gained it, and
                 // every flow directly interfered with by one of those.
                 let after = Oracle::new(&next);
@@ -410,11 +424,17 @@ proptest! {
                             || after.direct[x.index()].iter().any(|j| gained.contains(j))
                     })
                     .collect();
-                prop_assert_eq!(&affected, &expected);
+                prop_assert_eq!(&delta.affected, &expected);
+                // The gainers, with the new flow's place in their S^D.
+                let reshaped: Vec<(FlowId, usize)> = gained
+                    .iter()
+                    .map(|&g| (g, after.direct[g.index()].iter().position(|&j| j == id).unwrap()))
+                    .collect();
+                prop_assert_eq!(&delta.reshaped, &reshaped);
                 system = next;
-                affected
+                delta
             };
-            prop_assert!(affected.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(delta.affected.windows(2).all(|w| w[0] < w[1]));
             check_against_oracle(&graph, &system)?;
             prop_assert!(graph == InterferenceGraph::new(&system).unwrap());
         }

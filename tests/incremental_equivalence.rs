@@ -2,7 +2,7 @@
 //! [`AnalysisContext`] driven through randomized add/remove/resize
 //! sequences must report **bit-identically** — for all five
 //! analyses — to a fresh context derived from scratch over the
-//! same mutated system after every single step.
+//! same mutated system after every step.
 //!
 //! The sequences deliberately recycle priorities freed by removals, so
 //! additions land in the *middle* of the priority order (not just at the
@@ -13,6 +13,10 @@
 //! flows carry random burst allowances, so the buffer-aware cache
 //! invalidation and the arrival-curve plumbing are both exercised on the
 //! same sequences.
+//!
+//! Every third step stacks one to three such deltas before it solves, so
+//! a delta can meet the marks of an earlier one still pending in the
+//! caches.
 //!
 //! Before every step the sequences also run one
 //! [`AnalysisContext::what_if`] scope (an admission, a removal of a
@@ -167,9 +171,57 @@ fn what_if_step(
     assert_matches_scratch(ctx, &label, step);
 }
 
-/// Drives `steps` random deltas through one fixture, checking equivalence
+/// The delta streams of one fixture: what [`one_delta`] draws from and
+/// the priorities it hands out.
+struct Churn<'r> {
+    rng: XorShift,
+    routing: &'r dyn RoutingAlgorithm,
+    cross_pairs: bool,
+    min_flows: usize,
+    max_flows: usize,
+    next_priority: u32,
+    freed_priorities: Vec<Priority>,
+}
+
+/// One random delta: a router resize (30 %), else an addition (at a
+/// priority freed by an earlier removal half the time, so it can land
+/// mid-order) or a removal.
+fn one_delta(ctx: &mut AnalysisContext<'_>, churn: &mut Churn<'_>) {
+    let rng = &mut churn.rng;
+    let len = ctx.len();
+    if rng.chance(30) {
+        // Interleave a per-router buffer resize with the flow churn.
+        let routers = ctx.system().topology().router_count() as u64;
+        let router = RouterId::new(rng.below(routers) as u32);
+        let depth = 1 + rng.below(16) as u32;
+        ctx.resize_buffer(router, depth);
+        return;
+    }
+    let add = len <= churn.min_flows || (len < churn.max_flows && rng.chance(60));
+    if add {
+        let freed = &mut churn.freed_priorities;
+        let priority = if !freed.is_empty() && rng.chance(50) {
+            freed.remove(rng.below(freed.len() as u64) as usize)
+        } else {
+            churn.next_priority += 1;
+            Priority::new(churn.next_priority - 1)
+        };
+        let candidate = random_candidate(rng, ctx.system(), priority, churn.cross_pairs);
+        ctx.add_flow(candidate, churn.routing)
+            .expect("addition applies cleanly");
+    } else {
+        let id = FlowId::new(rng.below(len as u64) as u32);
+        let priority = ctx.system().flows().flow(id).priority();
+        churn.freed_priorities.push(priority);
+        ctx.remove_flow(id).expect("removal applies cleanly");
+    }
+}
+
+/// Drives `steps` random steps through one fixture, checking equivalence
 /// after a what-if scope before every step and after the step itself,
-/// then drains back to the original size and checks once more.
+/// then drains back to the original size and checks once more. Most
+/// steps make one delta; every third stacks one to three before the
+/// solve, so a delta can meet marks an earlier one left pending.
 fn exercise(
     label: &str,
     system: System,
@@ -179,52 +231,41 @@ fn exercise(
     seed: u64,
 ) {
     let min_flows = system.flows().len();
-    let max_flows = min_flows + 6;
-    let mut next_priority = system
+    let next_priority = system
         .flows()
         .iter()
         .map(|(_, f)| f.priority().level())
         .max()
         .expect("fixtures are non-empty")
         + 1;
-    let mut freed_priorities: Vec<Priority> = Vec::new();
-    let mut rng = XorShift(seed | 1);
+    let mut churn = Churn {
+        rng: XorShift(seed | 1),
+        routing,
+        cross_pairs,
+        min_flows,
+        max_flows: min_flows + 6,
+        next_priority,
+        freed_priorities: Vec::new(),
+    };
     let mut what_if_rng = XorShift(seed.rotate_left(32) | 1);
     let mut ctx = AnalysisContext::owned(system).expect("fixture is analysable");
 
     for step in 0..steps {
-        let fresh = Priority::new(next_priority);
+        let fresh = Priority::new(churn.next_priority);
         let at = (label, step);
         what_if_step(&mut ctx, &mut what_if_rng, routing, cross_pairs, fresh, at);
-        let len = ctx.len();
-        if rng.chance(30) {
-            // Interleave a per-router buffer resize with the flow churn.
-            let routers = ctx.system().topology().router_count() as u64;
-            let router = RouterId::new(rng.below(routers) as u32);
-            let depth = 1 + rng.below(16) as u32;
-            ctx.resize_buffer(router, depth);
-            assert_matches_scratch(&mut ctx, label, step);
-            continue;
-        }
-        let add = len <= min_flows || (len < max_flows && rng.chance(60));
-        if add {
-            let priority = if !freed_priorities.is_empty() && rng.chance(50) {
-                freed_priorities.remove(rng.below(freed_priorities.len() as u64) as usize)
-            } else {
-                next_priority += 1;
-                Priority::new(next_priority - 1)
-            };
-            let candidate = random_candidate(&mut rng, ctx.system(), priority, cross_pairs);
-            ctx.add_flow(candidate, routing)
-                .expect("addition applies cleanly");
+        let deltas = if step % 3 == 2 {
+            1 + churn.rng.below(3)
         } else {
-            let id = FlowId::new(rng.below(len as u64) as u32);
-            freed_priorities.push(ctx.system().flows().flow(id).priority());
-            ctx.remove_flow(id).expect("removal applies cleanly");
+            1
+        };
+        for _ in 0..deltas {
+            one_delta(&mut ctx, &mut churn);
         }
         assert_matches_scratch(&mut ctx, label, step);
     }
 
+    let rng = &mut churn.rng;
     while ctx.len() > min_flows {
         let id = FlowId::new(rng.below(ctx.len() as u64) as u32);
         ctx.remove_flow(id).expect("drain removal applies cleanly");
