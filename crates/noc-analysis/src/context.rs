@@ -31,10 +31,11 @@
 //! first delta or solve through it copies that one, so it re-solves only
 //! what its own deltas change. Serving warms its base once per batch kind,
 //! and keeps its conservative bound when a batch can degrade. A delta
-//! carries every kept cache across and marks the flows whose inputs it
-//! changed; the next `&mut` solve re-solves only those, and reads a cache
-//! with no marks back in place, without a copy. The conservative bound
-//! reads no buffer depth, so a resize marks nothing in its cache.
+//! carries every kept cache across as its one pending change (a second
+//! one before a solve resets it all-dirty); the next `&mut` solve
+//! re-solves only what that change reaches, and reads a cache with
+//! nothing pending back in place. The conservative bound reads no buffer
+//! depth, so a resize leaves its cache as it is.
 //!
 //! Kept caches have one writer and one reader: only `warm`,
 //! `warm_conservative` and deltas write them, and only the `&mut` solves
@@ -302,8 +303,8 @@ impl<'sys> AnalysisContext<'sys> {
     /// Solves `kind` over this context under `budget` and keeps the
     /// result, so that every context [forked](AnalysisContext::from_context)
     /// from it afterwards starts from this solve instead of all-dirty. Does
-    /// nothing if `kind` is already kept, even if a delta has marked it
-    /// since: forks solve through the marks.
+    /// nothing if `kind` is already kept, even if a delta is pending on
+    /// it: forks solve through it.
     ///
     /// The result is the same as without warming: a fork's cached solve is
     /// bit-identical to a full solve either way. Only the cost moves — the
@@ -336,8 +337,8 @@ impl<'sys> AnalysisContext<'sys> {
     /// Evaluates the conservative bound over this context and keeps it, so
     /// that every context [forked](AnalysisContext::from_context) from it
     /// afterwards re-evaluates only the flows its deltas reach. Does
-    /// nothing if the bound is already kept, even if a delta has marked it
-    /// since; of concurrent first callers, one evaluates. Counts as no
+    /// nothing if the bound is already kept, even if a delta is pending on
+    /// it; of concurrent first callers, one evaluates. Counts as no
     /// `analysis.conservative.solves`: no report is served.
     pub fn warm_conservative(&self) {
         self.caches[CONSERVATIVE].get_or_init(|| {
@@ -483,13 +484,16 @@ impl<'sys> AnalysisContext<'sys> {
     /// at `id` or above one up, in place, carries every kept cache across
     /// and returns the flows whose interference sets changed: the exact
     /// inverse of [`AnalysisContext::retire_flow`]. The context is
-    /// unchanged on error.
+    /// unchanged on error. Only an addition appends; the
+    /// [`what_if`](AnalysisContext::what_if) undo inserts mid-order, with
+    /// the cache table emptied, so no cache is carried across that.
     pub(crate) fn insert_flow(
         &mut self,
         id: FlowId,
         flow: Flow,
         route: Route,
     ) -> Result<Vec<FlowId>, AnalysisError> {
+        debug_assert!(id.index() == self.len() || self.caches.iter().all(|c| c.get().is_none()));
         let system = self.system.to_mut();
         system.insert_flow(id, flow, route)?;
         let changed = match Arc::make_mut(&mut self.graph).add_flow(system, id) {
@@ -501,7 +505,7 @@ impl<'sys> AnalysisContext<'sys> {
         };
         self.zero_load
             .insert(id.index(), system.zero_load_latency(id));
-        self.carry(FlowDelta::Inserted(id.index()), &changed);
+        self.carry(FlowDelta::Appended, &changed);
         Ok(changed.affected)
     }
 
@@ -522,7 +526,7 @@ impl<'sys> AnalysisContext<'sys> {
         Ok((changed.affected, flow, route))
     }
 
-    /// Carries every kept cache across `delta`, marking the flows it
+    /// Carries every kept cache across `delta`, recording what it
     /// `changed` ([`SolveCache::carry`]), and drops the buffer-depth
     /// reports: they describe the flow set before it.
     fn carry(&mut self, delta: FlowDelta, changed: &GraphDelta) {
@@ -536,7 +540,7 @@ impl<'sys> AnalysisContext<'sys> {
     /// `router` in place and returns the override it replaced (see
     /// [`System::set_router_buffer_depth`]). Nothing derived depends on
     /// buffer depths, so only the system changes, and the buffer-depth
-    /// reports are dropped; marking the solved caches is the caller's.
+    /// reports are dropped; recording it in the solved caches is the caller's.
     pub(crate) fn set_router_depth(&mut self, router: RouterId, depth: Option<u32>) -> Option<u32> {
         self.by_depth = Default::default();
         self.system.to_mut().set_router_buffer_depth(router, depth)
@@ -669,8 +673,8 @@ mod tests {
 
     /// A kept cache answers for its context's system: rebasing starts
     /// empty, a fork shares the base's caches, and every delta carries
-    /// them to the new system, marked where their inputs changed, so that
-    /// the next solve through them answers for it.
+    /// them to the new system, with the delta pending, so that the next
+    /// solve through them answers for it.
     #[test]
     fn warm_caches_never_outlive_their_system() {
         let ibn = AnalysisKind::BufferAware;
@@ -698,9 +702,10 @@ mod tests {
         assert_eq!(deep, ibn.analyze_with_budget(&rebased, &unlimited).unwrap());
         assert_ne!(deep, shallow);
 
-        // Every delta carries what the context kept and marks it, except
-        // that a resize leaves the conservative bound, which reads no
-        // buffer depth, as it was (router 2 is entered by a domain).
+        // Every delta carries what the context kept and records itself
+        // there, except that a resize leaves the conservative bound, which
+        // reads no buffer depth, as it was (router 2 is entered by a
+        // domain).
         let mut owned = AnalysisContext::owned(system(2)).unwrap();
         owned.warm(ibn, &unlimited).unwrap();
         owned.warm_conservative();
@@ -740,11 +745,11 @@ mod tests {
     }
 
     /// A context warmed and then mutated through the public API holds
-    /// carried caches whose marks are pending until its next `&mut`
-    /// solve. Every `&self` reader still answers for the current system,
-    /// from scratch: the conservative bound, the bound over a rebased
-    /// context, a fork of the context after a warm, and the plain
-    /// analyses. Serving the marked conservative cache as it stood
+    /// carried caches with a delta pending (or reset all-dirty by a second
+    /// one) until its next `&mut` solve. Every `&self` reader still
+    /// answers for the current system, from scratch: the conservative
+    /// bound, the bound over a rebased context, a fork of the context after
+    /// a warm, and the plain analyses. Serving the pending conservative cache as it stood
     /// returned stale bounds for 4 of the 19 flows left after the first
     /// removal here.
     #[test]
@@ -772,8 +777,8 @@ mod tests {
     }
 
     /// Every `&self` reader of `ctx` equals a fresh context over its system,
-    /// and the conservative one leaves the kept, still marked, bound as it
-    /// was.
+    /// and the conservative one leaves the kept bound, with its delta
+    /// still pending, as it was.
     fn serves_its_system(ctx: &AnalysisContext<'_>, label: &str) {
         use crate::conservative::conservative_with;
         let unlimited = Budget::unlimited();
@@ -781,7 +786,7 @@ mod tests {
         let scratch = AnalysisContext::new(&sys).unwrap();
         let bound = conservative_with(&scratch);
         let kept = Arc::clone(ctx.cached(CONSERVATIVE).unwrap());
-        assert!(!kept.is_clean(), "{label}: the kept bound is marked");
+        assert!(!kept.is_clean(), "{label}: the kept bound is pending");
         assert_eq!(conservative_with(ctx), bound, "{label}: conservative");
         assert!(Arc::ptr_eq(ctx.cached(CONSERVATIVE).unwrap(), &kept));
         let target = sys.with_router_buffer_depth(RouterId::new(1), 7);

@@ -264,34 +264,32 @@ impl<'a> Solver<'a> {
     /// `S^I_i ∩ S^D_j = S^D_j ∖ S^D_i`, so the partition changes iff τₖ
     /// entered or left `S^D_j` but not `S^D_i`: iff τⱼ is *reshaped*
     /// ([`GraphDelta::reshaped`]) and τᵢ is not. τᵢ is then a victim of a
-    /// reshaped flow, which the delta marks. On a
-    /// [clean](SolveCache::is_clean) cache it marks its flows
-    /// [`Mark::Partitions`] and records the reshaped flows and the added
-    /// one ([`SolveCache::reshaped`], [`SolveCache::added`]); the carry
+    /// reshaped flow, which the delta marks. A cache records the one delta
+    /// pending on it ([`Pending`]): a flow delta its affected flows, which
+    /// the pass marks [`Mark::Edges`], the reshaped flows, and the added
+    /// flow, whose edges are all new (its block is not valid); the carry
     /// cuts τₖ's slot out of each reshaped block, or opens it, so every
-    /// other slot stays with its edge. A delta onto a cache with marks
-    /// pending falls back: it marks its flows, and those an earlier delta
-    /// marked `Partitions`, [`Mark::Whole`], so the record and the
-    /// `Partitions` marks always describe exactly one delta. An added flow,
-    /// whose edges are all new, is marked `Whole`.
+    /// other slot stays with its edge.
     /// `bi(i,j)` changes only when a router that a link of `cd(i,j)`
-    /// enters is resized, which marks τᵢ at least [`Mark::Buffers`] and
-    /// records the router in [`SolveCache::resized`]. (A resize can also
-    /// switch the system between uniform and mixed depths, and Eq. 6 then
-    /// counts an ejection link differently. But a domain holding τᵢ's
-    /// ejection link ends τⱼ's route too, so τⱼ has no downstream member
-    /// and `Idown(j,i) = 0` whatever `bi` reads.) So a re-solved τᵢ that
-    /// is not marked `Whole` and whose block is valid *keeps* the slot
-    /// and bit of every edge whose τⱼ did not change in this pass, except
-    /// the edges from a reshaped τⱼ when τᵢ is not reshaped, the edge from
-    /// the added flow (its opened slot), and, when τᵢ is marked, the edges
-    /// whose domain enters a resized router. Those inputs all equal the
-    /// ones τᵢ's last solve wrote the slot from, so the kept term equals a
-    /// recomputed one, and the fixed-point iteration over the same terms
-    /// yields the same verdict in the same number of iterations. Only the
-    /// other edges are recomputed.
+    /// enters is resized, which records the router and marks τᵢ `Edges`.
+    /// (A resize can also switch the system between uniform and mixed
+    /// depths, and Eq. 6 then counts an ejection link differently. But a
+    /// domain holding τᵢ's ejection link ends τⱼ's route too, so τⱼ has no
+    /// downstream member and `Idown(j,i) = 0` whatever `bi` reads.) So a
+    /// re-solved τᵢ that is not marked `Whole` and whose block is valid
+    /// *keeps* the slot and bit of every edge whose τⱼ did not change in
+    /// this pass, except, after a flow delta, the edges from a reshaped τⱼ
+    /// when τᵢ is not reshaped and the edge from the added flow (its
+    /// opened slot), and, after a resize that marked τᵢ, the edges whose
+    /// domain enters the router. Those inputs all equal the ones τᵢ's last
+    /// solve wrote the slot from, so the kept term equals a recomputed one,
+    /// and the fixed-point iteration over the same terms yields the same
+    /// verdict in the same number of iterations. Only the other edges are
+    /// recomputed. A second delta before a solve resets the cache
+    /// all-dirty instead: two deltas can undo each other's change to `Rⱼ`
+    /// and not to a partition.
     ///
-    /// With one flow delta per solve, the first two exceptions never
+    /// With one flow delta per solve, the two flow-delta exceptions never
     /// decide a kept term, so no test of one delta can show them. A
     /// removal only lowers, and an addition only raises, every term any
     /// recurrence reads (the Eq. 8 cap and the indirect bit switch the
@@ -302,8 +300,7 @@ impl<'a> Solver<'a> {
     /// changed its verdict; one that has none taints each victim before
     /// it reads an edge. An added flow is clean in the pass only if it
     /// comes out tainted, as its placeholder verdict reads, and then so is
-    /// each of its victims. Two deltas can undo each other's change to
-    /// `Rⱼ` and not to a partition, which is why they fall back.
+    /// each of its victims.
     ///
     /// SB, `XiongOriginal` and the bound below keep the full
     /// pass: SB writes no slot, and the other two widen the window by
@@ -316,14 +313,13 @@ impl<'a> Solver<'a> {
     /// it or some τⱼ ∈ `S^D_i` changed its slots or its verdict.
     ///
     /// The pass fills the solver's own verdicts, so the cache's change
-    /// only once it succeeds; then the cache is clean (every mark and
-    /// recorded router cleared) and holds the verdicts of the report.
+    /// only once it succeeds; then the cache is clean (no delta pending)
+    /// and holds the verdicts of the report.
     ///
-    /// A cache that is [clean](SolveCache::is_clean) going in would re-solve
-    /// nothing and come out as it went in, so it is read back in place:
-    /// its report, with the metrics of a pass that reused every flow, and
-    /// no copy of a cache shared with other holders. Any other cache is
-    /// copied first if shared ([`Arc::make_mut`]).
+    /// A [clean](SolveCache::is_clean) cache would re-solve nothing, so its
+    /// callers read it back with [`SolveCache::clean_report`] and build no
+    /// solver; `cache` has a delta pending, or is all-dirty, and is copied
+    /// first if shared ([`Arc::make_mut`]).
     ///
     /// # Errors
     ///
@@ -338,108 +334,112 @@ impl<'a> Solver<'a> {
         mut self,
         cache: &mut Arc<SolveCache>,
     ) -> Result<AnalysisReport, AnalysisError> {
-        let fixed_point = self.step == Step::FixedPoint;
-        let _span = fixed_point.then(|| metrics::SOLVE_NS.span());
+        let _span = (self.step == Step::FixedPoint).then(|| metrics::SOLVE_NS.span());
         let order = self.ctx.priority_order();
         assert_eq!(
             cache.verdicts.len(),
             order.len(),
             "solve cache does not match the flow set"
         );
-        // An exceeded budget aborts even when every flow is clean, so the
-        // outcome never depends on what ran on this context earlier. No
-        // work has been done yet, so the cache stays valid (no poison).
+        debug_assert!(!cache.is_clean(), "a clean cache is read back, not solved");
+        // No work has been done yet, so the cache stays valid (no poison).
         self.ctx.check_budget(self.budget)?;
         let (mut dirty_solved, mut clean_reused, mut unchanged) = (0u64, 0u64, 0u64);
         let (mut edges_reused, mut edges_recomputed) = (0u64, 0u64);
-        if cache.is_clean() {
-            clean_reused = order.len() as u64;
-        } else {
-            let cache = Arc::make_mut(cache);
-            self.idown_memo = std::mem::take(&mut cache.memo);
-            if !self.idown_memo.is_laid_out() {
-                self.idown_memo = EdgeMemo::new(self.graph);
-            }
-            #[cfg(test)]
-            {
-                cache.resolved.clear();
-                cache.edges.clear();
-            }
-            // XLWX and IBN re-solve edge by edge (see "Edges" above).
-            let by_edge = fixed_point
-                && self.downstream != DownstreamModel::Ignore
-                && self.jitter == JitterModel::InterferenceJitter;
-            let (system, graph) = (self.system, self.graph);
-            for &i in order {
-                let at = i.index();
-                // Until τᵢ's turn its mark says what a delta changed; from
-                // then on, whether it changed in this pass (`Whole`) or not
-                // (`Clean`). So for τᵢ the marks of `S^D_i`, all settled,
-                // read as "changed".
-                let mark = cache.marks[at];
-                let wake = mark != Mark::Clean
-                    || graph
-                        .direct_set(i)
-                        .iter()
-                        .any(|&j| cache.marks[j.index()] != Mark::Clean);
-                if !wake {
-                    // Unchanged inputs: republish the cached verdict for
-                    // lower-priority flows to read.
-                    clean_reused += 1;
-                    self.verdicts[at] = cache.verdicts[at];
-                    continue;
-                }
-                dirty_solved += 1;
-                #[cfg(test)]
-                cache.resolved.push(i);
-                let verdict = match self.step {
-                    Step::FixedPoint => {
-                        let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
-                        let (marks, resized) = (&cache.marks, &cache.resized);
-                        let (reshaped, added) = (&cache.reshaped, cache.added);
-                        let reshaped_i = reshaped.binary_search(&i).is_ok();
-                        let keep = |edge: usize, j: FlowId| {
-                            partial
-                                && marks[j.index()] == Mark::Clean
-                                && Some(j) != added
-                                && (reshaped_i || reshaped.binary_search(&j).is_err())
-                                && !(mark != Mark::Clean
-                                    && domain_enters(system, graph, i, edge, resized))
-                        };
-                        // On error half the flows are solved and half are
-                        // stale; the only consistent cache state is
-                        // "everything needs a re-solve".
-                        let verdict = self.solve_flow(i, keep).inspect_err(|_| cache.poison())?.0;
-                        let kept = self.terms.iter().filter(|t| t.kept).count() as u64;
-                        edges_reused += kept;
-                        edges_recomputed += self.terms.len() as u64 - kept;
-                        #[cfg(test)]
-                        cache
-                            .edges
-                            .extend(self.terms.iter().enumerate().map(|(edge, t)| EdgeUse {
-                                victim: i,
-                                edge,
-                                kept: t.kept,
-                                jitter: t.extra_jitter,
-                                downstream: t.downstream,
-                            }));
-                        verdict
-                    }
-                    Step::AtDeadline => self.evaluate_at_deadline(i),
-                };
-                let changed = self.slots_changed || verdict != cache.verdicts[at];
-                unchanged += u64::from(!changed);
-                self.verdicts[at] = verdict;
-                cache.marks[at] = if changed { Mark::Whole } else { Mark::Clean };
-            }
-            cache.verdicts = self.verdicts;
-            cache.memo = self.idown_memo;
-            cache.marks.fill(Mark::Clean);
-            cache.resized.clear();
-            cache.reshaped.clear();
-            cache.added = None;
+        let cache = Arc::make_mut(cache);
+        let pending = std::mem::replace(&mut cache.pending, Pending::Clean);
+        let (edges, reshaped, added, resized): (&[FlowId], &[FlowId], _, _) = match &pending {
+            Pending::Flow {
+                affected,
+                reshaped,
+                added,
+            } => (affected, reshaped, *added, None),
+            Pending::Resize { router, victims } => (victims, &[], None, Some(*router)),
+            Pending::Clean | Pending::All => (&[], &[], None, None),
+        };
+        // Until τᵢ's turn its mark says what the pending delta changed;
+        // from then on, whether it changed in this pass (`Whole`) or not
+        // (`Clean`). So for τᵢ the marks of `S^D_i`, all settled, read as
+        // "changed".
+        let all = matches!(pending, Pending::All);
+        let mut marks = vec![if all { Mark::Whole } else { Mark::Clean }; order.len()];
+        for f in edges {
+            marks[f.index()] = Mark::Edges;
         }
-        if !fixed_point {
+        self.idown_memo = std::mem::take(&mut cache.memo);
+        if !self.idown_memo.is_laid_out() {
+            self.idown_memo = EdgeMemo::new(self.graph);
+        }
+        #[cfg(test)]
+        {
+            cache.resolved.clear();
+            cache.edges.clear();
+        }
+        // XLWX and IBN re-solve edge by edge (see "Edges" above).
+        let by_edge = self.step == Step::FixedPoint
+            && self.downstream != DownstreamModel::Ignore
+            && self.jitter == JitterModel::InterferenceJitter;
+        let (system, graph) = (self.system, self.graph);
+        for &i in order {
+            let at = i.index();
+            let mark = marks[at];
+            let wake = mark != Mark::Clean
+                || graph
+                    .direct_set(i)
+                    .iter()
+                    .any(|&j| marks[j.index()] != Mark::Clean);
+            if !wake {
+                // Unchanged inputs: republish the cached verdict for
+                // lower-priority flows to read.
+                clean_reused += 1;
+                self.verdicts[at] = cache.verdicts[at];
+                continue;
+            }
+            dirty_solved += 1;
+            #[cfg(test)]
+            cache.resolved.push(i);
+            let verdict = match self.step {
+                Step::FixedPoint => {
+                    let partial = by_edge && mark != Mark::Whole && self.idown_memo.is_valid(i);
+                    let reshaped_i = reshaped.binary_search(&i).is_ok();
+                    let keep = |edge: usize, j: FlowId| {
+                        partial
+                            && marks[j.index()] == Mark::Clean
+                            && Some(j) != added
+                            && (reshaped_i || reshaped.binary_search(&j).is_err())
+                            && !(mark != Mark::Clean
+                                && resized
+                                    .is_some_and(|r| domain_enters(system, graph, i, edge, r)))
+                    };
+                    // On error half the flows are solved and half are
+                    // stale; the only consistent cache state is
+                    // "everything needs a re-solve".
+                    let verdict = self.solve_flow(i, keep).inspect_err(|_| cache.poison())?.0;
+                    let kept = self.terms.iter().filter(|t| t.kept).count() as u64;
+                    edges_reused += kept;
+                    edges_recomputed += self.terms.len() as u64 - kept;
+                    #[cfg(test)]
+                    cache
+                        .edges
+                        .extend(self.terms.iter().enumerate().map(|(edge, t)| EdgeUse {
+                            victim: i,
+                            edge,
+                            kept: t.kept,
+                            jitter: t.extra_jitter,
+                            downstream: t.downstream,
+                        }));
+                    verdict
+                }
+                Step::AtDeadline => self.evaluate_at_deadline(i),
+            };
+            let changed = self.slots_changed || verdict != cache.verdicts[at];
+            unchanged += u64::from(!changed);
+            self.verdicts[at] = verdict;
+            marks[at] = if changed { Mark::Whole } else { Mark::Clean };
+        }
+        cache.verdicts = self.verdicts;
+        cache.memo = self.idown_memo;
+        if self.step == Step::AtDeadline {
             metrics::CONSERVATIVE_EVALUATED.add(dirty_solved);
             metrics::CONSERVATIVE_REUSED.add(clean_reused);
             return Ok(cache.report(self.name));
@@ -785,7 +785,8 @@ struct EdgePass {
 /// Only τᵢ's own solve writes its block, in edge order, and nothing else
 /// is written meanwhile, so a victim's first solve appends its block at
 /// the end; later solves rewrite it in place. The storage is laid out
-/// with room for every edge of the graph. A delta copies it, cutting out
+/// with room for every edge of the graph. A flow delta onto a clean cache
+/// copies it, cutting out
 /// or opening the delta's slot in each block whose `S^D` lost or gained
 /// the delta's flow, with room for the slots that delta adds
 /// ([`EdgeMemo::relaid_out`]); so a solve reallocates it only for the
@@ -859,48 +860,44 @@ impl EdgeMemo {
     /// block (which moves to the end) are left unused. Only when unused
     /// slots would outnumber the kept ones are the kept blocks compacted
     /// instead. Either way the copy has room for the blocks it moves and
-    /// the added flow's first block. A memo that was never laid out stays
-    /// so.
+    /// the added flow's first block.
     fn relaid_out(
         &self,
         graph: &InterferenceGraph,
         delta: FlowDelta,
         reshaped: &[(FlowId, usize)],
     ) -> EdgeMemo {
-        if !self.is_laid_out() {
-            return EdgeMemo::default();
-        }
         let position = |x: usize| {
             let r = reshaped.binary_search_by_key(&x, |&(f, _)| f.index());
             r.ok().map(|r| reshaped[r].1)
         };
-        let mut blocks: Vec<Block> = (0..graph.len())
-            .map(|x| {
-                let Some(old) = delta.old(x) else {
-                    return Block::default();
-                };
-                let (b, len) = (
-                    self.blocks[old],
-                    graph.direct_set(FlowId::new(x as u32)).len(),
-                );
-                let was = match (delta, position(x)) {
-                    (_, None) => len,
-                    (FlowDelta::Removed(_), Some(_)) => len + 1,
-                    (FlowDelta::Inserted(_), Some(_)) => len - 1,
-                };
-                if b.valid && b.len == was {
-                    b
-                } else {
-                    Block::default()
-                }
-            })
-            .collect();
+        let mut blocks = self.blocks.clone();
+        match delta {
+            FlowDelta::Appended => blocks.push(Block::default()),
+            FlowDelta::Removed(at) => {
+                blocks.remove(at);
+            }
+        }
+        for (x, b) in blocks.iter_mut().enumerate() {
+            let len = graph.direct_set(FlowId::new(x as u32)).len();
+            let was = match (delta, position(x)) {
+                (_, None) => len,
+                (FlowDelta::Removed(_), Some(_)) => len + 1,
+                (FlowDelta::Appended, Some(_)) => len - 1,
+            };
+            if !(b.valid && b.len == was) {
+                *b = Block::default();
+            }
+        }
         let kept: usize = blocks.iter().map(|b| b.len).sum();
         let compact = self.values.len() > 2 * kept;
         let growth = match delta {
-            FlowDelta::Inserted(at) => {
+            FlowDelta::Appended => {
                 let opened = reshaped.iter().map(|&(x, _)| blocks[x.index()].len + 1);
-                opened.sum::<usize>() + graph.direct_set(FlowId::new(at as u32)).len()
+                opened.sum::<usize>()
+                    + graph
+                        .direct_set(FlowId::new(self.blocks.len() as u32))
+                        .len()
             }
             FlowDelta::Removed(_) => 0,
         };
@@ -1005,21 +1002,20 @@ impl EdgeMemo {
 }
 
 /// Whether the domain `cd(i,j)` of τⱼ, the `edge`-th member of `S^D_i`,
-/// has a link into one of `routers`: the edges whose `bi(i,j)` (Eq. 6) a
-/// resize of those routers changes.
+/// has a link into `router`: the edges whose `bi(i,j)` (Eq. 6) a resize
+/// of `router` changes.
 fn domain_enters(
     system: &System,
     graph: &InterferenceGraph,
     i: FlowId,
     edge: usize,
-    routers: &[RouterId],
+    router: RouterId,
 ) -> bool {
     let topology = system.topology();
-    !routers.is_empty()
-        && graph.direct_domains(i)[edge]
-            .links(system.route(i))
-            .iter()
-            .any(|&l| matches!(topology.link(l).target(), Endpoint::Router(r) if routers.contains(&r)))
+    graph.direct_domains(i)[edge]
+        .links(system.route(i))
+        .iter()
+        .any(|&l| topology.link(l).target() == Endpoint::Router(router))
 }
 
 /// One direct interferer's precomputed contribution to the recurrence of
@@ -1064,25 +1060,16 @@ impl Term {
     }
 }
 
-/// What a delta changed about one flow's inputs since the last solve.
-/// Ordered, so that two marks combine by `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// What the pending delta changed about one flow's inputs, as one
+/// [`Solver::solve_cached`] pass reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mark {
     /// Nothing.
     Clean,
-    /// Only the depths of routers in [`SolveCache::resized`]: a re-solve
-    /// recomputes only the edges whose domains enter one of them, and
-    /// those whose interferer changed.
-    Buffers,
-    /// Its interference sets, through the one flow addition or removal
-    /// since the last solve, and possibly the depths of routers in
-    /// [`SolveCache::resized`]: a re-solve also recomputes the edges whose
-    /// partition that delta changed (τⱼ in [`SolveCache::reshaped`], τᵢ
-    /// not) and the edge from [`SolveCache::added`].
-    Partitions,
-    /// Everything (an added flow, a fresh or poisoned cache, or a flow
-    /// whose interference sets more than one delta changed): a re-solve
-    /// recomputes every edge.
+    /// The edges the [`Pending`] delta names: a re-solve keeps the others.
+    Edges,
+    /// Everything (every flow of an all-dirty cache, and a flow that
+    /// changed in the pass): a re-solve recomputes every edge.
     Whole,
 }
 
@@ -1090,52 +1077,56 @@ enum Mark {
 /// ([`SolveCache::carry`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FlowDelta {
-    /// A flow inserted at this index, and every id at or above it moved up.
-    Inserted(usize),
+    /// A flow appended as the last id.
+    Appended,
     /// The flow at this index removed, and every id above it moved down.
     Removed(usize),
 }
 
-impl FlowDelta {
-    /// The pre-delta index of the flow at `x` after the delta, if it
-    /// existed before.
-    fn old(self, x: usize) -> Option<usize> {
-        match self {
-            FlowDelta::Inserted(index) => (x != index).then(|| x - usize::from(x > index)),
-            FlowDelta::Removed(index) => Some(x + usize::from(x >= index)),
-        }
-    }
+/// What changed since a cache's last solve: at most one delta.
+#[derive(Debug, Clone)]
+enum Pending {
+    /// Nothing: the verdicts are the current flow set's.
+    Clean,
+    /// Everything: a fresh or poisoned cache, or one that took a second
+    /// delta before a solve. Its memo is dropped.
+    All,
+    /// One flow addition or removal: the flows whose interference sets
+    /// it changed ([`GraphDelta::affected`]), those whose `S^D` it
+    /// reshaped, in ascending id order, and the flow it added, whose slot
+    /// in each reshaped block is a placeholder.
+    Flow {
+        affected: Vec<FlowId>,
+        reshaped: Vec<FlowId>,
+        added: Option<FlowId>,
+    },
+    /// One router resize, and the victims of the domains with a link into
+    /// the router.
+    Resize {
+        router: RouterId,
+        victims: Vec<FlowId>,
+    },
 }
 
 /// Memoised solve state of **one** analysis, or of the conservative bound,
 /// over an evolving flow set: the verdicts and `Idown` slots of the last
-/// solve plus a per-flow [`Mark`]. The verdicts are the only record of
-/// the response times: a re-solve reads a clean flow's `Rⱼ` off its
-/// verdict (or, for the bound, reads `Dⱼ`).
+/// solve plus the one delta [pending](Pending) since. The verdicts are the
+/// only record of the response times: a re-solve reads a clean flow's
+/// `Rⱼ` off its verdict (or, for the bound, reads `Dⱼ`).
 ///
 /// Held per analysis kind, plus one for the conservative bound, in the
 /// table of an [`AnalysisContext`], behind an [`Arc`] that a base shares
 /// with its forks until a fork's first delta or solve copies it: an
 /// addition or removal [carries](SolveCache::carry) it across in the same
-/// copy, a resize [marks](SolveCache::mark_resized) it; consumed and
-/// refreshed by [`Solver::solve_cached`]. A freshly created cache is
-/// all-dirty, so the first solve through it is exactly a full solve.
+/// copy, a resize [records](SolveCache::mark_resized) itself on it;
+/// consumed and refreshed by [`Solver::solve_cached`]. A fresh cache is
+/// all-dirty, as is one that took a second delta before a solve, so the
+/// solve through it is exactly a full one.
 #[derive(Debug, Clone)]
 pub(crate) struct SolveCache {
     /// Verdicts of the last solve, indexed by flow.
     verdicts: Vec<FlowVerdict>,
-    /// What the deltas since the last solve changed, per flow.
-    marks: Vec<Mark>,
-    /// The routers resized since the last solve, for the flows marked
-    /// [`Mark::Buffers`] or [`Mark::Partitions`].
-    resized: Vec<RouterId>,
-    /// For the flows marked [`Mark::Partitions`]: the flows whose `S^D`
-    /// the delta since the last solve reshaped (gained or lost one
-    /// member), in ascending id order. Empty unless such marks are pending.
-    reshaped: Vec<FlowId>,
-    /// For the flows marked [`Mark::Partitions`]: the flow that delta
-    /// added, whose slot in each reshaped block is a placeholder.
-    added: Option<FlowId>,
+    pending: Pending,
     /// The `Idown` slots of the last solve; laid out by the first solve.
     memo: EdgeMemo,
     /// The flows the last solve re-solved, in solve order.
@@ -1161,15 +1152,12 @@ pub(crate) struct EdgeUse {
 }
 
 impl SolveCache {
-    /// A cache for `n` flows with every flow marked dirty.
+    /// A cache for `n` flows with every flow dirty and no memo.
     pub(crate) fn all_dirty(n: usize) -> SolveCache {
         SolveCache {
             // Placeholders only: dirty flows are re-solved before any read.
             verdicts: vec![FlowVerdict::Tainted; n],
-            marks: vec![Mark::Whole; n],
-            resized: Vec::new(),
-            reshaped: Vec::new(),
-            added: None,
+            pending: Pending::All,
             memo: EdgeMemo::default(),
             #[cfg(test)]
             resolved: Vec::new(),
@@ -1178,53 +1166,41 @@ impl SolveCache {
         }
     }
 
-    /// Carries `cache` across a flow addition or removal, in one copy: the
-    /// state of each remaining flow moves to its new id, an added flow
-    /// starts dirty, and the memo is copied, each reshaped block with the
-    /// delta's slot cut out or opened ([`EdgeMemo::relaid_out`]).
-    /// `graph` is the graph after the delta and `changed` what the delta
-    /// changed in it.
-    ///
-    /// On a [clean](SolveCache::is_clean) cache the `changed.affected`
-    /// flows are marked [`Mark::Partitions`] and the reshaped flows and the
-    /// added one recorded, which is exact for this one delta. A cache with
-    /// marks pending falls back: the affected flows, and those a previous
-    /// delta marked `Partitions`, are marked [`Mark::Whole`]. A shared
-    /// cache is left to its other holders untouched.
+    /// Carries `cache` across a flow addition or removal (`graph` is the
+    /// graph after `delta`, `changed` what the delta changed in it). A
+    /// [clean](SolveCache::is_clean) cache is copied once with the delta
+    /// pending: verdicts move to their new ids, an added flow gets a
+    /// placeholder, and the memo is relaid out ([`EdgeMemo::relaid_out`]).
+    /// Any other cache is reset all-dirty. A shared cache is left to its
+    /// other holders untouched.
     pub(crate) fn carry(
         cache: &mut Arc<SolveCache>,
         graph: &InterferenceGraph,
         delta: FlowDelta,
         changed: &GraphDelta,
     ) {
-        let exact = cache.is_clean();
-        let (verdicts, mut marks): (Vec<_>, Vec<_>) = (0..graph.len())
-            .map(|x| match delta.old(x) {
-                // The marks of an earlier delta's partitions go whole.
-                Some(o) if cache.marks[o] == Mark::Partitions => (cache.verdicts[o], Mark::Whole),
-                Some(o) => (cache.verdicts[o], cache.marks[o]),
-                None => (FlowVerdict::Tainted, Mark::Whole),
-            })
-            .unzip();
-        let mark = if exact { Mark::Partitions } else { Mark::Whole };
-        for f in &changed.affected {
-            marks[f.index()] = marks[f.index()].max(mark);
+        if !cache.is_clean() {
+            *cache = Arc::new(SolveCache::all_dirty(graph.len()));
+            return;
         }
-        let (reshaped, added) = if exact {
-            let added = match delta {
-                FlowDelta::Inserted(at) => Some(FlowId::new(at as u32)),
-                FlowDelta::Removed(_) => None,
-            };
-            (changed.reshaped.iter().map(|&(f, _)| f).collect(), added)
-        } else {
-            (Vec::new(), None)
+        let mut verdicts = cache.verdicts.clone();
+        let added = match delta {
+            FlowDelta::Appended => {
+                verdicts.push(FlowVerdict::Tainted);
+                Some(FlowId::new(graph.len() as u32 - 1))
+            }
+            FlowDelta::Removed(at) => {
+                verdicts.remove(at);
+                None
+            }
         };
         *cache = Arc::new(SolveCache {
             verdicts,
-            marks,
-            resized: cache.resized.clone(),
-            reshaped,
-            added,
+            pending: Pending::Flow {
+                affected: changed.affected.clone(),
+                reshaped: changed.reshaped.iter().map(|&(f, _)| f).collect(),
+                added,
+            },
             memo: cache.memo.relaid_out(graph, delta, &changed.reshaped),
             #[cfg(test)]
             resolved: Vec::new(),
@@ -1240,41 +1216,49 @@ impl SolveCache {
         b.valid.then(|| &self.memo.values[b.start..b.start + b.len])
     }
 
-    /// Records that `router` was resized, and marks `flows`, the victims
-    /// of the domains with a link into it, as changed only in the edges
-    /// whose domains enter a resized router (unless a flow delta marked
-    /// them: a re-solve then also checks the recorded routers).
-    pub(crate) fn mark_resized(&mut self, flows: &[FlowId], router: RouterId) {
-        for f in flows {
-            let mark = &mut self.marks[f.index()];
-            *mark = (*mark).max(Mark::Buffers);
-        }
-        if !self.resized.contains(&router) {
-            self.resized.push(router);
+    /// Records a resize of `router`, whose `victims` are the victims of
+    /// the domains with a link into it, as the delta pending on a
+    /// [clean](SolveCache::is_clean) `cache` (copied first if shared);
+    /// resets any other cache all-dirty, with no copy.
+    pub(crate) fn mark_resized(cache: &mut Arc<Self>, router: RouterId, victims: Vec<FlowId>) {
+        if cache.is_clean() {
+            Arc::make_mut(cache).pending = Pending::Resize { router, victims };
+        } else {
+            *cache = Arc::new(SolveCache::all_dirty(cache.verdicts.len()));
         }
     }
 
-    /// Whether no delta marked a flow or resized a router since the last
-    /// solve, so that the verdicts are the current flow set's and a pass
-    /// through the cache would leave it as it is.
+    /// Whether no delta is pending, so that the verdicts are the current
+    /// flow set's and a pass through the cache would leave it as it is.
     pub(crate) fn is_clean(&self) -> bool {
-        self.resized.is_empty() && self.marks.iter().all(|&mark| mark == Mark::Clean)
+        matches!(self.pending, Pending::Clean)
     }
 
     /// The verdicts of the last solve, as a report named `name`. Only
     /// meaningful for a clean cache.
     pub(crate) fn report(&self, name: &'static str) -> AnalysisReport {
-        debug_assert!(self.is_clean(), "a report read past pending marks");
+        debug_assert!(self.is_clean(), "a report read past a pending delta");
         AnalysisReport::new(name, self.verdicts.clone())
+    }
+
+    /// The report of a clean cache, named `name`, read back in place with
+    /// no solver built and no copy, every flow counted as reused by a pass
+    /// under `step`.
+    pub(crate) fn clean_report(&self, name: &'static str, step: Step) -> Option<AnalysisReport> {
+        let reused = match step {
+            Step::FixedPoint => &metrics::CACHE_CLEAN_REUSED,
+            Step::AtDeadline => &metrics::CONSERVATIVE_REUSED,
+        };
+        self.is_clean().then(|| {
+            reused.add(self.verdicts.len() as u64);
+            self.report(name)
+        })
     }
 
     /// Marks every flow dirty and drops the memo — the recovery state
     /// after an aborted cached solve left the cache half-refreshed.
     pub(crate) fn poison(&mut self) {
-        self.marks.fill(Mark::Whole);
-        self.resized.clear();
-        self.reshaped.clear();
-        self.added = None;
+        self.pending = Pending::All;
         self.memo = EdgeMemo::default();
     }
 }

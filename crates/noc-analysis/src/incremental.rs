@@ -15,26 +15,26 @@
 //!   which recompute only the affected neighbourhood and report exactly
 //!   which flows' interference sets changed, and which flows' direct sets
 //!   gained or lost the delta's flow (the *reshaped* ones);
-//! * those flows are marked dirty in every kept cache, whose memo keeps
-//!   every block, with the delta's slot cut out of or opened in each
-//!   reshaped one; the next [`AnalysisContext::analyze`] walks the
-//!   priority order and re-solves a flow iff it is marked or a member of
-//!   its `S^D` — all strictly higher priority — changed its verdict
-//!   (which records its `R`) or `Idown` slots in this pass. Every other
-//!   flow keeps its cached result, so the re-solve stops where results
-//!   stop changing. Under XLWX and IBN a re-solved flow also keeps the
-//!   edge terms whose inputs did not change: those from an interferer
-//!   that did not change in the pass, unless the delta changed the edge's
-//!   partition `S^I_i ∩ S^D_j` (the interferer is reshaped and the victim
-//!   is not) or the edge is new. This is exact for one delta per solve,
-//!   which is what a [`what_if`](AnalysisContext::what_if) scope makes; a
-//!   delta onto a cache with marks pending marks its flows to recompute
-//!   every edge. A cache that no delta marked is read back as it stands,
-//!   without the copy a cache shared with the base would otherwise need;
+//! * every kept cache records the delta as the one change pending on it,
+//!   and its memo keeps every block, with the delta's slot cut out of or
+//!   opened in each reshaped one; the next [`AnalysisContext::analyze`]
+//!   walks the priority order and re-solves a flow iff the delta changed
+//!   its interference sets or a member of its `S^D` — all strictly higher
+//!   priority — changed its verdict (which records its `R`) or `Idown`
+//!   slots in this pass. Every other flow keeps its cached result, so the
+//!   re-solve stops where results stop changing. Under XLWX and IBN a
+//!   re-solved flow also keeps the edge terms whose inputs did not
+//!   change: those from an interferer that did not change in the pass,
+//!   unless the delta changed the edge's partition `S^I_i ∩ S^D_j` (the
+//!   interferer is reshaped and the victim is not) or the edge is new.
+//!   This is exact for one delta per solve, which is what a
+//!   [`what_if`](AnalysisContext::what_if) scope makes; a second delta
+//!   before a solve resets the cache all-dirty. A cache with nothing
+//!   pending is read back as it stands, with no solver built and no copy;
 //! * [`AnalysisContext::conservative_report`] runs the conservative
 //!   bound through the same loop with every `R` fixed at its deadline, so
-//!   it re-evaluates only what the deltas reach; buffer resizes mark
-//!   nothing in its cache (see [`crate::conservative`]);
+//!   it re-evaluates only what the deltas reach; buffer resizes leave its
+//!   cache as it is (see [`crate::conservative`]);
 //! * [`AnalysisContext::what_if`] scopes a hypothetical: the deltas
 //!   made inside it are journaled and undone on exit by their exact
 //!   inverses, and the solve caches are handed back as they were on entry,
@@ -93,7 +93,7 @@ use noc_model::routing::RoutingAlgorithm;
 use crate::analysis::AnalysisKind;
 use crate::budget::Budget;
 use crate::context::{AnalysisContext, CONSERVATIVE};
-use crate::engine::{SolveCache, Solver};
+use crate::engine::{SolveCache, Solver, Step};
 use crate::error::AnalysisError;
 use crate::metrics;
 use crate::report::AnalysisReport;
@@ -175,13 +175,13 @@ impl<'sys> AnalysisContext<'sys> {
     /// rewrites. So marking every *victim* `x` whose `cd(x, y)` contains a
     /// link into `router` suffices: the cached solve re-solves the marked
     /// flows and, down the priority order, every flow one of whose direct
-    /// interferers then changed its bound or slots. The victims are marked
-    /// *buffer-only* and the router is recorded in the cache, so a victim
-    /// whose inputs are otherwise unchanged recomputes only the edges
-    /// whose domain enters a resized router. Bit-identity to a
-    /// from-scratch solve is pinned by `tests/incremental_equivalence.rs`.
-    /// The conservative bound reads no buffer depth, so its cache is not
-    /// marked either.
+    /// interferers then changed its bound or slots. The router and its
+    /// victims are recorded as the cache's pending delta (a second delta
+    /// resets it all-dirty), so a re-solved victim recomputes only the
+    /// edges whose domain enters the router, and those whose interferer
+    /// changed. Bit-identity to a from-scratch solve is pinned by
+    /// `tests/incremental_equivalence.rs`. The conservative bound reads no
+    /// buffer depth, so its cache is left as it is.
     ///
     /// # Panics
     ///
@@ -191,12 +191,12 @@ impl<'sys> AnalysisContext<'sys> {
     ///
     /// [`System::with_router_buffer_depth`]: noc_model::system::System::with_router_buffer_depth
     pub fn resize_buffer(&mut self, router: RouterId, depth: u32) {
-        let affected = self.buffer_dependents(router);
+        let victims = self.buffer_dependents(router);
+        record_delta(&victims);
         let previous = self.set_router_depth(router, Some(depth));
         if let Some(cache) = self.caches[AnalysisKind::BufferAware.index()].get_mut() {
-            Arc::make_mut(cache).mark_resized(&affected, router);
+            SolveCache::mark_resized(cache, router, victims);
         }
-        record_delta(&affected);
         self.log(Undo::Resized { router, previous });
     }
 
@@ -311,10 +311,15 @@ impl<'sys> AnalysisContext<'sys> {
         kind: AnalysisKind,
         budget: &Budget,
     ) -> Result<AnalysisReport, AnalysisError> {
-        // Before the cache: a spent budget lays out or copies nothing.
+        // Before the cache: a spent budget lays out or copies nothing, and
+        // fails even an answer a clean cache holds.
         self.check_budget(budget)?;
         self.solve_through(kind.index(), |ctx, cache| {
-            Solver::new(ctx, kind.spec(), budget).solve_cached(cache)
+            let clean = cache.clean_report(kind.name(), Step::FixedPoint);
+            clean.map_or_else(
+                || Solver::new(ctx, kind.spec(), budget).solve_cached(cache),
+                Ok,
+            )
         })
     }
 
@@ -328,22 +333,26 @@ impl<'sys> AnalysisContext<'sys> {
     /// evaluates from scratch. It runs through its own solve cache, by the
     /// cached read set of [`crate::conservative`]: a flow is re-evaluated
     /// iff a flow addition or removal marked it or a direct interferer
-    /// changed its slots or verdict in this pass. Buffer resizes mark
-    /// nothing, so a cache with no pending addition or removal is read back
+    /// changed its slots or verdict in this pass. Resizes leave the cache
+    /// as it is, so one with no addition or removal pending is read back
     /// without a copy, and the five kinds' caches are neither read nor
     /// touched. The cache is [kept](AnalysisContext::warm_conservative)
     /// already, or laid out by the first call.
     pub fn conservative_report(&mut self) -> AnalysisReport {
         metrics::CONSERVATIVE_SOLVES.incr();
-        self.solve_through(CONSERVATIVE, crate::conservative::evaluate)
+        self.solve_through(CONSERVATIVE, |ctx, cache| {
+            let clean =
+                cache.clean_report(crate::conservative::CONSERVATIVE_NAME, Step::AtDeadline);
+            clean.unwrap_or_else(|| crate::conservative::evaluate(ctx, cache))
+        })
     }
 
     /// Runs `solve` over this context and the cache at `index`, laid out
     /// all-dirty if absent. The slot's handle is taken out for the solve
     /// and put back after it, poisoned if the solve failed, so the solve
-    /// updates a cache this context alone holds in place, reads a clean
-    /// one back without a copy, and copies a shared one that it must
-    /// update ([`Solver::solve_cached`]).
+    /// reads a clean cache back in place ([`SolveCache::clean_report`]),
+    /// updates one this context alone holds in place and copies a shared
+    /// one ([`Solver::solve_cached`]).
     fn solve_through<T>(
         &mut self,
         index: usize,
@@ -448,8 +457,9 @@ mod tests {
     /// (0→1) at the same priority, whose term in τⱼ's recurrence is the
     /// same. So τⱼ comes out of the pass unchanged, while `Idown(j,i)`
     /// drops to zero and τᵢ, which gained τ_g' too, must recompute the
-    /// edge from τⱼ: the first delta changed its partition, which the
-    /// second's marks alone would not say.
+    /// edge from τⱼ: the first delta changed its partition, which a record
+    /// of the second alone would not say. The second delta resets every
+    /// cache all-dirty, so the pass recomputes it.
     #[test]
     fn a_second_flow_delta_before_a_solve_keeps_no_stale_partition() {
         let (g, j, i) = ((2, 3, 1, 1000), (0, 3, 2, 1000), (0, 1, 3, 1000));
@@ -467,6 +477,41 @@ mod tests {
         let verdict = |r: &AnalysisReport, x: u32| r.verdict(FlowId::new(x));
         assert_eq!(verdict(&after, 0), verdict(ibn, 1), "τⱼ changed");
         assert_ne!(verdict(&after, 1), verdict(ibn, 2), "τᵢ did not");
+    }
+
+    /// A delta onto a cache with a delta already pending resets it
+    /// all-dirty, for each pair of flow delta and router resize: the
+    /// cache is not clean, and the next solve re-solves every flow and
+    /// equals a from-scratch solve.
+    #[test]
+    fn a_second_delta_before_a_solve_resets_the_cache() {
+        type Delta = fn(&mut AnalysisContext<'static>);
+        let add: Delta = |ctx| {
+            ctx.add_flow(mesh_flow((3, 12, 7, 4000)), &XyRouting)
+                .unwrap();
+        };
+        let remove: Delta = |ctx| ctx.remove_flow(FlowId::new(1)).unwrap();
+        let resize: Delta = |ctx| ctx.resize_buffer(RouterId::new(5), 8);
+        let resize_again: Delta = |ctx| ctx.resize_buffer(RouterId::new(6), 3);
+        let ibn = AnalysisKind::BufferAware;
+        for (label, first, second) in [
+            ("flow → flow", add, remove),
+            ("flow → resize", add, resize_again),
+            ("resize → flow", resize, remove),
+            ("resize → resize", resize, resize_again),
+        ] {
+            let mut ctx = AnalysisContext::owned(mesh_system(&SPECS)).unwrap();
+            ctx.analyze(ibn).unwrap();
+            first(&mut ctx);
+            second(&mut ctx);
+            assert!(!ctx.cached(ibn.index()).unwrap().is_clean(), "{label}");
+            let report = ctx.analyze(ibn).unwrap();
+            let resolved = ctx.cached(ibn.index()).unwrap().resolved.len();
+            assert_eq!(resolved, ctx.len(), "{label}: re-solved a subset");
+            let system = ctx.system().clone();
+            let scratch = AnalysisContext::new(&system).unwrap();
+            assert_eq!(report, ibn.analyze_with(&scratch).unwrap(), "{label}");
+        }
     }
 
     #[test]
@@ -771,7 +816,7 @@ mod tests {
 
     /// Runs `solve`, a pass through the cache at `index`, and returns its
     /// result with the flows and edge terms the pass re-solved: none if no
-    /// delta marked the cache, since the pass then reads it back as it
+    /// delta is pending on the cache, since it is then read back as it
     /// stands.
     fn traced<T>(
         ctx: &mut AnalysisContext<'_>,
@@ -878,8 +923,9 @@ mod tests {
     }
 
     /// Drives random deltas through a fork of a warmed base, one per even
-    /// step and one to three per odd step, so that a delta can meet the
-    /// marks of an earlier one still pending. After every step, each
+    /// step and one to three per odd step, so that a delta can meet an
+    /// earlier one still pending and reset the caches it reaches, and a
+    /// later one can meet a reset cache. After every step, each
     /// kind's report equals a from-scratch solve; every flow
     /// the cutoff skipped has the from-scratch explanation it had before
     /// the delta; every edge term a re-solved flow kept or recomputed has
@@ -995,7 +1041,7 @@ mod tests {
         cutoff_oracle(system, 0xC0FF_0002);
     }
 
-    /// A solve with no marks pending reads the base's cache back as it
+    /// A solve with no delta pending reads the base's cache back as it
     /// stands: the fork's slot is still the base's, with no copy.
     #[test]
     fn a_warm_fork_re_solves_nothing_without_a_delta() {
@@ -1021,8 +1067,8 @@ mod tests {
         }
     }
 
-    /// The conservative bound reads no buffer depth: a router resize marks
-    /// nothing in its cache, and the report, in a what-if scope or out of
+    /// The conservative bound reads no buffer depth: a router resize leaves
+    /// its cache as it is, and the report, in a what-if scope or out of
     /// one, re-evaluates no flow and copies nothing.
     #[test]
     fn conservative_cutoff_re_evaluates_nothing_after_a_router_resize() {
@@ -1229,37 +1275,6 @@ mod tests {
             crate::conservative::conservative_with(&scratch)
         );
         assert_matches_scratch(&mut ctx);
-    }
-
-    /// A delta outside any scope carries every kept cache across, an
-    /// insertion in the middle of the id order too: the next solve
-    /// re-solves the inserted flow and what it reaches, not the whole set,
-    /// and answers for the new system.
-    #[test]
-    fn caches_carry_across_a_mid_order_insertion() {
-        let system = deep_fixture();
-        let mut ctx = warm_fork(&system);
-        let gone = FlowId::new(40);
-        ctx.remove_flow(gone).unwrap();
-        for kind in AnalysisKind::ALL {
-            ctx.analyze(kind).unwrap();
-        }
-        ctx.conservative_report();
-        let (flow, route) = (system.flow(gone).clone(), system.route(gone).clone());
-        ctx.insert_flow(gone, flow, route).unwrap();
-        let scratch = AnalysisContext::new(&system).unwrap();
-        assert_eq!(ctx.system().flows(), system.flows());
-        assert_eq!(ctx.graph(), scratch.graph());
-        for kind in AnalysisKind::ALL {
-            let label = kind.name();
-            let report = ctx.analyze(kind).unwrap();
-            assert_eq!(report, kind.analyze_with(&scratch).unwrap(), "{label}");
-            let resolved = &ctx.cached(kind.index()).unwrap().resolved;
-            assert!(resolved.contains(&gone), "{label}");
-            assert!(resolved.len() < ctx.len(), "{label}: re-solved every flow");
-        }
-        let evaluated = assert_conservative_matches_scratch(&mut ctx, "insertion");
-        assert!(evaluated < ctx.len(), "re-evaluated every flow");
     }
 
     /// The propagation rule the cutoff replaced: the `affected` flows plus,

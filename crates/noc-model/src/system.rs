@@ -143,14 +143,6 @@ impl System {
         routl * (route_len - 1) + linkl * route_len + linkl * u64::from(flow.length_flits() - 1)
     }
 
-    /// Zero-load latencies for all flows, indexed by [`FlowId`].
-    pub fn zero_load_latencies(&self) -> Vec<Cycles> {
-        self.flows
-            .ids()
-            .map(|id| self.zero_load_latency(id))
-            .collect()
-    }
-
     /// Returns a copy of the system extended with one additional flow,
     /// routed by `routing`, together with the [`FlowId`] it was assigned:
     /// a clone plus [`System::add_flow`].

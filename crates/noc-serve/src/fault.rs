@@ -79,7 +79,13 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan injecting faults into roughly `rate` of all queries
     /// (`0.0..=1.0`, clamped) under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is NaN, which no clamp can place in range: it
+    /// would map to a zero threshold and silently inject nothing.
     pub fn new(seed: u64, rate: f64) -> FaultPlan {
+        assert!(!rate.is_nan(), "fault rate is NaN");
         let rate = rate.clamp(0.0, 1.0);
         // `u64::MAX as f64` rounds up to 2^64, so full rate saturates.
         let threshold = if rate >= 1.0 {
@@ -205,6 +211,12 @@ mod tests {
             }
         }
         assert_eq!(all_faulted, 256, "rate 1.0 faults every query");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault rate is NaN")]
+    fn a_nan_rate_panics() {
+        FaultPlan::new(7, f64::NAN);
     }
 
     #[test]
